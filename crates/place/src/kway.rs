@@ -26,13 +26,13 @@
 use crate::coarsen::coarsen;
 use crate::image::Floorplan;
 use crate::instance::{PinRef, PlaceInstance};
+use crate::netbox::{self, NetBoxes};
 use crate::refine::{median_improve, RefineOptions};
 use crate::spread::{spread_in_rect, Rect};
 use crate::PlacerOptions;
 use casyn_exec::Pool;
 use casyn_netlist::Point;
 use casyn_obs as obs;
-use std::collections::HashMap;
 
 /// Minimum HPWL gain for a refinement move: strictly positive so that
 /// zero-gain oscillations cannot ping-pong between rounds.
@@ -145,31 +145,41 @@ pub(crate) fn place_kway(
 
     // coarsen to ~2 clusters per region so the initial assignment has
     // slack to balance
-    let levels = coarsen(inst, 2 * k);
+    let levels = {
+        let _span = obs::trace::span("place.kway.coarsen");
+        coarsen(inst, 2 * k)
+    };
     let coarsest: &PlaceInstance = levels.last().map_or(inst, |l| &l.inst);
 
     // initial k-way assignment of the coarsest clusters
-    let anchors = anchor_positions(coarsest, fp);
-    let mut assign = initial_assign(coarsest, &grid, &anchors, cap);
+    let mut assign = {
+        let _span = obs::trace::span("place.kway.seed");
+        let anchors = anchor_positions(coarsest, fp);
+        initial_assign(coarsest, &grid, &anchors, cap)
+    };
 
     // refine at the coarsest level, then uncoarsen + refine per level
     let mut level_no = 0usize;
-    refine_level(coarsest, &grid, &mut assign, cap, opts, pool, level_no);
+    let mut rounds = refine_level(coarsest, &grid, &mut assign, cap, opts, pool, level_no);
     for li in (0..levels.len()).rev() {
         level_no += 1;
         let finer: &PlaceInstance = if li == 0 { inst } else { &levels[li - 1].inst };
         assign = levels[li].cluster_of.iter().map(|&cl| assign[cl]).collect();
-        refine_level(finer, &grid, &mut assign, cap, opts, pool, level_no);
+        rounds += refine_level(finer, &grid, &mut assign, cap, opts, pool, level_no);
     }
     obs::counter_add("place.kway.levels", (level_no + 1) as u64);
+    obs::counter_add("place.kway.rounds", rounds as u64);
 
     // finest level: spread each region's cells inside its rectangle,
     // then polish toward per-cell medians (serial, deterministic)
     let nets_of_cell = inst.nets_of_cells();
     let mut pos: Vec<Point> = assign.iter().map(|&r| grid.center(r)).collect();
-    let cells_of = cells_of_regions(&assign, k);
-    for (r, cells) in cells_of.iter().enumerate() {
-        spread_in_rect(grid.rect(r), cells, inst, &nets_of_cell, &mut pos);
+    {
+        let _span = obs::trace::span("place.kway.spread");
+        let (cells_of, _) = cells_of_regions(&assign, k);
+        for (r, cells) in cells_of.iter().enumerate() {
+            spread_in_rect(grid.rect(r), cells, inst, &nets_of_cell, &mut pos);
+        }
     }
     // multi-resolution polish: coarse bins first so cells can cross the
     // die toward their medians, then finer bins to settle local detail.
@@ -183,7 +193,10 @@ pub(crate) fn place_kway(
     let mut polish_moves = 0usize;
     for (bin_size, max_density) in [(4.0 * 12.8, 1.2), (2.0 * 12.8, 1.4)] {
         let ropts = RefineOptions { iterations: 4, bin_size, max_density };
-        polish_moves += median_improve(inst, fp, &mut pos, &ropts);
+        {
+            let _span = obs::trace::span("place.kway.median");
+            polish_moves += median_improve(inst, fp, &mut pos, &ropts);
+        }
         unstack_bins(inst, fp, &nets_of_cell, &mut pos, 1.6);
     }
 
@@ -213,40 +226,14 @@ fn swap_polish(
     bin_size: f64,
     passes: usize,
 ) -> usize {
+    let mut span = obs::trace::span("place.kway.swap");
     let nx = ((fp.die_width / bin_size).ceil() as usize).max(1);
     let ny = ((fp.die_height / bin_size).ceil() as usize).max(1);
-    // summed HPWL of the union of both cells' nets under current `pos`
-    let pair_cost = |a: usize, b: usize, pos: &[Point]| -> f64 {
-        let mut cost = 0.0;
-        for (which, &c) in [a, b].iter().enumerate() {
-            for &ni in &nets_of_cell[c] {
-                // count shared nets once (when seen from `a`)
-                if which == 1 && nets_of_cell[a].contains(&ni) {
-                    continue;
-                }
-                let (mut lo_x, mut hi_x, mut lo_y, mut hi_y) =
-                    (f64::INFINITY, f64::NEG_INFINITY, f64::INFINITY, f64::NEG_INFINITY);
-                for pin in &inst.nets[ni].pins {
-                    let p = match pin {
-                        PinRef::Cell(o) => pos[*o],
-                        PinRef::Fixed(p) => *p,
-                    };
-                    lo_x = lo_x.min(p.x);
-                    hi_x = hi_x.max(p.x);
-                    lo_y = lo_y.min(p.y);
-                    hi_y = hi_y.max(p.y);
-                }
-                if lo_x.is_finite() {
-                    cost += (hi_x - lo_x) + (hi_y - lo_y);
-                }
-            }
-        }
-        cost
-    };
-    let mut swaps = 0usize;
+    let mut boxes = NetBoxes::new(inst, nets_of_cell, pos);
+    let (mut tries, mut swaps) = (0u64, 0usize);
     for _ in 0..passes {
         let mut bin_cells: Vec<Vec<usize>> = vec![Vec::new(); nx * ny];
-        for (c, p) in pos.iter().enumerate() {
+        for (c, p) in boxes.pos().iter().enumerate() {
             let bx = ((p.x / bin_size) as usize).min(nx - 1);
             let by = ((p.y / bin_size) as usize).min(ny - 1);
             bin_cells[by * nx + bx].push(c);
@@ -256,26 +243,18 @@ fn swap_polish(
             let (bx, by) = (b % nx, b / nx);
             // candidates: own bin plus right and upper neighbours, so
             // every adjacent bin pair is tried exactly once
-            let mut cand = bin_cells[b].clone();
-            if bx + 1 < nx {
-                cand.extend_from_slice(&bin_cells[b + 1]);
-            }
-            if by + 1 < ny {
-                cand.extend_from_slice(&bin_cells[b + nx]);
-            }
+            let right: &[usize] = if bx + 1 < nx { &bin_cells[b + 1] } else { &[] };
+            let upper: &[usize] = if by + 1 < ny { &bin_cells[b + nx] } else { &[] };
             for &a in &bin_cells[b] {
-                for &c in &cand {
+                for &c in bin_cells[b].iter().chain(right).chain(upper) {
                     if c <= a {
                         continue;
                     }
-                    let before = pair_cost(a, c, pos);
-                    pos.swap(a, c);
-                    let after = pair_cost(a, c, pos);
-                    if before - after > MIN_GAIN {
+                    tries += 1;
+                    if boxes.swap_gain(a, c) > MIN_GAIN {
+                        boxes.commit_swap(a, c);
                         swaps += 1;
                         moved = true;
-                    } else {
-                        pos.swap(a, c); // undo
                     }
                 }
             }
@@ -284,6 +263,9 @@ fn swap_polish(
             break;
         }
     }
+    span.attr_num("tries", tries as f64);
+    span.attr_num("swaps", swaps as f64);
+    span.attr_num("rescans", boxes.rescans() as f64);
     swaps
 }
 
@@ -301,6 +283,7 @@ fn relax_density(
     max_density: f64,
 ) {
     const ROUNDS: usize = 8;
+    let _span = obs::trace::span("place.kway.relax");
     let nx = ((fp.die_width / bin_size).ceil() as usize).max(1);
     let ny = ((fp.die_height / bin_size).ceil() as usize).max(1);
     if nx * ny < 2 {
@@ -324,35 +307,11 @@ fn relax_density(
         let lo_y = (by as f64 * bin_size + inset).min(hi_y);
         Point::new(p.x.clamp(lo_x, hi_x), p.y.clamp(lo_y, hi_y))
     };
-    // HPWL delta of moving cell `c` to `q` with every other pin frozen
-    let move_cost = |c: usize, q: Point, pos: &[Point]| -> f64 {
-        let mut delta = 0.0;
-        for &ni in &nets_of_cell[c] {
-            let (mut lo_x, mut hi_x, mut lo_y, mut hi_y) =
-                (f64::INFINITY, f64::NEG_INFINITY, f64::INFINITY, f64::NEG_INFINITY);
-            for pin in &inst.nets[ni].pins {
-                let p = match pin {
-                    PinRef::Cell(o) if *o == c => continue,
-                    PinRef::Cell(o) => pos[*o],
-                    PinRef::Fixed(p) => *p,
-                };
-                lo_x = lo_x.min(p.x);
-                hi_x = hi_x.max(p.x);
-                lo_y = lo_y.min(p.y);
-                hi_y = hi_y.max(p.y);
-            }
-            if !lo_x.is_finite() {
-                continue;
-            }
-            let hpwl = |p: Point| (hi_x.max(p.x) - lo_x.min(p.x)) + (hi_y.max(p.y) - lo_y.min(p.y));
-            delta += hpwl(q) - hpwl(pos[c]);
-        }
-        delta
-    };
+    let mut boxes = NetBoxes::new(inst, nets_of_cell, pos);
     for _ in 0..ROUNDS {
         let mut fill = vec![0.0f64; nx * ny];
         let mut members: Vec<Vec<usize>> = vec![Vec::new(); nx * ny];
-        for (c, p) in pos.iter().enumerate() {
+        for (c, p) in boxes.pos().iter().enumerate() {
             let (bx, by) = bin_of(*p);
             fill[by * nx + bx] += inst.cell_width[c];
             members[by * nx + bx].push(c);
@@ -377,7 +336,7 @@ fn relax_density(
                     if fill[nb] + inst.cell_width[c] > cap {
                         continue;
                     }
-                    let cost = move_cost(c, point_in_bin(pos[c], x, y), pos);
+                    let cost = boxes.move_delta(c, point_in_bin(boxes.pos()[c], x, y));
                     if best.is_none_or(|(bc, _)| cost < bc) {
                         best = Some((cost, nb));
                     }
@@ -394,7 +353,7 @@ fn relax_density(
                 if fill[nb] + inst.cell_width[c] > cap {
                     continue; // the chosen neighbour filled up this round
                 }
-                pos[c] = point_in_bin(pos[c], nb % nx, nb / nx);
+                boxes.commit_move(c, point_in_bin(boxes.pos()[c], nb % nx, nb / nx));
                 fill[b] -= inst.cell_width[c];
                 fill[nb] += inst.cell_width[c];
                 moved_any = true;
@@ -418,6 +377,7 @@ fn unstack_bins(
     pos: &mut [Point],
     bin_size: f64,
 ) {
+    let _span = obs::trace::span("place.kway.unstack");
     let nx = ((fp.die_width / bin_size).ceil() as usize).max(1);
     let ny = ((fp.die_height / bin_size).ceil() as usize).max(1);
     let mut bin_cells: Vec<Vec<usize>> = vec![Vec::new(); nx * ny];
@@ -471,15 +431,15 @@ fn anchor_positions(inst: &PlaceInstance, fp: &Floorplan) -> Vec<Point> {
             pos[c] = Point::new(x / m, y / m);
         }
     }
+    let mut next = pos.clone();
     for _ in 0..SWEEPS {
-        let prev = pos.clone();
         for c in 0..n {
             let (mut x, mut y, mut m) = (0.0, 0.0, 0.0);
             for &ni in &nets_of_cell[c] {
                 for pin in &inst.nets[ni].pins {
                     let p = match pin {
                         PinRef::Cell(o) if *o == c => continue,
-                        PinRef::Cell(o) => prev[*o],
+                        PinRef::Cell(o) => pos[*o],
                         PinRef::Fixed(p) => *p,
                     };
                     x += p.x;
@@ -487,10 +447,9 @@ fn anchor_positions(inst: &PlaceInstance, fp: &Floorplan) -> Vec<Point> {
                     m += 1.0;
                 }
             }
-            if m > 0.0 {
-                pos[c] = Point::new(x / m, y / m);
-            }
+            next[c] = if m > 0.0 { Point::new(x / m, y / m) } else { pos[c] };
         }
+        std::mem::swap(&mut pos, &mut next);
     }
     pos
 }
@@ -541,18 +500,23 @@ fn initial_assign(
     assign
 }
 
-/// Index-sorted cell lists per region.
-fn cells_of_regions(assign: &[usize], k: usize) -> Vec<Vec<usize>> {
-    let mut out = vec![Vec::new(); k];
+/// Index-sorted cell lists per region, and each cell's slot in its
+/// region's list.
+fn cells_of_regions(assign: &[usize], k: usize) -> (Vec<Vec<usize>>, Vec<usize>) {
+    let mut cells_of = vec![Vec::new(); k];
+    let mut slot = Vec::with_capacity(assign.len());
     for (c, &r) in assign.iter().enumerate() {
-        out[r].push(c);
+        slot.push(cells_of[r].len());
+        cells_of[r].push(c);
     }
-    out
+    (cells_of, slot)
 }
 
 /// Refines one level's assignment: `kway_passes` sweeps over the four
 /// brick-wall pair rounds, each round's pair jobs fanned out on the pool
-/// against the start-of-round snapshot.
+/// against the start-of-round snapshot. Returns the number of rounds
+/// fanned out: empty rounds are skipped and the sweeps stop after the
+/// first one without a move.
 fn refine_level(
     inst: &PlaceInstance,
     grid: &RegionGrid,
@@ -561,42 +525,44 @@ fn refine_level(
     opts: &PlacerOptions,
     pool: &Pool,
     level_no: usize,
-) {
+) -> usize {
     let k = grid.k();
     if k < 2 || inst.num_cells() == 0 {
-        return;
+        return 0;
     }
     let mut span = obs::trace::span("place.kway.level");
     span.attr_num("level", level_no as f64);
     span.attr_num("cells", inst.num_cells() as f64);
     span.attr_num("regions", k as f64);
     let nets_of_cell = inst.nets_of_cells();
+    let centers: Vec<Point> = (0..k).map(|r| grid.center(r)).collect();
     let rounds = grid.pair_rounds();
     let mut fill = vec![0.0f64; k];
     for (c, &r) in assign.iter().enumerate() {
         fill[r] += inst.cell_width[c];
     }
     let mut level_moves = 0u64;
+    let mut rounds_run = 0usize;
     for _pass in 0..opts.kway_passes.max(1) {
         let mut pass_moves = 0u64;
         for round in &rounds {
             if round.is_empty() {
                 continue;
             }
-            let cells_of = cells_of_regions(assign, k);
+            rounds_run += 1;
+            let (cells_of, slot) = cells_of_regions(assign, k);
             // snapshot-round fan-out: each pair job is a pure function of
             // the frozen `assign`/`fill`, results come back in pair order
-            let snapshot: &[usize] = assign;
+            let round_state = RoundState {
+                inst,
+                nets_of_cell: &nets_of_cell,
+                centers: &centers,
+                snapshot: assign,
+                slot: &slot,
+                cap,
+            };
             let moves_of_pair = pool.par_map(round, |&(a, b)| {
-                refine_pair(
-                    inst,
-                    &nets_of_cell,
-                    grid,
-                    snapshot,
-                    (a, &cells_of[a], fill[a]),
-                    (b, &cells_of[b], fill[b]),
-                    cap,
-                )
+                refine_pair(&round_state, (a, &cells_of[a], fill[a]), (b, &cells_of[b], fill[b]))
             });
             for moves in &moves_of_pair {
                 for &(c, to) in moves {
@@ -613,8 +579,22 @@ fn refine_level(
         }
     }
     span.attr_num("moves", level_moves as f64);
+    span.attr_num("rounds", rounds_run as f64);
     obs::counter_add("place.kway.moves", level_moves);
-    obs::counter_add("place.kway.rounds", (rounds.len() * opts.kway_passes.max(1)) as u64);
+    rounds_run
+}
+
+/// What every pair job of one round reads: the instance, the region
+/// centres, and the frozen start-of-round assignment with each cell's
+/// slot in its region's cell list.
+#[derive(Clone, Copy)]
+struct RoundState<'a> {
+    inst: &'a PlaceInstance,
+    nets_of_cell: &'a [Vec<usize>],
+    centers: &'a [Point],
+    snapshot: &'a [usize],
+    slot: &'a [usize],
+    cap: f64,
 }
 
 /// Improves one region pair against the round snapshot: cells of `a` and
@@ -623,32 +603,36 @@ fn refine_level(
 /// pair cells at their *local* region centres and all external cells at
 /// their snapshot centres), subject to the capacity cap. Returns the
 /// surviving moves as `(cell, new_region)`.
-#[allow(clippy::too_many_arguments)]
 fn refine_pair(
-    inst: &PlaceInstance,
-    nets_of_cell: &[Vec<usize>],
-    grid: &RegionGrid,
-    snapshot: &[usize],
+    round: &RoundState,
     (a, cells_a, fill_a): (usize, &[usize], f64),
     (b, cells_b, fill_b): (usize, &[usize], f64),
-    cap: f64,
 ) -> Vec<(usize, usize)> {
+    let RoundState { inst, nets_of_cell, centers, snapshot, slot, cap } = *round;
     let mut cells: Vec<usize> = Vec::with_capacity(cells_a.len() + cells_b.len());
     cells.extend_from_slice(cells_a);
     cells.extend_from_slice(cells_b);
     cells.sort_unstable();
-    let mut local: HashMap<usize, usize> = HashMap::with_capacity(cells.len());
-    for &c in cells_a {
-        local.insert(c, a);
-    }
-    for &c in cells_b {
-        local.insert(c, b);
-    }
+    // the pair cells' current regions, `a`'s cells first, each at its
+    // slot in the region's list; every other cell stays on its snapshot
+    let mut local = vec![a; cells_a.len()];
+    local.resize(cells.len(), b);
+    let local_index = |o: usize| -> Option<usize> {
+        let r = snapshot[o];
+        if r == a {
+            Some(slot[o])
+        } else if r == b {
+            Some(cells_a.len() + slot[o])
+        } else {
+            None
+        }
+    };
     let (mut fa, mut fb) = (fill_a, fill_b);
     for _ in 0..PAIR_PASSES {
         let mut changed = false;
         for &c in &cells {
-            let cur = local[&c];
+            let ci = local_index(c).expect("pair cell");
+            let cur = local[ci];
             let other = if cur == a { b } else { a };
             let w = inst.cell_width[c];
             let other_fill = if other == a { fa } else { fb };
@@ -659,8 +643,10 @@ fn refine_pair(
             // at its current (local or snapshot) region centre
             let mut delta = 0.0;
             for &ni in &nets_of_cell[c] {
-                delta += net_hpwl_at(inst, ni, c, grid.center(other), &local, snapshot, grid)
-                    - net_hpwl_at(inst, ni, c, grid.center(cur), &local, snapshot, grid);
+                let rest = netbox::scan(&inst.nets[ni], Some(c), |o| {
+                    centers[local_index(o).map_or(snapshot[o], |i| local[i])]
+                });
+                delta += rest.with(centers[other]).hpwl() - rest.with(centers[cur]).hpwl();
             }
             if delta < -MIN_GAIN {
                 if cur == a {
@@ -670,7 +656,7 @@ fn refine_pair(
                     fb -= w;
                     fa += w;
                 }
-                local.insert(c, other);
+                local[ci] = other;
                 changed = true;
             }
         }
@@ -680,44 +666,12 @@ fn refine_pair(
     }
     let mut moves = Vec::new();
     for &c in &cells {
-        let r = local[&c];
+        let r = local[local_index(c).expect("pair cell")];
         if r != snapshot[c] {
             moves.push((c, r));
         }
     }
     moves
-}
-
-/// HPWL of net `ni` with cell `c` at `c_pos`, pair cells at their local
-/// region centres and everything else at its snapshot region centre.
-fn net_hpwl_at(
-    inst: &PlaceInstance,
-    ni: usize,
-    c: usize,
-    c_pos: Point,
-    local: &HashMap<usize, usize>,
-    snapshot: &[usize],
-    grid: &RegionGrid,
-) -> f64 {
-    let mut min_x = f64::INFINITY;
-    let mut max_x = f64::NEG_INFINITY;
-    let mut min_y = f64::INFINITY;
-    let mut max_y = f64::NEG_INFINITY;
-    for pin in &inst.nets[ni].pins {
-        let p = match pin {
-            PinRef::Cell(o) if *o == c => c_pos,
-            PinRef::Cell(o) => grid.center(local.get(o).copied().unwrap_or(snapshot[*o])),
-            PinRef::Fixed(p) => *p,
-        };
-        min_x = min_x.min(p.x);
-        max_x = max_x.max(p.x);
-        min_y = min_y.min(p.y);
-        max_y = max_y.max(p.y);
-    }
-    if min_x > max_x {
-        return 0.0;
-    }
-    (max_x - min_x) + (max_y - min_y)
 }
 
 #[cfg(test)]
@@ -756,6 +710,24 @@ mod tests {
                 assert!(seen.insert(b), "region {b} paired twice in one round");
             }
         }
+    }
+
+    #[test]
+    fn refine_level_counts_the_rounds_it_fans_out() {
+        // a chain laid out left to right over a 4 x 1 grid is already
+        // optimal: the first sweep makes no move and ends the level after
+        // the two horizontal rounds (a one-row grid has no vertical pairs),
+        // not after the planned 4 rounds x kway_passes
+        let inst = chain_instance(32);
+        let grid = RegionGrid { gx: 4, gy: 1, die_w: 256.0, die_h: 64.0 };
+        let mut assign: Vec<usize> = (0..32).map(|c| c / 8).collect();
+        let before = assign.clone();
+        let cap = inst.total_width() / 4.0 * 1.3;
+        let opts = kway_opts();
+        assert!(opts.kway_passes > 1);
+        let rounds = refine_level(&inst, &grid, &mut assign, cap, &opts, &Pool::serial(), 0);
+        assert_eq!(assign, before);
+        assert_eq!(rounds, 2);
     }
 
     #[test]

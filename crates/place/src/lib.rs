@@ -16,6 +16,9 @@
 //! * [`coarsen`] — heavy-edge multilevel clustering of the hypergraph.
 //! * `kway` — the direct k-way placer: region-grid assignment refined
 //!   under the HPWL objective, parallel over independent region pairs.
+//! * `netbox` — the k-way placer's net bounding boxes: the one pin scan,
+//!   and boxes cached per net and per (cell, net) incidence so a candidate
+//!   move is scored without walking pins, bit-identically to a rescan.
 //! * [`fm`] — Fiduccia–Mattheyses bipartition refinement.
 //! * [`bisect`] — the recursive min-cut placer with terminal propagation
 //!   (the legacy backend, kept for A/B comparison).
@@ -31,6 +34,7 @@ pub mod instance;
 mod kway;
 pub mod legalize;
 pub mod metrics;
+mod netbox;
 pub mod refine;
 mod spread;
 

@@ -1,6 +1,7 @@
 //! Wirelength metrics.
 
-use crate::instance::{PinRef, PlaceInstance, PlaceNet};
+use crate::instance::{PlaceInstance, PlaceNet};
+use crate::netbox::scan;
 use casyn_netlist::Point;
 
 /// Half-perimeter wirelength of one set of pin positions.
@@ -23,15 +24,7 @@ pub fn hpwl(points: &[Point]) -> f64 {
 
 /// HPWL of a placement net given cell positions.
 pub fn net_hpwl(net: &PlaceNet, pos: &[Point]) -> f64 {
-    let pts: Vec<Point> = net
-        .pins
-        .iter()
-        .map(|p| match p {
-            PinRef::Cell(c) => pos[*c],
-            PinRef::Fixed(p) => *p,
-        })
-        .collect();
-    hpwl(&pts)
+    scan(net, None, |c| pos[c]).hpwl()
 }
 
 /// Sum of HPWL over nets given per-net pin positions.
@@ -47,6 +40,7 @@ pub fn total_hpwl_of_instance(inst: &PlaceInstance, pos: &[Point]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instance::PinRef;
 
     #[test]
     fn hpwl_of_bounding_box() {

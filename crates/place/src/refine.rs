@@ -53,14 +53,15 @@ pub fn median_improve(
         bin_fill[bin_of(*p)] += inst.cell_width[c];
     }
     let mut moves = 0;
+    let (mut xs, mut ys): (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
     for _ in 0..opts.iterations {
         for c in 0..n {
             if nets_of_cell[c].is_empty() {
                 continue;
             }
             // gather connected pin coordinates (excluding this cell)
-            let mut xs: Vec<f64> = Vec::new();
-            let mut ys: Vec<f64> = Vec::new();
+            xs.clear();
+            ys.clear();
             for &ni in &nets_of_cell[c] {
                 for pin in &inst.nets[ni].pins {
                     let p = match pin {

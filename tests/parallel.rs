@@ -116,3 +116,53 @@ fn batch_on_four_workers_matches_one_worker() {
         }
     }
 }
+
+/// FNV-1a 64 over the IEEE bit patterns of every coordinate.
+fn fnv1a_of_positions(points: &[casyn::netlist::Point]) -> u64 {
+    let bytes: Vec<u8> =
+        points.iter().flat_map(|p| [p.x, p.y]).flat_map(|v| v.to_bits().to_le_bytes()).collect();
+    casyn::flow::fnv1a64(&bytes)
+}
+
+#[test]
+fn kway_placement_is_bit_identical_to_the_recorded_one() {
+    // Hashes of the k-way placement recorded at the commit before the
+    // placer's net boxes became cached (`casyn-place::netbox`): the cache
+    // may change how often a box is computed, never a coordinate.
+    let ex_a: casyn::netlist::Pla =
+        std::fs::read_to_string("examples/designs/ex_a.pla").unwrap().parse().unwrap();
+    let rand14 = random_pla(&PlaGenConfig {
+        inputs: 14,
+        outputs: 10,
+        terms: 90,
+        min_literals: 3,
+        max_literals: 7,
+        mean_outputs_per_term: 1.6,
+        seed: 42,
+    });
+    // ~2.1k base gates
+    let rand16 = random_pla(&PlaGenConfig {
+        inputs: 16,
+        outputs: 12,
+        terms: 190,
+        min_literals: 4,
+        max_literals: 9,
+        mean_outputs_per_term: 1.4,
+        seed: 7,
+    });
+    for (name, pla, golden) in [
+        ("ex_a", ex_a, 0x6cf8_0242_04a3_afa2_u64),
+        ("rand14", rand14, 0x183d_69e9_5f42_627b),
+        ("rand16", rand16, 0x38b1_3ec8_a756_8c14),
+    ] {
+        let mut opts = FlowOptions::default();
+        opts.placer.backend = PlacerBackend::KWay;
+        let prep = prepare_pool(&pla.to_network(), &opts, &Pool::new(2)).unwrap();
+        assert_eq!(
+            fnv1a_of_positions(&prep.positions),
+            golden,
+            "{name}: k-way placement moved ({} base gates)",
+            prep.base_gates
+        );
+    }
+}

@@ -116,3 +116,41 @@ fn disabled_collection_still_times_stages() {
     }
     assert!(obs::snapshot().metrics.is_empty());
 }
+
+#[test]
+fn kway_rounds_counter_counts_rounds_actually_run() {
+    use casyn::place::{place, Floorplan, PinRef, PlaceInstance, PlaceNet, PlacerBackend};
+    let _guard = lock();
+    // a 64-cell chain over two side-by-side regions: of the four
+    // brick-wall rounds only "horizontal even" holds a pair, and a sweep
+    // that moves nothing ends its level
+    let n = 64;
+    let inst = PlaceInstance {
+        cell_width: vec![1.92; n],
+        nets: (0..n - 1)
+            .map(|i| PlaceNet { pins: vec![PinRef::Cell(i), PinRef::Cell(i + 1)] })
+            .collect(),
+    };
+    let fp = Floorplan::with_rows_and_area(8, 8.0 * 6.4 * 40.0);
+    let opts = casyn::place::PlacerOptions {
+        backend: PlacerBackend::KWay,
+        region_cells: n / 2,
+        ..Default::default()
+    };
+    obs::reset();
+    obs::set_enabled(true);
+    let pos = place(&inst, &fp, &opts);
+    obs::set_enabled(false);
+    assert_eq!(pos.len(), n);
+    let snap = obs::snapshot();
+    let levels = snap.counter("place.kway.levels").unwrap();
+    let rounds = snap.counter("place.kway.rounds").unwrap();
+    assert!(levels >= 2, "the chain must coarsen: {levels} levels");
+    // one non-empty round per sweep, at most kway_passes sweeps per level
+    // (the planned count, 4 rounds x kway_passes per level, is 4x this)
+    assert!(
+        (levels..=levels * opts.kway_passes as u64).contains(&rounds),
+        "{rounds} rounds over {levels} levels"
+    );
+    obs::reset();
+}

@@ -94,6 +94,41 @@ fn full_flow_leaves_a_well_formed_span_tree() {
 }
 
 #[test]
+fn kway_stage_spans_nest_under_the_placement_and_fit_inside_it() {
+    if casyn::place::PlacerBackend::from_env() != casyn::place::PlacerBackend::KWay {
+        return; // the bisection backend has no k-way stages
+    }
+    let _guard = lock();
+    let events = traced_flow_events();
+    let spans: Vec<&TraceEvent> = events.iter().filter(|e| e.kind == EventKind::Span).collect();
+    let kway = spans.iter().find(|e| e.name == "place.kway").expect("a place.kway span");
+    let stages: Vec<&&TraceEvent> =
+        spans.iter().filter(|e| e.name.starts_with("place.kway.")).collect();
+    let names: HashSet<&str> = stages.iter().map(|e| e.name.as_str()).collect();
+    for stage in ["coarsen", "seed", "level", "spread", "median", "unstack", "relax", "swap"] {
+        let name = format!("place.kway.{stage}");
+        assert!(names.contains(name.as_str()), "missing span {name} in {names:?}");
+    }
+    // the stages are the placement's direct children, run one after the
+    // other on its thread: their durations add up to no more than its own
+    for e in &stages {
+        assert_eq!(e.parent, Some(kway.id), "{} is not a child of place.kway", e.name);
+        assert_eq!(e.thread, kway.thread);
+    }
+    let total: f64 = stages.iter().map(|e| e.dur_us).sum();
+    assert!(
+        total > 0.0 && total <= kway.dur_us,
+        "stages {total} us > place.kway {} us",
+        kway.dur_us
+    );
+    // the swap polish reports its work
+    let swap = stages.iter().find(|e| e.name == "place.kway.swap").unwrap();
+    for key in ["tries", "swaps", "rescans"] {
+        assert!(swap.attrs.iter().any(|(k, _)| k == key), "place.kway.swap lacks {key:?}");
+    }
+}
+
+#[test]
 fn trace_v1_round_trips_through_the_vendored_parser() {
     let _guard = lock();
     let events = traced_flow_events();
