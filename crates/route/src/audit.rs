@@ -15,7 +15,6 @@
 //! rounding — the invariant the test suite checks.
 
 use crate::grid::RouteGrid;
-use crate::router::EdgeRef;
 use casyn_obs::json::JsonValue;
 
 /// One net's contribution to a boundary's demand, in tracks.
@@ -199,49 +198,28 @@ impl OverflowAudit {
 /// clean run costs one pass over the grid and nothing per net.
 pub(crate) fn build_audit(
     grid: &RouteGrid,
-    paths: &[Vec<EdgeRef>],
+    paths: &[Vec<u32>],
     net_of_connection: &[usize],
     net_bbox: &[(u16, u16, u16, u16)],
 ) -> OverflowAudit {
-    let (nx, ny) = (grid.nx(), grid.ny());
-    let hw = nx.saturating_sub(1);
-    let vh = ny.saturating_sub(1);
-    // map each overflowed edge to its boundary-audit slot
-    let mut h_slot: Vec<Option<usize>> = vec![None; hw * ny];
-    let mut v_slot: Vec<Option<usize>> = vec![None; nx * vh];
+    // map each overflowed edge to its boundary-audit slot; edge ids run
+    // horizontals-then-verticals, row-major, which is the report's order
+    let mut slot_of_edge: Vec<Option<usize>> = vec![None; grid.num_edges()];
     let mut boundaries: Vec<BoundaryAudit> = Vec::new();
-    for y in 0..ny {
-        for x in 0..hw {
-            let load = grid.h_load(x, y);
-            if load > grid.h_cap() {
-                h_slot[y * hw + x] = Some(boundaries.len());
-                boundaries.push(BoundaryAudit {
-                    horizontal: true,
-                    x,
-                    y,
-                    capacity: grid.h_cap(),
-                    demand: load,
-                    blockage: load - grid.h_usage(x, y),
-                    nets: Vec::new(),
-                });
-            }
-        }
-    }
-    for y in 0..vh {
-        for x in 0..nx {
-            let load = grid.v_load(x, y);
-            if load > grid.v_cap() {
-                v_slot[y * nx + x] = Some(boundaries.len());
-                boundaries.push(BoundaryAudit {
-                    horizontal: false,
-                    x,
-                    y,
-                    capacity: grid.v_cap(),
-                    demand: load,
-                    blockage: load - grid.v_usage(x, y),
-                    nets: Vec::new(),
-                });
-            }
+    for (e, slot) in slot_of_edge.iter_mut().enumerate() {
+        let (load, capacity) = (grid.edge_load(e), grid.edge_cap(e));
+        if load > capacity {
+            *slot = Some(boundaries.len());
+            let (horizontal, x, y) = grid.edge_at(e);
+            boundaries.push(BoundaryAudit {
+                horizontal,
+                x,
+                y,
+                capacity,
+                demand: load,
+                blockage: load - grid.edge_usage(e),
+                nets: Vec::new(),
+            });
         }
     }
     if boundaries.is_empty() {
@@ -253,12 +231,8 @@ pub(crate) fn build_audit(
         vec![std::collections::BTreeMap::new(); boundaries.len()];
     for (ci, path) in paths.iter().enumerate() {
         let net = net_of_connection[ci];
-        for e in path {
-            let slot = match *e {
-                EdgeRef::H { x, y } => h_slot[y * hw + x],
-                EdgeRef::V { x, y } => v_slot[y * nx + x],
-            };
-            if let Some(b) = slot {
+        for &e in path {
+            if let Some(b) = slot_of_edge[e as usize] {
                 *per_boundary[b].entry(net).or_insert(0.0) += 1.0;
             }
         }

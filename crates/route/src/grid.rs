@@ -99,6 +99,10 @@ impl RouteConfig {
 
 /// A routing grid over a floorplan, with per-edge usage and PathFinder
 /// history.
+///
+/// Edges carry one flat id: the `(nx-1) × ny` horizontal boundaries
+/// first, row-major, then the `nx × (ny-1)` vertical ones, row-major.
+/// The router's paths, its cost cache and the audit all index by it.
 #[derive(Debug, Clone)]
 pub struct RouteGrid {
     nx: usize,
@@ -106,41 +110,35 @@ pub struct RouteGrid {
     gcell: f64,
     h_cap: f64,
     v_cap: f64,
-    /// Usage of horizontal edges ((nx-1) × ny), row-major.
-    h_usage: Vec<f64>,
-    /// Usage of vertical edges (nx × (ny-1)), row-major.
-    v_usage: Vec<f64>,
+    /// Number of horizontal edges: ids below it are horizontal.
+    nh: usize,
+    /// Routed usage per edge id.
+    usage: Vec<f64>,
     /// Static blockage (pin escapes) added to the load but not to the
     /// routed wirelength.
-    h_block: Vec<f64>,
-    v_block: Vec<f64>,
-    h_history: Vec<f64>,
-    v_history: Vec<f64>,
+    block: Vec<f64>,
+    history: Vec<f64>,
 }
 
 impl RouteGrid {
-    /// Builds the grid covering `fp` with the configured gcell size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the floorplan is smaller than one gcell.
+    /// Builds the grid covering `fp` with the configured gcell size. A
+    /// die smaller than one gcell still gets a 1 × 1 grid.
     pub fn new(fp: &Floorplan, cfg: &RouteConfig) -> Self {
         // tolerate floating fuzz: a die of 3.0000000000004 gcells is 3
         let nx = ((fp.die_width / cfg.gcell) - 1e-6).ceil().max(1.0) as usize;
         let ny = ((fp.die_height / cfg.gcell) - 1e-6).ceil().max(1.0) as usize;
-        assert!(nx >= 1 && ny >= 1, "die smaller than one gcell");
+        let nh = (nx - 1) * ny;
+        let edges = nh + nx * (ny - 1);
         RouteGrid {
             nx,
             ny,
             gcell: cfg.gcell,
             h_cap: cfg.h_capacity(),
             v_cap: cfg.v_capacity(),
-            h_usage: vec![0.0; (nx.saturating_sub(1)) * ny],
-            v_usage: vec![0.0; nx * ny.saturating_sub(1)],
-            h_block: vec![0.0; (nx.saturating_sub(1)) * ny],
-            v_block: vec![0.0; nx * ny.saturating_sub(1)],
-            h_history: vec![0.0; (nx.saturating_sub(1)) * ny],
-            v_history: vec![0.0; nx * ny.saturating_sub(1)],
+            nh,
+            usage: vec![0.0; edges],
+            block: vec![0.0; edges],
+            history: vec![0.0; edges],
         }
     }
 
@@ -181,35 +179,83 @@ impl RouteGrid {
         Point::new((c.x as f64 + 0.5) * self.gcell, (c.y as f64 + 0.5) * self.gcell)
     }
 
-    fn h_index(&self, x: usize, y: usize) -> usize {
+    /// Id of the horizontal edge from `(x, y)` to `(x+1, y)`.
+    pub(crate) fn h_edge(&self, x: usize, y: usize) -> usize {
         y * (self.nx - 1) + x
     }
 
-    fn v_index(&self, x: usize, y: usize) -> usize {
-        y * self.nx + x
+    /// Id of the vertical edge from `(x, y)` to `(x, y+1)`.
+    pub(crate) fn v_edge(&self, x: usize, y: usize) -> usize {
+        self.nh + y * self.nx + x
+    }
+
+    /// The edge with id `e`: whether it is horizontal, and the `(x, y)`
+    /// of its left or lower gcell.
+    pub(crate) fn edge_at(&self, e: usize) -> (bool, usize, usize) {
+        match e.checked_sub(self.nh) {
+            None => (true, e % (self.nx - 1), e / (self.nx - 1)),
+            Some(v) => (false, v % self.nx, v / self.nx),
+        }
+    }
+
+    /// Number of horizontal edges; edge ids from here on are vertical.
+    pub(crate) fn num_h_edges(&self) -> usize {
+        self.nh
+    }
+
+    /// Number of edges of both directions.
+    pub(crate) fn num_edges(&self) -> usize {
+        self.usage.len()
+    }
+
+    /// Capacity of an edge.
+    pub(crate) fn edge_cap(&self, e: usize) -> f64 {
+        if e < self.nh {
+            self.h_cap
+        } else {
+            self.v_cap
+        }
+    }
+
+    /// Load (usage + blockage) of an edge.
+    pub(crate) fn edge_load(&self, e: usize) -> f64 {
+        self.usage[e] + self.block[e]
+    }
+
+    /// Routed usage of an edge.
+    pub(crate) fn edge_usage(&self, e: usize) -> f64 {
+        self.usage[e]
+    }
+
+    /// PathFinder history of an edge.
+    pub(crate) fn edge_history(&self, e: usize) -> f64 {
+        self.history[e]
+    }
+
+    /// Adds `delta` (negative for rip-up) to an edge's usage.
+    pub(crate) fn add_edge(&mut self, e: usize, delta: f64) {
+        self.usage[e] += delta;
     }
 
     /// Usage of the horizontal edge from `(x, y)` to `(x+1, y)`.
     pub fn h_usage(&self, x: usize, y: usize) -> f64 {
-        self.h_usage[self.h_index(x, y)]
+        self.usage[self.h_edge(x, y)]
     }
 
     /// Usage of the vertical edge from `(x, y)` to `(x, y+1)`.
     pub fn v_usage(&self, x: usize, y: usize) -> f64 {
-        self.v_usage[self.v_index(x, y)]
+        self.usage[self.v_edge(x, y)]
     }
 
     /// Load (usage + blockage) of a horizontal edge — what capacity
     /// checks compare against.
     pub fn h_load(&self, x: usize, y: usize) -> f64 {
-        let i = self.h_index(x, y);
-        self.h_usage[i] + self.h_block[i]
+        self.edge_load(self.h_edge(x, y))
     }
 
     /// Load (usage + blockage) of a vertical edge.
     pub fn v_load(&self, x: usize, y: usize) -> f64 {
-        let i = self.v_index(x, y);
-        self.v_usage[i] + self.v_block[i]
+        self.edge_load(self.v_edge(x, y))
     }
 
     /// Spreads `amount` tracks of static blockage over the edges adjacent
@@ -217,71 +263,50 @@ impl RouteGrid {
     pub fn add_pin_blockage(&mut self, p: Point, amount: f64) {
         let c = self.gcell_of(p);
         let (x, y) = (c.x as usize, c.y as usize);
-        let mut edges: Vec<(bool, usize, usize)> = Vec::with_capacity(4);
-        if x > 0 {
-            edges.push((true, x - 1, y));
-        }
-        if x + 1 < self.nx {
-            edges.push((true, x, y));
-        }
-        if y > 0 {
-            edges.push((false, x, y - 1));
-        }
-        if y + 1 < self.ny {
-            edges.push((false, x, y));
-        }
-        if edges.is_empty() {
+        let edges = [
+            (x > 0).then(|| self.h_edge(x - 1, y)),
+            (x + 1 < self.nx).then(|| self.h_edge(x, y)),
+            (y > 0).then(|| self.v_edge(x, y - 1)),
+            (y + 1 < self.ny).then(|| self.v_edge(x, y)),
+        ];
+        let n = edges.iter().flatten().count();
+        if n == 0 {
             return;
         }
-        let share = amount / edges.len() as f64;
-        for (horiz, ex, ey) in edges {
-            if horiz {
-                let i = self.h_index(ex, ey);
-                self.h_block[i] += share;
-            } else {
-                let i = self.v_index(ex, ey);
-                self.v_block[i] += share;
-            }
+        let share = amount / n as f64;
+        for e in edges.into_iter().flatten() {
+            self.block[e] += share;
         }
     }
 
     /// Adds `delta` (may be negative for rip-up) to a horizontal edge.
     pub fn add_h(&mut self, x: usize, y: usize, delta: f64) {
-        let i = self.h_index(x, y);
-        self.h_usage[i] += delta;
+        self.add_edge(self.h_edge(x, y), delta);
     }
 
     /// Adds `delta` to a vertical edge.
     pub fn add_v(&mut self, x: usize, y: usize, delta: f64) {
-        let i = self.v_index(x, y);
-        self.v_usage[i] += delta;
+        self.add_edge(self.v_edge(x, y), delta);
     }
 
     /// PathFinder history of a horizontal edge.
     pub fn h_history(&self, x: usize, y: usize) -> f64 {
-        self.h_history[self.h_index(x, y)]
+        self.history[self.h_edge(x, y)]
     }
 
     /// PathFinder history of a vertical edge.
     pub fn v_history(&self, x: usize, y: usize) -> f64 {
-        self.v_history[self.v_index(x, y)]
+        self.history[self.v_edge(x, y)]
     }
 
     /// Bumps history on every currently overflowed edge; returns the
     /// number of overflowed edges.
     pub fn update_history(&mut self, increment: f64) -> usize {
         let mut over = 0;
-        for i in 0..self.h_usage.len() {
-            let load = self.h_usage[i] + self.h_block[i];
-            if load > self.h_cap {
-                self.h_history[i] += increment * (load - self.h_cap);
-                over += 1;
-            }
-        }
-        for i in 0..self.v_usage.len() {
-            let load = self.v_usage[i] + self.v_block[i];
-            if load > self.v_cap {
-                self.v_history[i] += increment * (load - self.v_cap);
+        for e in 0..self.usage.len() {
+            let (load, cap) = (self.edge_load(e), self.edge_cap(e));
+            if load > cap {
+                self.history[e] += increment * (load - cap);
                 over += 1;
             }
         }
@@ -291,48 +316,30 @@ impl RouteGrid {
     /// Total overflow in track-segments: `Σ max(0, usage − capacity)`.
     /// This is the "number of routing violations" figure of the tables.
     pub fn total_overflow(&self) -> f64 {
-        let h: f64 = self
-            .h_usage
-            .iter()
-            .zip(&self.h_block)
-            .map(|(u, b)| (u + b - self.h_cap).max(0.0))
-            .sum();
-        let v: f64 = self
-            .v_usage
-            .iter()
-            .zip(&self.v_block)
-            .map(|(u, b)| (u + b - self.v_cap).max(0.0))
-            .sum();
-        h + v
+        let over = |edges: std::ops::Range<usize>, cap: f64| -> f64 {
+            edges.map(|e| (self.edge_load(e) - cap).max(0.0)).sum()
+        };
+        over(0..self.nh, self.h_cap) + over(self.nh..self.usage.len(), self.v_cap)
     }
 
     /// Total accumulated PathFinder history cost over all edges — a
     /// measure of how contested the grid has been across iterations.
     pub fn total_history(&self) -> f64 {
-        self.h_history.iter().chain(self.v_history.iter()).sum()
+        self.history.iter().sum()
     }
 
     /// Total used wirelength in micrometres (track segments × gcell size).
     pub fn total_wirelength(&self) -> f64 {
-        let segs: f64 = self.h_usage.iter().chain(self.v_usage.iter()).sum();
+        let segs: f64 = self.usage.iter().sum();
         segs * self.gcell
     }
 
     /// Maximum edge utilization (usage / capacity) over the grid.
     pub fn max_utilization(&self) -> f64 {
-        let h = self
-            .h_usage
-            .iter()
-            .zip(&self.h_block)
-            .map(|(u, b)| (u + b) / self.h_cap)
-            .fold(0.0f64, f64::max);
-        let v = self
-            .v_usage
-            .iter()
-            .zip(&self.v_block)
-            .map(|(u, b)| (u + b) / self.v_cap)
-            .fold(0.0f64, f64::max);
-        h.max(v)
+        let max = |edges: std::ops::Range<usize>, cap: f64| {
+            edges.map(|e| self.edge_load(e) / cap).fold(0.0f64, f64::max)
+        };
+        max(0..self.nh, self.h_cap).max(max(self.nh..self.usage.len(), self.v_cap))
     }
 }
 
@@ -368,6 +375,29 @@ mod tests {
         assert_eq!(c, GcellCoord { x: 99, y: 9 });
         let mid = grid.center_of(GcellCoord { x: 0, y: 0 });
         assert!((mid.x - 3.2).abs() < 1e-9 && (mid.y - 3.2).abs() < 1e-9);
+    }
+
+    #[test]
+    fn edge_ids_run_horizontals_then_verticals_row_major() {
+        let fp = Floorplan::with_rows_and_area(3, (3.0 * 6.4) * (4.0 * 6.4)); // 4x3
+        let grid = RouteGrid::new(&fp, &RouteConfig::default());
+        let mut next = 0;
+        for y in 0..3 {
+            for x in 0..3 {
+                assert_eq!(grid.h_edge(x, y), next);
+                assert_eq!(grid.edge_at(next), (true, x, y));
+                next += 1;
+            }
+        }
+        assert_eq!(next, grid.num_h_edges());
+        for y in 0..2 {
+            for x in 0..4 {
+                assert_eq!(grid.v_edge(x, y), next);
+                assert_eq!(grid.edge_at(next), (false, x, y));
+                next += 1;
+            }
+        }
+        assert_eq!(next, grid.num_edges());
     }
 
     #[test]

@@ -19,6 +19,7 @@
 pub mod audit;
 pub mod congestion;
 pub mod grid;
+mod heap;
 pub mod router;
 
 pub use audit::{BoundaryAudit, NetOffender, NetShare, OverflowAudit};

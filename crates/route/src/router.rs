@@ -3,13 +3,12 @@
 use crate::audit::{build_audit, OverflowAudit};
 use crate::congestion::CongestionMap;
 use crate::grid::{GcellCoord, RouteConfig, RouteGrid};
+use crate::heap::NodeHeap;
 use casyn_netlist::mapped::{MappedNetlist, SignalRef};
 use casyn_netlist::Point;
 use casyn_obs as obs;
 use casyn_obs::json::JsonValue;
 use casyn_place::Floorplan;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Why a routing run could not produce a [`RouteResult`]. Routing is the
@@ -106,6 +105,10 @@ pub struct RouteIterStats {
     pub max_util: f64,
     /// Accumulated PathFinder history cost over all edges.
     pub history_cost: f64,
+    /// Gcells the A* searches of this iteration expanded (took off the
+    /// open set and relaxed the neighbours of). An exact count: it
+    /// repeats run to run and moves only if the searches do.
+    pub expanded: u64,
     /// Full congestion snapshot, present on every
     /// [`RouteConfig::snapshot_stride`]-th iteration when the stride is
     /// non-zero.
@@ -185,7 +188,7 @@ impl RouteResult {
     ///   "series": [
     ///     {"iter": 0, "overflow": 9.5, "overflowed_edges": 3,
     ///      "rerouted": 40, "max_util": 1.2, "history_cost": 1.9,
-    ///      "snapshot": { ...casyn.heatmap.v1... }},
+    ///      "expanded": 5120, "snapshot": { ...casyn.heatmap.v1... }},
     ///     ...
     ///   ]
     /// }
@@ -206,6 +209,7 @@ impl RouteResult {
                     ("rerouted".into(), JsonValue::Number(s.rerouted as f64)),
                     ("max_util".into(), JsonValue::Number(s.max_util)),
                     ("history_cost".into(), JsonValue::Number(s.history_cost)),
+                    ("expanded".into(), JsonValue::Number(s.expanded as f64)),
                 ];
                 if let Some(snap) = &s.snapshot {
                     fields.push(("snapshot".into(), snap.to_json()));
@@ -338,10 +342,13 @@ pub fn route_pin_sets_with_blockage(
         net_of_connection.extend(std::iter::repeat_n(ni, edges.len()));
         connections.extend(edges);
     }
-    let mut router = Maze::new(grid.nx(), grid.ny());
-    let mut paths: Vec<Vec<EdgeRef>> = vec![Vec::new(); connections.len()];
+    let mut router = Maze::new(&grid);
+    let mut paths: Vec<Vec<u32>> = vec![Vec::new(); connections.len()];
     let mut present_factor = 0.5;
     let mut iterations = 0;
+    // the state after the last iteration run, which is the final one
+    let mut overflow = 0.0;
+    let mut overflowed_edges = 0;
     // batched locally; one registry flush per routing run
     let mut reroutes = 0u64;
     let mut convergence = RouteConvergence::default();
@@ -350,19 +357,20 @@ pub fn route_pin_sets_with_blockage(
         let mut iter_span = obs::trace::span("route.iter");
         iter_span.attr_num("iter", iter as f64);
         iterations = iter + 1;
+        // history and the present factor moved since the last iteration
+        router.rebuild_costs(&grid, present_factor);
         let margin = 4 + 4 * iter;
-        let mut any = false;
-        let mut rerouted_this_iter = 0u64;
+        let mut rerouted = 0u64;
+        let mut expanded = 0u64;
         for (ci, (a, b)) in connections.iter().enumerate() {
-            let needs = if iter == 0 { true } else { path_overflows(&grid, &paths[ci]) };
-            if !needs {
+            let path = &mut paths[ci];
+            if iter > 0 && !path_overflows(&grid, path) {
                 continue;
             }
-            any = true;
-            rerouted_this_iter += 1;
-            rip_up(&mut grid, &paths[ci]);
-            paths[ci] = router.route(&mut grid, *a, *b, present_factor, margin);
-            if paths[ci].is_empty() && a != b {
+            rerouted += 1;
+            router.apply(&mut grid, path, -1.0);
+            expanded += router.route(*a, *b, margin, path);
+            if path.is_empty() && a != b {
                 // the search box always contains a rectilinear path, so an
                 // empty result between distinct gcells means the grid
                 // itself is inconsistent — surface it, don't under-report
@@ -372,38 +380,43 @@ pub fn route_pin_sets_with_blockage(
                     to: (b.x as u32, b.y as u32),
                 });
             }
-            commit(&mut grid, &paths[ci]);
+            router.apply(&mut grid, path, 1.0);
         }
-        reroutes += rerouted_this_iter;
-        let over = grid.update_history(cfg.history_increment);
-        let overflow_now = grid.total_overflow();
-        let max_util_now = grid.max_utilization();
-        let history_now = grid.total_history();
-        iter_span.attr_num("rerouted", rerouted_this_iter as f64);
-        iter_span.attr_num("overflow", overflow_now);
-        iter_span.attr_num("overflowed_edges", over as f64);
-        iter_span.attr_num("max_util", max_util_now);
-        iter_span.attr_num("history_cost", history_now);
+        debug_assert!((0..grid.num_edges()).all(|e| router.cost_is_current(&grid, e)));
+        reroutes += rerouted;
+        overflowed_edges = grid.update_history(cfg.history_increment);
+        overflow = grid.total_overflow();
+        let max_util = grid.max_utilization();
+        let history = grid.total_history();
+        iter_span.attr_num("rerouted", rerouted as f64);
+        iter_span.attr_num("expanded", expanded as f64);
+        iter_span.attr_num("overflow", overflow);
+        iter_span.attr_num("overflowed_edges", overflowed_edges as f64);
+        iter_span.attr_num("max_util", max_util);
+        iter_span.attr_num("history_cost", history);
         convergence.iters.push(RouteIterStats {
             iter,
-            overflow: overflow_now,
-            overflowed_edges: over,
-            rerouted: rerouted_this_iter as usize,
-            max_util: max_util_now,
-            history_cost: history_now,
+            overflow,
+            overflowed_edges,
+            rerouted: rerouted as usize,
+            max_util,
+            history_cost: history,
+            expanded,
             snapshot: (cfg.snapshot_stride > 0 && iter % cfg.snapshot_stride == 0)
                 .then(|| CongestionMap::from_grid(&grid)),
         });
         if telemetry {
             // per-iteration overflow trajectory and history-cost growth
-            obs::hist_record("route.iter_overflow", overflow_now);
-            obs::gauge_set("route.history_cost", history_now);
+            obs::hist_record("route.iter_overflow", overflow);
+            obs::gauge_set("route.history_cost", history);
         }
-        obs::log::trace(&format!(
-            "route: iter {iter}: rerouted {rerouted_this_iter}, overflow {overflow_now:.1}"
-        ));
-        if over == 0 || !any {
-            if over == 0 {
+        if obs::log::enabled(obs::log::Level::Trace) {
+            obs::log::trace(&format!(
+                "route: iter {iter}: rerouted {rerouted}, overflow {overflow:.1}"
+            ));
+        }
+        if overflowed_edges == 0 || rerouted == 0 {
+            if overflowed_edges == 0 {
                 obs::trace::instant(
                     "route.converged",
                     &[("iter", obs::trace::AttrValue::Num(iter as f64))],
@@ -415,11 +428,12 @@ pub fn route_pin_sets_with_blockage(
         // demand and negotiation cannot converge
         if iter >= 1 {
             let usage: f64 = grid.total_wirelength() / grid.gcell_size();
-            if grid.total_overflow() > cfg.give_up_overflow_ratio * usage.max(1.0) {
-                obs::log::debug(&format!(
-                    "route: giving up at iter {iter}, overflow {:.1}",
-                    grid.total_overflow()
-                ));
+            if overflow > cfg.give_up_overflow_ratio * usage.max(1.0) {
+                if obs::log::enabled(obs::log::Level::Debug) {
+                    obs::log::debug(&format!(
+                        "route: giving up at iter {iter}, overflow {overflow:.1}"
+                    ));
+                }
                 break;
             }
         }
@@ -429,10 +443,8 @@ pub fn route_pin_sets_with_blockage(
         obs::counter_add("route.iterations", iterations as u64);
         obs::counter_add("route.reroutes", reroutes);
         obs::counter_add("route.connections", connections.len() as u64);
-        obs::gauge_set("route.overflow", grid.total_overflow());
+        obs::gauge_set("route.overflow", overflow);
     }
-    let overflow = grid.total_overflow();
-    let overflowed_edges = count_overflowed(&grid);
     let mut net_wirelength = vec![0.0f64; nets.len()];
     for (ci, path) in paths.iter().enumerate() {
         net_wirelength[net_of_connection[ci]] += path.len() as f64 * grid.gcell_size();
@@ -510,215 +522,148 @@ fn mst_edges(cells: &[GcellCoord]) -> Result<Vec<(GcellCoord, GcellCoord)>, (usi
     Ok(edges)
 }
 
-/// A grid edge on a committed path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum EdgeRef {
-    /// Horizontal boundary between gcells `(x, y)` and `(x+1, y)`.
-    H {
-        /// Left gcell column.
-        x: usize,
-        /// Row.
-        y: usize,
-    },
-    /// Vertical boundary between gcells `(x, y)` and `(x, y+1)`.
-    V {
-        /// Column.
-        x: usize,
-        /// Lower gcell row.
-        y: usize,
-    },
+/// True if any edge of the committed path is over capacity.
+fn path_overflows(grid: &RouteGrid, path: &[u32]) -> bool {
+    path.iter().any(|&e| grid.edge_load(e as usize) > grid.edge_cap(e as usize))
 }
 
-fn rip_up(grid: &mut RouteGrid, path: &[EdgeRef]) {
-    for e in path {
-        match *e {
-            EdgeRef::H { x, y } => grid.add_h(x, y, -1.0),
-            EdgeRef::V { x, y } => grid.add_v(x, y, -1.0),
-        }
-    }
-}
-
-fn commit(grid: &mut RouteGrid, path: &[EdgeRef]) {
-    for e in path {
-        match *e {
-            EdgeRef::H { x, y } => grid.add_h(x, y, 1.0),
-            EdgeRef::V { x, y } => grid.add_v(x, y, 1.0),
-        }
-    }
-}
-
-fn path_overflows(grid: &RouteGrid, path: &[EdgeRef]) -> bool {
-    path.iter().any(|e| match *e {
-        EdgeRef::H { x, y } => grid.h_load(x, y) > grid.h_cap(),
-        EdgeRef::V { x, y } => grid.v_load(x, y) > grid.v_cap(),
-    })
-}
-
-fn count_overflowed(grid: &RouteGrid) -> usize {
-    let mut n = 0;
-    for y in 0..grid.ny() {
-        for x in 0..grid.nx().saturating_sub(1) {
-            if grid.h_load(x, y) > grid.h_cap() {
-                n += 1;
-            }
-        }
-    }
-    for y in 0..grid.ny().saturating_sub(1) {
-        for x in 0..grid.nx() {
-            if grid.v_load(x, y) > grid.v_cap() {
-                n += 1;
-            }
-        }
-    }
-    n
-}
-
-#[derive(Debug, PartialEq)]
-struct HeapEntry {
-    cost: f64,
-    node: u32,
-}
-
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // min-heap by cost, deterministic tie-break on node id
-        other.cost.total_cmp(&self.cost).then(other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Reusable A* state over the grid.
+/// Reusable A* state over the grid, and the cost of every edge.
+///
+/// `cost[e]` is [`edge_cost`] of edge `e` for the grid's current load and
+/// history and the iteration's present factor. It holds between any two
+/// searches because the only writers of usage ([`Maze::apply`]) and of
+/// history and the present factor (once an iteration, followed by
+/// [`Maze::rebuild_costs`]) refresh it.
 struct Maze {
     nx: usize,
     ny: usize,
+    /// Number of horizontal edges: vertical edge ids start here.
+    nh: usize,
     dist: Vec<f64>,
     parent: Vec<u32>,
     stamp: Vec<u32>,
     cur_stamp: u32,
+    open: NodeHeap,
+    cost: Vec<f64>,
+    present_factor: f64,
 }
 
 impl Maze {
-    fn new(nx: usize, ny: usize) -> Self {
-        let n = nx * ny;
+    fn new(grid: &RouteGrid) -> Self {
+        let n = grid.nx() * grid.ny();
         Maze {
-            nx,
-            ny,
+            nx: grid.nx(),
+            ny: grid.ny(),
+            nh: grid.num_h_edges(),
             dist: vec![0.0; n],
             parent: vec![u32::MAX; n],
             stamp: vec![0; n],
             cur_stamp: 0,
+            open: NodeHeap::new(n),
+            cost: vec![0.0; grid.num_edges()],
+            present_factor: 0.0,
         }
     }
 
-    /// A* from `a` to `b`, restricted to the bounding box inflated by
-    /// `margin` gcells. Returns the edge list of the found path.
-    fn route(
-        &mut self,
-        grid: &mut RouteGrid,
-        a: GcellCoord,
-        b: GcellCoord,
-        present_factor: f64,
-        margin: usize,
-    ) -> Vec<EdgeRef> {
+    /// The cost a search must see for edge `e` right now.
+    fn fresh_cost(&self, grid: &RouteGrid, e: usize) -> f64 {
+        edge_cost(grid.edge_load(e), grid.edge_cap(e), grid.edge_history(e), self.present_factor)
+    }
+
+    fn cost_is_current(&self, grid: &RouteGrid, e: usize) -> bool {
+        self.cost[e].to_bits() == self.fresh_cost(grid, e).to_bits()
+    }
+
+    /// Recomputes every edge's cost under a new present factor.
+    fn rebuild_costs(&mut self, grid: &RouteGrid, present_factor: f64) {
+        self.present_factor = present_factor;
+        for e in 0..self.cost.len() {
+            self.cost[e] = self.fresh_cost(grid, e);
+        }
+    }
+
+    /// Adds `delta` tracks of usage to every edge of `path` — `-1.0` rips
+    /// it up, `1.0` commits it — and refreshes those edges' costs.
+    fn apply(&mut self, grid: &mut RouteGrid, path: &[u32], delta: f64) {
+        for &e in path {
+            grid.add_edge(e as usize, delta);
+            self.cost[e as usize] = self.fresh_cost(grid, e as usize);
+        }
+        debug_assert!(path.first().is_none_or(|&e| self.cost_is_current(grid, e as usize)));
+    }
+
+    /// A* from `a` to `b`, restricted to their bounding box inflated by
+    /// `margin` gcells. Writes the edges of the cheapest path into `path`,
+    /// from `b` back to `a`, and returns the number of gcells expanded.
+    ///
+    /// The open set is ordered by `(f, gcell id)` with `f` compared by its
+    /// bits, which for the finite non-negative values here is numeric
+    /// order; a relaxed gcell already in the open set is moved, any other
+    /// — one never seen, or one expanded earlier that rounding re-opens —
+    /// is queued.
+    fn route(&mut self, a: GcellCoord, b: GcellCoord, margin: usize, path: &mut Vec<u32>) -> u64 {
+        path.clear();
         self.cur_stamp += 1;
-        let stamp = self.cur_stamp;
-        let (nx, ny) = (self.nx, self.ny);
-        let x_lo = (a.x.min(b.x) as usize).saturating_sub(margin);
-        let x_hi = ((a.x.max(b.x) as usize) + margin).min(nx - 1);
-        let y_lo = (a.y.min(b.y) as usize).saturating_sub(margin);
-        let y_hi = ((a.y.max(b.y) as usize) + margin).min(ny - 1);
-        let id = |x: usize, y: usize| (y * nx + x) as u32;
-        let h = |x: usize, y: usize| {
-            ((x as i64 - b.x as i64).abs() + (y as i64 - b.y as i64).abs()) as f64
-        };
-        let start = id(a.x as usize, a.y as usize);
-        let goal = id(b.x as usize, b.y as usize);
-        self.dist[start as usize] = 0.0;
-        self.parent[start as usize] = u32::MAX;
-        self.stamp[start as usize] = stamp;
-        let mut heap = BinaryHeap::new();
-        heap.push(HeapEntry { cost: h(a.x as usize, a.y as usize), node: start });
-        while let Some(HeapEntry { cost: _, node }) = heap.pop() {
+        let cur_stamp = self.cur_stamp;
+        let (nx, ny, nh) = (self.nx, self.ny, self.nh);
+        let (ax, ay, bx, by) = (a.x as usize, a.y as usize, b.x as usize, b.y as usize);
+        let x_lo = ax.min(bx).saturating_sub(margin);
+        let x_hi = (ax.max(bx) + margin).min(nx - 1);
+        let y_lo = ay.min(by).saturating_sub(margin);
+        let y_hi = (ay.max(by) + margin).min(ny - 1);
+        let h = |x: usize, y: usize| (x.abs_diff(bx) + y.abs_diff(by)) as f64;
+        let start = ay * nx + ax;
+        let goal = by * nx + bx;
+        let Maze { dist, parent, stamp, open, cost, .. } = self;
+        dist[start] = 0.0;
+        parent[start] = u32::MAX;
+        stamp[start] = cur_stamp;
+        open.clear();
+        open.push_or_decrease(start as u32, h(ax, ay).to_bits());
+        let mut expanded = 0u64;
+        while let Some(node) = open.pop() {
+            let node = node as usize;
             if node == goal {
                 break;
             }
-            let (x, y) = ((node as usize) % nx, (node as usize) / nx);
-            let d = self.dist[node as usize];
-            // four neighbours with the edge between
-            let mut try_step =
-                |nxt_x: usize, nxt_y: usize, edge_cost: f64, heap: &mut BinaryHeap<HeapEntry>| {
-                    let nid = id(nxt_x, nxt_y);
-                    let nd = d + edge_cost;
-                    if self.stamp[nid as usize] != stamp || nd < self.dist[nid as usize] {
-                        self.stamp[nid as usize] = stamp;
-                        self.dist[nid as usize] = nd;
-                        self.parent[nid as usize] = node;
-                        heap.push(HeapEntry { cost: nd + h(nxt_x, nxt_y), node: nid });
-                    }
-                };
+            expanded += 1;
+            let (x, y) = (node % nx, node / nx);
+            let d = dist[node];
+            let mut relax = |next: usize, edge: usize, next_x: usize, next_y: usize| {
+                let nd = d + cost[edge];
+                if stamp[next] != cur_stamp || nd < dist[next] {
+                    stamp[next] = cur_stamp;
+                    dist[next] = nd;
+                    parent[next] = node as u32;
+                    open.push_or_decrease(next as u32, (nd + h(next_x, next_y)).to_bits());
+                }
+            };
+            // the horizontal edge leaving (x, y) to the right is
+            // y·(nx−1) + x = node − y, the vertical one upwards nh + node
             if x > x_lo {
-                let c = edge_cost(
-                    grid.h_load(x - 1, y),
-                    grid.h_cap(),
-                    grid.h_history(x - 1, y),
-                    present_factor,
-                );
-                try_step(x - 1, y, c, &mut heap);
+                relax(node - 1, node - y - 1, x - 1, y);
             }
             if x < x_hi {
-                let c = edge_cost(
-                    grid.h_load(x, y),
-                    grid.h_cap(),
-                    grid.h_history(x, y),
-                    present_factor,
-                );
-                try_step(x + 1, y, c, &mut heap);
+                relax(node + 1, node - y, x + 1, y);
             }
             if y > y_lo {
-                let c = edge_cost(
-                    grid.v_load(x, y - 1),
-                    grid.v_cap(),
-                    grid.v_history(x, y - 1),
-                    present_factor,
-                );
-                try_step(x, y - 1, c, &mut heap);
+                relax(node - nx, nh + node - nx, x, y - 1);
             }
             if y < y_hi {
-                let c = edge_cost(
-                    grid.v_load(x, y),
-                    grid.v_cap(),
-                    grid.v_history(x, y),
-                    present_factor,
-                );
-                try_step(x, y + 1, c, &mut heap);
+                relax(node + nx, nh + node, x, y + 1);
             }
         }
-        // reconstruct
-        let mut path = Vec::new();
-        if self.stamp[goal as usize] != stamp {
-            return path; // unreachable within box; should not happen
+        if stamp[goal] != cur_stamp {
+            return expanded; // unreachable within box; should not happen
         }
         let mut cur = goal;
         while cur != start {
-            let p = self.parent[cur as usize];
-            let (cx, cy) = ((cur as usize) % nx, (cur as usize) / nx);
-            let (px, py) = ((p as usize) % nx, (p as usize) / nx);
-            if cy == py {
-                path.push(EdgeRef::H { x: cx.min(px), y: cy });
-            } else {
-                path.push(EdgeRef::V { x: cx, y: cy.min(py) });
-            }
+            let p = parent[cur] as usize;
+            let (lo, row) = (cur.min(p), cur / nx);
+            path.push(if row == p / nx { lo - row } else { nh + lo } as u32);
             cur = p;
         }
-        let _ = ny;
-        path
+        expanded
     }
 }
 
@@ -738,10 +683,282 @@ fn edge_cost(usage: f64, cap: f64, history: f64, present_factor: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
 
     fn fp(nx: usize, ny: usize) -> Floorplan {
         // ny rows of 6.4, width nx gcells of 6.4
         Floorplan::with_rows_and_area(ny, (ny as f64 * 6.4) * (nx as f64 * 6.4))
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct HeapEntry {
+        cost: f64,
+        node: u32,
+    }
+
+    impl Eq for HeapEntry {}
+
+    impl Ord for HeapEntry {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // min-heap by cost, deterministic tie-break on node id
+            other.cost.total_cmp(&self.cost).then(other.node.cmp(&self.node))
+        }
+    }
+
+    impl PartialOrd for HeapEntry {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    /// The search [`Maze::route`] replaced, kept as the reference it must
+    /// agree with edge for edge: a `BinaryHeap` that holds one entry per
+    /// relaxation and re-expands the stale ones, and an [`edge_cost`]
+    /// call per relaxation. Only the path's encoding is new.
+    fn reference_route(
+        grid: &RouteGrid,
+        a: GcellCoord,
+        b: GcellCoord,
+        present_factor: f64,
+        margin: usize,
+    ) -> Vec<u32> {
+        let (nx, ny) = (grid.nx(), grid.ny());
+        let mut dist = vec![0.0f64; nx * ny];
+        let mut parent = vec![u32::MAX; nx * ny];
+        let mut seen = vec![false; nx * ny];
+        let x_lo = (a.x.min(b.x) as usize).saturating_sub(margin);
+        let x_hi = ((a.x.max(b.x) as usize) + margin).min(nx - 1);
+        let y_lo = (a.y.min(b.y) as usize).saturating_sub(margin);
+        let y_hi = ((a.y.max(b.y) as usize) + margin).min(ny - 1);
+        let id = |x: usize, y: usize| (y * nx + x) as u32;
+        let h = |x: usize, y: usize| {
+            ((x as i64 - b.x as i64).abs() + (y as i64 - b.y as i64).abs()) as f64
+        };
+        let start = id(a.x as usize, a.y as usize);
+        let goal = id(b.x as usize, b.y as usize);
+        seen[start as usize] = true;
+        let mut heap = BinaryHeap::new();
+        heap.push(HeapEntry { cost: h(a.x as usize, a.y as usize), node: start });
+        while let Some(HeapEntry { cost: _, node }) = heap.pop() {
+            if node == goal {
+                break;
+            }
+            let (x, y) = ((node as usize) % nx, (node as usize) / nx);
+            let d = dist[node as usize];
+            let mut try_step =
+                |nxt_x: usize, nxt_y: usize, edge_cost: f64, heap: &mut BinaryHeap<HeapEntry>| {
+                    let nid = id(nxt_x, nxt_y);
+                    let nd = d + edge_cost;
+                    if !seen[nid as usize] || nd < dist[nid as usize] {
+                        seen[nid as usize] = true;
+                        dist[nid as usize] = nd;
+                        parent[nid as usize] = node;
+                        heap.push(HeapEntry { cost: nd + h(nxt_x, nxt_y), node: nid });
+                    }
+                };
+            let h_cost = |x: usize, y: usize| {
+                edge_cost(grid.h_load(x, y), grid.h_cap(), grid.h_history(x, y), present_factor)
+            };
+            let v_cost = |x: usize, y: usize| {
+                edge_cost(grid.v_load(x, y), grid.v_cap(), grid.v_history(x, y), present_factor)
+            };
+            if x > x_lo {
+                try_step(x - 1, y, h_cost(x - 1, y), &mut heap);
+            }
+            if x < x_hi {
+                try_step(x + 1, y, h_cost(x, y), &mut heap);
+            }
+            if y > y_lo {
+                try_step(x, y - 1, v_cost(x, y - 1), &mut heap);
+            }
+            if y < y_hi {
+                try_step(x, y + 1, v_cost(x, y), &mut heap);
+            }
+        }
+        let mut path = Vec::new();
+        if !seen[goal as usize] {
+            return path;
+        }
+        let mut cur = goal;
+        while cur != start {
+            let p = parent[cur as usize];
+            let (cx, cy) = ((cur as usize) % nx, (cur as usize) / nx);
+            let (px, py) = ((p as usize) % nx, (p as usize) / nx);
+            let e =
+                if cy == py { grid.h_edge(cx.min(px), cy) } else { grid.v_edge(cx, cy.min(py)) };
+            path.push(e as u32);
+            cur = p;
+        }
+        path
+    }
+
+    /// How a random grid's loads and history are drawn.
+    #[derive(Clone, Copy, Debug)]
+    enum Field {
+        /// Nothing routed, no blockage: every edge costs exactly 1.
+        Empty,
+        /// The same blockage on every edge, integral usage, no history:
+        /// a handful of distinct costs, so paths tie all over the grid.
+        Tied,
+        /// Fractional loads on both sides of capacity and several rounds
+        /// of history on whatever overflowed.
+        Contested,
+    }
+
+    fn random_grid(rng: &mut StdRng, nx: usize, ny: usize, field: Field) -> RouteGrid {
+        let cfg = RouteConfig { capacity_scale: 0.5, ..Default::default() };
+        let mut grid = RouteGrid::new(&fp(nx, ny), &cfg);
+        assert_eq!((grid.nx(), grid.ny()), (nx, ny));
+        for e in 0..grid.num_edges() {
+            match field {
+                Field::Empty => {}
+                Field::Tied => grid.add_edge(e, 2.0 + rng.gen_range(0..3) as f64),
+                Field::Contested => grid.add_edge(e, rng.gen_range(0.0..2.0) * grid.edge_cap(e)),
+            }
+        }
+        if let Field::Contested = field {
+            for _ in 0..rng.gen_range(1..6) {
+                grid.update_history(rng.gen_range(0.1..3.0));
+                if grid.num_edges() > 0 {
+                    grid.add_edge(rng.gen_range(0..grid.num_edges()), rng.gen_range(0.0..4.0));
+                }
+            }
+        }
+        grid
+    }
+
+    /// Routes `a → b` with the kernel on a fresh [`Maze`]; returns the
+    /// path and the sum of the cached costs along it.
+    fn kernel_route(
+        grid: &RouteGrid,
+        a: GcellCoord,
+        b: GcellCoord,
+        present_factor: f64,
+        margin: usize,
+    ) -> (Vec<u32>, f64) {
+        let mut maze = Maze::new(grid);
+        maze.rebuild_costs(grid, present_factor);
+        let mut path = vec![7]; // left-overs must be cleared
+        maze.route(a, b, margin, &mut path);
+        let cost = path.iter().rev().fold(0.0, |d, &e| d + maze.cost[e as usize]);
+        (path, cost)
+    }
+
+    #[test]
+    fn kernel_finds_the_reference_path_edge_for_edge() {
+        let mut rng = StdRng::seed_from_u64(0xa57a);
+        let shapes = [(1, 1), (1, 9), (9, 1), (2, 2), (3, 7), (8, 8), (13, 6), (20, 17)];
+        let mut compared = 0;
+        for round in 0..60 {
+            for &(nx, ny) in &shapes {
+                let field = [Field::Empty, Field::Tied, Field::Contested][round % 3];
+                let grid = random_grid(&mut rng, nx, ny, field);
+                let present_factor = 0.5 * 1.6f64.powi(rng.gen_range(0..12));
+                // one maze across the searches, as the router uses it:
+                // state left by a search must not reach the next one
+                let mut maze = Maze::new(&grid);
+                maze.rebuild_costs(&grid, present_factor);
+                let mut path = Vec::new();
+                for _ in 0..8 {
+                    let cell = |rng: &mut StdRng| {
+                        // corners and borders often: boxes clipped at every die edge
+                        let pick = |rng: &mut StdRng, n: usize| match rng.gen_range(0..4) {
+                            0 => 0,
+                            1 => n - 1,
+                            _ => rng.gen_range(0..n),
+                        };
+                        GcellCoord { x: pick(rng, nx) as u16, y: pick(rng, ny) as u16 }
+                    };
+                    let a = cell(&mut rng);
+                    let b = if rng.gen_range(0..4) == 0 && nx > 1 {
+                        // adjacent endpoints
+                        GcellCoord { x: if a.x == 0 { 1 } else { a.x - 1 }, y: a.y }
+                    } else {
+                        cell(&mut rng)
+                    };
+                    let margin = [0, 1, 4, 48][rng.gen_range(0..4usize)];
+                    maze.route(a, b, margin, &mut path);
+                    let want = reference_route(&grid, a, b, present_factor, margin);
+                    assert_eq!(
+                        path, want,
+                        "{nx}x{ny} {field:?} {a:?} -> {b:?} margin {margin} pf {present_factor}"
+                    );
+                    assert_eq!(path.is_empty(), a == b);
+                    compared += 1;
+                }
+            }
+        }
+        assert_eq!(compared, 60 * shapes.len() * 8);
+    }
+
+    /// Cheapest `a → b` path cost inside the search box by Bellman–Ford:
+    /// relax every edge of the box until nothing improves.
+    fn brute_force_cost(
+        grid: &RouteGrid,
+        a: GcellCoord,
+        b: GcellCoord,
+        present_factor: f64,
+        margin: usize,
+    ) -> f64 {
+        let (nx, ny) = (grid.nx(), grid.ny());
+        let xs = (a.x.min(b.x) as usize).saturating_sub(margin)
+            ..=((a.x.max(b.x) as usize) + margin).min(nx - 1);
+        let ys = (a.y.min(b.y) as usize).saturating_sub(margin)
+            ..=((a.y.max(b.y) as usize) + margin).min(ny - 1);
+        let cost = |e: usize| {
+            edge_cost(grid.edge_load(e), grid.edge_cap(e), grid.edge_history(e), present_factor)
+        };
+        let mut dist = vec![f64::INFINITY; nx * ny];
+        dist[a.y as usize * nx + a.x as usize] = 0.0;
+        loop {
+            let mut improved = false;
+            let mut relax = |u: usize, v: usize, c: f64| {
+                for (from, to) in [(u, v), (v, u)] {
+                    if dist[from] + c < dist[to] {
+                        dist[to] = dist[from] + c;
+                        improved = true;
+                    }
+                }
+            };
+            for y in ys.clone() {
+                for x in xs.clone() {
+                    if x < *xs.end() {
+                        relax(y * nx + x, y * nx + x + 1, cost(grid.h_edge(x, y)));
+                    }
+                    if y < *ys.end() {
+                        relax(y * nx + x, (y + 1) * nx + x, cost(grid.v_edge(x, y)));
+                    }
+                }
+            }
+            if !improved {
+                return dist[b.y as usize * nx + b.x as usize];
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_path_cost_is_the_brute_force_minimum_on_small_grids() {
+        let mut rng = StdRng::seed_from_u64(0xbe11);
+        for round in 0..400 {
+            let (nx, ny) = (rng.gen_range(1..5usize), rng.gen_range(1..5usize));
+            let field = [Field::Empty, Field::Tied, Field::Contested][round % 3];
+            let grid = random_grid(&mut rng, nx, ny, field);
+            let present_factor = 0.5 * 1.6f64.powi(rng.gen_range(0..12));
+            let mut cell =
+                || GcellCoord { x: rng.gen_range(0..nx) as u16, y: rng.gen_range(0..ny) as u16 };
+            let (a, b) = (cell(), cell());
+            let margin = round % 3;
+            let (path, cost) = kernel_route(&grid, a, b, present_factor, margin);
+            let best = brute_force_cost(&grid, a, b, present_factor, margin);
+            // sums of the same costs in another order: equal up to rounding
+            assert!(
+                (cost - best).abs() <= 1e-9 * best.max(1.0),
+                "{nx}x{ny} {field:?} {a:?} -> {b:?} margin {margin}: {cost} over {path:?}, minimum {best}"
+            );
+        }
     }
 
     #[test]

@@ -129,6 +129,28 @@ fn kway_stage_spans_nest_under_the_placement_and_fit_inside_it() {
 }
 
 #[test]
+fn route_iter_spans_report_an_exact_expansion_count() {
+    let _guard = lock();
+    // the `expanded` attribute of every route.iter span, in order
+    let expanded = |events: &[TraceEvent]| -> Vec<f64> {
+        let iters = events.iter().filter(|e| e.kind == EventKind::Span && e.name == "route.iter");
+        iters
+            .map(|e| match e.attrs.iter().find(|(k, _)| k == "expanded") {
+                Some((_, obs::trace::AttrValue::Num(n))) => *n,
+                other => panic!("route.iter carries expanded = {other:?}"),
+            })
+            .collect()
+    };
+    let first = expanded(&traced_flow_events());
+    assert!(
+        !first.is_empty() && first.iter().all(|&n| n > 0.0),
+        "expanded per iteration {first:?}"
+    );
+    // a count of gcells, not a timing: it repeats exactly
+    assert_eq!(first, expanded(&traced_flow_events()));
+}
+
+#[test]
 fn trace_v1_round_trips_through_the_vendored_parser() {
     let _guard = lock();
     let events = traced_flow_events();
