@@ -298,7 +298,7 @@ fn cut_function(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matcher::{matches_at, SharedPolicy};
+    use crate::matcher::{matches_at, MatchBuf, SharedPolicy};
     use crate::partition::{partition, PartitionScheme};
     use casyn_library::corelib018;
     use casyn_netlist::subject::SubjectGraph;
@@ -359,7 +359,9 @@ mod tests {
             "boolean matcher must find AN2 at the AND root"
         );
         // structural matcher agrees
-        let sm = matches_at(&f.trees[0], f.trees[0].root(), &lib, &shared, SharedPolicy::Price);
+        let mut sm = MatchBuf::new();
+        let root = f.trees[0].root();
+        matches_at(&f.trees[0], root, &lib, &shared, SharedPolicy::Price, &mut sm);
         assert!(sm.iter().any(|m| lib.cell(m.cell).name == "AN2"));
     }
 

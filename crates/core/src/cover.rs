@@ -22,7 +22,7 @@
 //! a strong wire term can justify it, reproducing the paper's cell-count
 //! growth at large K.
 
-use crate::matcher::{matches_at, Match, SharedPolicy};
+use crate::matcher::{matches_at, Match, MatchBuf, MatchRef, SharedPolicy};
 use crate::partition::{Tree, TreeNode};
 use casyn_library::Library;
 use casyn_netlist::Point;
@@ -102,26 +102,36 @@ pub fn cover_tree(
     shared: &[bool],
     cost: CostKind,
 ) -> TreeCover {
-    cover_tree_with(tree, lib, positions, shared, cost, &[])
+    cover_tree_with(tree, lib, positions, shared, cost, &[], &mut MatchBuf::new())
 }
 
 /// [`cover_tree`] with additional pre-enumerated matches per tree node
 /// (e.g. from Boolean matching, [`crate::boolmatch::bool_matches`]),
-/// merged with the structural ones before the DP chooses. An empty slice
-/// adds nothing.
-pub fn cover_tree_with(
+/// appended behind the structural ones before the DP chooses (an empty
+/// slice adds nothing), enumerating into the caller's `buf` so that one
+/// buffer serves every tree of a mapping.
+pub fn cover_tree_with<'l>(
     tree: &Tree,
-    lib: &Library,
+    lib: &'l Library,
     positions: &[Point],
     shared: &[bool],
     cost: CostKind,
     extra: &[Vec<Match>],
+    buf: &mut MatchBuf<'l>,
 ) -> TreeCover {
     let starts = tree.subtree_starts();
     let mut solutions: Vec<NodeSolution> = Vec::with_capacity(tree.nodes.len());
     // batched locally; one registry flush per covered tree
     let mut matches_tried = 0u64;
     let wants_wire = matches!(cost, CostKind::AreaWire { .. });
+    // K = 0 must degenerate to DAGON exactly, so a zero wire weight also
+    // forbids duplication
+    let policy = match cost {
+        CostKind::Area | CostKind::AreaWire { k: 0.0 } | CostKind::AreaUnderDelay { .. } => {
+            SharedPolicy::Forbid
+        }
+        _ => SharedPolicy::Price,
+    };
     for (idx, node) in tree.nodes.iter().enumerate() {
         match node {
             TreeNode::Leaf { signal } => solutions.push(NodeSolution {
@@ -133,42 +143,29 @@ pub fn cover_tree_with(
                 pos: positions[signal.index()],
             }),
             _ => {
-                // K = 0 must degenerate to DAGON exactly, so a zero wire
-                // weight also forbids duplication
-                let policy = match cost {
-                    CostKind::Area
-                    | CostKind::AreaWire { k: 0.0 }
-                    | CostKind::AreaUnderDelay { .. } => SharedPolicy::Forbid,
-                    _ => SharedPolicy::Price,
-                };
-                let mut ms = matches_at(tree, idx as u32, lib, shared, policy);
-                if let Some(more) = extra.get(idx) {
-                    for m in more {
-                        // respect the duplication policy for merged matches
-                        if policy == SharedPolicy::Forbid && !m.through.is_empty() {
-                            continue;
-                        }
-                        if !ms.contains(m) {
-                            ms.push(m.clone());
-                        }
-                    }
+                matches_at(tree, idx as u32, lib, shared, policy, buf);
+                for m in extra.get(idx).into_iter().flatten() {
+                    buf.push(m.as_ref(), policy);
                 }
-                assert!(!ms.is_empty(), "no match at internal node {idx}");
-                matches_tried += ms.len() as u64;
-                let mut best: Option<NodeSolution> = None;
-                for m in ms {
-                    let cand = evaluate(&m, lib, positions, &solutions, &starts, cost);
+                assert!(!buf.is_empty(), "no match at internal node {idx}");
+                matches_tried += buf.len() as u64;
+                // the first match of minimum (cost, area) wins
+                let mut best: Option<(usize, NodeSolution)> = None;
+                for (i, m) in buf.iter().enumerate() {
+                    let cand = evaluate(m, lib, positions, &solutions, &starts, cost);
                     let better = match &best {
                         None => true,
-                        Some(b) => {
+                        Some((_, b)) => {
                             cand.cost < b.cost || (cand.cost == b.cost && cand.area < b.area)
                         }
                     };
                     if better {
-                        best = Some(cand);
+                        best = Some((i, cand));
                     }
                 }
-                solutions.push(best.expect("at least one match"));
+                let (i, mut solution) = best.expect("at least one match");
+                solution.chosen = Some(buf.get(i).to_match());
+                solutions.push(solution);
             }
         }
     }
@@ -183,9 +180,10 @@ pub fn cover_tree_with(
 }
 
 /// Computes AREA (Eq. 1), WIRE1/WIRE2 (Eqs. 2–4) and the combined cost
-/// (Eq. 5) of one match.
+/// (Eq. 5) of one candidate match. The returned solution carries the
+/// numbers only: `chosen` stays `None` until the DP has a winner.
 fn evaluate(
-    m: &Match,
+    m: MatchRef<'_>,
     lib: &Library,
     positions: &[Point],
     solutions: &[NodeSolution],
@@ -198,7 +196,7 @@ fn evaluate(
     let com = {
         let mut x = 0.0;
         let mut y = 0.0;
-        for g in &m.covered {
+        for g in m.covered {
             x += positions[g.index()].x;
             y += positions[g.index()].y;
         }
@@ -209,7 +207,7 @@ fn evaluate(
     let mut wire1 = 0.0;
     let mut wire2 = 0.0;
     let mut worst_arrival = 0.0f64;
-    for &leaf in &m.leaves {
+    for &leaf in m.leaves {
         let s = &solutions[leaf as usize];
         area += s.area;
         wire1 += com.manhattan(s.pos);
@@ -221,11 +219,11 @@ fn evaluate(
     // shared, everything else is duplicated
     let mut dup_area = 0.0;
     let mut dup_wire = 0.0;
-    for &w in &m.through {
+    for &w in m.through {
         let ws = &solutions[w as usize];
         let mut shared_area = 0.0;
         let mut shared_wire = 0.0;
-        for &l in &m.leaves {
+        for &l in m.leaves {
             if l >= starts[w as usize] && l < w {
                 shared_area += solutions[l as usize].area;
                 shared_wire += solutions[l as usize].wire;
@@ -247,7 +245,7 @@ fn evaluate(
             overshoot * 1.0e9 + area
         }
     };
-    NodeSolution { chosen: Some(m.clone()), cost: combined, area, wire, arrival, pos: com }
+    NodeSolution { chosen: None, cost: combined, area, wire, arrival, pos: com }
 }
 
 #[cfg(test)]

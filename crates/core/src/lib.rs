@@ -53,5 +53,5 @@ pub use boolmatch::{bool_matches, canon_tt, BoolMatcher, TruthTable};
 pub use buffering::{buffer_fanout, max_fanout, BufferOptions, BufferStats};
 pub use cover::{cover_tree, cover_tree_with, CostKind, NodeSolution, TreeCover};
 pub use mapper::{map, star_wirelength, MapOptions, MapResult, MapStats};
-pub use matcher::{matches_at, Match, SharedPolicy};
+pub use matcher::{matches_at, Match, MatchBuf, MatchRef, SharedPolicy};
 pub use partition::{partition, Forest, PartitionScheme, Tree, TreeNode};

@@ -10,13 +10,13 @@
 
 use crate::boolmatch::{bool_matches, BoolMatcher};
 use crate::cover::{cover_tree_with, CostKind, TreeCover};
-use crate::partition::{partition, Forest, PartitionScheme, TreeNode};
+use crate::matcher::MatchBuf;
+use crate::partition::{partition, Forest, PartitionScheme, Tree, TreeNode};
 use casyn_library::Library;
 use casyn_netlist::mapped::{MappedCell, MappedNetlist, SignalRef};
-use casyn_netlist::subject::{BaseKind, GateId, SubjectGraph};
+use casyn_netlist::subject::{GateId, SubjectGraph};
 use casyn_netlist::Point;
 use casyn_obs as obs;
-use std::collections::HashMap;
 
 /// Mapping configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,6 +90,8 @@ pub fn map(
     let covers: Vec<TreeCover> = {
         let mut span = obs::trace::span("map.cover");
         span.attr_num("trees", forest.trees.len() as f64);
+        // every node of every tree enumerates its matches into this one
+        let mut matches = MatchBuf::new();
         forest
             .trees
             .iter()
@@ -107,24 +109,26 @@ pub fn map(
                     Some(bm) => bool_matches(t, bm, &shared),
                     None => Vec::new(),
                 };
-                let cover = cover_tree_with(t, lib, positions, &shared, opts.cost, &extra);
+                let cover =
+                    cover_tree_with(t, lib, positions, &shared, opts.cost, &extra, &mut matches);
                 tree_span.take();
                 cover
             })
             .collect()
     };
     let mut emitter = Emitter {
-        graph,
         lib,
         forest: &forest,
         covers: &covers,
         netlist: MappedNetlist::new(),
-        gate_signal: HashMap::new(),
-        node_signal: HashMap::new(),
+        gate_signal: vec![None; graph.num_vertices()],
+        node_signal: vec![None; graph.num_vertices()],
         duplicated: 0,
     };
     for (i, (name, gate)) in graph.inputs().iter().enumerate() {
         emitter.netlist.add_input(name.clone());
+        // a primary input's signal is its (first) port
+        emitter.gate_signal[gate.index()].get_or_insert(SignalRef::Pi(i as u32));
         // seed the port at the subject vertex position; a floorplan pass
         // (assign_mapped_ports) overrides this with real pad locations
         emitter.netlist.set_input_pos(i as u32, positions[gate.index()]);
@@ -161,7 +165,7 @@ pub fn map(
 /// cover: internal vertices with more than one fanout (including
 /// primary-output references). A match covering through one of these is
 /// charged the estimated duplication cost by the covering DP.
-fn shared_nodes(tree: &crate::partition::Tree, fanout_counts: &[u32]) -> Vec<bool> {
+pub(crate) fn shared_nodes(tree: &Tree, fanout_counts: &[u32]) -> Vec<bool> {
     tree.nodes
         .iter()
         .map(|n| match n {
@@ -190,15 +194,16 @@ pub fn star_wirelength(nl: &MappedNetlist) -> f64 {
 }
 
 struct Emitter<'a> {
-    graph: &'a SubjectGraph,
     lib: &'a Library,
     forest: &'a Forest,
     covers: &'a [TreeCover],
     netlist: MappedNetlist,
-    /// Emitted signal per subject gate (for externally required signals).
-    gate_signal: HashMap<GateId, SignalRef>,
-    /// Emitted signal per (tree, node).
-    node_signal: HashMap<(u32, u32), SignalRef>,
+    /// Emitted signal per subject vertex (for externally required
+    /// signals); primary inputs are seeded with their ports.
+    gate_signal: Vec<Option<SignalRef>>,
+    /// Emitted signal per internal tree node, indexed by the subject gate
+    /// the node hosts (every gate is hosted by exactly one node).
+    node_signal: Vec<Option<SignalRef>>,
     duplicated: usize,
 }
 
@@ -206,64 +211,44 @@ impl Emitter<'_> {
     /// The mapped signal computing subject vertex `g`, emitting its cover
     /// on demand.
     fn signal_of_gate(&mut self, g: GateId) -> SignalRef {
-        if let Some(s) = self.gate_signal.get(&g) {
-            return *s;
+        if let Some(s) = self.gate_signal[g.index()] {
+            return s;
         }
-        let sig = if self.graph.kind(g) == BaseKind::Input {
-            let idx =
-                self.graph.inputs().iter().position(|(_, id)| *id == g).expect("input registered");
-            SignalRef::Pi(idx as u32)
-        } else {
-            let (t, n) = self.forest.host[g.index()].expect("gate hosted in a tree");
-            if n != self.forest.trees[t as usize].root() {
-                // externally required but internal to another cover: the
-                // duplication case
-                self.duplicated += 1;
-            }
-            self.extract(t, n)
-        };
-        self.gate_signal.insert(g, sig);
+        let (t, n) = self.forest.host[g.index()].expect("gate hosted in a tree");
+        if n != self.forest.trees[t as usize].root() {
+            // externally required but internal to another cover: the
+            // duplication case
+            self.duplicated += 1;
+        }
+        let sig = self.extract(t, n);
+        self.gate_signal[g.index()] = Some(sig);
         sig
     }
 
     /// Emits the chosen cover rooted at tree node `(t, n)`.
     fn extract(&mut self, t: u32, n: u32) -> SignalRef {
-        if let Some(s) = self.node_signal.get(&(t, n)) {
-            return *s;
-        }
         let tree = &self.forest.trees[t as usize];
-        let sol = &self.covers[t as usize].solutions[n as usize];
-        let sig = match &tree.nodes[n as usize] {
-            TreeNode::Leaf { signal } => {
-                let s = self.signal_of_gate(*signal);
-                // do not memoize leaves under (t, n) as cells; the gate
-                // memo already covers them
-                s
-            }
-            _ => {
-                let m = sol.chosen.as_ref().expect("internal node has a match");
-                // reserve the slot to guard against accidental cycles
-                let inputs: Vec<SignalRef> = m
-                    .leaves
-                    .iter()
-                    .map(|&leaf| match &tree.nodes[leaf as usize] {
-                        TreeNode::Leaf { signal } => self.signal_of_gate(*signal),
-                        _ => self.extract(t, leaf),
-                    })
-                    .collect();
-                let cell = self.lib.cell(m.cell);
-                self.netlist.add_cell(MappedCell {
-                    lib_cell: m.cell,
-                    name: cell.name.clone(),
-                    inputs,
-                    area: cell.area,
-                    width: cell.width,
-                    pos: sol.pos,
-                    source_tree: Some(t),
-                })
-            }
+        let gate = match &tree.nodes[n as usize] {
+            TreeNode::Leaf { signal } => return self.signal_of_gate(*signal),
+            TreeNode::Inv { gate, .. } | TreeNode::Nand { gate, .. } => *gate,
         };
-        self.node_signal.insert((t, n), sig);
+        if let Some(s) = self.node_signal[gate.index()] {
+            return s;
+        }
+        let sol = &self.covers[t as usize].solutions[n as usize];
+        let m = sol.chosen.as_ref().expect("internal node has a match");
+        let inputs: Vec<SignalRef> = m.leaves.iter().map(|&leaf| self.extract(t, leaf)).collect();
+        let cell = self.lib.cell(m.cell);
+        let sig = self.netlist.add_cell(MappedCell {
+            lib_cell: m.cell,
+            name: cell.name.clone(),
+            inputs,
+            area: cell.area,
+            width: cell.width,
+            pos: sol.pos,
+            source_tree: Some(t),
+        });
+        self.node_signal[gate.index()] = Some(sig);
         sig
     }
 }

@@ -6,7 +6,13 @@
 use std::process::Command;
 
 fn main() {
-    println!("cargo:rerun-if-changed=../../.git/HEAD");
+    // Watch the checked-out commit only where there is one. A watched
+    // path that does not exist (a source archive, a copy of the tree)
+    // makes cargo rerun this script, and recompile the crate, on every
+    // build.
+    let head = "../../.git/HEAD";
+    let watched = if std::path::Path::new(head).exists() { head } else { "build.rs" };
+    println!("cargo:rerun-if-changed={watched}");
     let describe = Command::new("git")
         .args(["describe", "--always", "--dirty", "--tags"])
         .output()

@@ -76,6 +76,9 @@ impl HttpError {
     pub fn conflict(msg: impl Into<String>) -> Self {
         HttpError::new(409, msg)
     }
+    pub fn gone(msg: impl Into<String>) -> Self {
+        HttpError::new(410, msg)
+    }
     pub fn length_required() -> Self {
         HttpError::new(411, "chunked transfer encoding is not supported; send Content-Length")
     }
@@ -104,6 +107,7 @@ pub fn status_reason(status: u16) -> &'static str {
         404 => "Not Found",
         405 => "Method Not Allowed",
         409 => "Conflict",
+        410 => "Gone",
         411 => "Length Required",
         413 => "Payload Too Large",
         429 => "Too Many Requests",

@@ -72,6 +72,11 @@ pub struct ServeConfig {
     /// Batch-runner retries per failed job.
     pub retries: u32,
     /// Entries in the result cache (content address → finished rows).
+    /// Also the job table's retention window: a finished job older than
+    /// the most recent `result_cache_cap` admissions keeps its status but
+    /// gives up its rows and event lines; `/result` then re-serves the
+    /// rows from the caches, or answers 410 when no cache holds them.
+    /// 0 disables both the cache and the release.
     pub result_cache_cap: usize,
     /// Entries in the prepare cache (front-end artifacts).
     pub prepare_cache_cap: usize,
@@ -153,12 +158,55 @@ struct JobRecord {
     /// How the result was (or will be) obtained: `"hit"`, `"dedup"`,
     /// `"miss"`, or `"bypass"` for fault-plan jobs that skip the cache.
     cache: &'static str,
+    /// The job's content address (`None` for fault-plan jobs): where a
+    /// released record's rows are looked up again.
+    result_key: Option<u64>,
     rows: Option<Arc<JsonValue>>,
     degraded: bool,
     error: Option<String>,
     wall_ms: f64,
     events: Vec<String>,
+    /// Event lines ever pushed: `events.len()` until the record is
+    /// released, more than that afterwards.
+    event_count: usize,
     submitted: Instant,
+}
+
+impl JobRecord {
+    fn new(name: &str, design: &str, request_id: &str, result_key: Option<u64>) -> JobRecord {
+        JobRecord {
+            name: name.to_string(),
+            design: design.to_string(),
+            request_id: request_id.to_string(),
+            status: JobStatus::Queued,
+            cache: "miss",
+            result_key,
+            rows: None,
+            degraded: false,
+            error: None,
+            wall_ms: 0.0,
+            events: Vec::new(),
+            event_count: 0,
+            submitted: Instant::now(),
+        }
+    }
+
+    /// Gives up the bulk of a finished record — its result rows and its
+    /// event lines — and keeps the metadata `GET /jobs/<id>` reports.
+    /// The rows of a job with a content address stay reachable through
+    /// the result caches; a server that ran for a day must not hold every
+    /// result it ever produced.
+    fn release(&mut self) {
+        debug_assert!(self.status.terminal(), "only finished jobs are released");
+        self.rows = None;
+        self.events = Vec::new();
+    }
+
+    /// Whether [`JobRecord::release`] has run (every record has at least
+    /// its admission event).
+    fn released(&self) -> bool {
+        self.events.len() < self.event_count
+    }
 }
 
 /// A finished result in the content-addressed cache.
@@ -188,6 +236,9 @@ struct Task {
 
 struct Inner {
     jobs: Vec<JobRecord>,
+    /// Records below this id have left the retention window: the finished
+    /// ones are released, the rest are released as they finish.
+    swept: usize,
     queue: VecDeque<Task>,
     /// Content address → follower job ids waiting on the in-flight
     /// compute of the same artifact.
@@ -259,6 +310,7 @@ impl Server {
         let pool = if config.workers == 0 { Pool::from_env() } else { Pool::new(config.workers) };
         let mut inner = Inner {
             jobs: Vec::new(),
+            swept: 0,
             queue: VecDeque::new(),
             inflight: HashMap::new(),
             results: Lru::new(config.result_cache_cap),
@@ -269,6 +321,8 @@ impl Server {
             None => None,
             Some(dir) => Some(recover_into(dir, config.io_fault.clone(), &mut inner)?),
         };
+        // a long journal replays into a long table: keep only its tail whole
+        sweep_retention(&mut inner, config.result_cache_cap);
         let shared = Arc::new(Shared {
             inner: Mutex::new(inner),
             queue_cv: Condvar::new(),
@@ -753,19 +807,7 @@ fn recover_into(
 
     let durable = Durable::new(cache_wal_open(&wal_path, fault)?, cache);
     for (id, f) in folded.iter().enumerate() {
-        let mut rec = JobRecord {
-            name: f.name.clone(),
-            design: f.design.clone(),
-            request_id: f.request_id.clone(),
-            status: JobStatus::Queued,
-            cache: "miss",
-            rows: None,
-            degraded: false,
-            error: None,
-            wall_ms: 0.0,
-            events: Vec::new(),
-            submitted: Instant::now(),
-        };
+        let mut rec = JobRecord::new(&f.name, &f.design, &f.request_id, f.result_key);
         push_event(&mut rec, event("recovered"));
         match f.status {
             JobStatus::Done => {
@@ -834,6 +876,7 @@ fn requeue_replayed(
             obs::counter_add("serve.jobs_failed", 1);
         }
         Ok((m, l)) => {
+            rec.result_key = l.result_key;
             if let Some(k) = l.result_key {
                 if let Some(c) = disk_lookup(durable, k) {
                     rec.status = JobStatus::Done;
@@ -876,6 +919,38 @@ fn push_event(rec: &mut JobRecord, mut fields: Vec<(String, JsonValue)>) {
         fields.push(("request_id".into(), JsonValue::Str(rec.request_id.clone())));
     }
     rec.events.push(JsonValue::object(fields).to_string_compact());
+    rec.event_count += 1;
+}
+
+/// Moves the retention window up to the newest `cap` admissions and
+/// releases every finished record that fell out of it. Unfinished ones
+/// are skipped here and released by [`finish_job`].
+fn sweep_retention(g: &mut Inner, cap: usize) {
+    if cap == 0 {
+        return; // no result cache to re-serve from: the table keeps everything
+    }
+    let horizon = g.jobs.len().saturating_sub(cap);
+    if horizon > g.swept {
+        for rec in &mut g.jobs[g.swept..horizon] {
+            if rec.status.terminal() {
+                rec.release();
+            }
+        }
+        g.swept = horizon;
+    }
+}
+
+/// A finished result by content address, the way a resubmission finds
+/// it: the memory LRU (`"hit"`), then the disk cache (`"disk"`, promoted
+/// back into the LRU).
+fn cached_result(shared: &Shared, g: &mut Inner, key: u64) -> Option<(CachedResult, &'static str)> {
+    if let Some(c) = g.results.get(key) {
+        return Some((c.clone(), "hit"));
+    }
+    // spilled by an earlier run (possibly before a restart)
+    let c = disk_lookup(shared.durable.as_ref()?, key)?;
+    g.results.insert(key, c.clone());
+    Some((c, "disk"))
 }
 
 fn event(name: &str) -> Vec<(String, JsonValue)> {
@@ -939,16 +1014,11 @@ fn handle_submit(
             Err(e) => admits.push(Admit::LoadError(e.clone())),
             Ok(l) => match l.result_key {
                 Some(k) => {
-                    if let Some(c) = g.results.get(k) {
-                        admits.push(Admit::Hit(c.clone(), "hit"));
-                    } else if g.inflight.contains_key(&k) || pending.contains(&k) {
+                    // a key being computed is in neither cache yet
+                    if g.inflight.contains_key(&k) || pending.contains(&k) {
                         admits.push(Admit::Dedup(k));
-                    } else if let Some(c) = shared.durable.as_ref().and_then(|d| disk_lookup(d, k))
-                    {
-                        // spilled by an earlier run (possibly before a
-                        // restart): promote back into the memory LRU
-                        g.results.insert(k, c.clone());
-                        admits.push(Admit::Hit(c, "disk"));
+                    } else if let Some((c, tag)) = cached_result(shared, &mut g, k) {
+                        admits.push(Admit::Hit(c, tag));
                     } else {
                         pending.insert(k);
                         admits.push(Admit::Enqueue);
@@ -971,24 +1041,12 @@ fn handle_submit(
     let mut out = Vec::with_capacity(loaded.len());
     for ((m, l), admit) in loaded.into_iter().zip(admits) {
         let id = g.jobs.len();
-        let mut rec = JobRecord {
-            name: m.name.clone(),
-            design: m.design.clone(),
-            request_id: rid.to_string(),
-            status: JobStatus::Queued,
-            cache: "miss",
-            rows: None,
-            degraded: false,
-            error: None,
-            wall_ms: 0.0,
-            events: Vec::new(),
-            submitted: Instant::now(),
-        };
+        let result_key = l.as_ref().ok().and_then(|l| l.result_key);
+        let mut rec = JobRecord::new(&m.name, &m.design, rid, result_key);
         push_event(&mut rec, event("submitted"));
         obs::counter_add("serve.submitted", 1);
         // journal the admission before the outcome records below; the
         // `admitted` record carries the manifest so replay can re-run
-        let result_key = l.as_ref().ok().and_then(|l| l.result_key);
         if let Some(d) = &shared.durable {
             d.append(wal_admitted(id, &m, result_key, rid));
         }
@@ -1053,6 +1111,7 @@ fn handle_submit(
         ]));
         g.jobs.push(rec);
     }
+    sweep_retention(&mut g, shared.config.result_cache_cap);
     drop(g);
     shared.queue_cv.notify_all();
     shared.state_cv.notify_all();
@@ -1065,7 +1124,8 @@ fn handle_submit(
     ))
 }
 
-fn status_doc(rec: &JobRecord, id: usize, with_rows: bool) -> JsonValue {
+/// The job's status document, with a `rows` field when `rows` is given.
+fn status_doc(rec: &JobRecord, id: usize, rows: Option<JsonValue>) -> JsonValue {
     let mut doc = vec![
         ("id".into(), JsonValue::Number(id as f64)),
         ("name".into(), JsonValue::Str(rec.name.clone())),
@@ -1075,16 +1135,12 @@ fn status_doc(rec: &JobRecord, id: usize, with_rows: bool) -> JsonValue {
         ("cache".into(), JsonValue::Str(rec.cache.into())),
         ("degraded".into(), JsonValue::Bool(rec.degraded)),
         ("wall_ms".into(), JsonValue::Number(rec.wall_ms)),
-        ("events".into(), JsonValue::Number(rec.events.len() as f64)),
+        ("events".into(), JsonValue::Number(rec.event_count as f64)),
     ];
     if let Some(e) = &rec.error {
         doc.push(("error".into(), JsonValue::Str(e.clone())));
     }
-    if with_rows {
-        let rows = match &rec.rows {
-            Some(r) => (**r).clone(),
-            None => JsonValue::Array(Vec::new()),
-        };
+    if let Some(rows) = rows {
         doc.push(("rows".into(), rows));
     }
     JsonValue::object(doc)
@@ -1093,7 +1149,7 @@ fn status_doc(rec: &JobRecord, id: usize, with_rows: bool) -> JsonValue {
 fn handle_status(shared: &Shared, id: &str) -> Result<(u16, JsonValue), HttpError> {
     let id = parse_job_id(shared, id)?;
     let g = lock_inner(shared);
-    Ok((200, status_doc(&g.jobs[id], id, false)))
+    Ok((200, status_doc(&g.jobs[id], id, None)))
 }
 
 fn handle_result(shared: &Shared, id: &str, wait: bool) -> Result<(u16, JsonValue), HttpError> {
@@ -1117,7 +1173,25 @@ fn handle_result(shared: &Shared, id: &str, wait: bool) -> Result<(u16, JsonValu
             g.jobs[id].status.as_str()
         )));
     }
-    Ok((200, status_doc(&g.jobs[id], id, true)))
+    let rec = &g.jobs[id];
+    let rows = match &rec.rows {
+        Some(r) => (**r).clone(),
+        // a released result is re-served from where a resubmission of
+        // the same job would find it
+        None if rec.released() && rec.status == JobStatus::Done => {
+            let cached = rec.result_key.and_then(|k| cached_result(shared, &mut g, k));
+            match cached {
+                Some((c, _)) => (*c.rows).clone(),
+                None => {
+                    return Err(HttpError::gone(format!(
+                        "the result of job {id} was released and is in no cache; resubmit it"
+                    )))
+                }
+            }
+        }
+        None => JsonValue::Array(Vec::new()),
+    };
+    Ok((200, status_doc(&g.jobs[id], id, Some(rows))))
 }
 
 fn handle_events(shared: &Shared, stream: &mut TcpStream, id: &str) {
@@ -1137,8 +1211,13 @@ fn handle_events(shared: &Shared, stream: &mut TcpStream, id: &str) {
             let mut g = lock_inner(shared);
             loop {
                 let rec = &g.jobs[id];
+                if rec.released() {
+                    // the lines are gone — possibly between two polls of
+                    // this very stream: say so once and end
+                    break (vec![r#"{"event":"expired"}"#.to_string()], true);
+                }
                 if rec.events.len() > sent || rec.status.terminal() {
-                    let chunk: Vec<String> = rec.events[sent..].to_vec();
+                    let chunk: Vec<String> = rec.events.get(sent..).unwrap_or_default().to_vec();
                     sent = rec.events.len();
                     break (chunk, rec.status.terminal());
                 }
@@ -1410,6 +1489,8 @@ fn run_tasks(shared: &Arc<Shared>, pool: &Pool, tasks: &[Task]) {
 
 fn finish_job(shared: &Shared, t: &Task, jr: &BatchJobReport) {
     let mut g = lock_inner(shared);
+    // a job that finishes outside the retention window is released at once
+    let swept = g.swept;
     match &jr.outcome {
         Ok(s) => {
             let rows = Arc::new(JsonValue::Array(s.rows.iter().map(k_row_json).collect()));
@@ -1437,6 +1518,9 @@ fn finish_job(shared: &Shared, t: &Task, jr: &BatchJobReport) {
                 rec.degraded = s.degraded;
                 rec.wall_ms = jr.wall_ms;
                 push_event(rec, event("done"));
+                if id < swept {
+                    rec.release();
+                }
                 obs::counter_add("serve.jobs_done", 1);
                 if let Some(d) = &shared.durable {
                     d.append(wal_done(id, t.result_key, s.degraded, jr.wall_ms));
@@ -1455,6 +1539,9 @@ fn finish_job(shared: &Shared, t: &Task, jr: &BatchJobReport) {
                 let mut ev = event(status.as_str());
                 ev.push(("error".into(), JsonValue::Str(e.to_string())));
                 push_event(rec, ev);
+                if id < swept {
+                    rec.release();
+                }
                 obs::counter_add(
                     if cancelled { "serve.jobs_cancelled" } else { "serve.jobs_failed" },
                     1,

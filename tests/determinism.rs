@@ -3,10 +3,13 @@
 //! the paper's methodology depends on regenerating mapped netlists from
 //! one fixed technology-independent placement.
 
+use casyn::core::{map, CostKind, MapOptions, MapResult, PartitionScheme};
 use casyn::flow::{
     congestion_flow, congestion_flow_prepared, fnv1a64, prepare, sis_flow, FlowOptions,
 };
 use casyn::netlist::bench::{random_pla, spla, PlaGenConfig};
+use casyn::netlist::mapped::SignalRef;
+use casyn::netlist::Pla;
 use casyn::place::PlacerBackend;
 use casyn::route::RouteResult;
 
@@ -62,6 +65,11 @@ fn named_benchmarks_are_stable() {
     assert_eq!(a.terms().len(), 2307);
 }
 
+fn fnv1a_of_words(words: &[u64]) -> u64 {
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    fnv1a64(&bytes)
+}
+
 /// FNV-1a 64 over the IEEE bit patterns of everything routing decides:
 /// each net's routed length, the final demand on every gcell boundary,
 /// and each negotiation iteration's summary with its exact count of
@@ -85,19 +93,13 @@ fn fnv1a_of_route(r: &RouteResult) -> u64 {
             s.expanded,
         ]);
     }
-    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-    fnv1a64(&bytes)
+    fnv1a_of_words(&words)
 }
 
-#[test]
-fn routing_is_bit_identical_to_the_recorded_one() {
-    // Hashes of `route_mapped`'s output recorded at the commit before the
-    // router's search kernel was rewritten (cached edge costs, indexed
-    // heap, flat edge ids): the kernel may change how a path is found,
-    // never a path, a demand or the number of gcells a search expands.
-    let ex_a: casyn::netlist::Pla =
-        std::fs::read_to_string("examples/designs/ex_a.pla").unwrap().parse().unwrap();
-    // ~2.1k base gates
+/// The two designs the recorded hashes below were taken on: the shipped
+/// `ex_a.pla` and a seeded PLA of ~2.1k base gates.
+fn pinned_designs() -> (Pla, Pla) {
+    let ex_a: Pla = std::fs::read_to_string("examples/designs/ex_a.pla").unwrap().parse().unwrap();
     let rand16 = random_pla(&PlaGenConfig {
         inputs: 16,
         outputs: 12,
@@ -107,6 +109,16 @@ fn routing_is_bit_identical_to_the_recorded_one() {
         mean_outputs_per_term: 1.4,
         seed: 7,
     });
+    (ex_a, rand16)
+}
+
+#[test]
+fn routing_is_bit_identical_to_the_recorded_one() {
+    // Hashes of `route_mapped`'s output recorded at the commit before the
+    // router's search kernel was rewritten (cached edge costs, indexed
+    // heap, flat edge ids): the kernel may change how a path is found,
+    // never a path, a demand or the number of gcells a search expands.
+    let (ex_a, rand16) = pinned_designs();
     for (name, pla, scale, iterations, golden) in [
         ("ex_a", &ex_a, 1.0, 1, 0x8b83_0d87_7ffd_a68e_u64),
         ("rand16, ample supply", &rand16, 2.0, 2, 0xc15a_f880_afb8_fa65),
@@ -127,5 +139,94 @@ fn routing_is_bit_identical_to_the_recorded_one() {
             r.violations,
             r.convergence.iters.iter().map(|s| s.expanded).collect::<Vec<_>>()
         );
+    }
+}
+
+/// FNV-1a 64 over everything mapping decides: every emitted cell in
+/// emission order (master, input signals, the IEEE bits of its
+/// centre-of-mass position), the cell count and the run statistics.
+fn fnv1a_of_mapping(r: &MapResult) -> u64 {
+    let mut words: Vec<u64> = Vec::new();
+    for c in r.netlist.cells() {
+        words.push(c.lib_cell as u64);
+        words.push(c.inputs.len() as u64);
+        words.extend(c.inputs.iter().map(|s| match s {
+            SignalRef::Pi(i) => *i as u64,
+            SignalRef::Cell(i) => 1 << 32 | *i as u64,
+        }));
+        words.extend([c.pos.x.to_bits(), c.pos.y.to_bits()]);
+    }
+    words.extend([
+        r.netlist.num_cells() as u64,
+        r.stats.num_trees as u64,
+        r.stats.duplicated_covers as u64,
+        r.stats.est_wirelength.to_bits(),
+    ]);
+    fnv1a_of_words(&words)
+}
+
+#[test]
+fn mapping_is_bit_identical_to_the_recorded_one() {
+    // Hashes of `map`'s output recorded at the commit before the matcher
+    // and the covering DP were rewritten around one flat match buffer:
+    // the kernel may change how matches are stored, never which matches
+    // exist, their order (the DP's first-wins tie-break), the order of
+    // their covered gates (the centre-of-mass float sum) or a chosen cell.
+    let (ex_a, rand16) = pinned_designs();
+    let pd = PartitionScheme::PlacementDriven;
+    let configs = [
+        (PartitionScheme::Dagon, CostKind::Area, false),
+        (PartitionScheme::Cone, CostKind::Area, false),
+        (pd, CostKind::AreaWire { k: 0.0 }, false),
+        (pd, CostKind::AreaWire { k: 0.5 }, false),
+        (pd, CostKind::AreaWire { k: 5.0 }, false),
+        (pd, CostKind::AreaWire { k: 0.5 }, true),
+    ];
+    let golden: [(&str, &Pla, [u64; 6]); 2] = [
+        (
+            "ex_a",
+            &ex_a,
+            [
+                0xd92b_896f_6baf_e8f0,
+                0xe4d5_c334_34ea_bace,
+                0xe594_b019_d917_d25a,
+                0xeca3_2cc0_bf5b_6f30,
+                0x30b0_70d9_66c7_f16c,
+                0x9428_180d_f9e8_49d3,
+            ],
+        ),
+        (
+            "rand16",
+            &rand16,
+            [
+                0x609c_c10a_4dc7_db66,
+                0x8831_d020_e2fe_2ac6,
+                0x8722_39be_8fa5_73f6,
+                0x5163_2a7e_90dd_6734,
+                0xd259_54d9_6b1e_114d,
+                0xc1f7_6f61_b6a9_feb2,
+            ],
+        ),
+    ];
+    for (name, pla, hashes) in golden {
+        let mut opts = FlowOptions::default();
+        opts.placer.backend = PlacerBackend::KWay;
+        let prep = prepare(&pla.to_network(), &opts).unwrap();
+        for ((scheme, cost, boolean_matching), want) in configs.into_iter().zip(hashes) {
+            let r = map(
+                &prep.graph,
+                &prep.positions,
+                &opts.lib,
+                &MapOptions { scheme, cost, boolean_matching },
+            );
+            assert_eq!(
+                fnv1a_of_mapping(&r),
+                want,
+                "{name} {scheme:?} {cost:?} boolean={boolean_matching}: mapping moved \
+                 ({} cells, {:?})",
+                r.netlist.num_cells(),
+                r.stats
+            );
+        }
     }
 }

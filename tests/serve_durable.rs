@@ -321,3 +321,85 @@ fn io_chaos_conn_drop_and_torn_wal_are_survivable() {
 
     fs::remove_dir_all(&state).unwrap();
 }
+
+/// The job table keeps a finished job's status forever but its rows and
+/// event lines only for the most recent `result_cache_cap` admissions.
+/// A released result is re-served from the disk cache on a durable
+/// server and is `410 Gone` on a memory-only one; released events answer
+/// one `expired` line, also on a stream that was open when the release
+/// happened.
+#[test]
+fn finished_jobs_outside_the_retention_window_are_released() {
+    use std::io::{BufRead, BufReader, Write};
+    let _guard = lock();
+    for durable in [true, false] {
+        let state = tmpdir("retention");
+        let server = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            state_dir: durable.then(|| state.clone()),
+            // one worker: jobs finish in admission order
+            workers: 1,
+            result_cache_cap: 4,
+            ..Default::default()
+        })
+        .unwrap();
+        let addr = server.endpoint();
+
+        // the oldest job, fetched while it is still inside the window
+        let (id0, _) = submit_one(&addr, &manifest("oldest", 3, 14, &[0.0, 1.0]));
+        let original = result_wait(&addr, id0);
+        let (_, status0) = request_json(&addr, "GET", &format!("/jobs/{id0}"), None).unwrap();
+
+        // a slow job with an events stream open on it...
+        let rest: Vec<String> =
+            (0..10).map(|i| manifest(&format!("j{i}"), 100 + i, 12, &[0.0])).collect();
+        let (slow, _) = submit_one(&addr, &manifest("slow", 5, 80, &[0.0, 0.5, 1.0, 2.0]));
+        let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+        stream.set_read_timeout(Some(std::time::Duration::from_secs(120))).unwrap();
+        write!(stream, "GET /jobs/{slow}/events HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+        let mut lines = BufReader::new(stream).lines();
+        let first_event = lines
+            .by_ref()
+            .map(|l| l.expect("stream readable"))
+            .find(|l| l.starts_with('{'))
+            .expect("an event line before the stream ends");
+        assert!(first_event.contains("\"event\":\"submitted\""), "{first_event}");
+        // ...falls out of the window while it runs: ten more admissions
+        let rest: Vec<i64> = rest.iter().map(|m| submit_one(&addr, m).0).collect();
+        // it is released the moment it finishes, between two polls of the
+        // stream, which must say so and end instead of dying on the
+        // vanished lines
+        let tail: Vec<String> = lines.map(|l| l.expect("stream ends cleanly")).collect();
+        assert_eq!(tail.last().map(String::as_str), Some(r#"{"event":"expired"}"#), "{tail:?}");
+        result_wait(&addr, *rest.last().unwrap());
+
+        // 12 finished jobs, window of 4: the oldest is long released
+        let (code, status) = request_json(&addr, "GET", &format!("/jobs/{id0}"), None).unwrap();
+        assert_eq!(code, 200);
+        assert_eq!(status, status0, "the status document does not change on release");
+        let (code, doc) = request_json(&addr, "GET", &format!("/jobs/{id0}/result"), None).unwrap();
+        if durable {
+            assert_eq!(code, 200, "{doc:?}");
+            assert_eq!(doc.get("rows"), original.get("rows"), "rows come back from the disk cache");
+        } else {
+            assert_eq!(code, 410, "{doc:?}");
+            assert_eq!(doc.get("status").and_then(|v| v.as_f64()), Some(410.0));
+            assert!(doc
+                .get("error")
+                .and_then(|v| v.as_str())
+                .is_some_and(|e| e.contains("released")));
+        }
+        let ev = client::raw(&addr, &format!("GET /jobs/{id0}/events HTTP/1.1\r\nHost: t\r\n\r\n"))
+            .unwrap();
+        assert_eq!((ev.status, ev.body.as_str()), (200, "{\"event\":\"expired\"}\n"));
+        // the newest jobs are whole
+        let newest = *rest.last().unwrap();
+        let ev =
+            client::raw(&addr, &format!("GET /jobs/{newest}/events HTTP/1.1\r\nHost: t\r\n\r\n"))
+                .unwrap();
+        assert!(ev.body.contains("\"event\":\"done\""), "events: {}", ev.body);
+
+        shutdown(&addr, server);
+        let _ = fs::remove_dir_all(&state);
+    }
+}
