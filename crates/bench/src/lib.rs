@@ -1,6 +1,5 @@
 //! Experiment harness: shared setup for the binaries that regenerate
-//! every table and figure of the paper, plus Criterion benches of the hot
-//! kernels.
+//! every table and figure of the paper.
 //!
 //! Binaries (run with `cargo run --release -p casyn-bench --bin <name>`):
 //!
@@ -10,12 +9,12 @@
 //! * `table3`  — SPLA static timing analysis.
 //! * `table4`  — PDC K sweep.
 //! * `table5`  — PDC static timing analysis.
+//! * `motivation` — wireload-model misprediction (Section 2).
+//! * `ablation` — partitioning scheme, legalization seeding, duplication pricing.
 
 use casyn_flow::{FlowOptions, Prepared};
 use casyn_netlist::network::Network;
 use casyn_place::Floorplan;
-
-pub mod perf;
 
 /// The experiment setup of one paper benchmark: the prepared design and
 /// the fixed floorplan every mapping is evaluated against.

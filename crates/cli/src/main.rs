@@ -1,92 +1,7 @@
 //! `casyn` — command-line driver for the congestion-aware synthesis flow.
 //!
 //! ```text
-//! casyn map <design.pla|design.blif> [options]    run one full flow
-//! casyn run <design> [options]                    alias for sweep (default K ladder)
-//! casyn sweep <design> --ks 0,0.1,1 [options]     K sweep (paper Tables 2/4)
-//! casyn loop <design> [options]                   the Fig. 3 methodology loop
-//! casyn batch <manifest.json> [options]           run many designs concurrently
-//! casyn heatmap <heatmap.json>                    render an exported heat map
-//! casyn diff <runA.json> <runB.json>              compare two casyn.run.v1 records
-//! casyn serve [--listen host:port]                run the synthesis service
-//! casyn submit <manifest.json> --server h:p       submit jobs to a running service
-//! casyn shutdown --server h:p                     gracefully drain a running service
-//! casyn loadgen [options]                         service throughput bench (BENCH_serve.json)
-//! casyn top <host:port> [options]                 live service dashboard (polls /stats)
-//!
-//! options:
-//!   --k <f>            congestion factor K (map; default 0.5)
-//!   --ks <list>        comma-separated K values (sweep/batch default)
-//!   --scheme <s>       dagon | cone | pdp (default pdp)
-//!   --placer <b>       global placement backend: kway | bisect (default
-//!                      kway; the CASYN_PLACER env var sets the same)
-//!   --util <f>         target K=0 utilization for the derived die (default 0.611)
-//!   --layers <n>       metal layers (default 3)
-//!   --jobs <n>         worker threads for sweep/batch (default: CASYN_JOBS
-//!                      env var, else available_parallelism)
-//!   --out <path>       write the batch report as JSON (batch only); while
-//!                      the batch runs the file holds a casyn.checkpoint.v1
-//!                      document that is updated after every finished job
-//!   --resume <path>    batch: skip jobs already "ok" in a previous report
-//!                      or checkpoint (matched by name + design)
-//!   --retries <n>      batch: re-run a failed job up to n times (default 0)
-//!   --validate         run stage-boundary invariant checks (always on in
-//!                      debug builds)
-//!   --fault-plan <p>   inject deterministic faults: comma-separated
-//!                      stage:kind[:nth] items plus optional seed=N, e.g.
-//!                      "map:panic:1,route:corrupt:2,seed=42"; kinds are
-//!                      panic, deadline, corrupt
-//!   --crash-dir <dir>  batch: write a casyn.crash.v1 reproducer bundle
-//!                      per failed job
-//!   --verilog <path>   write the mapped netlist as structural Verilog
-//!   --blif <path>      write the optimized network as BLIF
-//!   --dot <path>       write the mapped netlist as Graphviz DOT
-//!   --optimize         run technology-independent extraction first
-//!   --clock <ns>       report slack against this required time
-//!   --metrics-out <p>  collect stage metrics and write telemetry JSON
-//!   --heatmap <path>   write the final congestion heat map as JSON
-//!   --trace            debug-level stage logging (same as CASYN_LOG=debug)
-//!   --trace-out <p>    record the hierarchical span timeline and write it
-//!                      in Chrome trace-event format (load in Perfetto or
-//!                      chrome://tracing); for batch, pass a directory to
-//!                      get one trace file per job plus a trace_path field
-//!                      on each report row
-//!   --spans-out <p>    write the same span timeline as casyn.trace.v1 JSON
-//!   --route-out <p>    write the router convergence series as casyn.route.v1
-//!                      JSON (per-iteration overflow, reroutes, history cost)
-//!   --audit-out <p>    write the overflow-attribution report as
-//!                      casyn.audit.v1 JSON (per-boundary net demand shares)
-//!   --snapshot-stride <n>  embed a full congestion-map snapshot in the
-//!                      casyn.route.v1 series every n router iterations
-//!                      (0 = off, the default)
-//!   --ledger <dir>     append a content-addressed casyn.run.v1 record for
-//!                      this run to the ledger directory (map/run/sweep/loop);
-//!                      compare two records later with `casyn diff`
-//!   --tolerance <f>    diff: widen the wall-clock/allocation tolerance band
-//!                      to ±f× (default 1.0; stable metrics always compare
-//!                      exactly)
-//!   --listen <h:p>     serve: listen address (default 127.0.0.1:7878;
-//!                      port 0 binds an ephemeral port)
-//!   --server <h:p>     submit/shutdown: address of the running service
-//!   --queue-cap <n>    serve/loadgen: admission queue capacity (default 64;
-//!                      submissions that do not fit are rejected with 429)
-//!   --state-dir <dir>  serve: durable state directory holding the
-//!                      casyn.wal.v1 job journal and the checksummed disk
-//!                      cache; on restart the journal is replayed, finished
-//!                      jobs are served from disk and unfinished ones re-run
-//!   --mem-limit <n>    serve: shed new submissions with 503 + Retry-After
-//!                      while live heap exceeds n bytes (k/m/g suffixes
-//!                      accepted; default 0 = watchdog off)
-//!   --result-wait <s>  serve: seconds a result?wait=1 request blocks
-//!                      before answering 409 (default 600)
-//!   --io-fault-plan <spec>  serve: I/O chaos plan armed at stages wal,
-//!                      cache and conn (e.g. "wal:torn_write:2,conn:conn_drop:1")
-//!   --clients <n>      loadgen: concurrent client threads (default 2)
-//!   --designs <n>      loadgen: distinct synthetic designs (default 6)
-//!   --interval <s>     top: seconds between dashboard refreshes (default 1)
-//!   --frames <n>       top: frames to render before exiting, 0 = run
-//!                      until interrupted (default 0); --frames 1 prints
-//!                      one snapshot without clearing the screen
+#![doc = include_str!("help.txt")]
 //! ```
 //!
 //! The batch manifest is a JSON document, either a top-level array of
@@ -168,8 +83,6 @@ struct Args {
     listen: String,
     server: Option<String>,
     queue_cap: usize,
-    clients: usize,
-    designs: usize,
     state_dir: Option<String>,
     mem_limit: u64,
     result_wait: u64,
@@ -178,30 +91,23 @@ struct Args {
     frames: usize,
 }
 
+/// Every command `casyn` runs. `parse_args` rejects anything else before
+/// a file is read, and `usage` prints this same list.
+const COMMANDS: &[&str] = &[
+    "map", "run", "sweep", "loop", "batch", "heatmap", "diff", "serve", "submit", "shutdown", "top",
+];
+
+/// The option list `casyn help` prints — the same text as the module doc.
+const HELP: &str = include_str!("help.txt");
+
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: casyn <map|run|sweep|loop|batch|heatmap|diff|serve|submit|shutdown|loadgen|top> \
-         [<design.pla|design.blif|manifest.json|heatmap.json|run.json|host:port>] [options]"
+        "usage: casyn <{}> \
+         [<design.pla|design.blif|manifest.json|heatmap.json|run.json|host:port>] [options]",
+        COMMANDS.join("|")
     );
     eprintln!("run `casyn help` for the option list");
     ExitCode::FAILURE
-}
-
-/// Parses a `--fault-plan` spec and rejects stage names the flow does not
-/// have, so a typo'd plan fails up front instead of silently never firing.
-fn parse_fault_plan(spec: &str) -> Result<FaultPlan, String> {
-    let plan = FaultPlan::parse(spec)?;
-    for s in plan.specs() {
-        if Stage::parse(&s.stage).is_none() {
-            let known: Vec<&str> = Stage::ALL.iter().map(|st| st.name()).collect();
-            return Err(format!(
-                "fault plan: unknown stage {:?} (expected one of {})",
-                s.stage,
-                known.join(", ")
-            ));
-        }
-    }
-    Ok(plan)
 }
 
 /// Parses a byte count with an optional binary `k`/`m`/`g` suffix
@@ -257,8 +163,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         listen: "127.0.0.1:7878".into(),
         server: None,
         queue_cap: 64,
-        clients: 2,
-        designs: 6,
         state_dir: None,
         mem_limit: 0,
         result_wait: 600,
@@ -266,6 +170,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         interval: 1.0,
         frames: 0,
     };
+    if !COMMANDS.contains(&args.command.as_str()) {
+        return Err(format!("unknown command: {}", args.command));
+    }
     let mut it = argv[1..].iter();
     while let Some(a) = it.next() {
         let mut next = |name: &str| -> Result<String, String> {
@@ -342,20 +249,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.queue_cap =
                     next("--queue-cap")?.parse().map_err(|e| format!("--queue-cap: {e}"))?
             }
-            "--clients" => {
-                let n: usize = next("--clients")?.parse().map_err(|e| format!("--clients: {e}"))?;
-                if n == 0 {
-                    return Err("--clients must be at least 1".into());
-                }
-                args.clients = n;
-            }
-            "--designs" => {
-                let n: usize = next("--designs")?.parse().map_err(|e| format!("--designs: {e}"))?;
-                if n == 0 {
-                    return Err("--designs must be at least 1".into());
-                }
-                args.designs = n;
-            }
             "--state-dir" => args.state_dir = Some(next("--state-dir")?),
             "--mem-limit" => args.mem_limit = parse_bytes(&next("--mem-limit")?)?,
             "--result-wait" => {
@@ -384,7 +277,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--frames" => {
                 args.frames = next("--frames")?.parse().map_err(|e| format!("--frames: {e}"))?
             }
-            "--fault-plan" => args.fault_plan = Some(parse_fault_plan(&next("--fault-plan")?)?),
+            "--fault-plan" => {
+                args.fault_plan = Some(casyn_flow::parse_fault_plan(&next("--fault-plan")?)?)
+            }
             "--crash-dir" => args.crash_dir = Some(next("--crash-dir")?),
             "--clock" => {
                 args.clock = Some(next("--clock")?.parse().map_err(|e| format!("--clock: {e}"))?)
@@ -402,7 +297,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         }
     }
     // service commands have no input positional (submit's is the manifest)
-    let no_input = matches!(args.command.as_str(), "help" | "serve" | "shutdown" | "loadgen");
+    let no_input = matches!(args.command.as_str(), "serve" | "shutdown");
     if args.command == "top" && args.input.is_empty() {
         return Err("top needs a server address (host:port)".into());
     }
@@ -816,15 +711,8 @@ fn run_batch_command(args: &Args, pool: &Pool) -> Result<(), String> {
             slots.push(Slot::Resumed(doc.clone()));
             continue;
         }
-        let plan_spec = m
-            .fault_plan
-            .clone()
-            .or_else(|| m.inject_panic.then(|| "decompose:panic:1".to_string()));
         let loaded = m.load_network().and_then(|(network, _raw)| {
-            let fault = match &plan_spec {
-                Some(spec) => Some(parse_fault_plan(spec)?),
-                None => args.fault_plan.as_ref().map(|p| p.fresh()),
-            };
+            let fault = m.fault()?.or_else(|| args.fault_plan.as_ref().map(|p| p.fresh()));
             Ok((network, fault))
         });
         match loaded {
@@ -1180,184 +1068,6 @@ fn format_top(doc: &JsonValue, addr: &str) -> String {
     out
 }
 
-/// Latency/throughput numbers for one loadgen round.
-struct LoadRound {
-    wall_ms: f64,
-    mean_ms: f64,
-    p50_ms: f64,
-    p95_ms: f64,
-    p99_ms: f64,
-    jobs_per_sec: f64,
-    cache_hits: usize,
-}
-
-/// Submits every design once (spread across client threads) and waits
-/// for all results; fails on any job failure.
-fn loadgen_round(addr: &str, manifests: &[String], clients: usize) -> Result<LoadRound, String> {
-    let t0 = std::time::Instant::now();
-    let lat: Mutex<Vec<(f64, bool)>> = Mutex::new(Vec::new());
-    let next: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-    let errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    std::thread::scope(|s| {
-        for _ in 0..clients.min(manifests.len()) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                let Some(m) = manifests.get(i) else { return };
-                let j0 = std::time::Instant::now();
-                let one = || -> Result<(f64, bool), String> {
-                    let (status, doc) = casyn_serve::request_json(addr, "POST", "/jobs", Some(m))?;
-                    if status != 202 {
-                        return Err(format!("submit rejected with {status}"));
-                    }
-                    let job = doc
-                        .get("jobs")
-                        .and_then(|v| v.as_array())
-                        .and_then(|a| a.first())
-                        .ok_or("malformed submit response")?;
-                    let id = job.get("id").and_then(|v| v.as_f64()).unwrap_or(-1.0) as i64;
-                    let hit = job.get("cache").and_then(|v| v.as_str()) == Some("hit");
-                    let (_, r) = casyn_serve::request_json(
-                        addr,
-                        "GET",
-                        &format!("/jobs/{id}/result?wait=1"),
-                        None,
-                    )?;
-                    match r.get("status").and_then(|v| v.as_str()) {
-                        Some("done") => Ok((j0.elapsed().as_secs_f64() * 1e3, hit)),
-                        other => Err(format!("job ended {:?}", other.unwrap_or("unknown"))),
-                    }
-                };
-                match one() {
-                    Ok(sample) => lat.lock().unwrap().push(sample),
-                    Err(e) => errors.lock().unwrap().push(e),
-                }
-            });
-        }
-    });
-    let errors = errors.into_inner().unwrap();
-    if let Some(e) = errors.first() {
-        return Err(format!("loadgen round failed ({} jobs): {e}", errors.len()));
-    }
-    let lat = lat.into_inner().unwrap();
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let mean_ms = lat.iter().map(|(ms, _)| ms).sum::<f64>() / lat.len() as f64;
-    // the same log2 histogram the windowed /stats percentiles use, so
-    // BENCH_serve.json and a live `casyn top` agree on the math
-    let mut hist = obs::Histogram::new();
-    for (ms, _) in &lat {
-        hist.record(*ms);
-    }
-    Ok(LoadRound {
-        wall_ms,
-        mean_ms,
-        p50_ms: hist.p50(),
-        p95_ms: hist.p95(),
-        p99_ms: hist.p99(),
-        jobs_per_sec: lat.len() as f64 / (wall_ms / 1e3),
-        cache_hits: lat.iter().filter(|(_, hit)| *hit).count(),
-    })
-}
-
-/// `casyn loadgen`: starts an in-process service on an ephemeral port,
-/// drives it over real HTTP with concurrent clients (a cold round then a
-/// warm round of identical resubmissions), and writes `BENCH_serve.json`.
-fn run_loadgen_command(args: &Args) -> Result<(), String> {
-    use casyn_netlist::bench::{random_pla, PlaGenConfig};
-    let workers = args.jobs.unwrap_or(4);
-    let server = casyn_serve::Server::start(casyn_serve::ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        workers,
-        queue_capacity: args.queue_cap.max(args.designs),
-        ..Default::default()
-    })?;
-    let addr = server.endpoint();
-    println!(
-        "loadgen: {} designs, {} clients, {workers} workers on {addr}",
-        args.designs, args.clients
-    );
-    // distinct seeds give distinct designs; inline sources keep the
-    // exchange filesystem-free, as a remote client would be
-    let manifests: Vec<String> = (0..args.designs)
-        .map(|i| {
-            let pla = random_pla(&PlaGenConfig {
-                terms: 24,
-                seed: 1000 + i as u64,
-                ..Default::default()
-            });
-            let blif = to_blif(&pla.to_network(), &format!("lg{i}"));
-            JsonValue::object(vec![(
-                "jobs".into(),
-                JsonValue::Array(vec![JsonValue::object(vec![
-                    ("name".into(), JsonValue::Str(format!("lg{i}"))),
-                    ("source".into(), JsonValue::Str(blif)),
-                    ("format".into(), JsonValue::Str("blif".into())),
-                    (
-                        "ks".into(),
-                        JsonValue::Array(vec![JsonValue::Number(0.0), JsonValue::Number(1.0)]),
-                    ),
-                ])]),
-            )])
-            .to_string_pretty()
-        })
-        .collect();
-    let cold = loadgen_round(&addr, &manifests, args.clients)?;
-    let warm = loadgen_round(&addr, &manifests, args.clients)?;
-    let (_, metrics) = casyn_serve::request_json(&addr, "GET", "/metrics", None)?;
-    let counter = |k: &str| -> f64 {
-        metrics.get("metrics").and_then(|m| m.get(k)).and_then(|v| v.as_f64()).unwrap_or(0.0)
-    };
-    casyn_serve::request_json(&addr, "POST", "/shutdown", None)?;
-    server.wait()?;
-    let speedup = if warm.mean_ms > 0.0 { cold.mean_ms / warm.mean_ms } else { 0.0 };
-    println!(
-        "cold: {:.1} jobs/s (mean {:.0} ms, p50 {:.0} / p95 {:.0} / p99 {:.0})   \
-         warm: {:.1} jobs/s (mean {:.1} ms, p50 {:.1} / p95 {:.1} / p99 {:.1})   speedup {speedup:.0}x",
-        cold.jobs_per_sec,
-        cold.mean_ms,
-        cold.p50_ms,
-        cold.p95_ms,
-        cold.p99_ms,
-        warm.jobs_per_sec,
-        warm.mean_ms,
-        warm.p50_ms,
-        warm.p95_ms,
-        warm.p99_ms
-    );
-    let round_doc = |r: &LoadRound| {
-        JsonValue::object(vec![
-            ("wall_ms".into(), JsonValue::Number(r.wall_ms)),
-            ("mean_ms".into(), JsonValue::Number(r.mean_ms)),
-            ("p50_ms".into(), JsonValue::Number(r.p50_ms)),
-            ("p95_ms".into(), JsonValue::Number(r.p95_ms)),
-            ("p99_ms".into(), JsonValue::Number(r.p99_ms)),
-            ("jobs_per_sec".into(), JsonValue::Number(r.jobs_per_sec)),
-            ("cache_hits".into(), JsonValue::Number(r.cache_hits as f64)),
-        ])
-    };
-    let doc = JsonValue::object(vec![
-        ("schema".into(), JsonValue::Str("casyn.bench.serve.v1".into())),
-        ("workers".into(), JsonValue::Number(workers as f64)),
-        ("clients".into(), JsonValue::Number(args.clients as f64)),
-        ("designs".into(), JsonValue::Number(args.designs as f64)),
-        ("cold".into(), round_doc(&cold)),
-        ("warm".into(), round_doc(&warm)),
-        ("speedup_mean".into(), JsonValue::Number(speedup)),
-        (
-            "cache".into(),
-            JsonValue::object(vec![
-                ("hits".into(), JsonValue::Number(counter("serve.cache_hits"))),
-                ("computes".into(), JsonValue::Number(counter("serve.computes"))),
-                ("deduped".into(), JsonValue::Number(counter("serve.deduped"))),
-                ("prepare_hits".into(), JsonValue::Number(counter("serve.prepare_hits"))),
-            ]),
-        ),
-    ]);
-    let path = args.out.as_deref().unwrap_or("BENCH_serve.json");
-    write_report_file(path, &doc)?;
-    println!("wrote {path}");
-    Ok(())
-}
-
 /// `casyn heatmap <heatmap.json>`: parses and summarizes an exported
 /// congestion heat map, with line/field diagnostics on malformed input.
 fn run_heatmap_command(args: &Args) -> Result<(), String> {
@@ -1402,7 +1112,6 @@ fn run(args: &Args) -> Result<(), String> {
         "serve" => return run_serve_command(args),
         "submit" => return run_submit_command(args),
         "shutdown" => return run_shutdown_command(args),
-        "loadgen" => return run_loadgen_command(args),
         "top" => return run_top_command(args),
         _ => {}
     }
@@ -1538,10 +1247,18 @@ fn run_flow_command(args: &Args, pool: &Pool) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.is_empty() || argv[0] == "help" || argv[0] == "--help" {
-        return usage();
+    cli(&argv)
+}
+
+/// One invocation: `help`/`--help` print the option list and succeed; a
+/// bad command line prints the short usage and fails before any file is
+/// read; everything else runs.
+fn cli(argv: &[String]) -> ExitCode {
+    if matches!(argv.first().map(String::as_str), Some("help" | "--help")) {
+        print!("{HELP}");
+        return ExitCode::SUCCESS;
     }
-    match parse_args(&argv) {
+    match parse_args(argv) {
         Ok(args) => match run(&args) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
@@ -1686,7 +1403,7 @@ mod tests {
 
     #[test]
     fn parse_service_flags() {
-        // serve/shutdown/loadgen take no input positional
+        // serve/shutdown take no input positional
         let a =
             parse_args(&sv(&["serve", "--listen", "0.0.0.0:9000", "--queue-cap", "8"])).unwrap();
         assert_eq!(a.command, "serve");
@@ -1694,17 +1411,13 @@ mod tests {
         assert_eq!(a.queue_cap, 8);
         let b = parse_args(&sv(&["shutdown", "--server", "127.0.0.1:7878"])).unwrap();
         assert_eq!(b.server.as_deref(), Some("127.0.0.1:7878"));
-        let c = parse_args(&sv(&["loadgen", "--clients", "4", "--designs", "9"])).unwrap();
-        assert_eq!((c.clients, c.designs), (4, 9));
         // defaults
         let d = parse_args(&sv(&["serve"])).unwrap();
         assert_eq!(d.listen, "127.0.0.1:7878");
-        assert_eq!((d.queue_cap, d.clients, d.designs), (64, 2, 6));
+        assert_eq!(d.queue_cap, 64);
         assert!(d.server.is_none());
-        // submit still requires an input manifest; zero clients/designs rejected
+        // submit still requires an input manifest
         assert!(parse_args(&sv(&["submit", "--server", "h:1"])).is_err());
-        assert!(parse_args(&sv(&["loadgen", "--clients", "0"])).is_err());
-        assert!(parse_args(&sv(&["loadgen", "--designs", "0"])).is_err());
     }
 
     #[test]
@@ -1840,6 +1553,35 @@ mod tests {
         assert!(e.contains("expected wal, cache or conn"), "got: {e}");
         // and the generic --fault-plan still rejects the I/O stages
         assert!(parse_args(&sv(&["map", "x.pla", "--fault-plan", "wal:torn_write"])).is_err());
+    }
+
+    #[test]
+    fn unknown_commands_are_rejected_before_any_file_is_read() {
+        // x.pla does not exist: an unknown command must fail in parse_args,
+        // not after loading and placing the design
+        let e = parse_args(&sv(&["frobnicate", "x.pla"])).unwrap_err();
+        assert_eq!(e, "unknown command: frobnicate");
+        // the retired service bench and its options are gone
+        assert_eq!(parse_args(&sv(&["loadgen"])).unwrap_err(), "unknown command: loadgen");
+        assert!(parse_args(&sv(&["serve", "--clients", "4"])).is_err());
+        assert!(parse_args(&sv(&["serve", "--designs", "8"])).is_err());
+        // every advertised command parses
+        for &c in COMMANDS {
+            let argv = if c == "diff" { sv(&[c, "a", "b"]) } else { sv(&[c, "a"]) };
+            assert!(parse_args(&argv).is_ok(), "{c} rejected");
+        }
+    }
+
+    #[test]
+    fn help_exits_zero_and_bad_invocations_exit_one() {
+        assert_eq!(cli(&sv(&["help"])), ExitCode::SUCCESS);
+        assert_eq!(cli(&sv(&["--help"])), ExitCode::SUCCESS);
+        assert_eq!(cli(&[]), ExitCode::FAILURE);
+        assert_eq!(cli(&sv(&["frobnicate", "x.pla"])), ExitCode::FAILURE);
+        // help.txt is the one copy of the option list: it names every command
+        for c in COMMANDS {
+            assert!(HELP.contains(&format!("casyn {c} ")), "help.txt lacks {c}");
+        }
     }
 
     #[test]

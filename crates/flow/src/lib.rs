@@ -69,8 +69,8 @@ pub use ledger::{
     StageRow,
 };
 pub use manifest::{
-    file_stem, load_design, parse_design, parse_manifest, parse_manifest_value, DesignFormat,
-    ManifestDefaults, ManifestJob,
+    file_stem, load_design, parse_design, parse_fault_plan, parse_manifest, parse_manifest_value,
+    DesignFormat, ManifestDefaults, ManifestJob,
 };
 pub use methodology::{
     run_methodology, run_methodology_prepared, MethodologyResult, MethodologyStep,

@@ -19,7 +19,9 @@
 //! shared filesystem). `inject_panic: true` is the legacy spelling of
 //! `"fault_plan": "decompose:panic:1"`.
 
+use crate::error::Stage;
 use crate::flows::FlowOptions;
+use casyn_exec::FaultPlan;
 use casyn_logic::OptimizeOptions;
 use casyn_netlist::blif::Blif;
 use casyn_netlist::network::Network;
@@ -111,7 +113,7 @@ pub struct ManifestJob {
     pub deadline_ms: Option<f64>,
     /// Legacy spelling of `fault_plan: "decompose:panic:1"`.
     pub inject_panic: bool,
-    /// Deterministic fault-injection spec (validated by the caller).
+    /// Deterministic fault-injection spec (validated by [`ManifestJob::fault`]).
     pub fault_plan: Option<String>,
     /// Placement backend override.
     pub placer: Option<PlacerBackend>,
@@ -148,7 +150,33 @@ pub fn load_design(path: &str) -> Result<SeqNetwork, String> {
     parse_design(&text, DesignFormat::from_path(path), path)
 }
 
+/// Parses a fault-plan spec (`--fault-plan`, a manifest `fault_plan`) and
+/// rejects stage names the flow does not have, so a typo'd plan fails up
+/// front instead of silently never firing.
+pub fn parse_fault_plan(spec: &str) -> Result<FaultPlan, String> {
+    let plan = FaultPlan::parse(spec)?;
+    for s in plan.specs() {
+        if Stage::parse(&s.stage).is_none() {
+            let known: Vec<&str> = Stage::ALL.iter().map(|st| st.name()).collect();
+            return Err(format!(
+                "fault plan: unknown stage {:?} (expected one of {})",
+                s.stage,
+                known.join(", ")
+            ));
+        }
+    }
+    Ok(plan)
+}
+
 impl ManifestJob {
+    /// The fault plan this entry asks for, validated: its `fault_plan`
+    /// spec, else `decompose:panic:1` when the legacy `inject_panic` is
+    /// set, else none.
+    pub fn fault(&self) -> Result<Option<FaultPlan>, String> {
+        let legacy = self.inject_panic.then_some("decompose:panic:1");
+        self.fault_plan.as_deref().or(legacy).map(parse_fault_plan).transpose()
+    }
+
     /// The design text and its format: the inline `source` when present,
     /// else the `design` path's contents. The returned text is what the
     /// content address hashes.
@@ -217,7 +245,7 @@ impl ManifestJob {
     }
 
     /// The flow options this entry asks for (fault plan excluded — the
-    /// caller validates and injects it).
+    /// caller injects [`ManifestJob::fault`]).
     pub fn flow_options(&self, validate: bool) -> FlowOptions {
         let mut opts = FlowOptions { target_utilization: self.util, ..Default::default() };
         opts.route.layers = self.layers;
@@ -401,6 +429,24 @@ mod tests {
         assert!(parse_manifest(r#"[{"design": "x.pla", "format": "vhdl"}]"#, &d())
             .unwrap_err()
             .contains("vhdl"));
+    }
+
+    #[test]
+    fn fault_resolves_both_spellings_and_rejects_unknown_stages() {
+        let jobs = parse_manifest(
+            r#"[{"design": "a.pla"},
+                {"design": "b.pla", "inject_panic": true},
+                {"design": "c.pla", "inject_panic": true, "fault_plan": "route:deadline:2"},
+                {"design": "d.pla", "fault_plan": "warp:panic:1"}]"#,
+            &d(),
+        )
+        .unwrap();
+        assert!(jobs[0].fault().unwrap().is_none());
+        assert_eq!(jobs[1].fault().unwrap().unwrap().to_string(), "decompose:panic:1");
+        // an explicit plan wins over the legacy flag
+        assert_eq!(jobs[2].fault().unwrap().unwrap().to_string(), "route:deadline:2");
+        let e = jobs[3].fault().unwrap_err();
+        assert!(e.contains("unknown stage") && e.contains("warp"), "got: {e}");
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub struct Histogram {
 
 impl Histogram {
     /// An empty histogram. Public so callers that already hold raw
-    /// samples (loadgen latencies, windowed merges) can reuse the same
+    /// samples (client latencies, windowed merges) can reuse the same
     /// bucket/percentile math instead of reimplementing it.
     pub fn new() -> Self {
         Histogram {

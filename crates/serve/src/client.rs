@@ -2,14 +2,14 @@
 //!
 //! The server closes the connection after every response, so bodies are
 //! read to EOF — no chunked decoding, no keep-alive. This is what the
-//! CLI's `submit`, `shutdown` and `loadgen` commands use, and what CI
-//! smoke tests drive the daemon with (no curl dependency).
+//! CLI's `submit`, `shutdown` and `top` commands use, and what CI smoke
+//! tests drive the daemon with (no curl dependency).
 //!
 //! Failures are typed ([`ClientError`]): a refused connection, a
 //! per-attempt timeout and a connection dropped mid-body are different
 //! events with different retry semantics. Idempotent requests (GETs)
 //! retry transient kinds with *deterministic* exponential backoff — a
-//! fixed delay ladder, no jitter — so loadgen runs remain reproducible.
+//! fixed delay ladder, no jitter — so client runs remain reproducible.
 
 use casyn_obs::json::JsonValue;
 use std::io::{Read, Write};
@@ -92,7 +92,7 @@ impl std::error::Error for ClientError {}
 /// Retry schedule for idempotent requests: `attempts` tries total, with
 /// a deterministic exponential delay ladder between them
 /// (`base * 2^i`, capped at `max_delay`) — no randomness, so two
-/// identical loadgen runs issue identical request timelines.
+/// identical client runs issue identical request timelines.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Total attempts (1 = no retries).

@@ -12,7 +12,7 @@
 //!   that differ only in their K schedule — plus the checksummed
 //!   [`cache::DiskCache`] spill behind `--state-dir`.
 //! * [`client`] — a tiny blocking HTTP client for the CLI's `submit`,
-//!   `shutdown` and `loadgen` commands (and CI smoke tests), with typed
+//!   `shutdown` and `top` commands (and CI smoke tests), with typed
 //!   errors and deterministic exponential backoff for idempotent GETs.
 //! * [`server`] — the service itself: job table, bounded admission
 //!   queue with backpressure, dispatcher, per-job event streams,

@@ -34,7 +34,7 @@ use casyn_flow::telemetry::snapshot_json;
 use casyn_flow::{
     congestion_flow_prepared, fnv1a64, k_row_json, library_fingerprint, parse_manifest_value,
     prepare, FlowError, FlowErrorKind, FlowOptions, KSweepEntry, KeyBuilder, ManifestDefaults,
-    ManifestJob, Prepared, Stage,
+    ManifestJob, Prepared,
 };
 use casyn_netlist::network::Network;
 use casyn_obs as obs;
@@ -275,7 +275,7 @@ struct Shared {
 }
 
 /// Per-second access-log budget; above it lines are counted, not
-/// printed, so loadgen cannot drown the log.
+/// printed, so a burst of requests cannot drown the log.
 const ACCESS_LOG_MAX_PER_SEC: u32 = 50;
 
 #[derive(Default)]
@@ -410,7 +410,7 @@ fn request_id(shared: &Shared, req: &Request) -> String {
 }
 
 /// One structured access-log line per HTTP request, rate-limited to
-/// [`ACCESS_LOG_MAX_PER_SEC`] so loadgen cannot drown stderr; the
+/// [`ACCESS_LOG_MAX_PER_SEC`] so a burst cannot drown stderr; the
 /// counters always fire, and suppressed lines surface as a per-second
 /// summary plus the `serve.log_suppressed` counter.
 fn access_log(
@@ -551,23 +551,6 @@ fn parse_job_id(shared: &Shared, id: &str) -> Result<usize, HttpError> {
     Ok(id)
 }
 
-/// Replicates the CLI's fault-plan validation: unknown stage names fail
-/// the job at submit time instead of silently never firing.
-fn parse_fault_plan(spec: &str) -> Result<FaultPlan, String> {
-    let plan = FaultPlan::parse(spec)?;
-    for s in plan.specs() {
-        if Stage::parse(&s.stage).is_none() {
-            let known: Vec<&str> = Stage::ALL.iter().map(|st| st.name()).collect();
-            return Err(format!(
-                "fault plan: unknown stage {:?} (expected one of {})",
-                s.stage,
-                known.join(", ")
-            ));
-        }
-    }
-    Ok(plan)
-}
-
 /// Everything a manifest entry needs to run, plus its content address.
 struct LoadedJob {
     network: Network,
@@ -581,9 +564,7 @@ struct LoadedJob {
 /// enters a key, so a resubmit hits regardless of how long the original
 /// run took.
 fn load_and_key(m: &ManifestJob) -> Result<LoadedJob, String> {
-    let plan_spec =
-        m.fault_plan.clone().or_else(|| m.inject_panic.then(|| "decompose:panic:1".to_string()));
-    let fault = plan_spec.as_deref().map(parse_fault_plan).transpose()?;
+    let fault = m.fault()?;
     let (network, raw) = m.load_network()?;
     let opts = m.flow_options(false);
     let design_hash = fnv1a64(raw.as_bytes());

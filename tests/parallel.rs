@@ -6,11 +6,14 @@
 
 use casyn::exec::Pool;
 use casyn::flow::{
-    k_sweep_prepared, k_sweep_prepared_pool, prepare, prepare_pool, run_batch, BatchJob,
-    FlowOptions,
+    k_sweep_prepared, k_sweep_prepared_pool, load_design, prepare, prepare_pool, run_batch,
+    BatchJob, FlowOptions, Prepared,
 };
 use casyn::netlist::bench::{random_pla, PlaGenConfig};
 use casyn::netlist::network::Network;
+use casyn::netlist::Point;
+use casyn::place::instance::from_subject;
+use casyn::place::metrics::total_hpwl_of_instance;
 use casyn::place::PlacerBackend;
 
 fn net(seed: u64) -> Network {
@@ -43,19 +46,51 @@ fn assert_rows_identical(a: &casyn::flow::FlowResult, b: &casyn::flow::FlowResul
     }
 }
 
+/// Total HPWL of the subject-graph placement the mapper consumes.
+fn subject_hpwl(prep: &Prepared) -> f64 {
+    let si = from_subject(&prep.graph, &prep.floorplan);
+    let mut cell_pos = vec![Point::new(0.0, 0.0); si.instance.num_cells()];
+    for (v, c) in si.cell_of_vertex.iter().enumerate() {
+        if let Some(c) = c {
+            cell_pos[*c] = prep.positions[v];
+        }
+    }
+    total_hpwl_of_instance(&si.instance, &cell_pos)
+}
+
 #[test]
 fn same_seed_same_placement_for_both_backends() {
-    // Each backend is a deterministic function of the netlist alone: two
-    // independent preparations of the same design must agree bit for bit.
-    for backend in [PlacerBackend::Bisect, PlacerBackend::KWay] {
-        let network = net(2002);
-        let mut opts = FlowOptions::default();
-        opts.placer.backend = backend;
-        let a = prepare(&network, &opts).unwrap();
-        let b = prepare(&network, &opts).unwrap();
-        assert_eq!(a.positions, b.positions, "{backend} placement is not reproducible");
-        assert!(!a.positions.is_empty());
+    let designs = [
+        load_design("examples/designs/ex_a.pla").unwrap().core,
+        load_design("examples/designs/ex_b.pla").unwrap().core,
+        random_pla(&PlaGenConfig {
+            inputs: 14,
+            outputs: 10,
+            terms: 90,
+            min_literals: 3,
+            max_literals: 7,
+            mean_outputs_per_term: 1.6,
+            seed: 42,
+        })
+        .to_network(),
+    ];
+    let mut kway_hpwl_wins = 0;
+    for network in &designs {
+        // Each backend is a deterministic function of the netlist alone: two
+        // independent preparations of the same design must agree bit for bit.
+        let [bisect, kway] = [PlacerBackend::Bisect, PlacerBackend::KWay].map(|backend| {
+            let mut opts = FlowOptions::default();
+            opts.placer.backend = backend;
+            let a = prepare(network, &opts).unwrap();
+            let b = prepare(network, &opts).unwrap();
+            assert_eq!(a.positions, b.positions, "{backend} placement is not reproducible");
+            assert!(!a.positions.is_empty());
+            subject_hpwl(&a)
+        });
+        kway_hpwl_wins += usize::from(kway < bisect);
     }
+    // the A/B that justifies k-way as the default backend
+    assert!(kway_hpwl_wins >= 2, "k-way beat bisection HPWL on {kway_hpwl_wins}/3 designs");
 }
 
 #[test]
@@ -68,8 +103,10 @@ fn kway_placement_on_four_workers_matches_serial() {
         let mut opts = FlowOptions::default();
         opts.placer.backend = PlacerBackend::KWay;
         let serial = prepare_pool(&network, &opts, &Pool::new(1)).unwrap();
-        let parallel = prepare_pool(&network, &opts, &Pool::new(4)).unwrap();
-        assert_eq!(serial.positions, parallel.positions);
+        for workers in [2, 4] {
+            let parallel = prepare_pool(&network, &opts, &Pool::new(workers)).unwrap();
+            assert_eq!(serial.positions, parallel.positions, "{workers} workers diverged");
+        }
     }
 }
 
@@ -81,11 +118,13 @@ fn parallel_k_sweep_is_bit_identical_to_serial_across_seeds() {
         let opts = FlowOptions::default();
         let prep = prepare(&network, &opts).unwrap();
         let serial = k_sweep_prepared(&prep, &ks, &opts).unwrap();
-        let parallel = k_sweep_prepared_pool(&prep, &ks, &opts, &Pool::new(4)).unwrap();
-        assert_eq!(serial.len(), parallel.len());
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a.k, b.k, "rows must come back in input K order");
-            assert_rows_identical(&a.result, &b.result);
+        for workers in [2, 4] {
+            let parallel = k_sweep_prepared_pool(&prep, &ks, &opts, &Pool::new(workers)).unwrap();
+            assert_eq!(serial.len(), parallel.len());
+            for (a, b) in serial.iter().zip(&parallel) {
+                assert_eq!(a.k, b.k, "rows must come back in input K order");
+                assert_rows_identical(&a.result, &b.result);
+            }
         }
     }
 }
