@@ -84,7 +84,6 @@ fn main() {
         &MapOptions {
             scheme: PartitionScheme::PlacementDriven,
             cost: CostKind::AreaWire { k: 0.5 },
-            ..Default::default()
         },
     );
     report("2. congestion minimization   ", &congestion);

@@ -21,22 +21,30 @@ fn main() {
     let flow = congestion_flow_prepared(&exp.prep, 0.1, &exp.opts).expect("flow failed");
     let placed_arrival = flow.sta.critical_arrival();
     println!("placed-and-routed STA:   critical path {placed_arrival:>7.2} ns");
-    for (name, model) in [
-        ("generic 0.18um table", WireloadModel::generic_018()),
-        ("calibrated on design", WireloadModel::calibrate(&flow.netlist)),
-    ] {
+    // prints one model's row; returns its critical-path error (relative
+    // to the placed one) and its mean relative net-length error
+    let judge = |name: &str, model: WireloadModel| {
         let sta = analyze_wireload(&flow.netlist, &exp.opts.lib, &exp.opts.timing, &model);
         let (mean_um, worst_um, rel) = wireload_error(&flow.netlist, &model);
+        let path_error = (sta.critical_arrival() - placed_arrival) / placed_arrival;
         println!(
             "wireload ({name}): critical path {:>7.2} ns ({:+.1}% vs placed), \
              net-length error mean {mean_um:.1} um / worst {worst_um:.0} um / {:.0}% mean relative",
             sta.critical_arrival(),
-            100.0 * (sta.critical_arrival() - placed_arrival) / placed_arrival,
+            100.0 * path_error,
             100.0 * rel
         );
-    }
-    println!("\npaper shape: even a wireload model calibrated on the design itself");
-    println!("mispredicts individual nets by large factors, so pre-layout delay and");
-    println!("area estimates cannot anticipate congestion — synthesis must consult");
-    println!("placement, which is exactly what the congestion-aware mapper does.");
+        (path_error.abs(), rel)
+    };
+    let (generic_path, _) = judge("generic 0.18um table", WireloadModel::generic_018());
+    let (calibrated_path, calibrated_rel) =
+        judge("calibrated on design", WireloadModel::calibrate(&flow.netlist));
+    println!(
+        "\n{}",
+        shape_verdict(&[
+            ("generic wireload misses the placed critical path by > 50%", generic_path > 0.5),
+            ("so does the one calibrated on this design", calibrated_path > 0.5),
+            ("calibrated mean relative net-length error > 100%", calibrated_rel > 1.0),
+        ])
+    );
 }

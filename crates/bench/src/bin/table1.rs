@@ -42,11 +42,11 @@ fn main() {
             &[("SIS", &sis), ("DAGON", &dagon)]
         )
     );
-    println!("paper shape: SIS has the smaller cell area but is unroutable; DAGON");
-    println!("pays area and routes within the same floorplan. NOTE: on the synthetic");
-    println!("TOO_LARGE our extraction's area relief outweighs its sharing penalty, so");
-    println!("the direction inverts here — the SIS-unroutability phenomenon reproduces");
-    println!("strongly on SPLA/PDC instead (see table2/table3: SIS ~2.9k violations in a");
-    println!("die where the congestion-aware mapping routes cleanly). Recorded in");
-    println!("EXPERIMENTS.md.");
+    println!(
+        "{}",
+        shape_verdict(&[
+            ("SIS area < DAGON area", sis.cell_area < dagon.cell_area),
+            ("SIS violations > DAGON violations", sis.route.violations > dagon.route.violations),
+        ])
+    );
 }

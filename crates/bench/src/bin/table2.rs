@@ -8,7 +8,6 @@
 //! Run: `cargo run --release -p casyn-bench --bin table2`
 
 use casyn_bench::*;
-use casyn_flow::{format_k_sweep_table, KSweepEntry};
 
 fn main() {
     let mut exp = spla_experiment();
@@ -20,14 +19,5 @@ fn main() {
     );
     let scale = calibrate_scale_unroutable(&mut exp, 2.5, 8.0);
     println!("routing supply calibrated to the edge: capacity scale {scale:.3}\n");
-    let rows: Vec<KSweepEntry> = run_k_list(&exp, &TABLE_K_VALUES)
-        .into_iter()
-        .map(|(k, result)| KSweepEntry { k, result })
-        .collect();
-    println!(
-        "{}",
-        format_k_sweep_table("Table 2. SPLA congestion minimization vs place&route results", &rows)
-    );
-    println!("paper shape: K=0 unroutable -> routability window at moderate K ->");
-    println!("cell area / cells / utilization rise monotonically with K.");
+    print_k_sweep_table(&exp, "Table 2. SPLA congestion minimization vs place&route results");
 }

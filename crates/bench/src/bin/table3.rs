@@ -8,43 +8,10 @@
 //! Run: `cargo run --release -p casyn-bench --bin table3`
 
 use casyn_bench::*;
-use casyn_flow::{congestion_flow_prepared, format_sta_table, sis_flow};
-use casyn_logic::OptimizeOptions;
 
 fn main() {
     let mut exp = spla_experiment();
     let scale = calibrate_scale_unroutable(&mut exp, 2.5, 8.0);
     println!("SPLA STA at capacity scale {scale:.3}");
-    let k0 = congestion_flow_prepared(&exp.prep, 0.0, &exp.opts).expect("flow failed");
-    let window = congestion_flow_prepared(&exp.prep, 0.1, &exp.opts).expect("flow failed");
-    let deep = congestion_flow_prepared(&exp.prep, 1.0, &exp.opts).expect("flow failed");
-    let mut sis_opts = exp.opts.clone();
-    sis_opts.optimize = Some(OptimizeOptions {
-        max_cube_extractions: 900,
-        max_kernel_extractions: 60,
-        ..Default::default()
-    });
-    let sis = sis_flow(&exp.network, &sis_opts).expect("flow failed");
-    println!(
-        "{}",
-        format_sta_table(
-            "Table 3. SPLA static timing analysis results",
-            &[("0.0", &k0), ("0.1", &window), ("1.0", &deep), ("SIS", &sis)]
-        )
-    );
-    println!(
-        "routing violations: K=0 {}, K=0.1 {}, K=1 {}, SIS {}",
-        k0.route.violations, window.route.violations, deep.route.violations, sis.route.violations
-    );
-    // the paper's middle column: arrival on the *same endpoint* as the
-    // K = 0 critical path, in every netlist
-    let k0_po = k0.netlist.outputs()[k0.sta.critical_po].0.clone();
-    println!("\narrival at the K=0 critical endpoint ({k0_po}) in each netlist:");
-    for (name, r) in [("K=0", &k0), ("K=0.1", &window), ("K=1", &deep), ("SIS", &sis)] {
-        if let Some(at) = r.sta.arrival_of_output(&r.netlist, &k0_po) {
-            println!("  {name:<6} {at:.2} ns");
-        }
-    }
-    println!("paper shape: arrival(window K) <= arrival(K=0) < arrival(SIS), and the");
-    println!("window netlist is the one that routes within the fixed die.");
+    print_sta_table(&exp, "Table 3. SPLA static timing analysis results");
 }

@@ -6,7 +6,6 @@
 //! Run: `cargo run --release -p casyn-bench --bin table4`
 
 use casyn_bench::*;
-use casyn_flow::{format_k_sweep_table, KSweepEntry};
 
 fn main() {
     let mut exp = pdc_experiment();
@@ -18,12 +17,5 @@ fn main() {
     );
     let scale = calibrate_scale(&mut exp, 1.0, 2.5, 8.0);
     println!("routing supply calibrated to the edge: capacity scale {scale:.3}\n");
-    let rows: Vec<KSweepEntry> = run_k_list(&exp, &TABLE_K_VALUES)
-        .into_iter()
-        .map(|(k, result)| KSweepEntry { k, result })
-        .collect();
-    println!(
-        "{}",
-        format_k_sweep_table("Table 4. PDC congestion minimization vs place&route results", &rows)
-    );
+    print_k_sweep_table(&exp, "Table 4. PDC congestion minimization vs place&route results");
 }

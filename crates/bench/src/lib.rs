@@ -12,9 +12,12 @@
 //! * `motivation` — wireload-model misprediction (Section 2).
 //! * `ablation` — partitioning scheme, legalization seeding, duplication pricing.
 
-use casyn_flow::{FlowOptions, Prepared};
+use casyn_flow::{
+    congestion_flow_prepared, format_k_sweep_table, format_sta_table, k_sweep_prepared, sis_flow,
+    FlowOptions, FlowResult, Prepared,
+};
+use casyn_logic::OptimizeOptions;
 use casyn_netlist::network::Network;
-use casyn_place::Floorplan;
 
 /// The experiment setup of one paper benchmark: the prepared design and
 /// the fixed floorplan every mapping is evaluated against.
@@ -67,14 +70,6 @@ pub fn too_large_experiment() -> Experiment {
     experiment("TOO_LARGE", casyn_netlist::bench::too_large(), TOO_LARGE_UTILIZATION)
 }
 
-/// A floorplan with the same width and extra rows, for the paper's
-/// "increase the rows until SIS routes" comparisons.
-pub fn widen(fp: &Floorplan, extra_rows: usize) -> Floorplan {
-    fp.with_extra_rows(extra_rows)
-}
-
-use casyn_flow::{congestion_flow_prepared, FlowResult};
-
 /// Finds the smallest routing-capacity scale in `[lo, hi]` at which the
 /// congestion flow at `k_probe` routes without violations — the analogue
 /// of the paper fixing each die so the design sits at the routability
@@ -120,18 +115,6 @@ pub fn calibrate_scale_unroutable(exp: &mut Experiment, lo: f64, hi: f64) -> f64
     lo
 }
 
-/// Runs the congestion flow over a K list at the experiment's current
-/// configuration.
-pub fn run_k_list(exp: &Experiment, ks: &[f64]) -> Vec<(f64, FlowResult)> {
-    ks.iter()
-        .map(|&k| {
-            let r = congestion_flow_prepared(&exp.prep, k, &exp.opts)
-                .expect("bench: table flow failed");
-            (k, r)
-        })
-        .collect()
-}
-
 /// The K values our tables sweep. The paper's K spans three regions on
 /// its 0.0001–1.0 axis; our wire term is measured in micrometres of a
 /// smaller synthetic die against areas in µm², so the same three regions
@@ -139,31 +122,88 @@ pub fn run_k_list(exp: &Experiment, ks: &[f64]) -> Vec<(f64, FlowResult)> {
 pub const TABLE_K_VALUES: [f64; 12] =
     [0.0, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0, 500.0];
 
-/// Finds the smallest number of extra (or fewer) rows at which `flow`
-/// routes: returns `(rows, die area)` of the smallest routable floorplan,
-/// searching from `base` downwards then upwards (cap ±`span` rows).
-pub fn min_routable_rows(exp: &Experiment, k: f64, span: usize) -> Option<(usize, f64)> {
-    let base = exp.prep.floorplan;
-    let mut best: Option<(usize, f64)> = None;
-    for delta in -(span as isize)..=(span as isize) {
-        let rows = (base.num_rows as isize + delta).max(1) as usize;
-        // keep the same row width; area scales with rows
-        let fp = casyn_place::Floorplan {
-            die_width: base.die_width,
-            die_height: rows as f64 * casyn_place::image::ROW_HEIGHT,
-            num_rows: rows,
-        };
-        let mut opts = exp.opts.clone();
-        opts.floorplan = Some(fp);
-        // re-prepare placement on the new image? The paper keeps the
-        // original tech-independent placement; we re-place to keep the
-        // density consistent with the die.
-        let prep = casyn_flow::prepare(&exp.network, &opts).expect("bench: prepare failed");
-        let r = congestion_flow_prepared(&prep, k, &opts).expect("bench: row-search flow failed");
-        if r.route.violations == 0 {
-            best = Some((rows, fp.die_area()));
-            break;
+/// One line judging a table against the paper's shape: every condition
+/// with the yes/no the rows just printed give it, then whether all hold.
+/// The bins print this instead of prose, so no run can print a claim its
+/// own numbers contradict.
+pub fn shape_verdict(conditions: &[(&str, bool)]) -> String {
+    let judged: Vec<String> = conditions
+        .iter()
+        .map(|(what, holds)| format!("{what}: {}", if *holds { "yes" } else { "no" }))
+        .collect();
+    let all = conditions.iter().all(|(_, holds)| *holds);
+    format!(
+        "paper shape: {} -> {}",
+        judged.join(" · "),
+        if all { "matches paper" } else { "differs from paper" }
+    )
+}
+
+/// Tables 2 and 4: sweeps [`TABLE_K_VALUES`] at the experiment's current
+/// routing supply and prints the table and its shape verdict — the
+/// paper's three regions (unroutable at K = 0, a routable window, then
+/// unroutable again at very large K) and its monotone area columns.
+pub fn print_k_sweep_table(exp: &Experiment, title: &str) {
+    let rows =
+        k_sweep_prepared(&exp.prep, &TABLE_K_VALUES, &exp.opts).expect("bench: table flow failed");
+    println!("{}", format_k_sweep_table(title, &rows));
+    let routable = |i: usize| rows[i].result.route.violations == 0;
+    let any_routable = (0..rows.len()).any(routable);
+    let non_decreasing = rows.windows(2).all(|w| {
+        let (a, b) = (&w[0].result, &w[1].result);
+        b.cell_area >= a.cell_area
+            && b.num_cells >= a.num_cells
+            && b.utilization_pct >= a.utilization_pct
+    });
+    println!(
+        "{}",
+        shape_verdict(&[
+            ("K=0 unroutable", !routable(0)),
+            ("a routable K exists", any_routable),
+            ("unroutable again at the largest K", any_routable && !routable(rows.len() - 1)),
+            ("area, cells and utilization non-decreasing in K", non_decreasing),
+        ])
+    );
+}
+
+/// Tables 3 and 5: STA of the K = 0, K = 0.1, K = 1 and bounded-effort
+/// SIS netlists in the experiment's fixed die, with the arrival at the
+/// K = 0 critical endpoint in each (the paper's middle column) and the
+/// shape verdict — the window mapping routes where K = 0 does not and is
+/// no slower, and SIS is slowest.
+pub fn print_sta_table(exp: &Experiment, title: &str) {
+    let flow = |k| congestion_flow_prepared(&exp.prep, k, &exp.opts).expect("flow failed");
+    let (k0, window, deep) = (flow(0.0), flow(0.1), flow(1.0));
+    let mut sis_opts = exp.opts.clone();
+    sis_opts.optimize = Some(OptimizeOptions {
+        max_cube_extractions: 900,
+        max_kernel_extractions: 60,
+        ..Default::default()
+    });
+    let sis = sis_flow(&exp.network, &sis_opts).expect("flow failed");
+    println!(
+        "{}",
+        format_sta_table(title, &[("0.0", &k0), ("0.1", &window), ("1.0", &deep), ("SIS", &sis)])
+    );
+    println!(
+        "routing violations: K=0 {}, K=0.1 {}, K=1 {}, SIS {}",
+        k0.route.violations, window.route.violations, deep.route.violations, sis.route.violations
+    );
+    let k0_po = k0.netlist.outputs()[k0.sta.critical_po].0.clone();
+    println!("\narrival at the K=0 critical endpoint ({k0_po}) in each netlist:");
+    for (name, r) in [("K=0", &k0), ("K=0.1", &window), ("K=1", &deep), ("SIS", &sis)] {
+        if let Some(at) = r.sta.arrival_of_output(&r.netlist, &k0_po) {
+            println!("  {name:<6} {at:.2} ns");
         }
     }
-    best
+    let arrival = |r: &FlowResult| r.sta.critical_arrival();
+    println!(
+        "{}",
+        shape_verdict(&[
+            ("K=0 unroutable", k0.route.violations > 0),
+            ("K=0.1 or K=1 routes", window.route.violations == 0 || deep.route.violations == 0),
+            ("arrival(K=0.1) <= arrival(K=0)", arrival(&window) <= arrival(&k0)),
+            ("arrival(K=0) < arrival(SIS)", arrival(&k0) < arrival(&sis)),
+        ])
+    );
 }

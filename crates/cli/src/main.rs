@@ -22,15 +22,13 @@
 
 use casyn_core::{CostKind, MapOptions, PartitionScheme};
 use casyn_exec::{FaultPlan, Pool};
-use casyn_flow::batch::{
-    run_batch_job, run_batch_observed, BatchJob, BatchJobReport, BatchOptions,
-};
+use casyn_flow::batch::{run_batch, run_batch_job, BatchJob, BatchJobReport, BatchOptions};
 use casyn_flow::telemetry::snapshot_json;
 use casyn_flow::{
     diff_records, file_stem, fnv1a64, format_diff, full_flow, k_row_json, k_sweep_prepared_pool,
     load_design, parse_manifest, prepare_pool, run_methodology_prepared, sequential_flow,
-    DiffTolerance, FlowError, FlowOptions, KSweepEntry, ManifestDefaults, ManifestJob, RunParams,
-    RunRecord, Stage,
+    DiffTolerance, FlowError, FlowOptions, JobParam, KSweepEntry, ManifestDefaults, ManifestJob,
+    RunParams, RunRecord, Stage,
 };
 use casyn_logic::OptimizeOptions;
 use casyn_netlist::blif::to_blif;
@@ -127,6 +125,13 @@ fn parse_bytes(s: &str) -> Result<u64, String> {
     n.checked_mul(mult).ok_or_else(|| format!("--mem-limit: {s} overflows"))
 }
 
+/// Parses a numeric flag value and range-checks it as the manifest field
+/// of the same meaning is checked.
+fn number(flag: &str, value: &str, param: JobParam) -> Result<f64, String> {
+    let v: f64 = value.parse().map_err(|e| format!("{flag}: {e}"))?;
+    param.check(v).map_err(|e| format!("{flag} {e}"))
+}
+
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         command: argv.first().cloned().ok_or("missing command")?,
@@ -179,11 +184,11 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             it.next().cloned().ok_or(format!("{name} needs a value"))
         };
         match a.as_str() {
-            "--k" => args.k = next("--k")?.parse().map_err(|e| format!("--k: {e}"))?,
+            "--k" => args.k = number("--k", &next("--k")?, JobParam::K)?,
             "--ks" => {
                 args.ks = next("--ks")?
                     .split(',')
-                    .map(|s| s.trim().parse().map_err(|e| format!("--ks: {e}")))
+                    .map(|s| number("--ks", s.trim(), JobParam::K))
                     .collect::<Result<_, _>>()?
             }
             "--scheme" => {
@@ -194,9 +199,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     other => return Err(format!("unknown scheme: {other}")),
                 }
             }
-            "--util" => args.util = next("--util")?.parse().map_err(|e| format!("--util: {e}"))?,
+            "--util" => args.util = number("--util", &next("--util")?, JobParam::Util)?,
             "--layers" => {
-                args.layers = next("--layers")?.parse().map_err(|e| format!("--layers: {e}"))?
+                args.layers = number("--layers", &next("--layers")?, JobParam::Layers)? as usize
             }
             "--verilog" => args.verilog = Some(next("--verilog")?),
             "--blif" => args.blif = Some(next("--blif")?),
@@ -726,7 +731,7 @@ fn run_batch_command(args: &Args, pool: &Pool) -> Result<(), String> {
                     network,
                     ks: m.ks.clone(),
                     opts,
-                    deadline: m.deadline_ms.map(|ms| std::time::Duration::from_secs_f64(ms / 1e3)),
+                    deadline: m.deadline(),
                 });
             }
             Err(e) => slots.push(Slot::LoadError(e)),
@@ -755,7 +760,7 @@ fn run_batch_command(args: &Args, pool: &Pool) -> Result<(), String> {
             .collect(),
     );
     let bopts = BatchOptions { retries: args.retries, ..Default::default() };
-    let batch = run_batch_observed(
+    let batch = run_batch(
         &jobs,
         pool,
         &bopts,
@@ -1163,12 +1168,8 @@ fn run_flow_command(args: &Args, pool: &Pool) -> Result<(), String> {
         "map" => {
             let cost =
                 if args.k == 0.0 { CostKind::Area } else { CostKind::AreaWire { k: args.k } };
-            let r = full_flow(
-                &prep,
-                &MapOptions { scheme: args.scheme, cost, ..Default::default() },
-                &opts,
-            )
-            .map_err(|e| e.to_string())?;
+            let r = full_flow(&prep, &MapOptions { scheme: args.scheme, cost }, &opts)
+                .map_err(|e| e.to_string())?;
             report(&r, args.clock);
             write_artifacts(args, &network, &r)?;
             write_observability(args, Some(&r))?;
@@ -1318,6 +1319,21 @@ mod tests {
         assert_eq!(a.layers, 4);
         assert!(a.optimize);
         assert_eq!(a.clock, Some(10.5));
+        // the numeric flags pass the manifest fields' range check
+        for [flag, bad] in [
+            ["--util", "nan"],
+            ["--util", "0"],
+            ["--util", "1.5"],
+            ["--layers", "0"],
+            ["--layers", "2.7"],
+            ["--k", "inf"],
+            ["--k", "-1"],
+            ["--ks", "0,-0.5"],
+            ["--ks", "nan"],
+        ] {
+            let e = parse_args(&sv(&["map", "x.pla", flag, bad])).unwrap_err();
+            assert!(e.starts_with(flag), "{flag} {bad}: {e}");
+        }
     }
 
     #[test]

@@ -41,14 +41,6 @@ pub enum CostKind {
         /// The congestion minimization factor K (µm² per µm of wire).
         k: f64,
     },
-    /// Minimum area subject to an arrival-time budget (Touati's
-    /// performance-oriented mapping, which the paper cites): solutions
-    /// missing the budget are penalized lexicographically, so the DP
-    /// meets timing first and minimizes area second.
-    AreaUnderDelay {
-        /// Arrival budget in nanoseconds (constant-load model).
-        budget: f64,
-    },
 }
 
 /// The chosen solution at one tree node.
@@ -89,34 +81,20 @@ const CONST_LOAD: f64 = 0.008;
 
 /// Covers `tree` bottom-up. `positions` holds the placed position of
 /// every subject vertex (the tech-independent placement); they anchor
-/// both leaf positions and match centres of mass.
+/// both leaf positions and match centres of mass. Every node enumerates
+/// its matches into the caller's `buf`, so that one buffer serves every
+/// tree of a mapping.
 ///
 /// # Panics
 ///
 /// Panics if some internal node has no match (the library must contain at
 /// least an inverter and a NAND2).
-pub fn cover_tree(
-    tree: &Tree,
-    lib: &Library,
-    positions: &[Point],
-    shared: &[bool],
-    cost: CostKind,
-) -> TreeCover {
-    cover_tree_with(tree, lib, positions, shared, cost, &[], &mut MatchBuf::new())
-}
-
-/// [`cover_tree`] with additional pre-enumerated matches per tree node
-/// (e.g. from Boolean matching, [`crate::boolmatch::bool_matches`]),
-/// appended behind the structural ones before the DP chooses (an empty
-/// slice adds nothing), enumerating into the caller's `buf` so that one
-/// buffer serves every tree of a mapping.
-pub fn cover_tree_with<'l>(
+pub fn cover_tree<'l>(
     tree: &Tree,
     lib: &'l Library,
     positions: &[Point],
     shared: &[bool],
     cost: CostKind,
-    extra: &[Vec<Match>],
     buf: &mut MatchBuf<'l>,
 ) -> TreeCover {
     let starts = tree.subtree_starts();
@@ -127,9 +105,7 @@ pub fn cover_tree_with<'l>(
     // K = 0 must degenerate to DAGON exactly, so a zero wire weight also
     // forbids duplication
     let policy = match cost {
-        CostKind::Area | CostKind::AreaWire { k: 0.0 } | CostKind::AreaUnderDelay { .. } => {
-            SharedPolicy::Forbid
-        }
+        CostKind::Area | CostKind::AreaWire { k: 0.0 } => SharedPolicy::Forbid,
         _ => SharedPolicy::Price,
     };
     for (idx, node) in tree.nodes.iter().enumerate() {
@@ -144,9 +120,6 @@ pub fn cover_tree_with<'l>(
             }),
             _ => {
                 matches_at(tree, idx as u32, lib, shared, policy, buf);
-                for m in extra.get(idx).into_iter().flatten() {
-                    buf.push(m.as_ref(), policy);
-                }
                 assert!(!buf.is_empty(), "no match at internal node {idx}");
                 matches_tried += buf.len() as u64;
                 // the first match of minimum (cost, area) wins
@@ -239,11 +212,6 @@ fn evaluate(
         CostKind::Area => area,
         CostKind::Delay => arrival,
         CostKind::AreaWire { k } => area + k * wire,
-        CostKind::AreaUnderDelay { budget } => {
-            // lexicographic: overshoot dominates, then area
-            let overshoot = (arrival - budget).max(0.0);
-            overshoot * 1.0e9 + area
-        }
     };
     NodeSolution { chosen: None, cost: combined, area, wire, arrival, pos: com }
 }
@@ -251,9 +219,14 @@ fn evaluate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::{partition, PartitionScheme};
+    use crate::partition::{partition, Forest, PartitionScheme};
     use casyn_library::corelib018;
     use casyn_netlist::subject::SubjectGraph;
+
+    /// Covers the forest's first tree, nothing in it shared.
+    fn cover_first(f: &Forest, lib: &Library, positions: &[Point], cost: CostKind) -> TreeCover {
+        cover_tree(&f.trees[0], lib, positions, &[], cost, &mut MatchBuf::new())
+    }
 
     /// The AND-gate tree: min-area cover must pick AN2 (4 sites) over
     /// ND2+IV (5 sites).
@@ -268,7 +241,7 @@ mod tests {
         let lib = corelib018();
         let positions = vec![Point::default(); g.num_vertices()];
         let f = partition(&g, PartitionScheme::Dagon, &[]);
-        let cover = cover_tree(&f.trees[0], &lib, &positions, &[], CostKind::Area);
+        let cover = cover_first(&f, &lib, &positions, CostKind::Area);
         let root = cover.root();
         let cell = lib.cell(root.chosen.as_ref().unwrap().cell);
         assert_eq!(cell.name, "AN2");
@@ -291,8 +264,8 @@ mod tests {
         let positions: Vec<Point> =
             (0..g.num_vertices()).map(|i| Point::new(i as f64 * 10.0, 0.0)).collect();
         let f = partition(&g, PartitionScheme::Dagon, &[]);
-        let a_cover = cover_tree(&f.trees[0], &lib, &positions, &[], CostKind::Area);
-        let w_cover = cover_tree(&f.trees[0], &lib, &positions, &[], CostKind::AreaWire { k: 0.0 });
+        let a_cover = cover_first(&f, &lib, &positions, CostKind::Area);
+        let w_cover = cover_first(&f, &lib, &positions, CostKind::AreaWire { k: 0.0 });
         assert_eq!(a_cover.root().area, w_cover.root().area);
     }
 
@@ -327,9 +300,8 @@ mod tests {
         positions[n2.index()] = Point::new(500.0, 0.0);
         positions[root.index()] = Point::new(500.0, 5.0);
         let f = partition(&g, PartitionScheme::Dagon, &[]);
-        let area_cover = cover_tree(&f.trees[0], &lib, &positions, &[], CostKind::Area);
-        let wire_cover =
-            cover_tree(&f.trees[0], &lib, &positions, &[], CostKind::AreaWire { k: 10.0 });
+        let area_cover = cover_first(&f, &lib, &positions, CostKind::Area);
+        let wire_cover = cover_first(&f, &lib, &positions, CostKind::AreaWire { k: 10.0 });
         let area_cell = lib.cell(area_cover.root().chosen.as_ref().unwrap().cell);
         assert_eq!(area_cell.name, "AOI21", "min-area picks the complex cell");
         // the heavy-K cover must have strictly less wire
@@ -357,62 +329,9 @@ mod tests {
         let lib = corelib018();
         let positions = vec![Point::default(); g.num_vertices()];
         let f = partition(&g, PartitionScheme::Dagon, &[]);
-        let area_cover = cover_tree(&f.trees[0], &lib, &positions, &[], CostKind::Area);
-        let delay_cover = cover_tree(&f.trees[0], &lib, &positions, &[], CostKind::Delay);
+        let area_cover = cover_first(&f, &lib, &positions, CostKind::Area);
+        let delay_cover = cover_first(&f, &lib, &positions, CostKind::Delay);
         assert!(delay_cover.root().arrival <= area_cover.root().arrival + 1e-9);
-    }
-
-    /// Area-under-delay: with a loose budget the cover equals the
-    /// min-area one; with an impossible budget it chases minimum arrival.
-    #[test]
-    fn area_under_delay_interpolates() {
-        let mut g = SubjectGraph::new();
-        let mut x = g.add_input("x0");
-        let inputs: Vec<_> = (1..6).map(|i| g.add_input(format!("x{i}"))).collect();
-        for b in inputs {
-            let n = g.add_nand2(x, b);
-            x = g.add_inv(n);
-        }
-        g.add_output("o", x);
-        let lib = corelib018();
-        let positions = vec![Point::default(); g.num_vertices()];
-        let f = partition(&g, PartitionScheme::Dagon, &[]);
-        let area_cover = cover_tree(&f.trees[0], &lib, &positions, &[], CostKind::Area);
-        let delay_cover = cover_tree(&f.trees[0], &lib, &positions, &[], CostKind::Delay);
-        let loose = cover_tree(
-            &f.trees[0],
-            &lib,
-            &positions,
-            &[],
-            CostKind::AreaUnderDelay { budget: 1.0e6 },
-        );
-        assert!((loose.root().area - area_cover.root().area).abs() < 1e-9);
-        let tight = cover_tree(
-            &f.trees[0],
-            &lib,
-            &positions,
-            &[],
-            CostKind::AreaUnderDelay { budget: 0.0 },
-        );
-        assert!(tight.root().arrival <= area_cover.root().arrival + 1e-9);
-        assert!(
-            (tight.root().arrival - delay_cover.root().arrival).abs() < 1e-9,
-            "an impossible budget must chase minimum delay"
-        );
-        // a budget between the two arrivals buys area back
-        let mid = (area_cover.root().arrival + delay_cover.root().arrival) / 2.0;
-        let balanced = cover_tree(
-            &f.trees[0],
-            &lib,
-            &positions,
-            &[],
-            CostKind::AreaUnderDelay { budget: mid },
-        );
-        assert!(balanced.root().arrival <= mid + 1e-9);
-        assert!(
-            balanced.root().area <= loose.root().area + 1e-9
-                || balanced.root().area >= area_cover.root().area
-        );
     }
 
     /// Dynamic-programming consistency: the root area equals the cell
@@ -433,7 +352,7 @@ mod tests {
         let lib = corelib018();
         let positions = vec![Point::default(); g.num_vertices()];
         let f = partition(&g, PartitionScheme::Dagon, &[]);
-        let cover = cover_tree(&f.trees[0], &lib, &positions, &[], CostKind::Area);
+        let cover = cover_first(&f, &lib, &positions, CostKind::Area);
         // walk the chosen cover from the root and sum areas
         let mut total = 0.0;
         let mut stack = vec![f.trees[0].root()];

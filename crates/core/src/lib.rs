@@ -5,7 +5,7 @@
 //! The mapper consumes a placed NAND2/INV subject graph and a pattern
 //! library, and produces a placed gate-level netlist:
 //!
-//! 1. [`partition`] — the subject DAG becomes a forest of trees. Beside
+//! 1. [`mod@partition`] — the subject DAG becomes a forest of trees. Beside
 //!    the classic DAGON and MIS cone schemes, the paper's
 //!    *placement-driven DAG partitioning* keeps each multi-fanout vertex
 //!    attached to its **nearest** fanout on the layout image (Fig. 2 of
@@ -37,21 +37,16 @@
 //! let result = map(&g, &positions, &lib, &MapOptions {
 //!     scheme: PartitionScheme::PlacementDriven,
 //!     cost: CostKind::AreaWire { k: 0.001 },
-//!     ..Default::default()
 //! });
 //! assert_eq!(result.netlist.num_cells(), 1); // one AN2
 //! ```
 
-pub mod boolmatch;
-pub mod buffering;
 pub mod cover;
 pub mod mapper;
 pub mod matcher;
 pub mod partition;
 
-pub use boolmatch::{bool_matches, canon_tt, BoolMatcher, TruthTable};
-pub use buffering::{buffer_fanout, max_fanout, BufferOptions, BufferStats};
-pub use cover::{cover_tree, cover_tree_with, CostKind, NodeSolution, TreeCover};
+pub use cover::{cover_tree, CostKind, NodeSolution, TreeCover};
 pub use mapper::{map, star_wirelength, MapOptions, MapResult, MapStats};
 pub use matcher::{matches_at, Match, MatchBuf, MatchRef, SharedPolicy};
 pub use partition::{partition, Forest, PartitionScheme, Tree, TreeNode};

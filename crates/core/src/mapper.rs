@@ -8,8 +8,7 @@
 //! emitted cell is placed at the centre of mass of the base gates it
 //! covers, realizing the paper's incremental companion-placement update.
 
-use crate::boolmatch::{bool_matches, BoolMatcher};
-use crate::cover::{cover_tree_with, CostKind, TreeCover};
+use crate::cover::{cover_tree, CostKind, TreeCover};
 use crate::matcher::MatchBuf;
 use crate::partition::{partition, Forest, PartitionScheme, Tree, TreeNode};
 use casyn_library::Library;
@@ -25,17 +24,12 @@ pub struct MapOptions {
     pub scheme: PartitionScheme,
     /// The covering objective.
     pub cost: CostKind,
-    /// Also enumerate cut-based Boolean matches (beyond the structural
-    /// pattern matches) — finds cells whose decomposition differs from
-    /// the subject structure, at some matching cost.
-    pub boolean_matching: bool,
 }
 
 impl Default for MapOptions {
-    /// DAGON defaults: multi-fanout partitioning, minimum area,
-    /// structural matching only.
+    /// DAGON defaults: multi-fanout partitioning, minimum area.
     fn default() -> Self {
-        MapOptions { scheme: PartitionScheme::Dagon, cost: CostKind::Area, boolean_matching: false }
+        MapOptions { scheme: PartitionScheme::Dagon, cost: CostKind::Area }
     }
 }
 
@@ -86,7 +80,6 @@ pub fn map(
         forest
     };
     let fanout_counts = graph.fanout_counts();
-    let bool_matcher = opts.boolean_matching.then(|| BoolMatcher::new(lib));
     let covers: Vec<TreeCover> = {
         let mut span = obs::trace::span("map.cover");
         span.attr_num("trees", forest.trees.len() as f64);
@@ -105,12 +98,7 @@ pub fn map(
                     s
                 });
                 let shared = shared_nodes(t, &fanout_counts);
-                let extra = match &bool_matcher {
-                    Some(bm) => bool_matches(t, bm, &shared),
-                    None => Vec::new(),
-                };
-                let cover =
-                    cover_tree_with(t, lib, positions, &shared, opts.cost, &extra, &mut matches);
+                let cover = cover_tree(t, lib, positions, &shared, opts.cost, &mut matches);
                 tree_span.take();
                 cover
             })
@@ -321,7 +309,7 @@ mod tests {
                 CostKind::AreaWire { k: 0.001 },
                 CostKind::AreaWire { k: 1.0 },
             ] {
-                let r = map(&g, &pos, &lib, &MapOptions { scheme, cost, ..Default::default() });
+                let r = map(&g, &pos, &lib, &MapOptions { scheme, cost });
                 assert_mapped_equivalent(&g, &r.netlist, &lib, 2);
             }
         }
@@ -370,11 +358,7 @@ mod tests {
             &g,
             &pos,
             &lib,
-            &MapOptions {
-                scheme: PartitionScheme::PlacementDriven,
-                cost: CostKind::Area,
-                ..Default::default()
-            },
+            &MapOptions { scheme: PartitionScheme::PlacementDriven, cost: CostKind::Area },
         );
         assert_mapped_equivalent(&g, &r.netlist, &lib, 4);
         // i1's tree contains n internally: min-area cover of inv(nand) is
@@ -426,11 +410,7 @@ mod tests {
             &g,
             &pos,
             &lib,
-            &MapOptions {
-                scheme: PartitionScheme::PlacementDriven,
-                cost: CostKind::Area,
-                ..Default::default()
-            },
+            &MapOptions { scheme: PartitionScheme::PlacementDriven, cost: CostKind::Area },
         );
         let kbig = map(
             &g,
@@ -439,7 +419,6 @@ mod tests {
             &MapOptions {
                 scheme: PartitionScheme::PlacementDriven,
                 cost: CostKind::AreaWire { k: 50.0 },
-                ..Default::default()
             },
         );
         assert_mapped_equivalent(&g, &k0.netlist, &lib, 11);
@@ -478,37 +457,6 @@ mod tests {
         assert_eq!(r.netlist.outputs()[0].1, SignalRef::Pi(0));
     }
 
-    /// Boolean matching can only improve (or tie) the min-area cover and
-    /// must stay functionally correct.
-    #[test]
-    fn boolean_matching_is_correct_and_no_worse() {
-        use casyn_logic::decompose;
-        use casyn_netlist::bench::{random_pla, PlaGenConfig};
-        let pla = random_pla(&PlaGenConfig {
-            inputs: 8,
-            outputs: 4,
-            terms: 18,
-            min_literals: 2,
-            max_literals: 5,
-            mean_outputs_per_term: 1.4,
-            seed: 21,
-        });
-        let dec = decompose(&pla.to_network());
-        let (graph, _) = dec.graph.sweep();
-        let lib = corelib018();
-        let pos = grid_positions(&graph);
-        let structural = map(&graph, &pos, &lib, &MapOptions::default());
-        let boolean =
-            map(&graph, &pos, &lib, &MapOptions { boolean_matching: true, ..Default::default() });
-        assert_mapped_equivalent(&graph, &boolean.netlist, &lib, 31);
-        assert!(
-            boolean.netlist.cell_area() <= structural.netlist.cell_area() + 1e-9,
-            "more matches cannot worsen the optimal cover: {} vs {}",
-            boolean.netlist.cell_area(),
-            structural.netlist.cell_area()
-        );
-    }
-
     #[test]
     fn larger_random_circuit_all_schemes() {
         use casyn_logic::decompose;
@@ -533,7 +481,7 @@ mod tests {
                 &dec.graph,
                 &pos,
                 &lib,
-                &MapOptions { scheme, cost: CostKind::AreaWire { k: 0.01 }, ..Default::default() },
+                &MapOptions { scheme, cost: CostKind::AreaWire { k: 0.01 } },
             );
             assert_mapped_equivalent(&dec.graph, &r.netlist, &lib, 5);
         }

@@ -36,21 +36,8 @@ pub struct Match {
     pub through: Vec<u32>,
 }
 
-impl Match {
-    /// This match as borrowed slices — the form the enumerator and the
-    /// covering DP work on.
-    pub fn as_ref(&self) -> MatchRef<'_> {
-        MatchRef {
-            cell: self.cell,
-            leaves: &self.leaves,
-            covered: &self.covered,
-            through: &self.through,
-        }
-    }
-}
-
-/// A [`Match`] borrowed from a [`MatchBuf`] (or from an owned `Match`):
-/// the same four fields as slices.
+/// A [`Match`] borrowed from a [`MatchBuf`]: the same four fields as
+/// slices.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MatchRef<'a> {
     /// Library cell index.
@@ -117,15 +104,10 @@ impl MatchSet {
         (0..self.ends.len()).map(|i| self.get(i))
     }
 
-    /// Appends `m` unless `policy` forbids it (a match covering through a
-    /// shared node under [`SharedPolicy::Forbid`]) or an equal match is
-    /// already held; returns whether it was appended.
-    fn push(&mut self, m: MatchRef<'_>, policy: SharedPolicy) -> bool {
-        if policy == SharedPolicy::Forbid && !m.through.is_empty() {
-            return false;
-        }
+    /// Appends `m` unless an equal match is already held.
+    fn push(&mut self, m: MatchRef<'_>) {
         if self.iter().any(|held| held == m) {
-            return false;
+            return;
         }
         self.leaves.extend_from_slice(m.leaves);
         self.covered.extend_from_slice(m.covered);
@@ -136,7 +118,6 @@ impl MatchSet {
             covered: self.covered.len() as u32,
             through: self.through.len() as u32,
         });
-        true
     }
 }
 
@@ -187,15 +168,6 @@ impl MatchBuf<'_> {
     /// The matches in enumeration order.
     pub fn iter(&self) -> impl Iterator<Item = MatchRef<'_>> {
         self.set.iter()
-    }
-
-    /// Appends a match found elsewhere (Boolean matching) behind the
-    /// structural ones, under the filter and the dedup they went through:
-    /// dropped if it covers through a shared node under
-    /// [`SharedPolicy::Forbid`] or equals a match already held. Returns
-    /// whether it was appended.
-    pub fn push(&mut self, m: MatchRef<'_>, policy: SharedPolicy) -> bool {
-        self.set.push(m, policy)
     }
 }
 
@@ -284,7 +256,7 @@ impl Embed<'_, '_> {
                 covered: &b.covered,
                 through: &b.through,
             };
-            b.set.push(m, self.policy);
+            b.set.push(m);
             return;
         };
         let depth = self.buf.pending.len();
@@ -832,16 +804,6 @@ mod tests {
         // per cell the two child orders; A's second pattern adds nothing
         let cells: Vec<u32> = ms.iter().map(|m| m.cell).collect();
         assert_eq!(cells, vec![0, 0, 1, 1]);
-        // the same filter and dedup serve matches pushed from outside
-        let mut buf = MatchBuf::new();
-        matches_at(&tree, tree.root(), &lib, &[], SharedPolicy::Forbid, &mut buf);
-        let first = buf.get(0).to_match();
-        assert!(!buf.push(first.as_ref(), SharedPolicy::Forbid), "an equal match is dropped");
-        let through = Match { through: vec![0], ..first.clone() };
-        assert!(!buf.push(through.as_ref(), SharedPolicy::Forbid), "Forbid filters through");
-        assert!(buf.push(through.as_ref(), SharedPolicy::Price));
-        assert_eq!(buf.len(), 5);
-        assert_eq!(buf.get(4).to_match(), through);
     }
 
     /// One buffer across trees of different sizes, large then small then

@@ -141,40 +141,17 @@ pub fn run_batch_job(job: &BatchJob, bopts: &BatchOptions) -> Result<JobSuccess,
     Ok(JobSuccess { rows, degraded })
 }
 
-/// Runs every job on the pool with [`run_batch_job`] under the default
-/// recovery policy.
-pub fn run_batch(jobs: &[BatchJob], pool: &Pool) -> BatchReport {
-    run_batch_opts(jobs, pool, &BatchOptions::default())
-}
-
-/// [`run_batch`] with an explicit recovery policy.
-pub fn run_batch_opts(jobs: &[BatchJob], pool: &Pool, bopts: &BatchOptions) -> BatchReport {
-    run_batch_with(jobs, pool, bopts, |j| run_batch_job(j, bopts))
-}
-
-/// [`run_batch_opts`] with a custom per-job runner — the seam
-/// fault-injection tests use to exercise the error paths. Retry wraps the
-/// runner: a panic or error triggers up to `bopts.retries` re-runs.
-pub fn run_batch_with<F>(
-    jobs: &[BatchJob],
-    pool: &Pool,
-    bopts: &BatchOptions,
-    runner: F,
-) -> BatchReport
-where
-    F: Fn(&BatchJob) -> Result<JobSuccess, FlowError> + Sync,
-{
-    run_batch_observed(jobs, pool, bopts, runner, |_, _| {})
-}
-
-/// [`run_batch_with`] plus a completion callback: `on_done(index,
-/// report)` runs as soon as job `index`'s outcome is known — on the
-/// worker thread for jobs that ran, and in a final flush on the calling
-/// thread for jobs that never started (pool-level cancellation or
-/// deadline). The callback therefore fires exactly once per job, so a
-/// checkpoint written from it is complete even when the batch is
-/// cancelled mid-run and the remaining jobs are drained unstarted.
-pub fn run_batch_observed<F, G>(
+/// Runs every job on the pool: `runner` computes one job (the default is
+/// `|j| run_batch_job(j, bopts)`; `casyn serve` and fault-injection tests
+/// pass their own), wrapped in retry — a panic or error triggers up to
+/// `bopts.retries` re-runs. `on_done(index, report)` runs as soon as job
+/// `index`'s outcome is known — on the worker thread for jobs that ran,
+/// and in a final flush on the calling thread for jobs that never started
+/// (pool-level cancellation or deadline). The callback therefore fires
+/// exactly once per job, so a checkpoint written from it is complete even
+/// when the batch is cancelled mid-run and the remaining jobs are drained
+/// unstarted.
+pub fn run_batch<F, G>(
     jobs: &[BatchJob],
     pool: &Pool,
     bopts: &BatchOptions,
@@ -285,10 +262,15 @@ mod tests {
         }
     }
 
+    /// The default runner, nothing observed.
+    fn run(jobs: &[BatchJob], pool: &Pool, bopts: &BatchOptions) -> BatchReport {
+        run_batch(jobs, pool, bopts, |j| run_batch_job(j, bopts), |_, _| {})
+    }
+
     #[test]
     fn batch_rows_match_direct_sweeps() {
         let jobs = [job(3, "a"), job(4, "b")];
-        let report = run_batch(&jobs, &Pool::new(2));
+        let report = run(&jobs, &Pool::new(2), &BatchOptions::default());
         assert_eq!(report.num_ok(), 2);
         assert_eq!(report.workers, 2);
         let bopts = BatchOptions::default();
@@ -311,12 +293,18 @@ mod tests {
     fn panicking_job_fails_alone() {
         let jobs = [job(3, "ok-1"), job(4, "poisoned"), job(5, "ok-2")];
         let bopts = BatchOptions::default();
-        let report = run_batch_with(&jobs, &Pool::new(2), &bopts, |j| {
-            if j.name == "poisoned" {
-                panic!("injected batch fault");
-            }
-            run_batch_job(j, &bopts)
-        });
+        let report = run_batch(
+            &jobs,
+            &Pool::new(2),
+            &bopts,
+            |j| {
+                if j.name == "poisoned" {
+                    panic!("injected batch fault");
+                }
+                run_batch_job(j, &bopts)
+            },
+            |_, _| {},
+        );
         assert_eq!(report.num_ok(), 2);
         assert_eq!(report.num_failed(), 1);
         let e = report.jobs[1].outcome.as_ref().unwrap_err();
@@ -329,7 +317,7 @@ mod tests {
     fn deadline_zero_fails_only_that_job() {
         let mut jobs = vec![job(3, "fast"), job(4, "doomed")];
         jobs[1].deadline = Some(Duration::ZERO);
-        let report = run_batch(&jobs, &Pool::serial());
+        let report = run(&jobs, &Pool::serial(), &BatchOptions::default());
         assert!(report.jobs[0].outcome.is_ok());
         let e = report.jobs[1].outcome.as_ref().unwrap_err();
         assert_eq!(e.kind, FlowErrorKind::Deadline);
@@ -339,8 +327,8 @@ mod tests {
     #[test]
     fn batch_is_deterministic_across_worker_counts() {
         let jobs = [job(7, "x"), job(8, "y"), job(9, "z")];
-        let serial = run_batch(&jobs, &Pool::serial());
-        let parallel = run_batch(&jobs, &Pool::new(4));
+        let serial = run(&jobs, &Pool::serial(), &BatchOptions::default());
+        let parallel = run(&jobs, &Pool::new(4), &BatchOptions::default());
         for (a, b) in serial.jobs.iter().zip(&parallel.jobs) {
             let (ra, rb) = (a.outcome.as_ref().unwrap(), b.outcome.as_ref().unwrap());
             for (x, y) in ra.rows.iter().zip(&rb.rows) {
@@ -360,7 +348,7 @@ mod tests {
         let mut j = job(3, "flaky");
         j.opts.fault = Some(FaultPlan::parse("map:panic:1").unwrap());
         let bopts = BatchOptions { retries: 1, ..Default::default() };
-        let report = run_batch_opts(&[j], &Pool::serial(), &bopts);
+        let report = run(&[j], &Pool::serial(), &bopts);
         assert_eq!(report.num_ok(), 1);
         assert_eq!(report.jobs[0].attempts, 2);
     }
@@ -371,7 +359,7 @@ mod tests {
         // trip on every early occurrence so both attempts fail
         j.opts.fault = Some(FaultPlan::parse("map:panic:1,map:panic:2").unwrap());
         let bopts = BatchOptions { retries: 1, ..Default::default() };
-        let report = run_batch_opts(&[j], &Pool::serial(), &bopts);
+        let report = run(&[j], &Pool::serial(), &bopts);
         assert_eq!(report.num_failed(), 1);
         assert_eq!(report.jobs[0].attempts, 2);
         let e = report.jobs[0].outcome.as_ref().unwrap_err();
@@ -388,7 +376,7 @@ mod tests {
         assert!(direct.degraded, "whole sweep unroutable: must escalate");
         assert_eq!(direct.rows.len(), j.ks.len() + 1);
         assert_eq!(*direct.rows.last().map(|r| &r.k).unwrap(), 0.2);
-        let report = run_batch(&[j.clone()], &Pool::serial());
+        let report = run(&[j.clone()], &Pool::serial(), &BatchOptions::default());
         assert_eq!(report.num_degraded(), 1);
         // escalation off: the job still succeeds, just without the rung
         let plain =
@@ -409,7 +397,7 @@ mod tests {
         let token = CancelToken::new();
         let bopts = BatchOptions { cancel: Some(token.clone()), ..Default::default() };
         let checkpoint: Mutex<Vec<Option<bool>>> = Mutex::new(vec![None; jobs.len()]);
-        let report = run_batch_observed(
+        let report = run_batch(
             &jobs,
             &Pool::serial(),
             &bopts,
@@ -438,9 +426,9 @@ mod tests {
             .filter(|(r, _)| r.outcome.is_err())
             .map(|(_, j)| j.clone())
             .collect();
-        let resumed = run_batch(&todo, &Pool::serial());
+        let resumed = run(&todo, &Pool::serial(), &BatchOptions::default());
         assert_eq!(resumed.num_ok(), 3);
-        let clean = run_batch(&jobs, &Pool::serial());
+        let clean = run(&jobs, &Pool::serial(), &BatchOptions::default());
         for (r, c) in resumed.jobs.iter().zip(&clean.jobs[1..]) {
             let (rr, cc) = (r.outcome.as_ref().unwrap(), c.outcome.as_ref().unwrap());
             for (x, y) in rr.rows.iter().zip(&cc.rows) {
@@ -457,7 +445,7 @@ mod tests {
         let jobs = [job(3, "a"), job(4, "b")];
         let bopts = BatchOptions::default();
         let seen: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        let report = run_batch_observed(
+        let report = run_batch(
             &jobs,
             &Pool::new(2),
             &bopts,

@@ -1,7 +1,7 @@
 //! Stage-boundary invariant checks.
 //!
 //! Each check inspects the artifact a pipeline stage just produced and
-//! returns a [`FlowError`] with [`FlowErrorKind::Invariant`] when the
+//! returns a [`FlowError`] with [`crate::FlowErrorKind::Invariant`] when the
 //! artifact is corrupt, instead of letting a downstream stage trip over
 //! it with an opaque panic or — worse — silently produce wrong results.
 //! The flow runs them after every stage when
@@ -81,7 +81,7 @@ fn subject_dag_inner(stage: Stage, graph: &SubjectGraph) -> Result<(), FlowError
 }
 
 /// Checks that every position is finite and inside the die (within
-/// [`BOUNDS_EPS`]). Used after initial placement and again after
+/// `BOUNDS_EPS`). Used after initial placement and again after
 /// legalization, hence the explicit `stage`.
 pub fn placement_in_bounds(
     stage: Stage,

@@ -26,7 +26,7 @@ pub enum Stage {
     Partition,
     /// Technology mapping (tree covering).
     Map,
-    /// Fanout buffering, port assignment and row legalization.
+    /// Port assignment and row legalization.
     Legalize,
     /// Global routing.
     Route,

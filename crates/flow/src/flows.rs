@@ -12,9 +12,7 @@
 use crate::check;
 use crate::error::{FlowError, FlowErrorKind, Stage};
 use crate::telemetry::{FlowTelemetry, StageScope};
-use casyn_core::{
-    buffer_fanout, map, BufferOptions, CostKind, MapOptions, MapStats, PartitionScheme,
-};
+use casyn_core::{map, CostKind, MapOptions, MapStats, PartitionScheme};
 use casyn_exec::Pool;
 use casyn_exec::{FaultKind, FaultPlan};
 use casyn_library::{corelib018, Library};
@@ -48,9 +46,6 @@ pub struct FlowOptions {
     /// Technology-independent optimization effort (the "SIS" phase);
     /// `None` skips extraction.
     pub optimize: Option<OptimizeOptions>,
-    /// Post-mapping fanout buffering (`None` = off). Splits high-fanout
-    /// nets with buffer trees before legalization.
-    pub buffering: Option<BufferOptions>,
     /// Run the stage-boundary invariant checks of [`crate::check`]. On by
     /// default in debug builds; the CLI's `--validate` turns it on in
     /// release.
@@ -70,7 +65,6 @@ impl Default for FlowOptions {
             floorplan: None,
             target_utilization: 0.611,
             optimize: None,
-            buffering: None,
             validate: cfg!(debug_assertions),
             fault: None,
         }
@@ -276,9 +270,6 @@ pub fn full_flow(
         check::mapped_netlist(Stage::Map, &nl)?;
     }
     let scope = StageScope::begin("legalize");
-    if let Some(buf) = &opts.buffering {
-        buffer_fanout(&mut nl, &opts.lib, buf);
-    }
     assign_mapped_ports(&mut nl, &prep.floorplan);
     // legalize the centre-of-mass seeds into rows
     let desired: Vec<Point> = nl.cells().iter().map(|c| c.pos).collect();
@@ -333,11 +324,7 @@ pub fn full_flow(
 /// cell area, congestion-oblivious.
 pub fn dagon_flow(network: &Network, opts: &FlowOptions) -> Result<FlowResult, FlowError> {
     let prep = prepare(network, opts)?;
-    full_flow(
-        &prep,
-        &MapOptions { scheme: PartitionScheme::Dagon, cost: CostKind::Area, ..Default::default() },
-        opts,
-    )
+    full_flow(&prep, &MapOptions { scheme: PartitionScheme::Dagon, cost: CostKind::Area }, opts)
 }
 
 /// The "SIS" flow: aggressive technology-independent extraction (maximum
@@ -350,11 +337,7 @@ pub fn sis_flow(network: &Network, opts: &FlowOptions) -> Result<FlowResult, Flo
         o.optimize = Some(OptimizeOptions::default());
     }
     let prep = prepare(network, &o)?;
-    full_flow(
-        &prep,
-        &MapOptions { scheme: PartitionScheme::Cone, cost: CostKind::Area, ..Default::default() },
-        &o,
-    )
+    full_flow(&prep, &MapOptions { scheme: PartitionScheme::Cone, cost: CostKind::Area }, &o)
 }
 
 /// The paper's congestion-aware flow: placement-driven partitioning and
@@ -378,11 +361,7 @@ pub fn congestion_flow_prepared(
 ) -> Result<FlowResult, FlowError> {
     full_flow(
         prep,
-        &MapOptions {
-            scheme: PartitionScheme::PlacementDriven,
-            cost: CostKind::AreaWire { k },
-            ..Default::default()
-        },
+        &MapOptions { scheme: PartitionScheme::PlacementDriven, cost: CostKind::AreaWire { k } },
         opts,
     )
 }
@@ -473,27 +452,6 @@ mod tests {
         let a0 = congestion_flow_prepared(&prep, 0.0, &opts).unwrap().cell_area;
         let a1 = congestion_flow_prepared(&prep, 10.0, &opts).unwrap().cell_area;
         assert!(a1 >= a0, "huge K must trade area: {a1} vs {a0}");
-    }
-
-    #[test]
-    fn buffering_bounds_fanout_and_preserves_function() {
-        use casyn_core::max_fanout;
-        let net = small_net();
-        let opts = FlowOptions {
-            buffering: Some(BufferOptions { max_fanout: 12, sinks_per_buffer: 6 }),
-            ..Default::default()
-        };
-        let r = congestion_flow(&net, 0.1, &opts).unwrap();
-        assert!(max_fanout(&r.netlist) <= 12);
-        let lib = &opts.lib;
-        let mut rng = StdRng::seed_from_u64(77);
-        for _ in 0..32 {
-            let asg: Vec<bool> = (0..10).map(|_| rng.gen()).collect();
-            assert_eq!(
-                net.simulate_outputs(&asg),
-                r.netlist.simulate_outputs_with(|c, p| lib.eval_cell(c, p), &asg)
-            );
-        }
     }
 
     #[test]

@@ -51,8 +51,7 @@ pub mod sweep;
 pub mod telemetry;
 
 pub use batch::{
-    run_batch, run_batch_job, run_batch_observed, run_batch_opts, run_batch_with, BatchJob,
-    BatchJobReport, BatchOptions, BatchReport, JobSuccess,
+    run_batch, run_batch_job, BatchJob, BatchJobReport, BatchOptions, BatchReport, JobSuccess,
 };
 pub use content_key::{fnv1a64, library_fingerprint, KeyBuilder};
 pub use durable::{
@@ -70,7 +69,7 @@ pub use ledger::{
 };
 pub use manifest::{
     file_stem, load_design, parse_design, parse_fault_plan, parse_manifest, parse_manifest_value,
-    DesignFormat, ManifestDefaults, ManifestJob,
+    DesignFormat, JobParam, ManifestDefaults, ManifestJob,
 };
 pub use methodology::{
     run_methodology, run_methodology_prepared, MethodologyResult, MethodologyStep,
@@ -81,8 +80,5 @@ pub use report::{
     format_telemetry_table, k_row_json,
 };
 pub use seq::{sequential_flow, simulate_mapped_seq, SeqFlowResult};
-pub use sweep::{
-    find_min_routable_k, find_min_routable_k_pool, k_sweep, k_sweep_prepared,
-    k_sweep_prepared_pool, ladder_rungs, KSweepEntry, PAPER_K_VALUES,
-};
+pub use sweep::{k_sweep_prepared, k_sweep_prepared_pool, KSweepEntry, PAPER_K_VALUES};
 pub use telemetry::{FlowTelemetry, StageTelemetry};

@@ -30,6 +30,7 @@ use casyn_netlist::Pla;
 use casyn_obs::json::JsonValue;
 use casyn_place::PlacerBackend;
 use std::fs;
+use std::time::Duration;
 
 /// The fallback values a manifest entry inherits when it omits a field.
 /// The CLI builds one from its flags; serve uses the server defaults.
@@ -55,6 +56,43 @@ impl Default for ManifestDefaults {
             layers: 3,
             optimize: false,
             placer: None,
+        }
+    }
+}
+
+/// A numeric job parameter that arrives from outside the program — a
+/// manifest field (`casyn batch`, a serve submit, a replayed journal
+/// record) or the CLI flag of the same name. [`JobParam::check`] is the one
+/// range check all of them pass, so a value the flow would panic on
+/// (a zero-area die, a negative deadline) is a typed error up front.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JobParam {
+    /// Target utilization: the die is the cell area divided by it.
+    Util,
+    /// Metal layers.
+    Layers,
+    /// A congestion minimization factor.
+    K,
+    /// A per-job deadline in milliseconds.
+    DeadlineMs,
+}
+
+impl JobParam {
+    /// `v` when it is in the parameter's range, else what the range is.
+    pub fn check(self, v: f64) -> Result<f64, String> {
+        let (ok, want) = match self {
+            JobParam::Util => ((0.01..=1.0).contains(&v), "in [0.01, 1]"),
+            JobParam::Layers => (v >= 1.0 && v.fract() == 0.0, "a whole number >= 1"),
+            JobParam::K => (v.is_finite() && v >= 0.0, "finite and >= 0"),
+            JobParam::DeadlineMs => (
+                Duration::try_from_secs_f64(v / 1e3).is_ok(),
+                "a finite, non-negative number of milliseconds",
+            ),
+        };
+        if ok {
+            Ok(v)
+        } else {
+            Err(format!("must be {want}, got {v}"))
         }
     }
 }
@@ -169,6 +207,12 @@ pub fn parse_fault_plan(spec: &str) -> Result<FaultPlan, String> {
 }
 
 impl ManifestJob {
+    /// The per-job deadline as a duration (`deadline_ms` was range-checked
+    /// when the entry was parsed).
+    pub fn deadline(&self) -> Option<Duration> {
+        self.deadline_ms.and_then(|ms| Duration::try_from_secs_f64(ms / 1e3).ok())
+    }
+
     /// The fault plan this entry asks for, validated: its `fault_plan`
     /// spec, else `decompose:panic:1` when the legacy `inject_panic` is
     /// set, else none.
@@ -287,11 +331,10 @@ pub fn parse_manifest_value(
     if entries.is_empty() {
         return Err("manifest has no jobs".into());
     }
-    let f64_field = |j: &JsonValue, key: &str, dflt: f64, i: usize| -> Result<f64, String> {
-        match j.get(key) {
-            None => Ok(dflt),
-            Some(v) => v.as_f64().ok_or(format!("job {i}: \"{key}\" must be a number")),
-        }
+    // a number of job `i`, range-checked; the error names job and field
+    let number = |v: &JsonValue, key: &str, param: JobParam, i: usize| -> Result<f64, String> {
+        let n = v.as_f64().ok_or(format!("job {i}: \"{key}\" must be a number"))?;
+        param.check(n).map_err(|e| format!("job {i}: \"{key}\" {e}"))
     };
     let bool_field = |j: &JsonValue, key: &str, i: usize| -> Result<bool, String> {
         match j.get(key) {
@@ -333,7 +376,7 @@ pub fn parse_manifest_value(
                     .as_array()
                     .ok_or(format!("job {i}: \"ks\" must be an array"))?
                     .iter()
-                    .map(|k| k.as_f64().ok_or(format!("job {i}: \"ks\" entries must be numbers")))
+                    .map(|k| number(k, "ks", JobParam::K, i))
                     .collect::<Result<_, _>>()?,
             };
             let placer = match j.get("placer") {
@@ -351,12 +394,18 @@ pub fn parse_manifest_value(
                 source,
                 format,
                 ks,
-                util: f64_field(j, "util", defaults.util, i)?,
-                layers: f64_field(j, "layers", defaults.layers as f64, i)? as usize,
+                util: match j.get("util") {
+                    None => defaults.util,
+                    Some(v) => number(v, "util", JobParam::Util, i)?,
+                },
+                layers: match j.get("layers") {
+                    None => defaults.layers,
+                    Some(v) => number(v, "layers", JobParam::Layers, i)? as usize,
+                },
                 optimize: bool_field(j, "optimize", i)? || defaults.optimize,
                 deadline_ms: j
                     .get("deadline_ms")
-                    .map(|v| v.as_f64().ok_or(format!("job {i}: \"deadline_ms\" must be a number")))
+                    .map(|v| number(v, "deadline_ms", JobParam::DeadlineMs, i))
                     .transpose()?,
                 inject_panic: bool_field(j, "inject_panic", i)?,
                 fault_plan: str_field(j, "fault_plan", i)?,
@@ -429,6 +478,63 @@ mod tests {
         assert!(parse_manifest(r#"[{"design": "x.pla", "format": "vhdl"}]"#, &d())
             .unwrap_err()
             .contains("vhdl"));
+    }
+
+    /// Every numeric field, fed the values a hostile or careless client
+    /// sends: each is either rejected by name, or accepted — and then the
+    /// job it describes must run to completion (the dispatcher thread that
+    /// would run it is not behind a `catch_unwind`).
+    #[test]
+    fn numeric_fields_are_range_checked_or_harmless() {
+        let design = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/designs/ex_a.pla");
+        let hostile = [-1.0, 0.0, -0.0, 1e-320, 1e308, 2.7];
+        let mut accepted = Vec::new();
+        for field in ["util", "layers", "ks", "deadline_ms"] {
+            for v in hostile {
+                let ks = if field == "ks" { format!("[{v:e}]") } else { "[0.5]".into() };
+                let other =
+                    if field == "ks" { String::new() } else { format!(r#", "{field}": {v:e}"#) };
+                let text = format!(r#"[{{"design": {design:?}, "ks": {ks}{other}}}]"#);
+                let job = match parse_manifest(&text, &d()) {
+                    Err(e) => {
+                        assert!(e.contains(&format!("job 0: \"{field}\"")), "{field}={v:e}: {e}");
+                        continue;
+                    }
+                    Ok(mut jobs) => jobs.remove(0),
+                };
+                accepted.push((field, v));
+                let _ = job.deadline();
+                let (network, _) = job.load_network().unwrap();
+                let opts = job.flow_options(true);
+                let prep = crate::flows::prepare(&network, &opts).unwrap();
+                for &k in &job.ks {
+                    crate::flows::congestion_flow_prepared(&prep, k, &opts).unwrap();
+                }
+            }
+        }
+        // what is in range, exactly: nothing for util; a huge but whole
+        // layer count; every non-negative K; every deadline that converts
+        let want: Vec<(&str, f64)> = [("layers", 1e308)]
+            .into_iter()
+            .chain([0.0, -0.0, 1e-320, 1e308, 2.7].map(|v| ("ks", v)))
+            .chain([0.0, -0.0, 1e-320, 2.7].map(|v| ("deadline_ms", v)))
+            .collect();
+        assert_eq!(format!("{accepted:?}"), format!("{want:?}"));
+    }
+
+    #[test]
+    fn deadline_converts_without_panicking() {
+        let mut job = parse_manifest(r#"[{"design": "x.pla", "deadline_ms": 1500}]"#, &d())
+            .unwrap()
+            .remove(0);
+        assert_eq!(job.deadline(), Some(Duration::from_millis(1500)));
+        // a hand-built entry out of range has no deadline, not a panic
+        for ms in [-1.0, 1e300, f64::NAN] {
+            job.deadline_ms = Some(ms);
+            assert_eq!(job.deadline(), None);
+        }
+        job.deadline_ms = None;
+        assert_eq!(job.deadline(), None);
     }
 
     #[test]

@@ -75,7 +75,6 @@ pub fn sequential_flow(
     let map_opts = MapOptions {
         scheme: PartitionScheme::PlacementDriven,
         cost: if k == 0.0 { CostKind::Area } else { CostKind::AreaWire { k } },
-        ..Default::default()
     };
     let mut r = full_flow(&prep, &map_opts, opts)?;
     let nl = &mut r.netlist;

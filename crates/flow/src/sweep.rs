@@ -1,9 +1,8 @@
 //! The K sweep behind the paper's Tables 2 and 4.
 
-use crate::error::{FlowError, Stage};
-use crate::flows::{congestion_flow_prepared, prepare, FlowOptions, FlowResult, Prepared};
+use crate::error::FlowError;
+use crate::flows::{congestion_flow_prepared, FlowOptions, FlowResult, Prepared};
 use casyn_exec::{JobOptions, Pool};
-use casyn_netlist::network::Network;
 
 /// The K values the paper sweeps in Tables 2 and 4.
 pub const PAPER_K_VALUES: [f64; 14] = [
@@ -26,20 +25,10 @@ impl KSweepEntry {
     }
 }
 
-/// Runs the congestion-aware flow at every K over one shared technology-
-/// independent netlist and placement (generated once, as the paper's
-/// methodology prescribes).
-pub fn k_sweep(
-    network: &Network,
-    ks: &[f64],
-    opts: &FlowOptions,
-) -> Result<Vec<KSweepEntry>, FlowError> {
-    let prep = prepare(network, opts)?;
-    k_sweep_prepared(&prep, ks, opts)
-}
-
-/// [`k_sweep`] over an existing [`Prepared`] design. Stops at the first
-/// failing K; the error carries the stage that failed.
+/// Runs the congestion-aware flow at every K over one [`Prepared`]
+/// design — the technology-independent netlist and its placement are
+/// generated once, as the paper's methodology prescribes. Stops at the
+/// first failing K; the error carries the stage that failed.
 pub fn k_sweep_prepared(
     prep: &Prepared,
     ks: &[f64],
@@ -75,155 +64,12 @@ pub fn k_sweep_prepared_pool(
         .collect()
 }
 
-/// The geometric probe ladder of [`find_min_routable_k`]: `k_min`,
-/// doubling rungs strictly below `k_max`, and then `k_max` itself as the
-/// final rung. Clamping the last rung matters: a pure `k *= 2` ladder
-/// from e.g. `k_min = 0.01` tops out at 10.24 against `k_max = 16.0` and
-/// would report "unroutable" without ever probing 16.0.
-pub fn ladder_rungs(k_min: f64, k_max: f64) -> Result<Vec<f64>, FlowError> {
-    if !(k_min > 0.0 && k_max > k_min) {
-        return Err(FlowError::bad_input(
-            Stage::Sweep,
-            format!("ladder needs 0 < k_min < k_max, got k_min={k_min}, k_max={k_max}"),
-        ));
-    }
-    let mut rungs = Vec::new();
-    let mut k = k_min;
-    while k < k_max {
-        rungs.push(k);
-        k *= 2.0;
-    }
-    rungs.push(k_max);
-    Ok(rungs)
-}
-
-/// Searches for the smallest K whose mapping routes without violations —
-/// the designer loop of the paper's Section 5 ("by increasing K,
-/// efficiently generate solutions which are potentially less congested"),
-/// automated. Probes the geometric [`ladder_rungs`] from `k_min` to
-/// `k_max` (inclusive), then bisects between the last failing and first
-/// passing rungs. Returns `Ok(None)` when even `k_max` does not route.
-pub fn find_min_routable_k(
-    prep: &Prepared,
-    opts: &FlowOptions,
-    k_min: f64,
-    k_max: f64,
-) -> Result<Option<KSweepEntry>, FlowError> {
-    find_min_routable_k_pool(prep, opts, k_min, k_max, &Pool::serial())
-}
-
-/// [`find_min_routable_k`] with the *ladder* probes fanned out across a
-/// [`Pool`]. The serial path stops at the first passing rung; the
-/// parallel path probes every rung concurrently and picks the first
-/// passing one, so both select the same rung and return bit-identical
-/// results (each probe is a pure function of the shared [`Prepared`]).
-/// Only the ladder parallelizes: the follow-up [`refine_k_boundary`]
-/// phase is serial by design, because each of its probes depends on the
-/// previous probe's routability verdict — see its docs for why (and note
-/// it is a bisection of the *K interval*, unrelated to the placement
-/// layer's bisection backend).
-pub fn find_min_routable_k_pool(
-    prep: &Prepared,
-    opts: &FlowOptions,
-    k_min: f64,
-    k_max: f64,
-    pool: &Pool,
-) -> Result<Option<KSweepEntry>, FlowError> {
-    find_min_routable_k_traced(prep, opts, k_min, k_max, pool, &mut ProbeTrace::default())
-}
-
-/// The Ks one [`find_min_routable_k`] search actually probed: the
-/// selected ladder rung and every boundary-refinement probe in order.
-/// Used to assert that worker count never changes the search trajectory.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct ProbeTrace {
-    /// The first passing ladder rung (`None` when nothing routed).
-    rung: Option<f64>,
-    /// The refinement probes, in the order they ran.
-    refine_probes: Vec<f64>,
-}
-
-/// [`find_min_routable_k_pool`] recording the probed Ks into `trace`.
-fn find_min_routable_k_traced(
-    prep: &Prepared,
-    opts: &FlowOptions,
-    k_min: f64,
-    k_max: f64,
-    pool: &Pool,
-    trace: &mut ProbeTrace,
-) -> Result<Option<KSweepEntry>, FlowError> {
-    let rungs = ladder_rungs(k_min, k_max)?;
-    let mut first_pass: Option<(usize, FlowResult)> = None;
-    if pool.workers() == 1 {
-        // serial: probe in order, stop at the first routable rung
-        for (i, &k) in rungs.iter().enumerate() {
-            let r = congestion_flow_prepared(prep, k, opts)?;
-            if r.route.violations == 0 {
-                first_pass = Some((i, r));
-                break;
-            }
-        }
-    } else {
-        let probes = pool.try_par_map(&rungs, &JobOptions::default(), |&k| {
-            congestion_flow_prepared(prep, k, opts)
-        });
-        // walk in rung order so a failure before the first passing rung
-        // surfaces exactly as it would serially
-        for (i, probe) in probes.into_iter().enumerate() {
-            let r = match probe {
-                Ok(inner) => inner?,
-                Err(job) => return Err(FlowError::from(job)),
-            };
-            if r.route.violations == 0 {
-                first_pass = Some((i, r));
-                break;
-            }
-        }
-    }
-    let Some((pass_idx, hi_r)) = first_pass else { return Ok(None) };
-    trace.rung = Some(rungs[pass_idx]);
-    let lo = if pass_idx == 0 { 0.0 } else { rungs[pass_idx - 1] };
-    let entry = refine_k_boundary(prep, opts, lo, rungs[pass_idx], hi_r, &mut trace.refine_probes)?;
-    Ok(Some(entry))
-}
-
-/// Tightens the routability boundary between the last failing K (`lo`)
-/// and the first passing rung (`hi_k`) with four log-scale midpoint
-/// probes. This phase is serial *by design*, not by omission: each
-/// probe's K is chosen from the previous probe's routability verdict, so
-/// there is no independent work to hand a pool — unlike the ladder,
-/// whose rungs are fixed up front. Every probed K is appended to
-/// `probed`, which lets tests pin down that the trajectory is identical
-/// for any worker count.
-fn refine_k_boundary(
-    prep: &Prepared,
-    opts: &FlowOptions,
-    mut lo: f64,
-    mut hi_k: f64,
-    mut hi_r: FlowResult,
-    probed: &mut Vec<f64>,
-) -> Result<KSweepEntry, FlowError> {
-    for _ in 0..4 {
-        let mid = if lo == 0.0 { hi_k / 2.0 } else { (lo * hi_k).sqrt() };
-        if mid <= 0.0 || mid >= hi_k {
-            break;
-        }
-        probed.push(mid);
-        let r = congestion_flow_prepared(prep, mid, opts)?;
-        if r.route.violations == 0 {
-            hi_k = mid;
-            hi_r = r;
-        } else {
-            lo = mid;
-        }
-    }
-    Ok(KSweepEntry { k: hi_k, result: hi_r })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flows::prepare;
     use casyn_netlist::bench::{random_pla, PlaGenConfig};
+    use casyn_netlist::network::Network;
 
     fn small_net() -> Network {
         random_pla(&PlaGenConfig {
@@ -243,7 +89,7 @@ mod tests {
         let net = small_net();
         let opts = FlowOptions::default();
         let ks = [0.0, 0.01, 1.0];
-        let rows = k_sweep(&net, &ks, &opts).unwrap();
+        let rows = k_sweep_prepared(&prepare(&net, &opts).unwrap(), &ks, &opts).unwrap();
         assert_eq!(rows.len(), 3);
         for (row, k) in rows.iter().zip(ks) {
             assert_eq!(row.k, k);
@@ -256,53 +102,15 @@ mod tests {
         // region); on a small design we assert the ends of the range
         let net = small_net();
         let opts = FlowOptions::default();
-        let rows = k_sweep(&net, &[0.0, 10.0], &opts).unwrap();
+        let rows = k_sweep_prepared(&prepare(&net, &opts).unwrap(), &[0.0, 10.0], &opts).unwrap();
         assert!(rows[1].result.cell_area >= rows[0].result.cell_area);
-    }
-
-    #[test]
-    fn min_routable_k_finds_a_routable_point() {
-        let net = small_net();
-        // generous die: everything routes, so the search returns k_min
-        let opts = FlowOptions { target_utilization: 0.35, ..Default::default() };
-        let prep = crate::flows::prepare(&net, &opts).unwrap();
-        let found = find_min_routable_k(&prep, &opts, 0.01, 16.0)
-            .unwrap()
-            .expect("a routable K must exist on a loose die");
-        assert_eq!(found.result.route.violations, 0);
-        assert!(found.k <= 0.01 * 1.0001);
-    }
-
-    #[test]
-    fn ladder_clamps_final_rung_to_k_max() {
-        // regression: the pure-doubling ladder from 0.01 tops out at
-        // 10.24 and never probed k_max = 16.0, reporting "unroutable"
-        // even when 16.0 routes
-        let rungs = ladder_rungs(0.01, 16.0).unwrap();
-        assert_eq!(*rungs.last().unwrap(), 16.0, "k_max itself must be probed");
-        assert!((rungs[rungs.len() - 2] - 10.24).abs() < 1e-12);
-        for w in rungs.windows(2) {
-            assert!(w[0] < w[1], "rungs must be strictly increasing");
-        }
-        // exact power-of-two span: no duplicate final rung
-        assert_eq!(ladder_rungs(1.0, 16.0).unwrap(), vec![1.0, 2.0, 4.0, 8.0, 16.0]);
-        // k_max below the first doubling still yields both endpoints
-        assert_eq!(ladder_rungs(1.0, 1.5).unwrap(), vec![1.0, 1.5]);
-    }
-
-    #[test]
-    fn bad_ladder_bounds_are_typed_errors() {
-        let e = ladder_rungs(0.0, 1.0).unwrap_err();
-        assert_eq!(e.stage, Stage::Sweep);
-        assert!(e.detail.contains("k_min"));
-        assert!(ladder_rungs(2.0, 1.0).is_err());
     }
 
     #[test]
     fn parallel_sweep_is_bit_identical_to_serial() {
         let net = small_net();
         let opts = FlowOptions::default();
-        let prep = crate::flows::prepare(&net, &opts).unwrap();
+        let prep = prepare(&net, &opts).unwrap();
         let ks = [0.0, 0.001, 0.05, 1.0];
         let serial = k_sweep_prepared(&prep, &ks, &opts).unwrap();
         let parallel = k_sweep_prepared_pool(&prep, &ks, &opts, &casyn_exec::Pool::new(4)).unwrap();
@@ -317,45 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_min_routable_k_matches_serial() {
-        let net = small_net();
-        let opts = FlowOptions { target_utilization: 0.35, ..Default::default() };
-        let prep = crate::flows::prepare(&net, &opts).unwrap();
-        let serial = find_min_routable_k(&prep, &opts, 0.01, 16.0).unwrap().unwrap();
-        let parallel =
-            find_min_routable_k_pool(&prep, &opts, 0.01, 16.0, &casyn_exec::Pool::new(4))
-                .unwrap()
-                .unwrap();
-        assert_eq!(serial.k, parallel.k);
-        assert_eq!(serial.result.cell_area, parallel.result.cell_area);
-        assert_eq!(serial.result.route.violations, parallel.result.route.violations);
-    }
-
-    #[test]
-    fn ladder_and_refine_probe_the_same_ks_for_any_worker_count() {
-        // regression for the docs/code drift around "the bisection
-        // refinement stays serial": the pool parallelizes only the
-        // ladder, so the selected rung AND the serial refinement's probe
-        // trajectory must be identical under 1 and 4 workers
-        let net = small_net();
-        let opts = FlowOptions { target_utilization: 0.35, ..Default::default() };
-        let prep = crate::flows::prepare(&net, &opts).unwrap();
-        let mut t1 = ProbeTrace::default();
-        let mut t4 = ProbeTrace::default();
-        let one = find_min_routable_k_traced(&prep, &opts, 0.01, 16.0, &Pool::new(1), &mut t1)
-            .unwrap()
-            .expect("routable on a loose die");
-        let four = find_min_routable_k_traced(&prep, &opts, 0.01, 16.0, &Pool::new(4), &mut t4)
-            .unwrap()
-            .expect("routable on a loose die");
-        assert_eq!(t1.rung, t4.rung, "both worker counts must select the same ladder rung");
-        assert_eq!(t1.refine_probes, t4.refine_probes, "refinement must probe the same Ks");
-        assert!(!t1.refine_probes.is_empty(), "the boundary refinement must actually probe");
-        assert_eq!(one.k, four.k);
-        assert_eq!(one.result.route.violations, four.result.route.violations);
-    }
-
-    #[test]
     fn parallel_sweep_surfaces_injected_panics_as_typed_errors() {
         use crate::error::FlowErrorKind;
         let net = small_net();
@@ -363,7 +132,7 @@ mod tests {
             fault: Some(casyn_exec::FaultPlan::parse("map:panic:2").unwrap()),
             ..Default::default()
         };
-        let prep = crate::flows::prepare(&net, &opts).unwrap();
+        let prep = prepare(&net, &opts).unwrap();
         let e = k_sweep_prepared_pool(&prep, &[0.0, 0.001], &opts, &casyn_exec::Pool::new(2))
             .unwrap_err();
         assert_eq!(e.kind, FlowErrorKind::Panicked);

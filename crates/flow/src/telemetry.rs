@@ -2,7 +2,7 @@
 //! attributed to each pipeline stage, exportable as JSON.
 //!
 //! [`FlowTelemetry`] is collected by [`crate::flows::prepare`] and
-//! [`crate::flows::full_flow`] using [`StageScope`]: a snapshot of the
+//! [`crate::flows::full_flow`] using `StageScope`: a snapshot of the
 //! global [`casyn_obs`] registry is taken when a stage starts, and the
 //! delta when it finishes becomes that stage's metric attribution. Wall
 //! clock is always measured; metric deltas appear only when collection

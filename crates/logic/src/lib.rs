@@ -4,16 +4,14 @@
 //! by SIS. This crate rebuilds the pieces of that phase the experiments
 //! depend on:
 //!
-//! * [`kernels`] — kernel enumeration of sum-of-products covers (the
+//! * [`mod@kernels`] — kernel enumeration of sum-of-products covers (the
 //!   classic recursive algorithm from multilevel logic synthesis).
 //! * [`extract`] — greedy common-cube and kernel extraction across the
 //!   network. Extraction minimizes literals by *sharing* logic, which is
 //!   exactly the mechanism the paper blames for congestion: "a gate of
 //!   small size shared between several functions may increase the wiring
 //!   area to an extent that far exceeds the area saved".
-//! * [`simplify`] — light espresso-style two-level cleanup (containment,
-//!   distance-1 merging, literal expansion).
-//! * [`decompose`] — decomposition of an optimized network into the
+//! * [`mod@decompose`] — decomposition of an optimized network into the
 //!   NAND2/INV subject graph consumed by technology mapping.
 //!
 //! # Example
@@ -34,9 +32,7 @@
 pub mod decompose;
 pub mod extract;
 pub mod kernels;
-pub mod simplify;
 
 pub use decompose::{decompose, Decomposed};
 pub use extract::{extract_cubes, extract_kernels, optimize, OptimizeOptions};
 pub use kernels::{kernels, KernelPair};
-pub use simplify::{simplify_network, simplify_sop, SimplifyOptions};

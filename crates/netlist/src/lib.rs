@@ -13,7 +13,7 @@
 //! * [`mapped`] — the technology-dependent gate-level netlist produced by
 //!   the mapper, with cell positions and derived nets.
 //! * [`pla`] — espresso-style `.pla` parsing/printing.
-//! * [`bench`] — seeded synthetic benchmark generators standing in for the
+//! * [`mod@bench`] — seeded synthetic benchmark generators standing in for the
 //!   IWLS93 circuits used by the paper (SPLA, PDC, TOO_LARGE).
 //!
 //! # Example

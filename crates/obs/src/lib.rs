@@ -6,7 +6,7 @@
 //! - a thread-safe global [`Registry`] of counters, gauges, and log-scale
 //!   histograms keyed `stage.metric` (e.g. `route.iterations`,
 //!   `map.matches_tried`, `place.fm_passes`);
-//! - [`StageTimer`] / [`span!`] for wall-clock scoping;
+//! - [`StageTimer`] / [`trace::span`] for wall-clock scoping;
 //! - [`trace`]: a hierarchical, thread-aware span tree with Chrome
 //!   trace-event and `casyn.trace.v1` sinks;
 //! - [`alloc`]: per-process heap accounting via a counting global

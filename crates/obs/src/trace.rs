@@ -1,6 +1,6 @@
 //! Hierarchical, thread-aware span tracing.
 //!
-//! Where the metrics [`registry`](crate::registry) answers *how much*
+//! Where the metrics registry ([`crate::Registry`]) answers *how much*
 //! (counts, distributions), this module answers *where the time went*:
 //! every instrumented scope becomes a span with an id, a parent id, the
 //! label of the thread it ran on, a start offset and duration relative

@@ -88,16 +88,6 @@ impl Floorplan {
     pub fn clamp(&self, p: Point) -> Point {
         Point::new(p.x.clamp(0.0, self.die_width), p.y.clamp(0.0, self.die_height))
     }
-
-    /// A floorplan with the same width but `extra` additional rows — the
-    /// paper's "introducing more routing resources" relaxation step.
-    pub fn with_extra_rows(&self, extra: usize) -> Floorplan {
-        Floorplan {
-            die_width: self.die_width,
-            die_height: (self.num_rows + extra) as f64 * ROW_HEIGHT,
-            num_rows: self.num_rows + extra,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -147,15 +137,6 @@ mod tests {
         }
         // evenly spread
         assert!((pis[1].y - pis[0].y - fp.die_height / 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn extra_rows_extend_height() {
-        let fp = Floorplan::with_rows_and_area(71, 207_062.0);
-        let fp2 = fp.with_extra_rows(2);
-        assert_eq!(fp2.num_rows, 73);
-        assert!(fp2.die_area() > fp.die_area());
-        assert_eq!(fp2.die_width, fp.die_width);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! the number of committed path edges crossing it, so summing each
 //! net's edge count recovers the boundary's usage term, and adding the
 //! static pin-escape blockage recovers the full load the capacity check
-//! saw. [`build_audit`] asserts nothing but guarantees by construction
+//! saw. `build_audit` asserts nothing but guarantees by construction
 //! that for every audited boundary
 //! `blockage + Σ nets[i].demand == demand` up to floating-point
 //! rounding — the invariant the test suite checks.

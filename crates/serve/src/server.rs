@@ -7,7 +7,7 @@
 //! (requests are short; the only long-lived handlers are `result?wait=1`
 //! and `/jobs/<id>/events` streams, which block on a condvar, not a
 //! core). One dispatcher thread drains the admission queue in batches
-//! into [`casyn_flow::batch::run_batch_observed`] on the shared
+//! into [`casyn_flow::batch::run_batch`] on the shared
 //! `casyn-exec` pool — so serve jobs inherit the batch runner's panic
 //! isolation, retries, per-job deadlines and cancellation semantics
 //! unchanged.
@@ -27,7 +27,7 @@ use crate::cache::{DiskCache, Lru};
 use crate::http::{self, HttpError, Request};
 use casyn_exec::{CancelToken, FaultKind, FaultPlan, Pool};
 use casyn_flow::batch::{
-    run_batch_job, run_batch_observed, BatchJob, BatchJobReport, BatchOptions, JobSuccess,
+    run_batch, run_batch_job, BatchJob, BatchJobReport, BatchOptions, JobSuccess,
 };
 use casyn_flow::durable::Wal;
 use casyn_flow::telemetry::snapshot_json;
@@ -1429,7 +1429,7 @@ fn run_tasks(shared: &Arc<Shared>, pool: &Pool, tasks: &[Task]) {
                 network: t.network.clone(),
                 ks: t.mjob.ks.clone(),
                 opts,
-                deadline: t.mjob.deadline_ms.map(|ms| Duration::from_secs_f64(ms / 1e3)),
+                deadline: t.mjob.deadline(),
             }
         })
         .collect();
@@ -1465,7 +1465,7 @@ fn run_tasks(shared: &Arc<Shared>, pool: &Pool, tasks: &[Task]) {
         Ok(JobSuccess { rows, degraded: false })
     };
     let on_done = |i: usize, jr: &BatchJobReport| finish_job(shared, &tasks[i], jr);
-    run_batch_observed(&jobs, pool, &bopts, runner, on_done);
+    run_batch(&jobs, pool, &bopts, runner, on_done);
 }
 
 fn finish_job(shared: &Shared, t: &Task, jr: &BatchJobReport) {

@@ -49,8 +49,7 @@ fn main() {
             ("area+0.01*wire", CostKind::AreaWire { k: 0.01 }),
             ("area+1.0*wire", CostKind::AreaWire { k: 1.0 }),
         ] {
-            let r =
-                map(&graph, &positions, &lib, &MapOptions { scheme, cost, ..Default::default() });
+            let r = map(&graph, &positions, &lib, &MapOptions { scheme, cost });
             println!(
                 "{:<18} {:<16} {:>7} {:>12.1} {:>10.0} {:>8} {:>8}",
                 sname,
@@ -71,7 +70,6 @@ fn main() {
         &MapOptions {
             scheme: PartitionScheme::PlacementDriven,
             cost: CostKind::AreaWire { k: 0.01 },
-            ..Default::default()
         },
     );
     let mut hist: Vec<(&str, usize)> = r.netlist.cell_histogram().into_iter().collect();

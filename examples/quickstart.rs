@@ -47,7 +47,6 @@ fn main() {
         &MapOptions {
             scheme: PartitionScheme::PlacementDriven,
             cost: CostKind::AreaWire { k: 2.0 },
-            ..Default::default()
         },
     );
     println!("\n== congestion-aware mapping (K = 2.0) ==");

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Flow-stage code reachable from run_flow / k_sweep / run_batch must report
-# failures through the typed FlowError spine — panic!, .unwrap() and
-# .expect( are forbidden there (test modules excluded). unreachable!() is
-# allowed: it marks branches the type system cannot rule out but the
-# invariants do.
+# Flow-stage code reachable from prepare / full_flow / k_sweep_prepared /
+# run_batch must report failures through the typed FlowError spine —
+# panic!, .unwrap() and .expect( are forbidden there (test modules
+# excluded). unreachable!() is allowed: it marks branches the type system
+# cannot rule out but the invariants do.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

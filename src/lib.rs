@@ -15,7 +15,7 @@
 //! | [`netlist`] | `casyn-netlist` | SOPs, Boolean networks, subject graphs, mapped netlists, PLA I/O, benchmark generators |
 //! | [`logic`] | `casyn-logic` | kernel/cube extraction, NAND2/INV decomposition |
 //! | [`library`] | `casyn-library` | cell + pattern model, the synthetic 0.18 µm library |
-//! | [`place`] | `casyn-place` | layout image, min-cut placement, legalization |
+//! | [`place`] | `casyn-place` | layout image, k-way (default) and min-cut bisection placement, legalization |
 //! | [`route`] | `casyn-route` | capacitated global routing, congestion maps |
 //! | [`timing`] | `casyn-timing` | static timing analysis |
 //! | [`core`] | `casyn-core` | DAG partitioning, matching, congestion-aware covering |
@@ -61,8 +61,8 @@ pub use casyn_timing as timing;
 pub mod prelude {
     pub use casyn_core::{map, CostKind, MapOptions, MapResult, PartitionScheme};
     pub use casyn_flow::{
-        congestion_flow, dagon_flow, k_sweep, prepare, run_methodology, sis_flow, FlowError,
-        FlowErrorKind, FlowOptions, FlowResult, Prepared, Stage,
+        congestion_flow, dagon_flow, k_sweep_prepared, prepare, run_methodology, sis_flow,
+        FlowError, FlowErrorKind, FlowOptions, FlowResult, Prepared, Stage,
     };
     pub use casyn_library::{corelib018, Library};
     pub use casyn_logic::{decompose, optimize, OptimizeOptions};

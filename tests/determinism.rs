@@ -175,14 +175,13 @@ fn mapping_is_bit_identical_to_the_recorded_one() {
     let (ex_a, rand16) = pinned_designs();
     let pd = PartitionScheme::PlacementDriven;
     let configs = [
-        (PartitionScheme::Dagon, CostKind::Area, false),
-        (PartitionScheme::Cone, CostKind::Area, false),
-        (pd, CostKind::AreaWire { k: 0.0 }, false),
-        (pd, CostKind::AreaWire { k: 0.5 }, false),
-        (pd, CostKind::AreaWire { k: 5.0 }, false),
-        (pd, CostKind::AreaWire { k: 0.5 }, true),
+        (PartitionScheme::Dagon, CostKind::Area),
+        (PartitionScheme::Cone, CostKind::Area),
+        (pd, CostKind::AreaWire { k: 0.0 }),
+        (pd, CostKind::AreaWire { k: 0.5 }),
+        (pd, CostKind::AreaWire { k: 5.0 }),
     ];
-    let golden: [(&str, &Pla, [u64; 6]); 2] = [
+    let golden: [(&str, &Pla, [u64; 5]); 2] = [
         (
             "ex_a",
             &ex_a,
@@ -192,7 +191,6 @@ fn mapping_is_bit_identical_to_the_recorded_one() {
                 0xe594_b019_d917_d25a,
                 0xeca3_2cc0_bf5b_6f30,
                 0x30b0_70d9_66c7_f16c,
-                0x9428_180d_f9e8_49d3,
             ],
         ),
         (
@@ -204,7 +202,6 @@ fn mapping_is_bit_identical_to_the_recorded_one() {
                 0x8722_39be_8fa5_73f6,
                 0x5163_2a7e_90dd_6734,
                 0xd259_54d9_6b1e_114d,
-                0xc1f7_6f61_b6a9_feb2,
             ],
         ),
     ];
@@ -212,18 +209,12 @@ fn mapping_is_bit_identical_to_the_recorded_one() {
         let mut opts = FlowOptions::default();
         opts.placer.backend = PlacerBackend::KWay;
         let prep = prepare(&pla.to_network(), &opts).unwrap();
-        for ((scheme, cost, boolean_matching), want) in configs.into_iter().zip(hashes) {
-            let r = map(
-                &prep.graph,
-                &prep.positions,
-                &opts.lib,
-                &MapOptions { scheme, cost, boolean_matching },
-            );
+        for ((scheme, cost), want) in configs.into_iter().zip(hashes) {
+            let r = map(&prep.graph, &prep.positions, &opts.lib, &MapOptions { scheme, cost });
             assert_eq!(
                 fnv1a_of_mapping(&r),
                 want,
-                "{name} {scheme:?} {cost:?} boolean={boolean_matching}: mapping moved \
-                 ({} cells, {:?})",
+                "{name} {scheme:?} {cost:?}: mapping moved ({} cells, {:?})",
                 r.netlist.num_cells(),
                 r.stats
             );

@@ -87,7 +87,7 @@ proptest! {
             PartitionScheme::Cone,
             PartitionScheme::PlacementDriven,
         ][scheme_idx];
-        let r = map(&graph, &positions, &lib, &MapOptions { scheme, cost: CostKind::AreaWire { k }, ..Default::default() });
+        let r = map(&graph, &positions, &lib, &MapOptions { scheme, cost: CostKind::AreaWire { k } });
         for m in 0..(1u32 << cfg.inputs) {
             let asg: Vec<bool> = (0..cfg.inputs).map(|i| m >> i & 1 == 1).collect();
             prop_assert_eq!(

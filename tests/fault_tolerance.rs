@@ -5,7 +5,7 @@
 //! would wire it.
 
 use casyn::exec::{FaultPlan, Pool};
-use casyn::flow::batch::{run_batch_job, run_batch_opts, BatchJob, BatchOptions};
+use casyn::flow::batch::{run_batch, run_batch_job, BatchJob, BatchOptions};
 use casyn::flow::{congestion_flow, FlowErrorKind, FlowOptions, Stage};
 use casyn::netlist::bench::{random_pla, PlaGenConfig};
 use casyn::netlist::network::Network;
@@ -98,7 +98,7 @@ fn batch_recovers_with_retry_and_escalation() {
     doomed.opts.fault = Some(FaultPlan::parse("map:panic:1,map:panic:2").unwrap());
     let jobs = [flaky, starved, doomed];
     let bopts = BatchOptions { retries: 1, ..Default::default() };
-    let report = run_batch_opts(&jobs, &Pool::new(2), &bopts);
+    let report = run_batch(&jobs, &Pool::new(2), &bopts, |j| run_batch_job(j, &bopts), |_, _| {});
     // flaky: attempt 1 trips the nth=1 fault, attempt 2 runs clean
     let flaky = &report.jobs[0];
     assert!(flaky.outcome.is_ok(), "retry must clear the transient fault");
@@ -133,7 +133,13 @@ fn degraded_results_match_direct_runs() {
     job.opts.route.capacity_scale = 0.02;
     let bopts = BatchOptions::default();
     let direct = run_batch_job(&job, &bopts).unwrap();
-    let pooled = run_batch_opts(std::slice::from_ref(&job), &Pool::new(2), &bopts);
+    let pooled = run_batch(
+        std::slice::from_ref(&job),
+        &Pool::new(2),
+        &bopts,
+        |j| run_batch_job(j, &bopts),
+        |_, _| {},
+    );
     let pooled = pooled.jobs[0].outcome.as_ref().unwrap();
     assert_eq!(direct.degraded, pooled.degraded);
     assert_eq!(direct.rows.len(), pooled.rows.len());

@@ -2,7 +2,7 @@
 //! decomposition → placement → mapping → legalization → routing → STA.
 
 use casyn::flow::{
-    congestion_flow, dagon_flow, k_sweep, prepare, run_methodology, sis_flow, FlowOptions,
+    congestion_flow, dagon_flow, k_sweep_prepared, prepare, run_methodology, sis_flow, FlowOptions,
 };
 use casyn::library::corelib018;
 use casyn::netlist::bench::{random_pla, PlaGenConfig};
@@ -76,7 +76,8 @@ fn sweep_area_shape() {
     let opts = FlowOptions::default();
     for seed in [2, 3, 4] {
         let net = test_pla_network(seed);
-        let rows = k_sweep(&net, &[0.0, 0.05, 1.0, 20.0], &opts).unwrap();
+        let prep = prepare(&net, &opts).unwrap();
+        let rows = k_sweep_prepared(&prep, &[0.0, 0.05, 1.0, 20.0], &opts).unwrap();
         for w in rows.windows(2) {
             let dip_tolerance = 0.03 * w[0].result.cell_area;
             assert!(

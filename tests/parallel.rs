@@ -7,7 +7,7 @@
 use casyn::exec::Pool;
 use casyn::flow::{
     k_sweep_prepared, k_sweep_prepared_pool, load_design, prepare, prepare_pool, run_batch,
-    BatchJob, FlowOptions, Prepared,
+    run_batch_job, BatchJob, BatchOptions, FlowOptions, Prepared,
 };
 use casyn::netlist::bench::{random_pla, PlaGenConfig};
 use casyn::netlist::network::Network;
@@ -141,8 +141,11 @@ fn batch_on_four_workers_matches_one_worker() {
             deadline: None,
         })
         .collect();
-    let one = run_batch(&jobs, &Pool::new(1));
-    let four = run_batch(&jobs, &Pool::new(4));
+    let bopts = BatchOptions::default();
+    let run = |workers| {
+        run_batch(&jobs, &Pool::new(workers), &bopts, |j| run_batch_job(j, &bopts), |_, _| {})
+    };
+    let (one, four) = (run(1), run(4));
     assert_eq!(one.jobs.len(), four.jobs.len());
     for (a, b) in one.jobs.iter().zip(&four.jobs) {
         assert_eq!(a.name, b.name, "report rows must stay in manifest order");

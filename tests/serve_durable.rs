@@ -4,6 +4,7 @@
 //! retry) — all over real sockets on ephemeral ports.
 
 use casyn::exec::FaultPlan;
+use casyn::flow::Wal;
 use casyn::netlist::bench::{random_pla, PlaGenConfig};
 use casyn::netlist::blif::to_blif;
 use casyn::obs;
@@ -41,20 +42,30 @@ fn start(state: &Path, config: ServeConfig) -> Server {
     .unwrap()
 }
 
-/// Single-job manifest with an inline BLIF source.
-fn manifest(name: &str, seed: u64, terms: usize, ks: &[f64]) -> String {
+/// One manifest entry with an inline BLIF source, plus `extra` fields.
+fn job_entry(
+    name: &str,
+    seed: u64,
+    terms: usize,
+    ks: &[f64],
+    extra: &[(&str, JsonValue)],
+) -> JsonValue {
     let pla = random_pla(&PlaGenConfig { terms, seed, ..Default::default() });
     let blif = to_blif(&pla.to_network(), name);
-    JsonValue::object(vec![(
-        "jobs".into(),
-        JsonValue::Array(vec![JsonValue::object(vec![
-            ("name".into(), JsonValue::Str(name.into())),
-            ("source".into(), JsonValue::Str(blif)),
-            ("format".into(), JsonValue::Str("blif".into())),
-            ("ks".into(), JsonValue::Array(ks.iter().map(|&k| JsonValue::Number(k)).collect())),
-        ])]),
-    )])
-    .to_string_pretty()
+    let mut fields = vec![
+        ("name".into(), JsonValue::Str(name.into())),
+        ("source".into(), JsonValue::Str(blif)),
+        ("format".into(), JsonValue::Str("blif".into())),
+        ("ks".into(), JsonValue::Array(ks.iter().map(|&k| JsonValue::Number(k)).collect())),
+    ];
+    fields.extend(extra.iter().map(|(k, v)| (k.to_string(), v.clone())));
+    JsonValue::object(fields)
+}
+
+/// Single-job manifest with an inline BLIF source.
+fn manifest(name: &str, seed: u64, terms: usize, ks: &[f64]) -> String {
+    let jobs = JsonValue::Array(vec![job_entry(name, seed, terms, ks, &[])]);
+    JsonValue::object(vec![("jobs".into(), jobs)]).to_string_pretty()
 }
 
 fn submit_one(addr: &str, body: &str) -> (i64, String) {
@@ -402,4 +413,70 @@ fn finished_jobs_outside_the_retention_window_are_released() {
         shutdown(&addr, server);
         let _ = fs::remove_dir_all(&state);
     }
+}
+
+/// A submit with an out-of-range number is a 400 that names the field,
+/// and nothing of it reaches the journal: `deadline_ms: -1` used to be
+/// admitted, journaled, and then panic the dispatcher thread on
+/// `Duration::from_secs_f64`, taking the process down.
+#[test]
+fn out_of_range_submit_is_rejected_before_the_journal() {
+    let _guard = lock();
+    let state = tmpdir("reject");
+    let server = start(&state, ServeConfig::default());
+    let addr = server.endpoint();
+    for (field, value) in
+        [("deadline_ms", -1.0), ("deadline_ms", 1e300), ("util", 0.0), ("layers", 2.7)]
+    {
+        let entry = job_entry("bad", 3, 8, &[0.0], &[(field, JsonValue::Number(value))]);
+        let body = JsonValue::object(vec![("jobs".into(), JsonValue::Array(vec![entry]))]);
+        let (status, doc) =
+            request_json(&addr, "POST", "/jobs", Some(&body.to_string_compact())).unwrap();
+        assert_eq!(status, 400, "{field}={value}: {doc:?}");
+        let err = doc.get("error").and_then(|v| v.as_str()).unwrap_or_default();
+        assert!(err.contains("job 0") && err.contains(field), "error names job and field: {err}");
+    }
+    let journal = fs::read_to_string(wal_path(&state)).unwrap();
+    assert!(!journal.contains("\"t\":\"admitted\""), "nothing was admitted: {journal}");
+    // the server is alive and takes a good job
+    let (id, _) = submit_one(&addr, &manifest("good", 3, 8, &[0.0]));
+    let r = result_wait(&addr, id);
+    assert_eq!(r.get("status").and_then(|v| v.as_str()), Some("done"));
+    shutdown(&addr, server);
+    fs::remove_dir_all(&state).unwrap();
+}
+
+/// A journal an older build left behind, holding an `admitted` record
+/// with `deadline_ms: -1`, used to kill the server again at every start.
+/// Replay parses the record through the same range check, so the job
+/// recovers as a typed failure and the server serves.
+#[test]
+fn poisoned_journal_recovers_as_a_failed_job() {
+    let _guard = lock();
+    let state = tmpdir("poison");
+    let poisoned = job_entry("poison", 5, 8, &[0.0], &[("deadline_ms", JsonValue::Number(-1.0))]);
+    {
+        let mut wal = Wal::open(&wal_path(&state), None).unwrap();
+        wal.append(&JsonValue::object(vec![
+            ("t".into(), JsonValue::Str("admitted".into())),
+            ("job".into(), JsonValue::Number(0.0)),
+            ("name".into(), JsonValue::Str("poison".into())),
+            ("design".into(), JsonValue::Str("poison".into())),
+            ("request_id".into(), JsonValue::Str("r-old".into())),
+            ("manifest".into(), poisoned),
+        ]))
+        .unwrap();
+    }
+    let server = start(&state, ServeConfig::default());
+    let addr = server.endpoint();
+    let r0 = result_wait(&addr, 0);
+    assert_eq!(r0.get("status").and_then(|v| v.as_str()), Some("failed"));
+    let err = r0.get("error").and_then(|v| v.as_str()).unwrap();
+    assert!(err.starts_with("recovery:") && err.contains("deadline_ms"), "got: {err}");
+    let (id, _) = submit_one(&addr, &manifest("after", 5, 8, &[0.0]));
+    assert_eq!(id, 1, "ids continue after the replayed job");
+    let r1 = result_wait(&addr, id);
+    assert_eq!(r1.get("status").and_then(|v| v.as_str()), Some("done"));
+    shutdown(&addr, server);
+    fs::remove_dir_all(&state).unwrap();
 }
