@@ -18,7 +18,8 @@ use crate::kernels::{canonical, kernels};
 use casyn_netlist::network::{Network, NodeFunction, NodeId};
 use casyn_netlist::sop::{Cube, Polarity, Sop};
 use casyn_obs as obs;
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashMap};
 
 /// A literal over network nodes: `(driver, polarity)`.
 pub type GlobalLit = (NodeId, Polarity);
@@ -60,12 +61,7 @@ pub fn optimize(net: &mut Network, opts: &OptimizeOptions) -> usize {
         span.attr_num("kernels", k as f64);
         k
     };
-    let c = {
-        let mut span = obs::trace::span("logic.extract_cubes");
-        let c = extract_cubes(net, opts.max_cube_extractions);
-        span.attr_num("cubes", c as f64);
-        c
-    };
+    let c = extract_cubes(net, opts.max_cube_extractions);
     if obs::enabled() {
         obs::counter_add("logic.kernels_extracted", k as u64);
         obs::counter_add("logic.cubes_extracted", c as u64);
@@ -136,94 +132,167 @@ fn add_node_from_global(net: &mut Network, cubes: &[GlobalCube]) -> NodeId {
     net.add_node(fanins, sop)
 }
 
-/// Greedy common-cube (literal-pair) extraction. Repeatedly finds the
-/// literal pair occurring in the most cubes network-wide; if it occurs in
-/// at least three cubes (value `occ - 2 > 0`), a fresh AND node is created
-/// and substituted everywhere. Returns the number of nodes created.
-pub fn extract_cubes(net: &mut Network, max_extractions: usize) -> usize {
-    #[derive(Debug)]
-    struct Entry {
-        node: NodeId,
-        lits: GlobalCube,
-        alive: bool,
-        /// The defining cube of a divisor node must not be rewritten in
-        /// terms of itself.
-        is_divisor_def: bool,
+/// A literal as a dense id, `2 · node + (polarity == Positive)`: ids order
+/// exactly as the [`GlobalLit`]s they stand for.
+type LitId = u64;
+
+fn lit_id((n, p): GlobalLit) -> LitId {
+    2 * LitId::from(n.0) + LitId::from(p == Polarity::Positive)
+}
+
+fn lit_of(id: LitId) -> GlobalLit {
+    let n = NodeId(u32::try_from(id / 2).expect("literal ids are made from u32 node ids"));
+    (n, if id % 2 == 1 { Polarity::Positive } else { Polarity::Negative })
+}
+
+/// Per literal pair, the number of cubes containing both literals.
+type PairCounts = HashMap<(LitId, LitId), u32>;
+
+/// A literal pair as `(smaller, larger)`, the order a sorted cube lists
+/// them in.
+fn pair_of(x: LitId, y: LitId) -> (LitId, LitId) {
+    if x < y {
+        (x, y)
+    } else {
+        (y, x)
     }
-    let mut entries: Vec<Entry> = Vec::new();
+}
+
+/// Greedy common-cube (literal-pair) extraction. Repeatedly takes the
+/// literal pair occurring in the most cubes network-wide — ties go to the
+/// greatest pair, i.e. the greatest `(count, pair)` wins — and, if it
+/// occurs in at least three cubes (value `occ - 2 > 0`), creates a fresh
+/// AND node and substitutes it into every cube holding both literals.
+/// Returns the number of nodes created.
+///
+/// Incremental and exact: `count[p]` is kept equal to the number of cubes
+/// containing pair `p`, and a rewrite updates only the pairs with one of
+/// the two extracted literals or the new divisor in them; a lazy max-heap
+/// of `(count, pair)` entries, skipping those whose count has since
+/// moved, yields the greatest pair; per-literal posting lists give the
+/// cubes to rewrite.
+pub fn extract_cubes(net: &mut Network, max_extractions: usize) -> usize {
+    let mut span = obs::trace::span("logic.extract_cubes");
+    // every cube of the network as sorted literal ids, with its node; a
+    // node's cubes are contiguous, in cube order
+    let mut cubes: Vec<Vec<LitId>> = Vec::new();
+    let mut node_of: Vec<NodeId> = Vec::new();
     for id in net.node_ids().collect::<Vec<_>>() {
         for lits in node_global_cubes(net, id) {
-            entries.push(Entry { node: id, lits, alive: true, is_divisor_def: false });
+            cubes.push(lits.into_iter().map(lit_id).collect());
+            node_of.push(id);
         }
     }
-    let mut pair_count: HashMap<(GlobalLit, GlobalLit), i64> = HashMap::new();
-    let bump = |map: &mut HashMap<(GlobalLit, GlobalLit), i64>, lits: &GlobalCube, d: i64| {
-        for i in 0..lits.len() {
-            for j in i + 1..lits.len() {
-                *map.entry((lits[i], lits[j])).or_default() += d;
-            }
-        }
-    };
-    for e in &entries {
-        bump(&mut pair_count, &e.lits, 1);
-    }
-    let mut created = 0usize;
+    let (mut posting, mut count) = index_cubes(&cubes, 2 * net.num_nodes());
+    let mut heap: BinaryHeap<(u32, (LitId, LitId))> =
+        count.iter().filter(|(_, &n)| n >= 3).map(|(&p, &n)| (n, p)).collect();
+    let (mut created, mut rewrites, mut pair_updates) = (0usize, 0usize, 0usize);
     let mut touched: Vec<NodeId> = Vec::new();
+    let mut moved: Vec<(LitId, LitId)> = Vec::new();
     while created < max_extractions {
-        let Some((&pair, &occ)) = pair_count.iter().max_by_key(|(p, c)| (**c, *p)) else {
+        // the greatest live (count, pair); entries below 3 are never queued
+        let Some((a, b)) = std::iter::from_fn(|| heap.pop())
+            .find(|&(n, p)| count.get(&p) == Some(&n))
+            .map(|(_, p)| p)
+        else {
             break;
         };
-        if occ < 3 {
-            break;
-        }
-        // new divisor node g = a AND b
-        let divisor_cube: GlobalCube = {
-            let mut v = vec![pair.0, pair.1];
-            v.sort();
-            v
-        };
-        let g = add_node_from_global(net, std::slice::from_ref(&divisor_cube));
+        let g = add_node_from_global(net, &[vec![lit_of(a), lit_of(b)]]);
         created += 1;
-        // rewrite every alive cube containing both literals
-        let mut rewrites: Vec<(usize, GlobalCube)> = Vec::new();
-        for (i, e) in entries.iter().enumerate() {
-            if !e.alive || e.is_divisor_def {
-                continue;
+        let gl = lit_id((g, Polarity::Positive));
+        posting.resize(2 * net.num_nodes(), Vec::new());
+        let both = intersect(&posting[a as usize], &posting[b as usize]);
+        let mut bump = |p: (LitId, LitId), d: i32| {
+            let n = count.entry(p).or_default();
+            *n = n.checked_add_signed(d).expect("count[p] = cubes containing p, never negative");
+            if *n == 0 {
+                count.remove(&p);
             }
-            if e.lits.binary_search(&pair.0).is_ok() && e.lits.binary_search(&pair.1).is_ok() {
-                let mut nl: GlobalCube =
-                    e.lits.iter().filter(|l| **l != pair.0 && **l != pair.1).copied().collect();
-                nl.push((g, Polarity::Positive));
-                nl.sort();
-                rewrites.push((i, nl));
+            moved.push(p);
+            pair_updates += 1;
+        };
+        // a cube `{a, b} ∪ R` becomes `R ∪ {g}`: the pairs inside R keep
+        // their count, (a, b), (a, x) and (b, x) lose one, (x, g) gain one
+        for &i in &both {
+            bump((a, b), -1);
+            for &x in cubes[i].iter().filter(|&&x| x != a && x != b) {
+                bump(pair_of(a, x), -1);
+                bump(pair_of(b, x), -1);
+                bump(pair_of(x, gl), 1);
+            }
+            let c = &mut cubes[i];
+            c.retain(|&x| x != a && x != b);
+            c.insert(c.partition_point(|&x| x < gl), gl);
+            touched.push(node_of[i]);
+        }
+        rewrites += both.len();
+        posting[a as usize].retain(|i| both.binary_search(i).is_err());
+        posting[b as usize].retain(|i| both.binary_search(i).is_err());
+        posting[gl as usize] = both;
+        moved.sort_unstable();
+        moved.dedup();
+        for p in moved.drain(..) {
+            if let Some(&n) = count.get(&p).filter(|&&n| n >= 3) {
+                heap.push((n, p));
             }
         }
-        for (i, nl) in rewrites {
-            bump(&mut pair_count, &entries[i].lits, -1);
-            bump(&mut pair_count, &nl, 1);
-            touched.push(entries[i].node);
-            entries[i].lits = nl;
-        }
-        // register the divisor's own defining cube so it can participate
-        // in *future* pair counts as a literal source, but its definition
-        // is never rewritten
-        entries.push(Entry { node: g, lits: divisor_cube, alive: true, is_divisor_def: true });
-        pair_count.retain(|_, c| *c > 0);
     }
-    // write back every touched node
+    if cfg!(debug_assertions) {
+        let fresh = index_cubes(&cubes, posting.len());
+        assert!(fresh == (posting, count), "posting lists or pair counts drifted from the cubes");
+    }
+    // write back every touched node; ids ascend, so each node's run of
+    // cubes starts at or after the previous one's
     touched.sort();
     touched.dedup();
-    let mut cubes_by_node: HashMap<NodeId, Vec<GlobalCube>> = HashMap::new();
-    for e in &entries {
-        if e.alive && !e.is_divisor_def {
-            cubes_by_node.entry(e.node).or_default().push(e.lits.clone());
+    let mut first = 0;
+    for id in touched {
+        first += node_of[first..].partition_point(|&n| n < id);
+        let len = node_of[first..].partition_point(|&n| n == id);
+        let global: Vec<GlobalCube> = cubes[first..first + len]
+            .iter()
+            .map(|c| c.iter().map(|&x| lit_of(x)).collect())
+            .collect();
+        set_node_from_global(net, id, &global);
+    }
+    span.attr_num("extractions", created as f64);
+    span.attr_num("rewrites", rewrites as f64);
+    span.attr_num("pair_updates", pair_updates as f64);
+    created
+}
+
+/// Builds the two indexes of [`extract_cubes`] over `cubes`: per literal
+/// id below `num_lits`, the ascending list of cubes containing it, and per
+/// pair, the number of cubes containing both literals.
+fn index_cubes(cubes: &[Vec<LitId>], num_lits: usize) -> (Vec<Vec<usize>>, PairCounts) {
+    let mut posting = vec![Vec::new(); num_lits];
+    let mut count = HashMap::new();
+    for (i, c) in cubes.iter().enumerate() {
+        for (j, &x) in c.iter().enumerate() {
+            posting[x as usize].push(i);
+            for &y in &c[j + 1..] {
+                *count.entry((x, y)).or_default() += 1;
+            }
         }
     }
-    for id in touched {
-        let cubes = cubes_by_node.remove(&id).unwrap_or_default();
-        set_node_from_global(net, id, &cubes);
+    (posting, count)
+}
+
+/// The elements common to two ascending lists, ascending.
+fn intersect(xs: &[usize], ys: &[usize]) -> Vec<usize> {
+    let (mut i, mut j, mut out) = (0, 0, Vec::new());
+    while i < xs.len() && j < ys.len() {
+        match xs[i].cmp(&ys[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                out.push(xs[i]);
+                i += 1;
+                j += 1;
+            }
+        }
     }
-    created
+    out
 }
 
 /// Kernel extraction: in each round, enumerates kernels of all (bounded)
@@ -372,6 +441,143 @@ mod tests {
                 assert_eq!(a.simulate_outputs(&asg), b.simulate_outputs(&asg), "at {asg:?}");
             }
         }
+    }
+
+    /// The extraction loop `extract_cubes` replaced, kept as the reference
+    /// the kernel must equal: a full `max_by_key` scan of the pair table
+    /// per extraction, every pair of a rewritten cube decremented and every
+    /// pair of its replacement incremented, and a scan of every cube for
+    /// the two literals.
+    fn reference_extract_cubes(net: &mut Network, max_extractions: usize) -> usize {
+        #[derive(Debug)]
+        struct Entry {
+            node: NodeId,
+            lits: GlobalCube,
+            alive: bool,
+            /// The defining cube of a divisor node must not be rewritten in
+            /// terms of itself.
+            is_divisor_def: bool,
+        }
+        let mut entries: Vec<Entry> = Vec::new();
+        for id in net.node_ids().collect::<Vec<_>>() {
+            for lits in node_global_cubes(net, id) {
+                entries.push(Entry { node: id, lits, alive: true, is_divisor_def: false });
+            }
+        }
+        let mut pair_count: HashMap<(GlobalLit, GlobalLit), i64> = HashMap::new();
+        let bump = |map: &mut HashMap<(GlobalLit, GlobalLit), i64>, lits: &GlobalCube, d: i64| {
+            for i in 0..lits.len() {
+                for j in i + 1..lits.len() {
+                    *map.entry((lits[i], lits[j])).or_default() += d;
+                }
+            }
+        };
+        for e in &entries {
+            bump(&mut pair_count, &e.lits, 1);
+        }
+        let mut created = 0usize;
+        let mut touched: Vec<NodeId> = Vec::new();
+        while created < max_extractions {
+            let Some((&pair, &occ)) = pair_count.iter().max_by_key(|(p, c)| (**c, *p)) else {
+                break;
+            };
+            if occ < 3 {
+                break;
+            }
+            // new divisor node g = a AND b
+            let divisor_cube: GlobalCube = {
+                let mut v = vec![pair.0, pair.1];
+                v.sort();
+                v
+            };
+            let g = add_node_from_global(net, std::slice::from_ref(&divisor_cube));
+            created += 1;
+            // rewrite every alive cube containing both literals
+            let mut rewrites: Vec<(usize, GlobalCube)> = Vec::new();
+            for (i, e) in entries.iter().enumerate() {
+                if !e.alive || e.is_divisor_def {
+                    continue;
+                }
+                if e.lits.binary_search(&pair.0).is_ok() && e.lits.binary_search(&pair.1).is_ok() {
+                    let mut nl: GlobalCube =
+                        e.lits.iter().filter(|l| **l != pair.0 && **l != pair.1).copied().collect();
+                    nl.push((g, Polarity::Positive));
+                    nl.sort();
+                    rewrites.push((i, nl));
+                }
+            }
+            for (i, nl) in rewrites {
+                bump(&mut pair_count, &entries[i].lits, -1);
+                bump(&mut pair_count, &nl, 1);
+                touched.push(entries[i].node);
+                entries[i].lits = nl;
+            }
+            // the divisor's defining cube: never counted, never rewritten,
+            // never written back (the dead state the kernel dropped)
+            entries.push(Entry { node: g, lits: divisor_cube, alive: true, is_divisor_def: true });
+            pair_count.retain(|_, c| *c > 0);
+        }
+        // write back every touched node
+        touched.sort();
+        touched.dedup();
+        let mut cubes_by_node: HashMap<NodeId, Vec<GlobalCube>> = HashMap::new();
+        for e in &entries {
+            if e.alive && !e.is_divisor_def {
+                cubes_by_node.entry(e.node).or_default().push(e.lits.clone());
+            }
+        }
+        for id in touched {
+            let cubes = cubes_by_node.remove(&id).unwrap_or_default();
+            set_node_from_global(net, id, &cubes);
+        }
+        created
+    }
+
+    /// Node for node, fanin for fanin, cube for cube.
+    fn assert_same_network(a: &Network, b: &Network, what: &str) {
+        assert_eq!(a.num_nodes(), b.num_nodes(), "{what}: node count");
+        for id in a.node_ids() {
+            assert_eq!(a.node(id), b.node(id), "{what}: node {id}");
+        }
+        assert_eq!(a.inputs(), b.inputs(), "{what}: inputs");
+        assert_eq!(a.outputs(), b.outputs(), "{what}: outputs");
+    }
+
+    #[test]
+    fn cube_kernel_equals_the_reference_on_random_plas() {
+        let mut rng = StdRng::seed_from_u64(0xc0be);
+        let mut extracted = 0;
+        for case in 0..32 {
+            let inputs = rng.gen_range(8usize..=38);
+            let max_literals = rng.gen_range(2..=inputs.min(14));
+            let cfg = PlaGenConfig {
+                inputs,
+                outputs: rng.gen_range(1usize..=8),
+                terms: rng.gen_range(4usize..=140),
+                min_literals: rng.gen_range(1..=max_literals),
+                max_literals,
+                mean_outputs_per_term: rng.gen_range(1.0..2.5),
+                seed: rng.gen(),
+            };
+            let golden = random_pla(&cfg).to_network();
+            for budget in [0, 1, 2, 10, 10_000] {
+                let (mut kernel, mut reference) = (golden.clone(), golden.clone());
+                let made = extract_cubes(&mut kernel, budget);
+                let want = reference_extract_cubes(&mut reference, budget);
+                let what = format!("case {case} {cfg:?} budget {budget}");
+                assert_eq!(made, want, "{what}: extractions");
+                assert_same_network(&kernel, &reference, &what);
+                if budget == 10_000 {
+                    extracted += made;
+                    if inputs <= 12 {
+                        assert_equivalent(&golden, &kernel, case);
+                    }
+                }
+            }
+        }
+        // the cases must exercise long extraction chains, not only the
+        // first few steps
+        assert!(extracted > 300, "only {extracted} extractions over all cases");
     }
 
     fn small_pla_network() -> Network {

@@ -153,9 +153,11 @@ pub(crate) fn place_kway(
 
     // initial k-way assignment of the coarsest clusters
     let mut assign = {
-        let _span = obs::trace::span("place.kway.seed");
+        let mut span = obs::trace::span("place.kway.seed");
         let anchors = anchor_positions(coarsest, fp);
-        initial_assign(coarsest, &grid, &anchors, cap)
+        let (assign, home_misses) = initial_assign(coarsest, &grid, &anchors, cap);
+        span.attr_num("home_misses", home_misses as f64);
+        assign
     };
 
     // refine at the coarsest level, then uncoarsen + refine per level
@@ -456,19 +458,22 @@ fn anchor_positions(inst: &PlaceInstance, fp: &Floorplan) -> Vec<Point> {
 
 /// Assigns clusters to regions: heaviest first (ties by index), each to
 /// the nearest region with remaining capacity, falling back to the
-/// least-filled region when none fits.
+/// least-filled region when none fits. Also returns how many clusters
+/// missed their home region (the one containing their anchor).
 fn initial_assign(
     inst: &PlaceInstance,
     grid: &RegionGrid,
     anchors: &[Point],
     cap: f64,
-) -> Vec<usize> {
+) -> (Vec<usize>, usize) {
     let k = grid.k();
     let n = inst.num_cells();
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| inst.cell_width[b].total_cmp(&inst.cell_width[a]).then(a.cmp(&b)));
+    let centers: Vec<Point> = (0..k).map(|r| grid.center(r)).collect();
     let mut fill = vec![0.0f64; k];
     let mut assign = vec![0usize; n];
+    let mut home_misses = 0;
     for &c in &order {
         let w = inst.cell_width[c];
         // fast path: the region containing the anchor, when it has room
@@ -478,13 +483,14 @@ fn initial_assign(
             assign[c] = home;
             continue;
         }
+        home_misses += 1;
         let mut best: Option<usize> = None;
         let mut best_d = f64::INFINITY;
         for (r, f) in fill.iter().enumerate() {
             if f + w > cap {
                 continue;
             }
-            let d = anchors[c].manhattan(grid.center(r));
+            let d = anchors[c].manhattan(centers[r]);
             if d < best_d {
                 best_d = d;
                 best = Some(r);
@@ -497,7 +503,7 @@ fn initial_assign(
         fill[r] += w;
         assign[c] = r;
     }
-    assign
+    (assign, home_misses)
 }
 
 /// Index-sorted cell lists per region, and each cell's slot in its
@@ -844,7 +850,7 @@ mod tests {
         let grid = RegionGrid::new(&fp, 8);
         let cap = inst.total_width() / grid.k() as f64 * 1.3;
         let anchors = anchor_positions(&inst, &fp);
-        let assign = initial_assign(&inst, &grid, &anchors, cap);
+        let (assign, _) = initial_assign(&inst, &grid, &anchors, cap);
         let mut fill = vec![0.0f64; grid.k()];
         for (c, &r) in assign.iter().enumerate() {
             fill[r] += inst.cell_width[c];

@@ -76,9 +76,12 @@ pub fn median_improve(
             if xs.is_empty() {
                 continue;
             }
-            xs.sort_by(f64::total_cmp);
-            ys.sort_by(f64::total_cmp);
-            let target = fp.clamp(Point::new(xs[xs.len() / 2], ys[ys.len() / 2]));
+            // the element a sort would put at len / 2: values equal under
+            // total_cmp have equal bits, so selection picks the same one
+            let mid = xs.len() / 2;
+            let x = *xs.select_nth_unstable_by(mid, f64::total_cmp).1;
+            let y = *ys.select_nth_unstable_by(mid, f64::total_cmp).1;
+            let target = fp.clamp(Point::new(x, y));
             let from = bin_of(pos[c]);
             let to = bin_of(target);
             if from == to {

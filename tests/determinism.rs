@@ -7,7 +7,9 @@ use casyn::core::{map, CostKind, MapOptions, MapResult, PartitionScheme};
 use casyn::flow::{
     congestion_flow, congestion_flow_prepared, fnv1a64, prepare, sis_flow, FlowOptions,
 };
-use casyn::netlist::bench::{random_pla, spla, PlaGenConfig};
+use casyn::logic::{optimize, OptimizeOptions};
+use casyn::netlist::bench::{random_pla, spla, too_large, PlaGenConfig};
+use casyn::netlist::blif::to_blif;
 use casyn::netlist::mapped::SignalRef;
 use casyn::netlist::Pla;
 use casyn::place::PlacerBackend;
@@ -138,6 +140,29 @@ fn routing_is_bit_identical_to_the_recorded_one() {
             "{name}: routing moved ({} violations, expanded {:?})",
             r.violations,
             r.convergence.iters.iter().map(|s| s.expanded).collect::<Vec<_>>()
+        );
+    }
+}
+
+#[test]
+fn optimized_network_is_bit_identical_to_the_recorded_one() {
+    // FNV-1a of the BLIF text, literal count and `optimize`'s return value
+    // recorded at the commit before `extract_cubes` became an incremental
+    // kernel (delta pair counts, lazy max-heap, posting lists): the kernel
+    // may change how the best pair is found, never which pair, in which
+    // order, or the node order, fanins and cubes it writes back.
+    let (ex_a, rand16) = pinned_designs();
+    for (name, mut net, want_hash, want_lits, want_made) in [
+        ("too_large", too_large(), 0x1a9c_4a58_caae_8e52_u64, 13_995_usize, 1_095_usize),
+        ("rand16", rand16.to_network(), 0x4731_31f0_69df_0ce4, 1_172, 85),
+        ("ex_a", ex_a.to_network(), 0x0cc6_7f5d_82c2_1492, 116, 6),
+    ] {
+        let made = optimize(&mut net, &OptimizeOptions::default());
+        let hash = fnv1a64(to_blif(&net, "opt").as_bytes());
+        assert_eq!(
+            (hash, net.literal_count(), made),
+            (want_hash, want_lits, want_made),
+            "{name}: optimized network moved"
         );
     }
 }

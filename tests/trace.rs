@@ -4,7 +4,7 @@
 //! result.
 
 use casyn::exec::Pool;
-use casyn::flow::{congestion_flow, k_sweep_prepared_pool, prepare, FlowOptions};
+use casyn::flow::{congestion_flow, k_sweep_prepared_pool, prepare, sis_flow, FlowOptions};
 use casyn::netlist::bench::{random_pla, PlaGenConfig};
 use casyn::obs;
 use casyn::obs::json::JsonValue;
@@ -148,6 +148,46 @@ fn route_iter_spans_report_an_exact_expansion_count() {
     );
     // a count of gcells, not a timing: it repeats exactly
     assert_eq!(first, expanded(&traced_flow_events()));
+}
+
+#[test]
+fn front_end_spans_report_exact_work_counts() {
+    let _guard = lock();
+    let mut counted = vec![
+        ("logic.extract_cubes", "extractions"),
+        ("logic.extract_cubes", "rewrites"),
+        ("logic.extract_cubes", "pair_updates"),
+    ];
+    if casyn::place::PlacerBackend::from_env() == casyn::place::PlacerBackend::KWay {
+        counted.push(("place.kway.seed", "home_misses"));
+    }
+    // the counted attributes of one traced SIS flow, which optimizes first
+    let counts = || -> Vec<f64> {
+        obs::trace::set_enabled(true);
+        obs::trace::clear();
+        sis_flow(&net(11), &FlowOptions::default()).unwrap();
+        obs::trace::set_enabled(false);
+        let events = obs::trace::take_events();
+        let spans = |name: &str| -> Vec<&TraceEvent> {
+            events.iter().filter(|e| e.kind == EventKind::Span && e.name == name).collect()
+        };
+        counted
+            .iter()
+            .map(|&(span, key)| {
+                let [e] = spans(span)[..] else { panic!("expected one {span} span") };
+                match e.attrs.iter().find(|(k, _)| k == key) {
+                    Some((_, obs::trace::AttrValue::Num(n))) => *n,
+                    other => panic!("{span} carries {key} = {other:?}"),
+                }
+            })
+            .collect()
+    };
+    let first = counts();
+    for (&(span, key), n) in counted.iter().zip(&first) {
+        assert!(*n > 0.0, "{span}.{key} = {n}");
+    }
+    // counts of work, not timings: they repeat exactly
+    assert_eq!(first, counts());
 }
 
 #[test]
