@@ -15,7 +15,9 @@
 //!   check and its address derive from one canonical byte hash.
 //! * **Journals** ([`Wal`]) are append-only NDJSON: each record is a
 //!   JSON object carrying its own `sum` checksum field, appended with a
-//!   single `write` + `fdatasync`. Rename-style atomicity is impossible
+//!   single `write` + `fdatasync` — one per group of records sealed in
+//!   advance ([`Wal::seal`], [`Wal::append_sealed`]), so concurrent
+//!   writers can share a sync. Rename-style atomicity is impossible
 //!   for appends, so torn tails are *expected*: [`Wal::replay`]
 //!   tolerates an unterminated (or checksum-failing) final line and
 //!   replays cleanly to the previous record, while damage anywhere
@@ -246,11 +248,16 @@ fn seal_record(rec: &JsonValue) -> Result<String, String> {
     if entries.iter().any(|(k, _)| k == SUM_FIELD) {
         return Err(format!("journal records must not carry a {SUM_FIELD:?} field"));
     }
-    let body = rec.to_string_compact();
-    let sum = fnv1a64(body.as_bytes());
-    let mut sealed = entries.clone();
-    sealed.push((SUM_FIELD.into(), JsonValue::Str(format!("{sum:016x}"))));
-    Ok(JsonValue::Object(sealed).to_string_compact())
+    let mut line = rec.to_string_compact();
+    let sum = fnv1a64(line.as_bytes());
+    // the sealed record is the same object with one more field: reopen
+    // its closing brace rather than serializing it a second time
+    line.pop();
+    if !entries.is_empty() {
+        line.push(',');
+    }
+    line.push_str(&format!("\"{SUM_FIELD}\":\"{sum:016x}\"}}"));
+    Ok(line)
 }
 
 /// Parses and verifies one journal line, returning the record without
@@ -278,11 +285,11 @@ fn open_record(line: &str) -> Result<JsonValue, String> {
 ///
 /// Opening creates the file (with a schema header record) when absent
 /// and appends to it when present — a restarted server keeps journaling
-/// into the same file it just replayed. Every append is a single write
-/// followed by `fdatasync`; a failed append (real or injected) leaves
-/// the tail in an unknown state, so the journal *wedges*: further
-/// appends are refused and the next replay falls back to the last
-/// intact record.
+/// into the same file it just replayed. Every append, of one record or
+/// of a group, is a single write followed by `fdatasync`; a failed
+/// append (real or injected) leaves the tail in an unknown state, so
+/// the journal *wedges*: further appends are refused and the next
+/// replay falls back to the last intact record.
 pub struct Wal {
     path: PathBuf,
     file: File,
@@ -326,7 +333,7 @@ impl Wal {
         // the header is never faulted: a journal that cannot even
         // record its schema is unusable, surface that immediately
         let line = seal_record(&header).expect("header is a plain object");
-        self.append_line(&line, false)
+        self.write_synced(format!("{line}\n").as_bytes())
     }
 
     /// Repairs the tail of an existing journal before appending to it.
@@ -379,34 +386,72 @@ impl Wal {
     /// journal is wedged and every later append fails fast — the file
     /// tail is in an unknown state and must not be appended past.
     pub fn append(&mut self, rec: &JsonValue) -> io::Result<()> {
-        let line = seal_record(rec).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-        self.append_line(&line, true)
+        let line = Wal::seal(rec)?;
+        self.append_sealed(&[line]).into_iter().next().map_or(Ok(()), Err)
     }
 
-    fn append_line(&mut self, line: &str, faultable: bool) -> io::Result<()> {
-        if self.wedged {
-            return Err(io::Error::other("journal is wedged after a failed append"));
+    /// The line [`Wal::append_sealed`] stores for `rec`: its compact
+    /// serialization with a `sum` checksum field appended. Sealing needs
+    /// no file, so a caller can seal under its own lock and leave the
+    /// write to whichever thread commits the group.
+    pub fn seal(rec: &JsonValue) -> io::Result<String> {
+        seal_record(rec).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))
+    }
+
+    /// Appends sealed records in order with one write and one
+    /// `fdatasync` (a group commit), and returns one error per record
+    /// that did not land — empty when all of them did. Each record still
+    /// fails the way a lone [`Wal::append`] of it would: an injected
+    /// `disk_full` drops that record and the rest proceed; a torn write
+    /// (injected, or a failed write or sync) wedges the journal, so that
+    /// record and every later one fail.
+    pub fn append_sealed(&mut self, lines: &[String]) -> Vec<io::Error> {
+        let mut failed = Vec::new();
+        let mut bytes = Vec::new();
+        let mut batched = 0;
+        for line in lines {
+            if self.wedged {
+                failed.push(io::Error::other("journal is wedged after a failed append"));
+                continue;
+            }
+            let len = line.len() + 1;
+            match armed_io_fault(self.fault.as_ref().map(|p| (p, "wal")), len) {
+                // disk_full: nothing of this record is written, the
+                // tail stays intact and the journal does not wedge
+                Err(e) => failed.push(e),
+                Ok(None) => {
+                    bytes.extend_from_slice(line.as_bytes());
+                    bytes.push(b'\n');
+                    batched += 1;
+                }
+                Ok(Some(n)) => {
+                    // the records before it land whole, then half of it
+                    bytes.extend_from_slice(&line.as_bytes()[..n]);
+                    let _ = self.write_synced(&bytes);
+                    bytes.clear();
+                    batched = 0;
+                    self.wedged = true;
+                    failed.push(io::Error::other(format!(
+                        "injected torn_write after {n} of {len} bytes"
+                    )));
+                }
+            }
         }
-        let mut bytes = line.as_bytes().to_vec();
-        bytes.push(b'\n');
-        let fault = if faultable { self.fault.as_ref().map(|p| (p, "wal")) } else { None };
-        // disk_full propagates here without wedging: nothing was
-        // written, the tail is still intact
-        let cut = armed_io_fault(fault, bytes.len())?;
-        if let Some(n) = cut {
-            let _ = self.file.write_all(&bytes[..n]);
-            let _ = self.file.sync_data();
+        if !bytes.is_empty() {
+            if let Err(e) = self.write_synced(&bytes) {
+                failed.extend((0..batched).map(|_| io::Error::new(e.kind(), e.to_string())));
+            }
+        }
+        failed
+    }
+
+    /// One write plus `fdatasync`; a failure wedges the journal.
+    fn write_synced(&mut self, bytes: &[u8]) -> io::Result<()> {
+        let res = self.file.write_all(bytes).and_then(|()| self.file.sync_data());
+        if res.is_err() {
             self.wedged = true;
-            return Err(io::Error::other(format!(
-                "injected torn_write after {n} of {} bytes",
-                bytes.len()
-            )));
         }
-        if let Err(e) = self.file.write_all(&bytes).and_then(|()| self.file.sync_data()) {
-            self.wedged = true;
-            return Err(e);
-        }
-        Ok(())
+        res
     }
 
     /// Replays the journal at `path`. A missing file is an empty
@@ -722,6 +767,39 @@ mod tests {
         assert!(r.torn_tail, "the half-written record is a torn tail");
         assert_eq!(r.records.len(), 1);
         assert_eq!(r.records[0].get("n").unwrap().as_f64(), Some(1.0));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A group commit leaves the bytes a run of single appends leaves,
+    /// fault for fault: `disk_full` drops only its own record, a torn
+    /// write lands what precedes it and wedges what follows.
+    #[test]
+    fn group_commit_keeps_per_record_fault_semantics() {
+        let dir = tmpdir("group");
+        let recs: Vec<JsonValue> = (0..5).map(|i| rec("r", i as f64)).collect();
+        let spec = "wal:disk_full:2,wal:torn_write:4";
+        let (one, many) = (dir.join("one.wal"), dir.join("many.wal"));
+        let mut w = Wal::open(&one, Some(FaultPlan::parse(spec).unwrap())).unwrap();
+        let singles: Vec<bool> = recs.iter().map(|r| w.append(r).is_ok()).collect();
+        assert_eq!(singles, [true, false, true, false, false]);
+        let mut w = Wal::open(&many, Some(FaultPlan::parse(spec).unwrap())).unwrap();
+        let lines: Vec<String> = recs.iter().map(|r| Wal::seal(r).unwrap()).collect();
+        let errors = w.append_sealed(&lines);
+        assert_eq!(errors.len(), 3);
+        assert!(errors[0].to_string().contains("disk_full"), "{}", errors[0]);
+        assert!(errors[1].to_string().contains("torn_write"), "{}", errors[1]);
+        assert!(w.wedged() && w.append_sealed(&lines[..1]).len() == 1);
+        assert_eq!(fs::read(&one).unwrap(), fs::read(&many).unwrap());
+        let r = Wal::replay(&many).unwrap();
+        assert!(r.torn_tail);
+        let ns: Vec<f64> =
+            r.records.iter().map(|x| x.get("n").unwrap().as_f64().unwrap()).collect();
+        assert_eq!(ns, [0.0, 2.0]);
+        // the sealed line is the object with its checksum as a last field
+        let JsonValue::Object(mut fields) = recs[1].clone() else { unreachable!() };
+        let sum = fnv1a64(recs[1].to_string_compact().as_bytes());
+        fields.push(("sum".into(), JsonValue::Str(format!("{sum:016x}"))));
+        assert_eq!(lines[1], JsonValue::Object(fields).to_string_compact());
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -240,9 +240,18 @@ impl ManifestJob {
     /// batch runner and serve sweep combinational flows only.
     pub fn load_network(&self) -> Result<(Network, String), String> {
         let (text, format) = self.design_text()?;
-        let seq = parse_design(&text, format, &self.design)?;
+        Ok((self.parse_network(&text, format)?, text))
+    }
+
+    /// Parses this job's design text (as [`ManifestJob::design_text`]
+    /// returned it) into its combinational network, rejecting
+    /// sequential designs. Split from [`ManifestJob::load_network`] so
+    /// a caller can address the job by its text and parse only when the
+    /// job has to run.
+    pub fn parse_network(&self, text: &str, format: DesignFormat) -> Result<Network, String> {
+        let seq = parse_design(text, format, &self.design)?;
         if seq.is_combinational() {
-            Ok((seq.core, text))
+            Ok(seq.core)
         } else {
             Err(format!("{}: sequential designs are not supported in batch", self.design))
         }

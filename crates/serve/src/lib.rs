@@ -50,9 +50,10 @@
 //! A job's cache key is built with [`casyn_flow::KeyBuilder`] from the
 //! design text hash, the library fingerprint and the flow parameters —
 //! never from timings, so a resubmit of the same logical job is a hit
-//! regardless of how long the first run took. Jobs carrying a fault
-//! plan bypass the cache entirely: an injected failure must never be
-//! replayed as a cached artifact.
+//! regardless of how long the first run took. The key hashes the raw
+//! text, so it is computed without parsing the design, and a hit parses
+//! nothing. Jobs carrying a fault plan bypass the cache entirely: an
+//! injected failure must never be replayed as a cached artifact.
 
 pub mod cache;
 pub mod client;

@@ -15,13 +15,15 @@
 //! ## Caching and dedup
 //!
 //! Each cacheable job gets a content address from [`KeyBuilder`]
-//! (design hash + library fingerprint + flow parameters, never
-//! timings). Submission classifies jobs in one pass under the state
-//! lock: result-cache hit (answered instantly), in-flight duplicate
-//! (attached as a follower of the running compute), or fresh (admitted
-//! to the queue, 429 when the whole request does not fit). The prepare
-//! cache additionally shares the expensive flow front end between jobs
-//! that differ only in their K schedule.
+//! (design text hash + library fingerprint + flow parameters, never
+//! timings), computed from the raw text without parsing the design.
+//! Submission classifies jobs in one pass under the state lock:
+//! result-cache hit (answered instantly), in-flight duplicate (attached
+//! as a follower of the running compute), or fresh (admitted to the
+//! queue, 429 when the whole request does not fit). Only a fresh job's
+//! design is parsed, outside the lock. The prepare cache additionally
+//! shares the expensive flow front end between jobs that differ only in
+//! their K schedule.
 
 use crate::cache::{DiskCache, Lru};
 use crate::http::{self, HttpError, Request};
@@ -33,12 +35,13 @@ use casyn_flow::durable::Wal;
 use casyn_flow::telemetry::snapshot_json;
 use casyn_flow::{
     congestion_flow_prepared, fnv1a64, k_row_json, library_fingerprint, parse_manifest_value,
-    prepare, FlowError, FlowErrorKind, FlowOptions, KSweepEntry, KeyBuilder, ManifestDefaults,
-    ManifestJob, Prepared,
+    prepare, DesignFormat, FlowError, FlowErrorKind, FlowOptions, KSweepEntry, KeyBuilder,
+    ManifestDefaults, ManifestJob, Prepared,
 };
 use casyn_netlist::network::Network;
 use casyn_obs as obs;
 use casyn_obs::json::{JsonErrorKind, JsonLimits, JsonValue};
+use casyn_place::PlacerBackend;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -146,48 +149,110 @@ impl JobStatus {
     }
 }
 
-/// One row of the job table.
+/// How a job's result was (or will be) obtained.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cache {
+    Miss,
+    /// From the memory LRU.
+    Hit,
+    /// From the disk cache (a spilled artifact, possibly from before a
+    /// restart).
+    Disk,
+    /// A follower of the in-flight compute of the same content address.
+    Dedup,
+    /// A fault-plan job, which skips the cache.
+    Bypass,
+    /// A job that failed before it could be looked up.
+    Uncached,
+}
+
+impl Cache {
+    fn as_str(self) -> &'static str {
+        match self {
+            Cache::Miss => "miss",
+            Cache::Hit => "hit",
+            Cache::Disk => "disk",
+            Cache::Dedup => "dedup",
+            Cache::Bypass => "bypass",
+            Cache::Uncached => "none",
+        }
+    }
+}
+
+/// One row of the job table. The table keeps every record for the life
+/// of the process, so a record keeps little: its three strings share one
+/// allocation, and what only a live or recent job needs sits in a boxed
+/// [`Live`] part that [`JobRecord::release`] drops.
 struct JobRecord {
-    name: String,
-    design: String,
-    /// The id of the HTTP request that admitted this job; stamped into
-    /// every event line, journal record and span so one id correlates
-    /// the access log, NDJSON stream and trace.
-    request_id: String,
-    status: JobStatus,
-    /// How the result was (or will be) obtained: `"hit"`, `"dedup"`,
-    /// `"miss"`, or `"bypass"` for fault-plan jobs that skip the cache.
-    cache: &'static str,
+    /// `name`, `design` and `request_id`, back to back. The request id is
+    /// that of the HTTP request that admitted the job; it is stamped into
+    /// every event line, journal record and span so one id correlates the
+    /// access log, NDJSON stream and trace.
+    ident: Box<str>,
+    name_len: usize,
+    design_len: usize,
     /// The job's content address (`None` for fault-plan jobs): where a
     /// released record's rows are looked up again.
     result_key: Option<u64>,
-    rows: Option<Arc<JsonValue>>,
-    degraded: bool,
-    error: Option<String>,
+    error: Option<Box<str>>,
     wall_ms: f64,
+    /// The sequence number of the job's last journal record (0: none); a
+    /// response that reports the job waits until that record is durable.
+    wal_seq: u64,
+    /// `None` once the record is released.
+    live: Option<Box<Live>>,
+    /// Event lines ever pushed, including those a release dropped.
+    event_count: u32,
+    status: JobStatus,
+    cache: Cache,
+    degraded: bool,
+}
+
+/// The part of a job record that only a live or recent job needs.
+struct Live {
+    rows: Option<Arc<JsonValue>>,
     events: Vec<String>,
-    /// Event lines ever pushed: `events.len()` until the record is
-    /// released, more than that afterwards.
-    event_count: usize,
     submitted: Instant,
 }
 
 impl JobRecord {
     fn new(name: &str, design: &str, request_id: &str, result_key: Option<u64>) -> JobRecord {
         JobRecord {
-            name: name.to_string(),
-            design: design.to_string(),
-            request_id: request_id.to_string(),
-            status: JobStatus::Queued,
-            cache: "miss",
+            ident: [name, design, request_id].concat().into_boxed_str(),
+            name_len: name.len(),
+            design_len: design.len(),
             result_key,
-            rows: None,
-            degraded: false,
             error: None,
             wall_ms: 0.0,
-            events: Vec::new(),
+            wal_seq: 0,
+            live: Some(Box::new(Live {
+                rows: None,
+                events: Vec::new(),
+                submitted: Instant::now(),
+            })),
             event_count: 0,
-            submitted: Instant::now(),
+            status: JobStatus::Queued,
+            cache: Cache::Miss,
+            degraded: false,
+        }
+    }
+
+    fn name(&self) -> &str {
+        &self.ident[..self.name_len]
+    }
+
+    fn design(&self) -> &str {
+        &self.ident[self.name_len..self.name_len + self.design_len]
+    }
+
+    fn request_id(&self) -> &str {
+        &self.ident[self.name_len + self.design_len..]
+    }
+
+    /// Sets the rows of a job that finished (or was found) done.
+    fn set_rows(&mut self, rows: Arc<JsonValue>) {
+        if let Some(live) = &mut self.live {
+            live.rows = Some(rows);
         }
     }
 
@@ -198,14 +263,7 @@ impl JobRecord {
     /// result it ever produced.
     fn release(&mut self) {
         debug_assert!(self.status.terminal(), "only finished jobs are released");
-        self.rows = None;
-        self.events = Vec::new();
-    }
-
-    /// Whether [`JobRecord::release`] has run (every record has at least
-    /// its admission event).
-    fn released(&self) -> bool {
-        self.events.len() < self.event_count
+        self.live = None;
     }
 }
 
@@ -236,6 +294,9 @@ struct Task {
 
 struct Inner {
     jobs: Vec<JobRecord>,
+    /// Jobs in `jobs` that are not terminal yet (the `serve.inflight`
+    /// gauge), kept by [`push_job`] and [`finish_job`].
+    unfinished: usize,
     /// Records below this id have left the retention window: the finished
     /// ones are released, the rest are released as they finish.
     swept: usize,
@@ -263,6 +324,10 @@ struct Shared {
     /// The WAL + disk cache pair behind `--state-dir`; `None` when the
     /// server runs memory-only.
     durable: Option<Durable>,
+    /// The fingerprint of the cell library every job maps to, computed
+    /// once at start-up: a content key needs it, a resubmission should
+    /// not pay for it.
+    lib_fp: u64,
     /// Windowed per-second series, fed by the sampler thread (and
     /// refreshed on demand by `/stats` and `/metrics?format=prom`).
     /// Seconds are measured from `started`, a monotonic clock.
@@ -285,8 +350,12 @@ struct LogWindow {
     suppressed: u64,
 }
 
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 fn lock_inner(shared: &Shared) -> MutexGuard<'_, Inner> {
-    shared.inner.lock().unwrap_or_else(|p| p.into_inner())
+    lock(&shared.inner)
 }
 
 /// A running synthesis service. Dropping the handle does not stop the
@@ -308,8 +377,10 @@ impl Server {
         let addr = listener.local_addr().map_err(|e| format!("local_addr: {e}"))?;
         obs::set_enabled(true);
         let pool = if config.workers == 0 { Pool::from_env() } else { Pool::new(config.workers) };
+        let lib_fp = library_fingerprint(&FlowOptions::default().lib);
         let mut inner = Inner {
             jobs: Vec::new(),
+            unfinished: 0,
             swept: 0,
             queue: VecDeque::new(),
             inflight: HashMap::new(),
@@ -319,7 +390,7 @@ impl Server {
         };
         let durable = match &config.state_dir {
             None => None,
-            Some(dir) => Some(recover_into(dir, config.io_fault.clone(), &mut inner)?),
+            Some(dir) => Some(recover_into(dir, config.io_fault.clone(), lib_fp, &mut inner)?),
         };
         // a long journal replays into a long table: keep only its tail whole
         sweep_retention(&mut inner, config.result_cache_cap);
@@ -332,6 +403,7 @@ impl Server {
             addr,
             config,
             durable,
+            lib_fp,
             store: obs::SeriesStore::new(),
             started: Instant::now(),
             req_seq: AtomicU64::new(0),
@@ -551,45 +623,52 @@ fn parse_job_id(shared: &Shared, id: &str) -> Result<usize, HttpError> {
     Ok(id)
 }
 
-/// Everything a manifest entry needs to run, plus its content address.
-struct LoadedJob {
-    network: Network,
+/// A manifest entry addressed by its raw design text: what admission
+/// needs to classify it, plus the text to parse should it have to run.
+struct Keyed {
+    text: String,
+    format: DesignFormat,
     fault: Option<FaultPlan>,
     prep_key: u64,
     result_key: Option<u64>,
 }
 
-/// Loads the design and derives the job's content address: design text
-/// hash, library fingerprint and flow parameters. Wall-clock never
-/// enters a key, so a resubmit hits regardless of how long the original
-/// run took.
-fn load_and_key(m: &ManifestJob) -> Result<LoadedJob, String> {
+/// Derives the job's content address — design text hash, library
+/// fingerprint `lib_fp` and flow parameters — without parsing the
+/// design: the key hashes the raw text, so a parse would add nothing to
+/// it. Wall-clock never enters a key, so a resubmit hits regardless of
+/// how long the original run took.
+fn content_keys(m: &ManifestJob, lib_fp: u64) -> Result<Keyed, String> {
     let fault = m.fault()?;
-    let (network, raw) = m.load_network()?;
-    let opts = m.flow_options(false);
-    let design_hash = fnv1a64(raw.as_bytes());
-    let lib_fp = library_fingerprint(&opts.lib);
-    let placer = opts.placer.backend.name();
-    let prep_key = KeyBuilder::new("casyn.serve.prep.v1")
-        .hash(design_hash)
-        .hash(lib_fp)
-        .num(m.util)
-        .int(m.layers as u64)
-        .bool(m.optimize)
-        .str(placer)
-        .finish();
-    let result_key = fault.is_none().then(|| {
-        KeyBuilder::new("casyn.serve.job.v1")
+    let (text, format) = m.design_text()?;
+    let placer = m.placer.unwrap_or_else(PlacerBackend::from_env);
+    debug_assert!(
+        {
+            let opts = m.flow_options(false);
+            library_fingerprint(&opts.lib) == lib_fp && opts.placer.backend == placer
+        },
+        "the key covers the library and placer the job runs with"
+    );
+    let design_hash = fnv1a64(text.as_bytes());
+    let key = |domain: &str| {
+        KeyBuilder::new(domain)
             .hash(design_hash)
             .hash(lib_fp)
             .num(m.util)
             .int(m.layers as u64)
             .bool(m.optimize)
-            .str(placer)
-            .nums(&m.ks)
-            .finish()
-    });
-    Ok(LoadedJob { network, fault, prep_key, result_key })
+            .str(placer.name())
+    };
+    let prep_key = key("casyn.serve.prep.v1").finish();
+    let result_key = fault.is_none().then(|| key("casyn.serve.job.v1").nums(&m.ks).finish());
+    Ok(Keyed { text, format, fault, prep_key, result_key })
+}
+
+/// Parses the design of a job that is going to run. Only such a job is
+/// parsed, and never under the state lock.
+fn parse_keyed(m: &ManifestJob, k: &Keyed) -> Result<Network, String> {
+    obs::counter_add("serve.design_parses", 1);
+    m.parse_network(&k.text, k.format)
 }
 
 // ---------------------------------------------------------------------------
@@ -597,47 +676,125 @@ fn load_and_key(m: &ManifestJob) -> Result<LoadedJob, String> {
 // cache under `--state-dir`, and the startup replay that restores the
 // job table from them.
 //
-// Locking order is always `Inner` → `Wal`: lifecycle records are
-// appended while the state lock is held so journal order matches job-id
-// order (replay depends on `admitted` records arriving in id order).
+// Lifecycle records are *enqueued* while the state lock is held, so
+// journal order matches job-id order (replay depends on `admitted`
+// records arriving in id order), and *written* outside it by group
+// commit. Locking order is `Inner` → `queued` and `wal` → `queued`;
+// `queued` is held for nothing else.
 // ---------------------------------------------------------------------------
 
 /// The durable half of the server state.
 struct Durable {
+    /// Held by the thread committing a group, across its write and sync.
     wal: Mutex<Wal>,
+    /// Sealed records not written yet, in enqueue order.
+    queued: Mutex<Queued>,
+    /// The sequence number of the last record whose write has completed,
+    /// landed or failed. The committing thread stores it with `Release`
+    /// after its write and sync return; a waiter's `Acquire` load that
+    /// reads its own number therefore happens after that write.
+    written: AtomicU64,
     cache: DiskCache,
-    /// When the last journal append succeeded; `serve.wal.lag_s` is the
+    /// When the last journal write succeeded; `serve.wal.lag_s` is the
     /// age of this stamp, a proxy for "the journal is keeping up".
     last_append: Mutex<Option<Instant>>,
 }
 
+/// The journal's write queue: sealed lines, and the sequence number of
+/// the last line ever enqueued (records are numbered from 1).
+#[derive(Default)]
+struct Queued {
+    lines: Vec<String>,
+    last: u64,
+}
+
+/// Counts and logs a journal record that did not land: an unwritable
+/// journal degrades durability, not availability.
+fn wal_error(e: &std::io::Error) {
+    obs::counter_add("serve.wal.errors", 1);
+    obs::log::warn(&format!("wal: append failed ({e}); durability degraded"));
+}
+
 impl Durable {
     fn new(wal: Wal, cache: DiskCache) -> Durable {
-        Durable { wal: Mutex::new(wal), cache, last_append: Mutex::new(None) }
-    }
-
-    /// Appends one lifecycle record, downgrading failures to a warning:
-    /// an unwritable journal degrades durability, not availability. The
-    /// journal wedges itself after a torn append (the tail is in an
-    /// unknown state), so a single bad write cannot corrupt replay.
-    fn append(&self, rec: JsonValue) {
-        let mut wal = self.wal.lock().unwrap_or_else(|p| p.into_inner());
-        if let Err(e) = wal.append(&rec) {
-            obs::counter_add("serve.wal.errors", 1);
-            obs::log::warn(&format!("wal: append failed ({e}); durability degraded"));
-        } else {
-            *self.last_append.lock().unwrap_or_else(|p| p.into_inner()) = Some(Instant::now());
+        Durable {
+            wal: Mutex::new(wal),
+            queued: Mutex::new(Queued::default()),
+            written: AtomicU64::new(0),
+            cache,
+            last_append: Mutex::new(None),
         }
     }
 
-    /// Seconds since the last successful journal append (0 before the
+    /// Enqueues one lifecycle record and returns its sequence number;
+    /// [`Durable::sync`] writes it. Called under the state lock, which
+    /// orders the records.
+    fn append(&self, rec: &JsonValue) -> u64 {
+        let sealed = Wal::seal(rec);
+        let mut q = lock(&self.queued);
+        match sealed {
+            Ok(line) => {
+                q.lines.push(line);
+                q.last += 1;
+            }
+            Err(e) => wal_error(&e),
+        }
+        q.last
+    }
+
+    /// Returns once every record up to `seq` has been written, landed or
+    /// failed. The first thread to get here writes everything queued with
+    /// one write and one `fdatasync` (a group commit); the threads whose
+    /// records it took along find them written with one atomic load. The
+    /// journal wedges itself after a torn write (the tail is in an
+    /// unknown state), so a single bad write cannot corrupt replay.
+    fn sync(&self, seq: u64) {
+        if self.written.load(Ordering::Acquire) >= seq {
+            return;
+        }
+        let mut wal = lock(&self.wal);
+        if self.written.load(Ordering::Acquire) >= seq {
+            return; // the group commit this thread waited on took it along
+        }
+        let (lines, last) = {
+            let mut q = lock(&self.queued);
+            (std::mem::take(&mut q.lines), q.last)
+        };
+        let failed = wal.append_sealed(&lines);
+        failed.iter().for_each(wal_error);
+        if failed.len() < lines.len() {
+            obs::counter_add("serve.wal.syncs", 1);
+            *lock(&self.last_append) = Some(Instant::now());
+        }
+        self.written.store(last, Ordering::Release);
+    }
+
+    /// Writes everything enqueued so far.
+    fn sync_all(&self) {
+        let last = lock(&self.queued).last;
+        self.sync(last);
+    }
+
+    /// Seconds since the last successful journal write (0 before the
     /// first one).
     fn lag_s(&self) -> f64 {
-        self.last_append
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .map(|t| t.elapsed().as_secs_f64())
-            .unwrap_or(0.0)
+        lock(&self.last_append).map(|t| t.elapsed().as_secs_f64()).unwrap_or(0.0)
+    }
+}
+
+/// Enqueues a journal record for the job `rec` (when the server is
+/// durable) and remembers its sequence number on the record.
+fn journal(shared: &Shared, rec: &mut JobRecord, doc: impl FnOnce() -> JsonValue) {
+    if let Some(d) = &shared.durable {
+        rec.wal_seq = d.append(&doc());
+    }
+}
+
+/// Waits until the journal records up to `seq` are written: a response
+/// that reports a job's state goes out only after its records.
+fn await_journal(shared: &Shared, seq: u64) {
+    if let Some(d) = &shared.durable {
+        d.sync(seq);
     }
 }
 
@@ -716,6 +873,7 @@ fn replayed_manifest_job(mdoc: &JsonValue) -> Result<ManifestJob, String> {
 fn recover_into(
     dir: &std::path::Path,
     fault: Option<FaultPlan>,
+    lib_fp: u64,
     inner: &mut Inner,
 ) -> Result<Durable, String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("state-dir {}: {e}", dir.display()))?;
@@ -795,8 +953,8 @@ fn recover_into(
                 match f.result_key.and_then(|k| disk_lookup(&durable, k)) {
                     Some(c) => {
                         rec.status = JobStatus::Done;
-                        rec.cache = "disk";
-                        rec.rows = Some(c.rows.clone());
+                        rec.cache = Cache::Disk;
+                        rec.set_rows(c.rows.clone());
                         rec.degraded = c.degraded;
                         rec.wall_ms = f.wall_ms;
                         push_event(&mut rec, event("done"));
@@ -806,21 +964,21 @@ fn recover_into(
                     }
                     // the artifact is gone (never spilled, or quarantined
                     // as corrupt): recompute rather than serve nothing
-                    None => requeue_replayed(inner, &durable, id, &mut rec, f),
+                    None => requeue_replayed(inner, &durable, lib_fp, id, &mut rec, f),
                 }
             }
             JobStatus::Failed | JobStatus::Cancelled => {
                 rec.status = f.status;
-                rec.cache = "none";
-                rec.error = f.error.clone();
+                rec.cache = Cache::Uncached;
+                rec.error = f.error.as_deref().map(Box::from);
                 rec.wall_ms = f.wall_ms;
                 push_event(&mut rec, event(f.status.as_str()));
             }
             JobStatus::Queued | JobStatus::Running => {
-                requeue_replayed(inner, &durable, id, &mut rec, f)
+                requeue_replayed(inner, &durable, lib_fp, id, &mut rec, f)
             }
         }
-        inner.jobs.push(rec);
+        push_job(inner, rec);
     }
     Ok(durable)
 }
@@ -833,74 +991,97 @@ fn cache_wal_open(path: &std::path::Path, fault: Option<FaultPlan>) -> Result<Wa
 
 /// Puts one unfinished (or artifact-less) replayed job back through the
 /// admission classifier: disk hit, follower of an already re-enqueued
-/// duplicate, or a fresh queue entry. The `admitted` record already
-/// exists, so only terminal records will follow.
+/// duplicate, or a fresh queue entry — the only case that parses the
+/// design. The `admitted` record already exists, so only terminal
+/// records will follow.
 fn requeue_replayed(
     inner: &mut Inner,
     durable: &Durable,
+    lib_fp: u64,
     id: usize,
     rec: &mut JobRecord,
     f: &Replayed,
 ) {
-    let loaded = match &f.manifest {
+    let keyed = match &f.manifest {
         None => Err("journal admitted record carries no manifest".to_string()),
-        Some(mdoc) => replayed_manifest_job(mdoc).and_then(|m| load_and_key(&m).map(|l| (m, l))),
-    };
-    match loaded {
-        Err(e) => {
-            rec.status = JobStatus::Failed;
-            rec.cache = "none";
-            rec.error = Some(format!("recovery: {e}"));
-            let mut ev = event("failed");
-            ev.push(("error".into(), JsonValue::Str(format!("recovery: {e}"))));
-            push_event(rec, ev);
-            obs::counter_add("serve.jobs_failed", 1);
+        Some(mdoc) => {
+            replayed_manifest_job(mdoc).and_then(|m| content_keys(&m, lib_fp).map(|k| (m, k)))
         }
-        Ok((m, l)) => {
-            rec.result_key = l.result_key;
-            if let Some(k) = l.result_key {
-                if let Some(c) = disk_lookup(durable, k) {
-                    rec.status = JobStatus::Done;
-                    rec.cache = "disk";
-                    rec.rows = Some(c.rows.clone());
-                    rec.degraded = c.degraded;
-                    push_event(rec, event("done"));
-                    inner.results.insert(k, c);
-                    return;
-                }
-                if let Some(followers) = inner.inflight.get_mut(&k) {
-                    rec.cache = "dedup";
-                    push_event(rec, event("deduped"));
-                    followers.push(id);
-                    return;
-                }
-                inner.inflight.insert(k, Vec::new());
-            } else {
-                rec.cache = "bypass";
-            }
-            push_event(rec, event("queued"));
-            obs::counter_add("serve.recovered", 1);
-            inner.queue.push_back(Task {
-                job_id: id,
-                request_id: f.request_id.clone(),
-                mjob: m,
-                network: l.network,
-                fault: l.fault,
-                prep_key: l.prep_key,
-                result_key: l.result_key,
-            });
+    };
+    let (m, k) = match keyed {
+        Ok(mk) => mk,
+        Err(e) => return fail_replayed(rec, &e),
+    };
+    rec.result_key = k.result_key;
+    if let Some(key) = k.result_key {
+        if let Some(c) = disk_lookup(durable, key) {
+            rec.status = JobStatus::Done;
+            rec.cache = Cache::Disk;
+            rec.set_rows(c.rows.clone());
+            rec.degraded = c.degraded;
+            push_event(rec, event("done"));
+            inner.results.insert(key, c);
+            return;
+        }
+        if let Some(followers) = inner.inflight.get_mut(&key) {
+            rec.cache = Cache::Dedup;
+            push_event(rec, event("deduped"));
+            followers.push(id);
+            return;
         }
     }
+    let network = match parse_keyed(&m, &k) {
+        Ok(n) => n,
+        Err(e) => return fail_replayed(rec, &e),
+    };
+    match k.result_key {
+        Some(key) => {
+            inner.inflight.insert(key, Vec::new());
+        }
+        None => rec.cache = Cache::Bypass,
+    }
+    push_event(rec, event("queued"));
+    obs::counter_add("serve.recovered", 1);
+    inner.queue.push_back(Task {
+        job_id: id,
+        request_id: f.request_id.clone(),
+        mjob: m,
+        network,
+        fault: k.fault,
+        prep_key: k.prep_key,
+        result_key: k.result_key,
+    });
+}
+
+/// Marks a replayed job failed because it can no longer be run.
+fn fail_replayed(rec: &mut JobRecord, e: &str) {
+    let error = format!("recovery: {e}");
+    rec.status = JobStatus::Failed;
+    rec.cache = Cache::Uncached;
+    let mut ev = event("failed");
+    ev.push(("error".into(), JsonValue::Str(error.clone())));
+    push_event(rec, ev);
+    rec.error = Some(error.into());
+    obs::counter_add("serve.jobs_failed", 1);
+}
+
+/// Appends a record to the job table, counting it while it is
+/// unfinished; [`finish_job`] uncounts it.
+fn push_job(g: &mut Inner, rec: JobRecord) {
+    g.unfinished += usize::from(!rec.status.terminal());
+    g.jobs.push(rec);
 }
 
 fn push_event(rec: &mut JobRecord, mut fields: Vec<(String, JsonValue)>) {
-    let t_ms = rec.submitted.elapsed().as_secs_f64() * 1e3;
-    fields.push(("t_ms".into(), JsonValue::Number(t_ms)));
-    if !rec.request_id.is_empty() {
-        fields.push(("request_id".into(), JsonValue::Str(rec.request_id.clone())));
-    }
-    rec.events.push(JsonValue::object(fields).to_string_compact());
     rec.event_count += 1;
+    let request_id = &rec.ident[rec.name_len + rec.design_len..];
+    let Some(live) = &mut rec.live else { return };
+    let t_ms = live.submitted.elapsed().as_secs_f64() * 1e3;
+    fields.push(("t_ms".into(), JsonValue::Number(t_ms)));
+    if !request_id.is_empty() {
+        fields.push(("request_id".into(), JsonValue::Str(request_id.to_string())));
+    }
+    live.events.push(JsonValue::object(fields).to_string_compact());
 }
 
 /// Moves the retention window up to the newest `cap` admissions and
@@ -922,16 +1103,16 @@ fn sweep_retention(g: &mut Inner, cap: usize) {
 }
 
 /// A finished result by content address, the way a resubmission finds
-/// it: the memory LRU (`"hit"`), then the disk cache (`"disk"`, promoted
-/// back into the LRU).
-fn cached_result(shared: &Shared, g: &mut Inner, key: u64) -> Option<(CachedResult, &'static str)> {
+/// it: the memory LRU ([`Cache::Hit`]), then the disk cache
+/// ([`Cache::Disk`], promoted back into the LRU).
+fn cached_result(shared: &Shared, g: &mut Inner, key: u64) -> Option<(CachedResult, Cache)> {
     if let Some(c) = g.results.get(key) {
-        return Some((c.clone(), "hit"));
+        return Some((c.clone(), Cache::Hit));
     }
     // spilled by an earlier run (possibly before a restart)
     let c = disk_lookup(shared.durable.as_ref()?, key)?;
     g.results.insert(key, c.clone());
-    Some((c, "disk"))
+    Some((c, Cache::Disk))
 }
 
 fn event(name: &str) -> Vec<(String, JsonValue)> {
@@ -941,11 +1122,46 @@ fn event(name: &str) -> Vec<(String, JsonValue)> {
 /// How submission classified one manifest entry.
 enum Admit {
     LoadError(String),
-    /// Served from cache; the `&'static str` is the tag (`"hit"` for
-    /// the in-memory LRU, `"disk"` for a spilled artifact).
-    Hit(CachedResult, &'static str),
+    /// Served from cache, from where the tag says.
+    Hit(CachedResult, Cache),
     Dedup(u64),
     Enqueue,
+}
+
+/// One manifest entry on its way through admission.
+struct Candidate {
+    m: ManifestJob,
+    keyed: Result<Keyed, String>,
+    /// The parsed design, once classification has said the job runs.
+    network: Option<Result<Network, String>>,
+}
+
+/// Decides every candidate's fate before anything is mutated, so a 429
+/// rejects the whole request without admitting a partial batch. A job
+/// that would run but has no parsed design yet classifies as `Enqueue`;
+/// the caller parses it and classifies again.
+fn classify(shared: &Shared, g: &mut Inner, cands: &[Candidate]) -> Vec<Admit> {
+    let mut pending: HashSet<u64> = HashSet::new();
+    cands
+        .iter()
+        .map(|c| match (&c.keyed, &c.network) {
+            (Err(e), _) | (_, Some(Err(e))) => Admit::LoadError(e.clone()),
+            (Ok(k), _) => match k.result_key {
+                // a key being computed is in neither cache yet
+                Some(key) if g.inflight.contains_key(&key) || pending.contains(&key) => {
+                    Admit::Dedup(key)
+                }
+                Some(key) => match cached_result(shared, g, key) {
+                    Some((c, tag)) => Admit::Hit(c, tag),
+                    None => {
+                        pending.insert(key);
+                        Admit::Enqueue
+                    }
+                },
+                None => Admit::Enqueue,
+            },
+        })
+        .collect()
 }
 
 fn handle_submit(
@@ -973,45 +1189,39 @@ fn handle_submit(
     })?;
     let manifest = parse_manifest_value(&doc, &ManifestDefaults::default())
         .map_err(|e| HttpError::bad_request(format!("manifest: {e}")))?;
-    // design loading and content addressing happen outside the state lock
-    let loaded: Vec<(ManifestJob, Result<LoadedJob, String>)> = manifest
+    // content addressing happens outside the state lock, from the raw text
+    let mut cands: Vec<Candidate> = manifest
         .into_iter()
         .map(|m| {
-            let l = load_and_key(&m);
-            (m, l)
+            let keyed = content_keys(&m, shared.lib_fp);
+            Candidate { m, keyed, network: None }
         })
         .collect();
-
-    let mut g = lock_inner(shared);
-    if g.draining {
-        return Err(HttpError::unavailable("server is draining"));
-    }
-    // classification pass: decide every job's fate before mutating, so a
-    // 429 rejects the whole request without admitting a partial batch
-    let mut admits = Vec::with_capacity(loaded.len());
-    let mut pending: HashSet<u64> = HashSet::new();
-    for (_, l) in &loaded {
-        match l {
-            Err(e) => admits.push(Admit::LoadError(e.clone())),
-            Ok(l) => match l.result_key {
-                Some(k) => {
-                    // a key being computed is in neither cache yet
-                    if g.inflight.contains_key(&k) || pending.contains(&k) {
-                        admits.push(Admit::Dedup(k));
-                    } else if let Some((c, tag)) = cached_result(shared, &mut g, k) {
-                        admits.push(Admit::Hit(c, tag));
-                    } else {
-                        pending.insert(k);
-                        admits.push(Admit::Enqueue);
-                    }
-                }
-                None => admits.push(Admit::Enqueue),
-            },
+    // a job that runs is parsed outside the lock, after which the request
+    // is classified afresh: the state may have moved in between
+    let (mut g, admits) = loop {
+        let mut g = lock_inner(shared);
+        if g.draining {
+            return Err(HttpError::unavailable("server is draining"));
         }
-    }
+        let admits = classify(shared, &mut g, &cands);
+        let unparsed: Vec<usize> = (0..cands.len())
+            .filter(|&i| matches!(admits[i], Admit::Enqueue) && cands[i].network.is_none())
+            .collect();
+        if unparsed.is_empty() {
+            break (g, admits);
+        }
+        drop(g);
+        for i in unparsed {
+            let c = &mut cands[i];
+            if let Ok(k) = &c.keyed {
+                c.network = Some(parse_keyed(&c.m, k));
+            }
+        }
+    };
     let slots = admits.iter().filter(|a| matches!(a, Admit::Enqueue)).count();
     if g.queue.len() + slots > shared.config.queue_capacity {
-        obs::counter_add("serve.rejected", loaded.len() as u64);
+        obs::counter_add("serve.rejected", cands.len() as u64);
         return Err(HttpError::backpressure(format!(
             "queue full: {} queued of capacity {}, {slots} more requested",
             g.queue.len(),
@@ -1019,83 +1229,82 @@ fn handle_submit(
         )));
     }
     // admission pass
-    let mut out = Vec::with_capacity(loaded.len());
-    for ((m, l), admit) in loaded.into_iter().zip(admits) {
+    let mut out = Vec::with_capacity(cands.len());
+    let mut wal_seq = 0;
+    for (Candidate { m, keyed, network }, admit) in cands.into_iter().zip(admits) {
         let id = g.jobs.len();
-        let result_key = l.as_ref().ok().and_then(|l| l.result_key);
+        let result_key = keyed.as_ref().ok().and_then(|k| k.result_key);
         let mut rec = JobRecord::new(&m.name, &m.design, rid, result_key);
         push_event(&mut rec, event("submitted"));
         obs::counter_add("serve.submitted", 1);
         // journal the admission before the outcome records below; the
         // `admitted` record carries the manifest so replay can re-run
-        if let Some(d) = &shared.durable {
-            d.append(wal_admitted(id, &m, result_key, rid));
-        }
+        journal(shared, &mut rec, || wal_admitted(id, &m, result_key, rid));
         match admit {
             Admit::LoadError(e) => {
                 rec.status = JobStatus::Failed;
-                rec.cache = "none";
-                rec.error = Some(e.clone());
+                rec.cache = Cache::Uncached;
                 let mut ev = event("failed");
                 ev.push(("error".into(), JsonValue::Str(e.clone())));
                 push_event(&mut rec, ev);
                 obs::counter_add("serve.jobs_failed", 1);
-                if let Some(d) = &shared.durable {
-                    d.append(wal_failed(id, &e));
-                }
+                journal(shared, &mut rec, || wal_failed(id, &e));
+                rec.error = Some(e.into());
             }
             Admit::Hit(c, tag) => {
                 rec.status = JobStatus::Done;
                 rec.cache = tag;
-                rec.rows = Some(c.rows);
+                rec.set_rows(c.rows);
                 rec.degraded = c.degraded;
                 push_event(&mut rec, event("cache_hit"));
                 push_event(&mut rec, event("done"));
                 obs::counter_add("serve.cache_hits", 1);
                 obs::counter_add("serve.jobs_done", 1);
-                if let Some(d) = &shared.durable {
-                    d.append(wal_done(id, result_key, rec.degraded, 0.0));
-                }
+                journal(shared, &mut rec, || wal_done(id, result_key, c.degraded, 0.0));
             }
             Admit::Dedup(k) => {
-                rec.cache = "dedup";
+                rec.cache = Cache::Dedup;
                 push_event(&mut rec, event("deduped"));
                 g.inflight.entry(k).or_default().push(id);
                 obs::counter_add("serve.deduped", 1);
             }
             Admit::Enqueue => {
-                let l = l.expect("classified Enqueue from Ok");
-                if l.result_key.is_none() {
-                    rec.cache = "bypass";
+                let (Ok(k), Some(Ok(network))) = (keyed, network) else {
+                    unreachable!("only a keyed, parsed job classifies as Enqueue")
+                };
+                match k.result_key {
+                    Some(key) => {
+                        g.inflight.insert(key, Vec::new());
+                    }
+                    None => rec.cache = Cache::Bypass,
                 }
                 push_event(&mut rec, event("queued"));
-                if let Some(k) = l.result_key {
-                    g.inflight.insert(k, Vec::new());
-                }
                 g.queue.push_back(Task {
                     job_id: id,
                     request_id: rid.to_string(),
-                    mjob: m.clone(),
-                    network: l.network,
-                    fault: l.fault,
-                    prep_key: l.prep_key,
-                    result_key: l.result_key,
+                    mjob: m,
+                    network,
+                    fault: k.fault,
+                    prep_key: k.prep_key,
+                    result_key: k.result_key,
                 });
                 obs::counter_add("serve.queued", 1);
             }
         }
         out.push(JsonValue::object(vec![
             ("id".into(), JsonValue::Number(id as f64)),
-            ("name".into(), JsonValue::Str(m.name)),
+            ("name".into(), JsonValue::Str(rec.name().to_string())),
             ("status".into(), JsonValue::Str(rec.status.as_str().into())),
-            ("cache".into(), JsonValue::Str(rec.cache.into())),
+            ("cache".into(), JsonValue::Str(rec.cache.as_str().into())),
         ]));
-        g.jobs.push(rec);
+        wal_seq = wal_seq.max(rec.wal_seq);
+        push_job(&mut g, rec);
     }
     sweep_retention(&mut g, shared.config.result_cache_cap);
     drop(g);
     shared.queue_cv.notify_all();
     shared.state_cv.notify_all();
+    await_journal(shared, wal_seq);
     Ok((
         202,
         JsonValue::object(vec![
@@ -1105,32 +1314,33 @@ fn handle_submit(
     ))
 }
 
-/// The job's status document, with a `rows` field when `rows` is given.
-fn status_doc(rec: &JobRecord, id: usize, rows: Option<JsonValue>) -> JsonValue {
+/// The fields of the job's status document (`/result` adds `rows`).
+fn status_fields(rec: &JobRecord, id: usize) -> Vec<(String, JsonValue)> {
     let mut doc = vec![
         ("id".into(), JsonValue::Number(id as f64)),
-        ("name".into(), JsonValue::Str(rec.name.clone())),
-        ("design".into(), JsonValue::Str(rec.design.clone())),
-        ("request_id".into(), JsonValue::Str(rec.request_id.clone())),
+        ("name".into(), JsonValue::Str(rec.name().to_string())),
+        ("design".into(), JsonValue::Str(rec.design().to_string())),
+        ("request_id".into(), JsonValue::Str(rec.request_id().to_string())),
         ("status".into(), JsonValue::Str(rec.status.as_str().into())),
-        ("cache".into(), JsonValue::Str(rec.cache.into())),
+        ("cache".into(), JsonValue::Str(rec.cache.as_str().into())),
         ("degraded".into(), JsonValue::Bool(rec.degraded)),
         ("wall_ms".into(), JsonValue::Number(rec.wall_ms)),
-        ("events".into(), JsonValue::Number(rec.event_count as f64)),
+        ("events".into(), JsonValue::Number(f64::from(rec.event_count))),
     ];
     if let Some(e) = &rec.error {
-        doc.push(("error".into(), JsonValue::Str(e.clone())));
+        doc.push(("error".into(), JsonValue::Str(e.to_string())));
     }
-    if let Some(rows) = rows {
-        doc.push(("rows".into(), rows));
-    }
-    JsonValue::object(doc)
+    doc
 }
 
 fn handle_status(shared: &Shared, id: &str) -> Result<(u16, JsonValue), HttpError> {
     let id = parse_job_id(shared, id)?;
-    let g = lock_inner(shared);
-    Ok((200, status_doc(&g.jobs[id], id, None)))
+    let (doc, seq) = {
+        let g = lock_inner(shared);
+        (status_fields(&g.jobs[id], id), g.jobs[id].wal_seq)
+    };
+    await_journal(shared, seq);
+    Ok((200, JsonValue::Object(doc)))
 }
 
 fn handle_result(shared: &Shared, id: &str, wait: bool) -> Result<(u16, JsonValue), HttpError> {
@@ -1155,24 +1365,30 @@ fn handle_result(shared: &Shared, id: &str, wait: bool) -> Result<(u16, JsonValu
         )));
     }
     let rec = &g.jobs[id];
-    let rows = match &rec.rows {
-        Some(r) => (**r).clone(),
+    let rows = if let Some(live) = &rec.live {
+        live.rows.clone()
+    } else if rec.status == JobStatus::Done {
         // a released result is re-served from where a resubmission of
         // the same job would find it
-        None if rec.released() && rec.status == JobStatus::Done => {
-            let cached = rec.result_key.and_then(|k| cached_result(shared, &mut g, k));
-            match cached {
-                Some((c, _)) => (*c.rows).clone(),
-                None => {
-                    return Err(HttpError::gone(format!(
-                        "the result of job {id} was released and is in no cache; resubmit it"
-                    )))
-                }
+        let key = rec.result_key;
+        match key.and_then(|k| cached_result(shared, &mut g, k)) {
+            Some((c, _)) => Some(c.rows),
+            None => {
+                return Err(HttpError::gone(format!(
+                    "the result of job {id} was released and is in no cache; resubmit it"
+                )))
             }
         }
-        None => JsonValue::Array(Vec::new()),
+    } else {
+        None
     };
-    Ok((200, status_doc(&g.jobs[id], id, Some(rows))))
+    let (mut doc, seq) = (status_fields(&g.jobs[id], id), g.jobs[id].wal_seq);
+    drop(g);
+    await_journal(shared, seq);
+    // the rows are shared with the cache: copy them outside the lock
+    let rows = rows.map_or_else(|| JsonValue::Array(Vec::new()), |r| (*r).clone());
+    doc.push(("rows".into(), rows));
+    Ok((200, JsonValue::Object(doc)))
 }
 
 fn handle_events(shared: &Shared, stream: &mut TcpStream, id: &str) {
@@ -1188,19 +1404,19 @@ fn handle_events(shared: &Shared, stream: &mut TcpStream, id: &str) {
     }
     let mut sent = 0usize;
     loop {
-        let (chunk, terminal) = {
+        let (chunk, terminal, seq) = {
             let mut g = lock_inner(shared);
             loop {
                 let rec = &g.jobs[id];
-                if rec.released() {
+                let Some(live) = &rec.live else {
                     // the lines are gone — possibly between two polls of
                     // this very stream: say so once and end
-                    break (vec![r#"{"event":"expired"}"#.to_string()], true);
-                }
-                if rec.events.len() > sent || rec.status.terminal() {
-                    let chunk: Vec<String> = rec.events.get(sent..).unwrap_or_default().to_vec();
-                    sent = rec.events.len();
-                    break (chunk, rec.status.terminal());
+                    break (vec![r#"{"event":"expired"}"#.to_string()], true, 0);
+                };
+                if live.events.len() > sent || rec.status.terminal() {
+                    let chunk: Vec<String> = live.events.get(sent..).unwrap_or_default().to_vec();
+                    sent = live.events.len();
+                    break (chunk, rec.status.terminal(), rec.wal_seq);
                 }
                 let (ng, _) = shared
                     .state_cv
@@ -1209,6 +1425,7 @@ fn handle_events(shared: &Shared, stream: &mut TcpStream, id: &str) {
                 g = ng;
             }
         };
+        await_journal(shared, seq);
         for line in &chunk {
             use std::io::Write;
             if stream.write_all(line.as_bytes()).is_err() || stream.write_all(b"\n").is_err() {
@@ -1235,8 +1452,7 @@ fn sample_now(shared: &Shared) -> u64 {
     {
         let g = lock_inner(shared);
         obs::gauge_set("serve.queue_depth", g.queue.len() as f64);
-        let inflight = g.jobs.iter().filter(|r| !r.status.terminal()).count();
-        obs::gauge_set("serve.inflight", inflight as f64);
+        obs::gauge_set("serve.inflight", g.unfinished as f64);
     }
     obs::gauge_set("serve.live_bytes", obs::alloc::current_bytes() as f64);
     obs::gauge_set("serve.uptime_s", now_s as f64);
@@ -1358,23 +1574,33 @@ fn dispatcher_loop(shared: &Arc<Shared>, pool: &Pool) {
                     break g.queue.drain(..).collect();
                 }
                 if g.draining {
-                    return;
+                    break Vec::new();
                 }
                 g = shared.queue_cv.wait(g).unwrap_or_else(|p| p.into_inner());
             }
         };
+        if tasks.is_empty() {
+            // drained: every job admitted before the drain has its
+            // records queued; write them before the process may exit
+            if let Some(d) = &shared.durable {
+                d.sync_all();
+            }
+            return;
+        }
         run_tasks(shared, pool, &tasks);
     }
 }
 
+/// Marks a claimed job running. Its `started` record is enqueued but
+/// not waited for: replay requeues a running job exactly like a queued
+/// one, so nothing depends on that record being durable.
 fn mark_running(shared: &Shared, job_id: usize) {
     let mut g = lock_inner(shared);
-    if g.jobs[job_id].status == JobStatus::Queued {
-        g.jobs[job_id].status = JobStatus::Running;
-        push_event(&mut g.jobs[job_id], event("started"));
-        if let Some(d) = &shared.durable {
-            d.append(JsonValue::object(wal_rec("started", job_id)));
-        }
+    let rec = &mut g.jobs[job_id];
+    if rec.status == JobStatus::Queued {
+        rec.status = JobStatus::Running;
+        push_event(rec, event("started"));
+        journal(shared, rec, || JsonValue::object(wal_rec("started", job_id)));
     }
     drop(g);
     shared.state_cv.notify_all();
@@ -1469,74 +1695,239 @@ fn run_tasks(shared: &Arc<Shared>, pool: &Pool, tasks: &[Task]) {
 }
 
 fn finish_job(shared: &Shared, t: &Task, jr: &BatchJobReport) {
-    let mut g = lock_inner(shared);
-    // a job that finishes outside the retention window is released at once
-    let swept = g.swept;
-    match &jr.outcome {
-        Ok(s) => {
-            let rows = Arc::new(JsonValue::Array(s.rows.iter().map(k_row_json).collect()));
-            if let Some(k) = t.result_key {
-                g.results.insert(k, CachedResult { rows: rows.clone(), degraded: s.degraded });
-                // spill to disk *before* the terminal journal record, so
-                // a replayed `done` implies the artifact should exist
-                // (replay recomputes if the write below failed)
-                if let Some(d) = &shared.durable {
-                    let doc = JsonValue::object(vec![
-                        ("schema".into(), JsonValue::Str("casyn.serve.cache.v1".into())),
-                        ("rows".into(), (*rows).clone()),
-                        ("degraded".into(), JsonValue::Bool(s.degraded)),
-                    ]);
-                    if let Err(e) = d.cache.put("job", k, &doc) {
-                        obs::log::warn(&format!("cache: spill of {k:016x} failed: {e}"));
-                    }
-                }
-            }
-            let followers = t.result_key.and_then(|k| g.inflight.remove(&k)).unwrap_or_default();
-            for id in std::iter::once(t.job_id).chain(followers) {
-                let rec = &mut g.jobs[id];
-                rec.status = JobStatus::Done;
-                rec.rows = Some(rows.clone());
-                rec.degraded = s.degraded;
-                rec.wall_ms = jr.wall_ms;
-                push_event(rec, event("done"));
-                if id < swept {
-                    rec.release();
-                }
-                obs::counter_add("serve.jobs_done", 1);
-                if let Some(d) = &shared.durable {
-                    d.append(wal_done(id, t.result_key, s.degraded, jr.wall_ms));
-                }
-            }
+    let outcome = jr.outcome.as_ref().map(|s| CachedResult {
+        rows: Arc::new(JsonValue::Array(s.rows.iter().map(k_row_json).collect())),
+        degraded: s.degraded,
+    });
+    // spill to disk outside the lock, and *before* the terminal journal
+    // record, so a replayed `done` implies the artifact should exist
+    // (replay recomputes if the write below failed)
+    if let (Ok(c), Some(k), Some(d)) = (&outcome, t.result_key, &shared.durable) {
+        let doc = JsonValue::object(vec![
+            ("schema".into(), JsonValue::Str("casyn.serve.cache.v1".into())),
+            ("rows".into(), (*c.rows).clone()),
+            ("degraded".into(), JsonValue::Bool(c.degraded)),
+        ]);
+        if let Err(e) = d.cache.put("job", k, &doc) {
+            obs::log::warn(&format!("cache: spill of {k:016x} failed: {e}"));
         }
-        Err(e) => {
-            let cancelled = e.kind == FlowErrorKind::Cancelled;
-            let status = if cancelled { JobStatus::Cancelled } else { JobStatus::Failed };
-            let followers = t.result_key.and_then(|k| g.inflight.remove(&k)).unwrap_or_default();
-            for id in std::iter::once(t.job_id).chain(followers) {
-                let rec = &mut g.jobs[id];
-                rec.status = status;
-                rec.error = Some(e.to_string());
-                rec.wall_ms = jr.wall_ms;
-                let mut ev = event(status.as_str());
+    }
+    let mut guard = lock_inner(shared);
+    let g = &mut *guard;
+    if let (Ok(c), Some(k)) = (&outcome, t.result_key) {
+        g.results.insert(k, c.clone());
+    }
+    let followers = t.result_key.and_then(|k| g.inflight.remove(&k)).unwrap_or_default();
+    let mut wal_seq = 0;
+    for id in std::iter::once(t.job_id).chain(followers) {
+        let rec = &mut g.jobs[id];
+        g.unfinished -= usize::from(!rec.status.terminal());
+        rec.wall_ms = jr.wall_ms;
+        match &outcome {
+            Ok(c) => {
+                rec.status = JobStatus::Done;
+                rec.set_rows(c.rows.clone());
+                rec.degraded = c.degraded;
+                push_event(rec, event("done"));
+                obs::counter_add("serve.jobs_done", 1);
+                journal(shared, rec, || wal_done(id, t.result_key, c.degraded, jr.wall_ms));
+            }
+            Err(e) => {
+                let cancelled = e.kind == FlowErrorKind::Cancelled;
+                rec.status = if cancelled { JobStatus::Cancelled } else { JobStatus::Failed };
+                let mut ev = event(rec.status.as_str());
                 ev.push(("error".into(), JsonValue::Str(e.to_string())));
                 push_event(rec, ev);
-                if id < swept {
-                    rec.release();
-                }
+                rec.error = Some(e.to_string().into());
                 obs::counter_add(
                     if cancelled { "serve.jobs_cancelled" } else { "serve.jobs_failed" },
                     1,
                 );
-                if let Some(d) = &shared.durable {
-                    d.append(if cancelled {
+                journal(shared, rec, || {
+                    if cancelled {
                         JsonValue::object(wal_rec("cancelled", id))
                     } else {
                         wal_failed(id, &e.to_string())
-                    });
-                }
+                    }
+                });
             }
         }
+        // a job that finishes outside the retention window is released at once
+        if id < g.swept {
+            rec.release();
+        }
+        wal_seq = rec.wal_seq;
     }
-    drop(g);
+    drop(guard);
     shared.state_cv.notify_all();
+    await_journal(shared, wal_seq);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::request_json;
+    use casyn_netlist::bench::{random_pla, PlaGenConfig};
+    use casyn_netlist::blif::to_blif;
+
+    /// The key the way it was derived before keys stopped parsing: from
+    /// the text `load_network` returns after the parse, and from the
+    /// library and placer of the job's own flow options.
+    fn parsed_path_keys(m: &ManifestJob) -> (u64, Option<u64>) {
+        let (_, raw) = m.load_network().unwrap();
+        let opts = m.flow_options(false);
+        let key = |domain: &str| {
+            KeyBuilder::new(domain)
+                .hash(fnv1a64(raw.as_bytes()))
+                .hash(library_fingerprint(&opts.lib))
+                .num(m.util)
+                .int(m.layers as u64)
+                .bool(m.optimize)
+                .str(opts.placer.backend.name())
+        };
+        let result_key =
+            m.fault().unwrap().is_none().then(|| key("casyn.serve.job.v1").nums(&m.ks));
+        (key("casyn.serve.prep.v1").finish(), result_key.map(KeyBuilder::finish))
+    }
+
+    #[test]
+    fn keys_from_raw_text_equal_the_keys_of_the_parsed_path() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/designs");
+        let mut entries: Vec<JsonValue> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "pla"))
+            .map(|p| {
+                let path = p.to_string_lossy().into_owned();
+                JsonValue::object(vec![("design".into(), JsonValue::Str(path))])
+            })
+            .collect();
+        assert!(entries.len() >= 2, "the example designs are found");
+        let pla = random_pla(&PlaGenConfig { terms: 12, seed: 3, ..Default::default() });
+        let blif = to_blif(&pla.to_network(), "inline");
+        for extra in [
+            vec![],
+            vec![
+                ("util", JsonValue::Number(0.5)),
+                ("optimize", JsonValue::Bool(true)),
+                ("placer", JsonValue::Str("bisect".into())),
+            ],
+            vec![("fault_plan", JsonValue::Str("map:panic:1".into()))],
+        ] {
+            let mut fields = vec![
+                ("name".into(), JsonValue::Str("inline".into())),
+                ("source".into(), JsonValue::Str(blif.clone())),
+                ("format".into(), JsonValue::Str("blif".into())),
+            ];
+            fields.extend(extra.into_iter().map(|(k, v)| (k.to_string(), v)));
+            entries.push(JsonValue::object(fields));
+        }
+        let jobs =
+            parse_manifest_value(&JsonValue::Array(entries), &ManifestDefaults::default()).unwrap();
+        let lib_fp = library_fingerprint(&FlowOptions::default().lib);
+        for m in &jobs {
+            let k = content_keys(m, lib_fp).unwrap();
+            assert_eq!((k.prep_key, k.result_key), parsed_path_keys(m), "{}", m.name);
+        }
+        assert!(content_keys(&jobs[jobs.len() - 1], lib_fp).unwrap().result_key.is_none());
+    }
+
+    /// One inline-BLIF job entry, plus `extra` fields.
+    fn job(name: &str, seed: u64, terms: usize, extra: &[(&str, JsonValue)]) -> JsonValue {
+        let pla = random_pla(&PlaGenConfig { terms, seed, ..Default::default() });
+        let mut fields = vec![
+            ("name".into(), JsonValue::Str(name.into())),
+            ("source".into(), JsonValue::Str(to_blif(&pla.to_network(), name))),
+            ("format".into(), JsonValue::Str("blif".into())),
+            ("ks".into(), JsonValue::Array(vec![JsonValue::Number(0.0), JsonValue::Number(1.0)])),
+        ];
+        fields.extend(extra.iter().map(|(k, v)| (k.to_string(), v.clone())));
+        JsonValue::object(fields)
+    }
+
+    fn submit(addr: &str, jobs: Vec<JsonValue>) -> Vec<usize> {
+        let body = JsonValue::object(vec![("jobs".into(), JsonValue::Array(jobs))]);
+        let (status, doc) =
+            request_json(addr, "POST", "/jobs", Some(&body.to_string_compact())).unwrap();
+        assert_eq!(status, 202, "{doc:?}");
+        let ids = doc.get("jobs").and_then(JsonValue::as_array).unwrap();
+        ids.iter().map(|j| j.get("id").and_then(JsonValue::as_f64).unwrap() as usize).collect()
+    }
+
+    fn wait_all(addr: &str, ids: &[usize]) {
+        for id in ids {
+            let (status, _) =
+                request_json(addr, "GET", &format!("/jobs/{id}/result?wait=1"), None).unwrap();
+            assert_eq!(status, 200);
+        }
+    }
+
+    /// The unfinished-job count, the `serve.inflight` gauge it feeds and
+    /// a walk of the table, which the count replaced. The first two are
+    /// read under one lock; the gauge only where nothing is running.
+    fn unfinished_and_walk(shared: &Shared) -> (usize, usize) {
+        let g = lock_inner(shared);
+        (g.unfinished, g.jobs.iter().filter(|r| !r.status.terminal()).count())
+    }
+
+    fn inflight_gauge(shared: &Shared) -> f64 {
+        sample_now(shared);
+        obs::snapshot().gauge("serve.inflight").unwrap()
+    }
+
+    #[test]
+    fn the_inflight_gauge_equals_a_walk_of_the_job_table() {
+        let server = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            ..Default::default()
+        })
+        .unwrap();
+        let shared = server.shared.clone();
+        let addr = server.endpoint();
+        // a miss, then a hit of it; a duplicate pair (one dedups onto the
+        // other); a design that does not parse; a job whose flow fails
+        let miss = submit(&addr, vec![job("a", 1, 10, &[])]);
+        wait_all(&addr, &miss);
+        let fault = ("fault_plan", JsonValue::Str("map:panic:1".into()));
+        let bad = JsonValue::object(vec![
+            ("name".into(), JsonValue::Str("bad".into())),
+            ("source".into(), JsonValue::Str(".inputs a\n".into())),
+            ("format".into(), JsonValue::Str("blif".into())),
+        ]);
+        let mix = submit(
+            &addr,
+            vec![
+                job("a", 1, 10, &[]),
+                job("b", 2, 10, &[]),
+                job("b", 2, 10, &[]),
+                bad,
+                job("f", 3, 10, &[fault]),
+            ],
+        );
+        let (count, walk) = unfinished_and_walk(&shared);
+        assert_eq!(count, walk);
+        wait_all(&addr, &mix);
+        assert_eq!(unfinished_and_walk(&shared), (0, 0));
+        assert_eq!(inflight_gauge(&shared), 0.0);
+        let cache: Vec<&str> = {
+            let g = lock_inner(&shared);
+            mix.iter().map(|&id| g.jobs[id].cache.as_str()).collect()
+        };
+        assert_eq!(cache, ["hit", "miss", "dedup", "none", "bypass"]);
+
+        // a backlog for one worker, then a cancel-mode drain
+        let backlog: Vec<usize> = (0..4)
+            .flat_map(|i| submit(&addr, vec![job(&format!("c{i}"), 10 + i, 40, &[])]))
+            .collect();
+        let (count, walk) = unfinished_and_walk(&shared);
+        assert_eq!(count, walk);
+        assert!(count > 0, "the backlog is unfinished");
+        request_json(&addr, "POST", "/shutdown", Some("{\"mode\": \"cancel\"}")).unwrap();
+        server.wait().unwrap();
+        assert_eq!(unfinished_and_walk(&shared), (0, 0));
+        assert_eq!(inflight_gauge(&shared), 0.0);
+        let g = lock_inner(&shared);
+        assert!(backlog.iter().any(|&id| g.jobs[id].status == JobStatus::Cancelled));
+    }
 }

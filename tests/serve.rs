@@ -2,6 +2,7 @@
 //! ports, content-addressed cache hits, request dedup, HTTP error
 //! discipline, backpressure, and graceful drain.
 
+use casyn::flow::{parse_manifest, ManifestDefaults, Wal};
 use casyn::netlist::bench::{random_pla, PlaGenConfig};
 use casyn::netlist::blif::to_blif;
 use casyn::obs;
@@ -72,11 +73,14 @@ fn identical_resubmit_hits_cache_without_rerouting() {
     let addr = server.endpoint();
     let m = manifest("accept", 7, 40, &[0.0, 0.5, 1.0]);
 
+    let first = obs::snapshot();
     let t0 = Instant::now();
     let (id0, cache0) = submit_one(&addr, &m);
     let r0 = result_wait(&addr, id0);
     let cold = t0.elapsed();
     assert_eq!(cache0, "miss");
+    let delta = obs::snapshot().delta_since(&first);
+    assert_eq!(counter(&delta, "serve.design_parses"), 1, "a job that runs is parsed once");
     assert_eq!(r0.get("status").and_then(|v| v.as_str()), Some("done"));
     let rows0 = r0.get("rows").and_then(|v| v.as_array()).unwrap().to_vec();
     assert_eq!(rows0.len(), 3, "one row per K value");
@@ -95,6 +99,7 @@ fn identical_resubmit_hits_cache_without_rerouting() {
     assert_eq!(r1.get("status").and_then(|v| v.as_str()), Some("done"));
     assert_eq!(counter(&delta, "route.iterations"), 0, "cache hit re-ran the router");
     assert_eq!(counter(&delta, "serve.computes"), 0, "cache hit re-ran the flow");
+    assert_eq!(counter(&delta, "serve.design_parses"), 0, "cache hit parsed the design");
     assert_eq!(counter(&delta, "serve.cache_hits"), 1);
     assert!(cold >= warm * 10, "expected >=10x speedup, got cold {cold:?} vs warm {warm:?}");
 
@@ -328,6 +333,149 @@ fn healthz_and_metrics_respond() {
     assert!(metrics.get("serve.submitted").and_then(|v| v.as_f64()).unwrap_or(0.0) >= 1.0);
     assert!(metrics.get("serve.inflight").is_some(), "inflight gauge exported");
 
+    request_json(&addr, "POST", "/shutdown", None).unwrap();
+    server.wait().unwrap();
+}
+
+fn str_field<'a>(doc: &'a JsonValue, key: &str) -> Option<&'a str> {
+    doc.get(key).and_then(|v| v.as_str())
+}
+
+/// A design that cannot run still fails at admission, in the 202 body,
+/// with the error its parse gives, although a content key no longer
+/// needs the parse. A failed parse is never cached: a resubmit parses
+/// and fails again.
+#[test]
+fn designs_that_cannot_run_fail_at_admission_with_their_parse_error() {
+    let _guard = lock();
+    let server = start(ServeConfig { workers: 1, ..Default::default() });
+    let addr = server.endpoint();
+    for (source, says) in [
+        (
+            ".model m\n.inputs a\n.outputs y\n.names a y\n2 1\n.end\n",
+            "invalid input-plane character",
+        ),
+        (".model s\n.inputs a\n.outputs q\n.latch a q 0\n.end\n", "sequential designs"),
+    ] {
+        let entry = JsonValue::object(vec![
+            ("name".into(), JsonValue::Str("bad".into())),
+            ("source".into(), JsonValue::Str(source.into())),
+            ("format".into(), JsonValue::Str("blif".into())),
+        ]);
+        let body = JsonValue::object(vec![("jobs".into(), JsonValue::Array(vec![entry]))])
+            .to_string_compact();
+        let job = parse_manifest(&body, &ManifestDefaults::default()).unwrap().remove(0);
+        let want = job.load_network().unwrap_err();
+        assert!(want.contains(says), "{want}");
+        for _ in 0..2 {
+            let before = obs::snapshot();
+            let (status, doc) = request_json(&addr, "POST", "/jobs", Some(&body)).unwrap();
+            assert_eq!(status, 202, "{doc:?}");
+            let job = &doc.get("jobs").and_then(|v| v.as_array()).unwrap()[0];
+            assert_eq!(str_field(job, "status"), Some("failed"));
+            assert_eq!(str_field(job, "cache"), Some("none"));
+            let id = job.get("id").and_then(|v| v.as_f64()).unwrap() as i64;
+            let (_, status) = request_json(&addr, "GET", &format!("/jobs/{id}"), None).unwrap();
+            assert_eq!(str_field(&status, "error"), Some(want.as_str()));
+            let delta = obs::snapshot().delta_since(&before);
+            assert_eq!(counter(&delta, "serve.design_parses"), 1);
+            assert_eq!(counter(&delta, "serve.computes"), 0);
+        }
+    }
+    request_json(&addr, "POST", "/shutdown", None).unwrap();
+    server.wait().unwrap();
+}
+
+/// Concurrent hits on a durable server share journal writes (group
+/// commit), and the journal stays what replay requires: `admitted` ids
+/// dense and in order, and every job that was answered in it — so a
+/// restarted server reports each of them done.
+#[test]
+fn concurrent_hits_group_commit_a_journal_that_replays() {
+    let _guard = lock();
+    let state = std::env::temp_dir().join(format!("casyn-serve-group-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&state);
+    let config =
+        || ServeConfig { workers: 2, state_dir: Some(state.clone()), ..Default::default() };
+    let server = start(config());
+    let addr = server.endpoint();
+    let m = manifest("group", 13, 24, &[0.0, 1.0]);
+    let (id0, _) = submit_one(&addr, &m);
+    result_wait(&addr, id0);
+
+    let before = obs::snapshot();
+    let answered: Vec<i64> = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..4)
+            .map(|_| {
+                s.spawn(|| {
+                    (0..50)
+                        .map(|_| {
+                            let (id, cache) = submit_one(&addr, &m);
+                            assert_eq!(cache, "hit");
+                            id
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        clients.into_iter().flat_map(|c| c.join().unwrap()).collect()
+    });
+    let syncs = counter(&obs::snapshot().delta_since(&before), "serve.wal.syncs");
+    assert!(syncs > 0 && syncs < 400, "{syncs} journal syncs for 400 records");
+
+    // read while the server still runs: an answer implies its records
+    // are already on disk, not merely queued until the drain
+    let replay = Wal::replay(&state.join("casyn.wal.v1")).unwrap();
+    let ids = |t: &str| -> Vec<i64> {
+        let of_type = replay.records.iter().filter(|r| str_field(r, "t") == Some(t));
+        of_type.map(|r| r.get("job").and_then(|v| v.as_f64()).unwrap() as i64).collect()
+    };
+    let admitted = ids("admitted");
+    assert_eq!(admitted, (0..201).collect::<Vec<i64>>(), "admitted ids are dense and in order");
+    let done = ids("done");
+    for id in &answered {
+        assert!(done.contains(id), "job {id} was answered but its done record is missing");
+    }
+    request_json(&addr, "POST", "/shutdown", None).unwrap();
+    server.wait().unwrap();
+
+    let server = start(config());
+    let addr = server.endpoint();
+    for id in &answered {
+        let (status, doc) = request_json(&addr, "GET", &format!("/jobs/{id}"), None).unwrap();
+        assert_eq!((status, str_field(&doc, "status")), (200, Some("done")));
+    }
+    request_json(&addr, "POST", "/shutdown", None).unwrap();
+    server.wait().unwrap();
+    std::fs::remove_dir_all(&state).unwrap();
+}
+
+/// A finished job outside the retention window keeps at most a quarter
+/// kilobyte of live heap, the growth of the job table included: the
+/// table keeps every record for the life of the process.
+#[test]
+fn a_released_job_record_retains_at_most_a_quarter_kilobyte() {
+    let _guard = lock();
+    let server = start(ServeConfig { workers: 1, result_cache_cap: 8, ..Default::default() });
+    let addr = server.endpoint();
+    let m = manifest("kept", 17, 8, &[0.0]);
+    let (id, _) = submit_one(&addr, &m);
+    result_wait(&addr, id);
+    // fifty hits per request, all of them done at admission
+    let entry = JsonValue::parse(&m).unwrap().get("jobs").unwrap().as_array().unwrap()[0].clone();
+    let body = JsonValue::object(vec![("jobs".into(), JsonValue::Array(vec![entry; 50]))])
+        .to_string_compact();
+    let hits = |requests: usize| {
+        for _ in 0..requests {
+            let (status, doc) = request_json(&addr, "POST", "/jobs", Some(&body)).unwrap();
+            assert_eq!(status, 202, "{doc:?}");
+        }
+    };
+    hits(2);
+    let before = obs::alloc::current_bytes() as f64;
+    hits(40);
+    let per_job = (obs::alloc::current_bytes() as f64 - before) / 2000.0;
+    assert!(per_job <= 250.0, "{per_job:.0} B of live heap retained per finished job");
     request_json(&addr, "POST", "/shutdown", None).unwrap();
     server.wait().unwrap();
 }
