@@ -154,3 +154,52 @@ fn faulted_batch_resumes_into_the_uninterrupted_report() {
     let resumed_text = strip_wall_ms(&fs::read_to_string(&resumed).unwrap());
     assert_eq!(full_text, resumed_text);
 }
+
+/// A `casyn.batch.v1` row carries only what belongs to its job, even with
+/// `--metrics-out` switching the process-global registry on under two
+/// workers: per stage exactly `stage` and `wall_ms`, and no registry or
+/// allocator window anywhere in the row.
+#[test]
+fn batch_rows_carry_only_per_job_telemetry() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("batch_rows");
+    fs::create_dir_all(&dir).unwrap();
+    let m = manifest(&dir, "rows.json", false);
+    let (metrics, report) = (dir.join("m.json"), dir.join("r.json"));
+    let out = casyn(&[
+        "batch",
+        m.to_str().unwrap(),
+        "--jobs",
+        "2",
+        "--metrics-out",
+        metrics.to_str().unwrap(),
+        "--out",
+        report.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let doc = read_json(&report);
+    let rows: Vec<&JsonValue> = doc
+        .get("jobs")
+        .and_then(JsonValue::as_array)
+        .unwrap()
+        .iter()
+        .flat_map(|j| j.get("rows").and_then(JsonValue::as_array).unwrap())
+        .collect();
+    assert_eq!(rows.len(), 8, "four jobs of two rows");
+    for row in rows {
+        let text = row.to_string_compact();
+        for key in ["\"metrics\"", "\"alloc_bytes\"", "\"peak_bytes\"", "\"peak_alloc_bytes\""] {
+            assert!(!text.contains(key), "{key} in a batch row: {text}");
+        }
+        let stages = row.get("telemetry").and_then(|t| t.get("stages"));
+        let stages = stages.and_then(JsonValue::as_array).unwrap();
+        assert!(!stages.is_empty());
+        for s in stages {
+            let JsonValue::Object(fields) = s else { panic!("stage is not an object: {text}") };
+            let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(keys, ["stage", "wall_ms"], "{text}");
+        }
+    }
+    // the registry itself is still there, once, in --metrics-out
+    let registry = read_json(&metrics);
+    assert!(registry.get("metrics").and_then(|m| m.get("route.iterations")).is_some());
+}

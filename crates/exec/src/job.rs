@@ -1,31 +1,23 @@
-//! Job-level robustness primitives: typed errors, cancellation tokens and
-//! per-job deadlines.
+//! Job-level robustness primitives: the typed error of a panicked pool job,
+//! and the cancellation token the batch runner checks as it claims a job.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-/// Why a job produced no result.
+/// Why a pool job produced no result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobError {
     /// The job's closure panicked; the payload message is preserved. The
     /// panic is confined to the job — sibling jobs and the pool itself
     /// keep running.
     Panicked(String),
-    /// The job's [`CancelToken`] was cancelled before the job started.
-    Cancelled,
-    /// The job's deadline elapsed before the job started (it spent too
-    /// long queued behind other work).
-    Deadline,
 }
 
 impl fmt::Display for JobError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             JobError::Panicked(msg) => write!(f, "job panicked: {msg}"),
-            JobError::Cancelled => write!(f, "job cancelled"),
-            JobError::Deadline => write!(f, "job deadline exceeded"),
         }
     }
 }
@@ -33,11 +25,11 @@ impl fmt::Display for JobError {
 impl std::error::Error for JobError {}
 
 /// A shared cancellation flag. Cloning is cheap (one `Arc`); cancelling
-/// through any clone is visible to all. The pool checks the token when a
-/// job is claimed: already-running jobs finish (work here is not
-/// preemptible), not-yet-started jobs report [`JobError::Cancelled`].
-/// Long-running jobs may poll [`CancelToken::is_cancelled`] themselves to
-/// bail out cooperatively.
+/// through any clone is visible to all. The batch runner checks the token
+/// when a job is claimed: already-running jobs finish (work here is not
+/// preemptible), not-yet-started jobs fail as cancelled. Long-running
+/// jobs may poll [`CancelToken::is_cancelled`] themselves to bail out
+/// cooperatively.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     cancelled: Arc<AtomicBool>,
@@ -60,18 +52,6 @@ impl CancelToken {
     }
 }
 
-/// Per-job execution constraints for [`crate::Pool::try_par_map`].
-#[derive(Debug, Clone, Default)]
-pub struct JobOptions {
-    /// When set, the job is skipped with [`JobError::Cancelled`] if the
-    /// token is cancelled before the job starts.
-    pub cancel: Option<CancelToken>,
-    /// When set, the job is skipped with [`JobError::Deadline`] if it has
-    /// not *started* within this duration of the batch being submitted.
-    /// Running jobs are never interrupted.
-    pub deadline: Option<Duration>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,7 +68,5 @@ mod tests {
     #[test]
     fn job_error_displays_reason() {
         assert_eq!(JobError::Panicked("boom".into()).to_string(), "job panicked: boom");
-        assert_eq!(JobError::Cancelled.to_string(), "job cancelled");
-        assert_eq!(JobError::Deadline.to_string(), "job deadline exceeded");
     }
 }

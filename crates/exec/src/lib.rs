@@ -13,18 +13,16 @@
 //!   results**: each job writes into its own slot, so the output is
 //!   bit-identical to the serial `items.iter().map(f)` regardless of
 //!   worker count or scheduling.
-//! * Job-level robustness — [`CancelToken`]s stop not-yet-started jobs,
-//!   per-job deadlines fail jobs that spent too long in the queue, and a
-//!   panicking job is isolated with `catch_unwind` and surfaced as
-//!   [`JobError::Panicked`] instead of tearing down the process
-//!   ([`Pool::try_par_map`] / [`Pool::try_par_map_with`]).
+//! * Job-level robustness — a panicking job is isolated with
+//!   `catch_unwind` and surfaced as [`JobError::Panicked`] instead of
+//!   tearing down the process ([`Pool::try_par_map`]), and a
+//!   [`CancelToken`] lets the batch runner stop not-yet-started jobs.
 //!
 //! The pool reports into [`casyn_obs`] when metric collection is enabled:
 //! `exec.steals`, `exec.queue_depth` (histogram of depth at each claim),
-//! `exec.jobs_completed` / `exec.jobs_panicked` / `exec.jobs_cancelled` /
-//! `exec.jobs_deadline`, a per-job `exec.job_ms` histogram, the
-//! cross-worker `exec.worker_busy_ms` histogram, and per-worker
-//! `exec.worker.<i>.busy_ms` gauges.
+//! `exec.jobs_completed` / `exec.jobs_panicked`, a per-job `exec.job_ms`
+//! histogram, the cross-worker `exec.worker_busy_ms` histogram, and
+//! per-worker `exec.worker.<i>.busy_ms` gauges.
 //!
 //! Worker count resolution: [`Pool::from_env`] honours the `CASYN_JOBS`
 //! environment variable and falls back to
@@ -35,5 +33,5 @@ mod job;
 mod pool;
 
 pub use fault::{FaultKind, FaultPlan, FaultSpec};
-pub use job::{CancelToken, JobError, JobOptions};
+pub use job::{CancelToken, JobError};
 pub use pool::{panic_message, Pool};

@@ -9,7 +9,7 @@
 //! the output *values* — are identical to the serial path no matter how
 //! the jobs interleave.
 
-use crate::job::{JobError, JobOptions};
+use crate::job::JobError;
 use casyn_obs as obs;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -64,69 +64,34 @@ impl Pool {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        self.try_par_map(items, &JobOptions::default(), f)
+        self.try_par_map(items, f)
             .into_iter()
             .map(|r| match r {
                 Ok(v) => v,
                 Err(JobError::Panicked(msg)) => panic!("par_map job panicked: {msg}"),
-                Err(e) => unreachable!("par_map job failed without cancel/deadline: {e}"),
             })
             .collect()
     }
 
-    /// [`Pool::par_map`] with job-level robustness: every job gets the
-    /// same [`JobOptions`], and each result slot is either the job's
-    /// return value or the typed [`JobError`] that kept it from running
-    /// to completion.
-    pub fn try_par_map<T, R, F>(
-        &self,
-        items: &[T],
-        opts: &JobOptions,
-        f: F,
-    ) -> Vec<Result<R, JobError>>
+    /// [`Pool::par_map`] with panic isolation: each result slot is either
+    /// the job's return value or the [`JobError`] of its panic.
+    /// Cancellation and deadlines are the batch runner's, which checks
+    /// them as it claims a job (`casyn_flow::batch::run_one`).
+    pub fn try_par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<Result<R, JobError>>
     where
         T: Sync,
         R: Send,
         F: Fn(&T) -> R + Sync,
-    {
-        self.try_par_map_with(items, |_| opts.clone(), f)
-    }
-
-    /// [`Pool::try_par_map`] with per-job options: `per_job(i)` supplies
-    /// the [`JobOptions`] for `items[i]` (distinct deadlines, shared or
-    /// separate cancel tokens).
-    pub fn try_par_map_with<T, R, F, O>(
-        &self,
-        items: &[T],
-        per_job: O,
-        f: F,
-    ) -> Vec<Result<R, JobError>>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-        O: Fn(usize) -> JobOptions + Sync,
     {
         let n = items.len();
         if n == 0 {
             return Vec::new();
         }
-        let start = Instant::now();
         let w = self.workers.min(n);
 
         // One job-execution body shared by the serial and parallel paths:
-        // claim-time cancellation/deadline checks, then panic-isolated
-        // execution with per-worker accounting.
+        // panic-isolated execution with per-worker accounting.
         let run_one = |idx: usize, st: &mut WorkerStats| -> Result<R, JobError> {
-            let jo = per_job(idx);
-            if jo.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-                st.cancelled += 1;
-                return Err(JobError::Cancelled);
-            }
-            if jo.deadline.is_some_and(|d| start.elapsed() > d) {
-                st.deadline += 1;
-                return Err(JobError::Deadline);
-            }
             let t0 = Instant::now();
             let mut job_span = obs::trace::span("exec.job");
             job_span.attr_num("idx", idx as f64);
@@ -246,8 +211,6 @@ struct WorkerStats {
     steals: u64,
     completed: u64,
     panicked: u64,
-    cancelled: u64,
-    deadline: u64,
     busy_ms: f64,
 }
 
@@ -265,12 +228,6 @@ fn flush_stats(workers: usize, stats: &[WorkerStats]) {
         completed += st.completed;
         if st.panicked > 0 {
             obs::counter_add("exec.jobs_panicked", st.panicked);
-        }
-        if st.cancelled > 0 {
-            obs::counter_add("exec.jobs_cancelled", st.cancelled);
-        }
-        if st.deadline > 0 {
-            obs::counter_add("exec.jobs_deadline", st.deadline);
         }
     }
     obs::counter_add("exec.steals", steals);
@@ -302,8 +259,6 @@ fn resolve_jobs(env: Option<&str>, fallback: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::CancelToken;
-    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
     #[test]
@@ -358,7 +313,7 @@ mod tests {
         let _guard = pool_test_lock();
         let pool = Pool::new(4);
         let items: Vec<usize> = (0..16).collect();
-        let out = pool.try_par_map(&items, &JobOptions::default(), |&i| {
+        let out = pool.try_par_map(&items, |&i| {
             if i == 5 {
                 panic!("injected failure in job {i}");
             }
@@ -390,103 +345,13 @@ mod tests {
     }
 
     #[test]
-    fn pre_cancelled_token_skips_every_job() {
-        let _guard = pool_test_lock();
-        let token = CancelToken::new();
-        token.cancel();
-        let opts = JobOptions { cancel: Some(token), ..Default::default() };
-        let ran = AtomicUsize::new(0);
-        let pool = Pool::new(4);
-        let items: Vec<u32> = (0..8).collect();
-        let out = pool.try_par_map(&items, &opts, |&x| {
-            ran.fetch_add(1, Ordering::SeqCst);
-            x
-        });
-        assert!(out.iter().all(|r| *r == Err(JobError::Cancelled)));
-        assert_eq!(ran.load(Ordering::SeqCst), 0);
-    }
-
-    #[test]
-    fn cancelling_mid_run_stops_unstarted_jobs() {
-        let _guard = pool_test_lock();
-        let token = CancelToken::new();
-        let opts = JobOptions { cancel: Some(token.clone()), ..Default::default() };
-        let pool = Pool::new(2);
-        let items: Vec<usize> = (0..64).collect();
-        let out = pool.try_par_map(&items, &opts, |&i| {
-            if i == 0 {
-                token.cancel();
-            } else {
-                thread::sleep(Duration::from_millis(1));
-            }
-            i
-        });
-        assert_eq!(out[0], Ok(0), "the cancelling job itself completes");
-        let cancelled = out.iter().filter(|r| **r == Err(JobError::Cancelled)).count();
-        assert!(cancelled >= 1, "jobs claimed after cancellation must be skipped");
-        // no job is lost: every slot is either a result or Cancelled
-        for (i, r) in out.iter().enumerate() {
-            assert!(matches!(r, Ok(v) if *v == i) || *r == Err(JobError::Cancelled));
-        }
-    }
-
-    #[test]
-    fn queued_job_past_its_deadline_reports_deadline() {
-        let _guard = pool_test_lock();
-        // one worker: job 0 blocks the queue for 40 ms, job 1's 5 ms
-        // deadline expires before it starts
-        let pool = Pool::serial();
-        let items = [0usize, 1];
-        let out = pool.try_par_map_with(
-            &items,
-            |i| JobOptions {
-                deadline: (i == 1).then(|| Duration::from_millis(5)),
-                ..Default::default()
-            },
-            |&i| {
-                if i == 0 {
-                    thread::sleep(Duration::from_millis(40));
-                }
-                i
-            },
-        );
-        assert_eq!(out[0], Ok(0));
-        assert_eq!(out[1], Err(JobError::Deadline));
-    }
-
-    #[test]
-    fn deadline_expires_while_queued_behind_busy_workers() {
-        let _guard = pool_test_lock();
-        // two workers busy for 40 ms each; the third job's 5 ms deadline
-        // has passed by the time a worker frees up
-        let pool = Pool::new(2);
-        let items = [0usize, 1, 2];
-        let out = pool.try_par_map_with(
-            &items,
-            |i| JobOptions {
-                deadline: (i == 2).then(|| Duration::from_millis(5)),
-                ..Default::default()
-            },
-            |&i| {
-                if i < 2 {
-                    thread::sleep(Duration::from_millis(40));
-                }
-                i
-            },
-        );
-        assert_eq!(out[0], Ok(0));
-        assert_eq!(out[1], Ok(1));
-        assert_eq!(out[2], Err(JobError::Deadline));
-    }
-
-    #[test]
     fn pool_reports_exec_metrics_when_enabled() {
         let _guard = pool_test_lock();
         obs::set_enabled(true);
         obs::reset();
         let pool = Pool::new(3);
         let items: Vec<u64> = (0..32).collect();
-        let out = pool.try_par_map(&items, &JobOptions::default(), |&x| {
+        let out = pool.try_par_map(&items, |&x| {
             thread::sleep(Duration::from_micros(200));
             if x == 9 {
                 panic!("metric probe");

@@ -21,7 +21,7 @@
 use crate::error::{FlowError, FlowErrorKind, Stage};
 use crate::flows::{congestion_flow_prepared, prepare, FlowOptions};
 use crate::sweep::{k_sweep_prepared, KSweepEntry};
-use casyn_exec::{panic_message, CancelToken, JobOptions, Pool};
+use casyn_exec::{panic_message, CancelToken, Pool};
 use casyn_netlist::network::Network;
 use casyn_obs as obs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -39,8 +39,10 @@ pub struct BatchJob {
     pub ks: Vec<f64>,
     /// Flow options for every K of this job.
     pub opts: FlowOptions,
-    /// Optional per-job deadline, measured from batch submission; a job
-    /// that has not *started* in time fails with a deadline error.
+    /// Optional per-job deadline, measured from the instant the caller
+    /// hands [`run_one`] (the batch start under [`run_batch`], the `POST`
+    /// under `casyn serve`); a job that has not *started* in time fails
+    /// with a deadline error.
     pub deadline: Option<Duration>,
 }
 
@@ -141,16 +143,77 @@ pub fn run_batch_job(job: &BatchJob, bopts: &BatchOptions) -> Result<JobSuccess,
     Ok(JobSuccess { rows, degraded })
 }
 
-/// Runs every job on the pool: `runner` computes one job (the default is
-/// `|j| run_batch_job(j, bopts)`; `casyn serve` and fault-injection tests
-/// pass their own), wrapped in retry — a panic or error triggers up to
-/// `bopts.retries` re-runs. `on_done(index, report)` runs as soon as job
-/// `index`'s outcome is known — on the worker thread for jobs that ran,
-/// and in a final flush on the calling thread for jobs that never started
-/// (pool-level cancellation or deadline). The callback therefore fires
-/// exactly once per job, so a checkpoint written from it is complete even
-/// when the batch is cancelled mid-run and the remaining jobs are drained
-/// unstarted.
+/// The loop every batch job goes through, under `casyn batch` and
+/// `casyn serve` alike. At claim time a job is skipped with a typed
+/// error when `bopts.cancel` has fired (`Cancelled`) or when more than
+/// its deadline has passed since `since` (`Deadline`); a skipped job
+/// reports 0 attempts and 0 ms. Otherwise `runner` computes it under
+/// panic isolation, and a panic or error triggers up to `bopts.retries`
+/// re-runs.
+pub fn run_one<F>(job: &BatchJob, since: Instant, bopts: &BatchOptions, runner: F) -> BatchJobReport
+where
+    F: Fn(&BatchJob) -> Result<JobSuccess, FlowError>,
+{
+    let skipped = if bopts.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+        Some((FlowErrorKind::Cancelled, "job cancelled before it started"))
+    } else if job.deadline.is_some_and(|d| since.elapsed() > d) {
+        Some((FlowErrorKind::Deadline, "job deadline elapsed before it started"))
+    } else {
+        None
+    };
+    if let Some((kind, detail)) = skipped {
+        let outcome = Err(FlowError::new(Stage::Batch, kind, detail));
+        return BatchJobReport { name: job.name.clone(), outcome, wall_ms: 0.0, attempts: 0 };
+    }
+    let t = Instant::now();
+    let mut job_span = obs::trace::span("batch.job");
+    job_span.attr_str("job", &job.name);
+    let mut attempts = 0u32;
+    let outcome = loop {
+        attempts += 1;
+        if attempts > 1 {
+            obs::counter_add("retry.attempts", 1);
+            obs::trace::instant(
+                "batch.retry",
+                &[
+                    ("job", obs::trace::AttrValue::Str(job.name.clone())),
+                    ("attempt", obs::trace::AttrValue::Num(attempts as f64)),
+                ],
+            );
+            obs::log::warn(&format!("job {}: retry attempt {attempts}", job.name));
+        }
+        let result = catch_unwind(AssertUnwindSafe(|| runner(job)));
+        let err = match result {
+            Ok(Ok(success)) => break Ok(success),
+            Ok(Err(e)) => e,
+            Err(payload) => FlowError::new(
+                Stage::Batch,
+                FlowErrorKind::Panicked,
+                panic_message(payload.as_ref()),
+            ),
+        };
+        if attempts > bopts.retries {
+            break Err(err);
+        }
+    };
+    job_span.attr_num("attempts", attempts as f64);
+    drop(job_span);
+    BatchJobReport {
+        name: job.name.clone(),
+        outcome,
+        wall_ms: t.elapsed().as_secs_f64() * 1e3,
+        attempts,
+    }
+}
+
+/// Runs every job on the pool through [`run_one`], with deadlines
+/// measured from the batch start: `runner` computes one job (the default
+/// is `|j| run_batch_job(j, bopts)`; fault-injection tests pass their
+/// own). `on_done(index, report)` runs on the worker thread as soon as
+/// job `index`'s outcome is known, for skipped jobs too, so it fires
+/// exactly once per job and a checkpoint written from it is complete
+/// even when the batch is cancelled mid-run and the remaining jobs are
+/// drained unstarted.
 pub fn run_batch<F, G>(
     jobs: &[BatchJob],
     pool: &Pool,
@@ -164,75 +227,11 @@ where
 {
     let t0 = Instant::now();
     let indices: Vec<usize> = (0..jobs.len()).collect();
-    let outcomes = pool.try_par_map_with(
-        &indices,
-        |i| JobOptions { deadline: jobs[i].deadline, cancel: bopts.cancel.clone() },
-        |&i| {
-            let job = &jobs[i];
-            let t = Instant::now();
-            let mut job_span = obs::trace::span("batch.job");
-            job_span.attr_str("job", &job.name);
-            let mut attempts = 0u32;
-            let outcome = loop {
-                attempts += 1;
-                if attempts > 1 {
-                    obs::counter_add("retry.attempts", 1);
-                    obs::trace::instant(
-                        "batch.retry",
-                        &[
-                            ("job", obs::trace::AttrValue::Str(job.name.clone())),
-                            ("attempt", obs::trace::AttrValue::Num(attempts as f64)),
-                        ],
-                    );
-                    obs::log::warn(&format!("job {}: retry attempt {attempts}", job.name));
-                }
-                let result = catch_unwind(AssertUnwindSafe(|| runner(job)));
-                let err = match result {
-                    Ok(Ok(success)) => break Ok(success),
-                    Ok(Err(e)) => e,
-                    Err(payload) => FlowError::new(
-                        Stage::Batch,
-                        FlowErrorKind::Panicked,
-                        panic_message(payload.as_ref()),
-                    ),
-                };
-                if attempts > bopts.retries {
-                    break Err(err);
-                }
-            };
-            job_span.attr_num("attempts", attempts as f64);
-            drop(job_span);
-            let report = BatchJobReport {
-                name: job.name.clone(),
-                outcome,
-                wall_ms: t.elapsed().as_secs_f64() * 1e3,
-                attempts,
-            };
-            on_done(i, &report);
-            report
-        },
-    );
-    let jobs = jobs
-        .iter()
-        .zip(outcomes)
-        .enumerate()
-        .map(|(i, (job, outcome))| match outcome {
-            Ok(report) => report,
-            Err(e) => {
-                // final flush: jobs drained unstarted (cancelled or past
-                // their deadline) still reach the callback, so an
-                // incremental checkpoint covers every slot of the batch
-                let report = BatchJobReport {
-                    name: job.name.clone(),
-                    outcome: Err(FlowError::from(e)),
-                    wall_ms: 0.0,
-                    attempts: 0,
-                };
-                on_done(i, &report);
-                report
-            }
-        })
-        .collect();
+    let jobs = pool.par_map(&indices, |&i| {
+        let report = run_one(&jobs[i], t0, bopts, &runner);
+        on_done(i, &report);
+        report
+    });
     BatchReport { jobs, wall_ms: t0.elapsed().as_secs_f64() * 1e3, workers: pool.workers() }
 }
 
@@ -322,6 +321,28 @@ mod tests {
         let e = report.jobs[1].outcome.as_ref().unwrap_err();
         assert_eq!(e.kind, FlowErrorKind::Deadline);
         assert_eq!(report.jobs[1].attempts, 0);
+    }
+
+    #[test]
+    fn a_deadline_counts_from_the_instant_given() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let mut j = job(3, "late");
+        j.deadline = Some(Duration::from_millis(20));
+        let bopts = BatchOptions::default();
+        let ran = AtomicUsize::new(0);
+        let runner = |j: &BatchJob| {
+            ran.fetch_add(1, Ordering::SeqCst);
+            run_batch_job(j, &bopts)
+        };
+        let Some(admitted) = Instant::now().checked_sub(Duration::from_millis(50)) else {
+            return; // a clock that started less than 50 ms ago
+        };
+        let late = run_one(&j, admitted, &bopts, runner);
+        assert_eq!(late.outcome.unwrap_err().kind, FlowErrorKind::Deadline);
+        assert_eq!((late.attempts, late.wall_ms, ran.load(Ordering::SeqCst)), (0, 0.0, 0));
+        let on_time = run_one(&j, Instant::now(), &bopts, runner);
+        assert!(on_time.outcome.is_ok());
+        assert_eq!(ran.load(Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -191,22 +191,12 @@ impl fmt::Display for FlowError {
 impl std::error::Error for FlowError {}
 
 impl From<JobError> for FlowError {
-    /// Pool-level job failures are batch-stage errors: the flow never ran
-    /// (or never finished), so no pipeline stage can be blamed. Injected
-    /// stage panics still carry their stage in the panic message.
+    /// A panicked pool job is a batch-stage error: the flow never
+    /// finished, so no pipeline stage can be blamed. Injected stage panics
+    /// still carry their stage in the panic message.
     fn from(e: JobError) -> FlowError {
         match e {
             JobError::Panicked(msg) => FlowError::new(Stage::Batch, FlowErrorKind::Panicked, msg),
-            JobError::Cancelled => FlowError::new(
-                Stage::Batch,
-                FlowErrorKind::Cancelled,
-                "job cancelled before it started",
-            ),
-            JobError::Deadline => FlowError::new(
-                Stage::Batch,
-                FlowErrorKind::Deadline,
-                "job deadline elapsed before it started",
-            ),
         }
     }
 }
@@ -249,8 +239,6 @@ mod tests {
         let e = FlowError::from(JobError::Panicked("boom".into()));
         assert_eq!((e.stage, e.kind), (Stage::Batch, FlowErrorKind::Panicked));
         assert_eq!(e.detail, "boom");
-        assert_eq!(FlowError::from(JobError::Deadline).kind, FlowErrorKind::Deadline);
-        assert_eq!(FlowError::from(JobError::Cancelled).kind, FlowErrorKind::Cancelled);
     }
 
     #[test]

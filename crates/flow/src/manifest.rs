@@ -491,8 +491,8 @@ mod tests {
 
     /// Every numeric field, fed the values a hostile or careless client
     /// sends: each is either rejected by name, or accepted — and then the
-    /// job it describes must run to completion (the dispatcher thread that
-    /// would run it is not behind a `catch_unwind`).
+    /// job it describes must run to completion (the service worker that
+    /// would run it reads these fields outside any `catch_unwind`).
     #[test]
     fn numeric_fields_are_range_checked_or_harmless() {
         let design = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/designs/ex_a.pla");

@@ -241,8 +241,24 @@ pub fn format_congestion_heatmap(title: &str, map: &CongestionMap) -> String {
 
 /// Serializes one K-sweep row as the JSON shape shared by the CLI's
 /// `casyn.batch.v1` reports and the serve job API: quality metrics plus
-/// the row's stage telemetry.
+/// what of the row's telemetry belongs to the job alone — per stage its
+/// name and wall clock, and the total and the live-node peak. The
+/// metric deltas and allocator windows of [`FlowTelemetry`] are windows
+/// on the process-global registry: under concurrent jobs they count the
+/// siblings' work too, so a row leaves them out (`--metrics-out` still
+/// writes them, for one run).
 pub fn k_row_json(e: &KSweepEntry) -> JsonValue {
+    let t = &e.result.telemetry;
+    let stages = t
+        .stages
+        .iter()
+        .map(|s| {
+            JsonValue::object(vec![
+                ("stage".into(), JsonValue::Str(s.stage.clone())),
+                ("wall_ms".into(), JsonValue::Number(s.wall_ms)),
+            ])
+        })
+        .collect();
     JsonValue::object(vec![
         ("k".into(), JsonValue::Number(e.k)),
         ("cell_area".into(), JsonValue::Number(e.result.cell_area)),
@@ -251,7 +267,14 @@ pub fn k_row_json(e: &KSweepEntry) -> JsonValue {
         ("violations".into(), JsonValue::Number(e.result.route.violations as f64)),
         ("wirelength_um".into(), JsonValue::Number(e.result.route.total_wirelength)),
         ("critical_ns".into(), JsonValue::Number(e.result.sta.critical_arrival())),
-        ("telemetry".into(), e.result.telemetry.to_json()),
+        (
+            "telemetry".into(),
+            JsonValue::object(vec![
+                ("total_ms".into(), JsonValue::Number(t.total_ms)),
+                ("peak_live_nodes".into(), JsonValue::Number(t.peak_live_nodes as f64)),
+                ("stages".into(), JsonValue::Array(stages)),
+            ]),
+        ),
     ])
 }
 

@@ -2,7 +2,7 @@
 
 use crate::error::FlowError;
 use crate::flows::{congestion_flow_prepared, FlowOptions, FlowResult, Prepared};
-use casyn_exec::{JobOptions, Pool};
+use casyn_exec::Pool;
 
 /// The K values the paper sweeps in Tables 2 and 4.
 pub const PAPER_K_VALUES: [f64; 14] = [
@@ -52,8 +52,7 @@ pub fn k_sweep_prepared_pool(
     opts: &FlowOptions,
     pool: &Pool,
 ) -> Result<Vec<KSweepEntry>, FlowError> {
-    let results =
-        pool.try_par_map(ks, &JobOptions::default(), |&k| congestion_flow_prepared(prep, k, opts));
+    let results = pool.try_par_map(ks, |&k| congestion_flow_prepared(prep, k, opts));
     ks.iter()
         .zip(results)
         .map(|(&k, r)| match r {

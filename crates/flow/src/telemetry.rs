@@ -24,7 +24,10 @@ pub struct StageTelemetry {
     /// Metrics the stage moved, as representative numbers (counter
     /// deltas, final gauge values, histogram means — histograms also
     /// expand to `<key>.p50/.p95/.p99` estimates). Empty when metric
-    /// collection was disabled during the run.
+    /// collection was disabled during the run. Process-global: the delta
+    /// is taken over the shared registry, so under `casyn sweep --jobs N
+    /// --metrics-out` it also counts what sibling rungs did meanwhile, and
+    /// job rows (`k_row_json`) leave it out.
     pub metrics: BTreeMap<String, f64>,
     /// Heap bytes allocated while the stage ran (0 when metric
     /// collection was disabled or `alloc-track` is off). Process-global:

@@ -1,8 +1,8 @@
 //! `casyn-serve` — synthesis as a long-running service.
 //!
 //! A thread-per-connection HTTP/1.1 server (std only, no async runtime)
-//! that accepts batch-manifest job submissions, runs them on the
-//! `casyn-exec` pool through the `casyn-flow` batch runner, and answers
+//! that accepts batch-manifest job submissions, runs them on long-lived
+//! workers through the `casyn-flow` batch runner's per-job loop, and answers
 //! identical resubmissions from a content-addressed artifact cache.
 //!
 //! * [`http`] — minimal HTTP/1.1 request parsing and response writing,
@@ -15,7 +15,7 @@
 //!   `shutdown` and `top` commands (and CI smoke tests), with typed
 //!   errors and deterministic exponential backoff for idempotent GETs.
 //! * [`server`] — the service itself: job table, bounded admission
-//!   queue with backpressure, dispatcher, per-job event streams,
+//!   queue with backpressure, compute workers, per-job event streams,
 //!   metrics endpoints, graceful drain, and (with a state directory) a
 //!   write-ahead job journal replayed on startup for crash recovery.
 //!

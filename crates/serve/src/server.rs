@@ -1,16 +1,17 @@
-//! The synthesis service: job table, bounded admission queue, batch
-//! dispatcher, content-addressed artifact cache and graceful drain.
+//! The synthesis service: job table, bounded admission queue, compute
+//! workers, content-addressed artifact cache and graceful drain.
 //!
 //! ## Architecture
 //!
 //! One accept-loop thread spawns a handler thread per connection
 //! (requests are short; the only long-lived handlers are `result?wait=1`
 //! and `/jobs/<id>/events` streams, which block on a condvar, not a
-//! core). One dispatcher thread drains the admission queue in batches
-//! into [`casyn_flow::batch::run_batch`] on the shared
-//! `casyn-exec` pool — so serve jobs inherit the batch runner's panic
-//! isolation, retries, per-job deadlines and cancellation semantics
-//! unchanged.
+//! core). `workers` long-lived compute threads each take the oldest
+//! queued job as soon as they are free and run it through the batch
+//! runner's per-job loop, [`casyn_flow::batch::run_one`], so serve jobs
+//! inherit the panic isolation, retries and cancellation of `casyn
+//! batch`; a deadline counts from admission. Admission wakes one worker
+//! per queued job, a cache hit none.
 //!
 //! ## Caching and dedup
 //!
@@ -29,7 +30,7 @@ use crate::cache::{DiskCache, Lru};
 use crate::http::{self, HttpError, Request};
 use casyn_exec::{CancelToken, FaultKind, FaultPlan, Pool};
 use casyn_flow::batch::{
-    run_batch, run_batch_job, BatchJob, BatchJobReport, BatchOptions, JobSuccess,
+    run_batch_job, run_one, BatchJob, BatchJobReport, BatchOptions, JobSuccess,
 };
 use casyn_flow::durable::Wal;
 use casyn_flow::telemetry::snapshot_json;
@@ -65,10 +66,11 @@ pub struct ServeConfig {
     /// Listen address; port 0 binds an ephemeral port (see
     /// [`Server::addr`]).
     pub addr: String,
-    /// Synthesis worker threads (0 = `Pool::from_env`).
+    /// Long-lived compute threads, each running one job at a time
+    /// (0 = the worker count of `Pool::from_env`).
     pub workers: usize,
-    /// Maximum queued (admitted but not yet started) jobs; submissions
-    /// that do not fit are rejected whole with 429.
+    /// Maximum queued jobs: admitted, and not yet taken by a worker.
+    /// Submissions that do not fit are rejected whole with 429.
     pub queue_capacity: usize,
     /// Maximum request body size; larger submissions get 413.
     pub max_body_bytes: usize,
@@ -279,7 +281,7 @@ struct CachedResult {
 /// parallel.
 type PrepSlot = Arc<Mutex<Option<Arc<Prepared>>>>;
 
-/// An admitted job waiting for (or being run by) the dispatcher.
+/// An admitted job waiting for a worker.
 struct Task {
     job_id: usize,
     request_id: String,
@@ -290,6 +292,9 @@ struct Task {
     /// `None` for fault-plan jobs: injected failures must never be
     /// cached or deduped onto healthy submissions.
     result_key: Option<u64>,
+    /// When the job was admitted (or re-admitted by replay): its
+    /// deadline counts from here, queue wait included.
+    admitted: Instant,
 }
 
 struct Inner {
@@ -311,7 +316,7 @@ struct Inner {
 
 struct Shared {
     inner: Mutex<Inner>,
-    /// Wakes the dispatcher (queue or drain-state changed).
+    /// Wakes one worker per queued job, and every worker on drain.
     queue_cv: Condvar,
     /// Wakes result/event waiters (a job changed state).
     state_cv: Condvar,
@@ -368,7 +373,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds, spawns the accept loop and dispatcher, and returns.
+    /// Binds, spawns the accept loop and the workers, and returns.
     /// Metrics collection is switched on (the service exposes
     /// `/metrics`).
     pub fn start(config: ServeConfig) -> Result<Server, String> {
@@ -376,7 +381,7 @@ impl Server {
             .map_err(|e| format!("cannot bind {}: {e}", config.addr))?;
         let addr = listener.local_addr().map_err(|e| format!("local_addr: {e}"))?;
         obs::set_enabled(true);
-        let pool = if config.workers == 0 { Pool::from_env() } else { Pool::new(config.workers) };
+        let workers = if config.workers == 0 { Pool::from_env().workers() } else { config.workers };
         let lib_fp = library_fingerprint(&FlowOptions::default().lib);
         let mut inner = Inner {
             jobs: Vec::new(),
@@ -409,10 +414,12 @@ impl Server {
             req_seq: AtomicU64::new(0),
             log_window: Mutex::new(LogWindow::default()),
         });
-        let dispatcher = {
-            let shared = shared.clone();
-            thread::spawn(move || dispatcher_loop(&shared, &pool))
-        };
+        let mut threads: Vec<JoinHandle<()>> = (0..workers)
+            .map(|wid| {
+                let shared = shared.clone();
+                thread::spawn(move || worker_loop(&shared, wid))
+            })
+            .collect();
         let acceptor = {
             let shared = shared.clone();
             thread::spawn(move || accept_loop(&shared, listener))
@@ -421,7 +428,8 @@ impl Server {
             let shared = shared.clone();
             thread::spawn(move || sampler_loop(&shared))
         };
-        Ok(Server { addr, shared, threads: vec![dispatcher, acceptor, sampler] })
+        threads.extend([acceptor, sampler]);
+        Ok(Server { addr, shared, threads })
     }
 
     /// The bound address (resolves port 0 to the actual port).
@@ -568,7 +576,7 @@ fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
     }
     // shutdown also owns the socket: the acknowledgement must be on the
     // wire before the drain starts, or process exit (wait() returning
-    // once the accept loop and dispatcher join) races this detached
+    // once the accept loop and workers join) races this detached
     // handler thread's response write and the client sees a bare close
     if seg_refs.as_slice() == ["shutdown"] && req.method == "POST" {
         handle_shutdown(shared, &mut stream, &req);
@@ -868,7 +876,7 @@ fn replayed_manifest_job(mdoc: &JsonValue) -> Result<ManifestJob, String> {
 /// the disk cache (re-enqueued if their artifact is missing or was
 /// quarantined), other terminal jobs keep their recorded outcome, and
 /// admitted-but-unfinished jobs are re-enqueued through the normal
-/// dispatcher path. A journal damaged anywhere but its final line is a
+/// worker path. A journal damaged anywhere but its final line is a
 /// typed, line-numbered error and the server refuses to start.
 fn recover_into(
     dir: &std::path::Path,
@@ -1050,6 +1058,7 @@ fn requeue_replayed(
         fault: k.fault,
         prep_key: k.prep_key,
         result_key: k.result_key,
+        admitted: Instant::now(),
     });
 }
 
@@ -1287,6 +1296,7 @@ fn handle_submit(
                     fault: k.fault,
                     prep_key: k.prep_key,
                     result_key: k.result_key,
+                    admitted: Instant::now(),
                 });
                 obs::counter_add("serve.queued", 1);
             }
@@ -1302,8 +1312,10 @@ fn handle_submit(
     }
     sweep_retention(&mut g, shared.config.result_cache_cap);
     drop(g);
-    shared.queue_cv.notify_all();
-    shared.state_cv.notify_all();
+    // one worker per queued job; hits and followers have nothing to run
+    for _ in 0..slots {
+        shared.queue_cv.notify_one();
+    }
     await_journal(shared, wal_seq);
     Ok((
         202,
@@ -1565,29 +1577,34 @@ fn handle_shutdown(shared: &Arc<Shared>, stream: &mut TcpStream, req: &Request) 
     let _ = TcpStream::connect(shared.addr);
 }
 
-fn dispatcher_loop(shared: &Arc<Shared>, pool: &Pool) {
+/// One compute worker: takes the oldest queued job as soon as it is
+/// free, until a drain finds the queue empty.
+fn worker_loop(shared: &Shared, wid: usize) {
+    obs::trace::set_thread_label(&format!("w{wid}"));
+    let bopts = BatchOptions {
+        retries: shared.config.retries,
+        escalate_k: false,
+        cancel: Some(shared.cancel.clone()),
+    };
     loop {
-        let tasks: Vec<Task> = {
-            let mut g = lock_inner(shared);
-            loop {
-                if !g.queue.is_empty() {
-                    break g.queue.drain(..).collect();
-                }
-                if g.draining {
-                    break Vec::new();
-                }
-                g = shared.queue_cv.wait(g).unwrap_or_else(|p| p.into_inner());
+        let mut g = lock_inner(shared);
+        let task = loop {
+            if let Some(t) = g.queue.pop_front() {
+                break t;
             }
+            if g.draining {
+                drop(g);
+                // drained: every job admitted before the drain has its
+                // records queued; write them before the process may exit
+                if let Some(d) = &shared.durable {
+                    d.sync_all();
+                }
+                return;
+            }
+            g = shared.queue_cv.wait(g).unwrap_or_else(|p| p.into_inner());
         };
-        if tasks.is_empty() {
-            // drained: every job admitted before the drain has its
-            // records queued; write them before the process may exit
-            if let Some(d) = &shared.durable {
-                d.sync_all();
-            }
-            return;
-        }
-        run_tasks(shared, pool, &tasks);
+        drop(g);
+        run_task(shared, &bopts, task);
     }
 }
 
@@ -1636,45 +1653,28 @@ fn prepared_for(
     Ok(p)
 }
 
-fn run_tasks(shared: &Arc<Shared>, pool: &Pool, tasks: &[Task]) {
-    let bopts = BatchOptions {
-        retries: shared.config.retries,
-        escalate_k: false,
-        cancel: Some(shared.cancel.clone()),
-    };
-    let jobs: Vec<BatchJob> = tasks
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            let mut opts = t.mjob.flow_options(false);
-            opts.fault = t.fault.as_ref().map(|p| p.fresh());
-            BatchJob {
-                // the name carries the task index: the runner only gets
-                // &BatchJob, and display names live in the job table
-                name: i.to_string(),
-                network: t.network.clone(),
-                ks: t.mjob.ks.clone(),
-                opts,
-                deadline: t.mjob.deadline(),
-            }
-        })
-        .collect();
+/// Runs one claimed job through the batch runner's per-job loop, with
+/// its deadline counted from admission, and records the outcome.
+fn run_task(shared: &Shared, bopts: &BatchOptions, t: Task) {
+    let Task { job_id, request_id, mjob, network, fault, prep_key, result_key, admitted } = t;
+    let mut opts = mjob.flow_options(false);
+    opts.fault = fault;
+    let deadline = mjob.deadline();
+    let job = BatchJob { name: mjob.name, network, ks: mjob.ks, opts, deadline };
     let runner = |j: &BatchJob| -> Result<JobSuccess, FlowError> {
-        let ti: usize = j.name.parse().expect("batch job name is the task index");
-        let t = &tasks[ti];
         let mut sp = obs::trace::span("serve.job");
-        sp.attr_num("job", t.job_id as f64);
-        if !t.request_id.is_empty() {
-            sp.attr_str("request_id", &t.request_id);
+        sp.attr_num("job", job_id as f64);
+        if !request_id.is_empty() {
+            sp.attr_str("request_id", &request_id);
         }
-        mark_running(shared, t.job_id);
+        mark_running(shared, job_id);
         obs::counter_add("serve.computes", 1);
-        if t.fault.is_some() {
+        if j.opts.fault.is_some() {
             // fault-plan jobs take the stock batch path so injected
             // failures hit the same stages they would under `casyn batch`
-            return run_batch_job(j, &bopts);
+            return run_batch_job(j, bopts);
         }
-        let prep = prepared_for(shared, t.prep_key, &j.network, &j.opts)?;
+        let prep = prepared_for(shared, prep_key, &j.network, &j.opts)?;
         let mut rows = Vec::with_capacity(j.ks.len());
         for &k in &j.ks {
             let result = congestion_flow_prepared(&prep, k, &j.opts)?;
@@ -1683,18 +1683,18 @@ fn run_tasks(shared: &Arc<Shared>, pool: &Pool, tasks: &[Task]) {
                 let mut ev = event("k_done");
                 ev.push(("k".into(), JsonValue::Number(k)));
                 ev.push(("violations".into(), JsonValue::Number(result.route.violations as f64)));
-                push_event(&mut g.jobs[t.job_id], ev);
+                push_event(&mut g.jobs[job_id], ev);
             }
             shared.state_cv.notify_all();
             rows.push(KSweepEntry { k, result });
         }
         Ok(JobSuccess { rows, degraded: false })
     };
-    let on_done = |i: usize, jr: &BatchJobReport| finish_job(shared, &tasks[i], jr);
-    run_batch(&jobs, pool, &bopts, runner, on_done);
+    let report = run_one(&job, admitted, bopts, runner);
+    finish_job(shared, job_id, result_key, &report);
 }
 
-fn finish_job(shared: &Shared, t: &Task, jr: &BatchJobReport) {
+fn finish_job(shared: &Shared, job_id: usize, result_key: Option<u64>, jr: &BatchJobReport) {
     let outcome = jr.outcome.as_ref().map(|s| CachedResult {
         rows: Arc::new(JsonValue::Array(s.rows.iter().map(k_row_json).collect())),
         degraded: s.degraded,
@@ -1702,7 +1702,7 @@ fn finish_job(shared: &Shared, t: &Task, jr: &BatchJobReport) {
     // spill to disk outside the lock, and *before* the terminal journal
     // record, so a replayed `done` implies the artifact should exist
     // (replay recomputes if the write below failed)
-    if let (Ok(c), Some(k), Some(d)) = (&outcome, t.result_key, &shared.durable) {
+    if let (Ok(c), Some(k), Some(d)) = (&outcome, result_key, &shared.durable) {
         let doc = JsonValue::object(vec![
             ("schema".into(), JsonValue::Str("casyn.serve.cache.v1".into())),
             ("rows".into(), (*c.rows).clone()),
@@ -1714,12 +1714,12 @@ fn finish_job(shared: &Shared, t: &Task, jr: &BatchJobReport) {
     }
     let mut guard = lock_inner(shared);
     let g = &mut *guard;
-    if let (Ok(c), Some(k)) = (&outcome, t.result_key) {
+    if let (Ok(c), Some(k)) = (&outcome, result_key) {
         g.results.insert(k, c.clone());
     }
-    let followers = t.result_key.and_then(|k| g.inflight.remove(&k)).unwrap_or_default();
+    let followers = result_key.and_then(|k| g.inflight.remove(&k)).unwrap_or_default();
     let mut wal_seq = 0;
-    for id in std::iter::once(t.job_id).chain(followers) {
+    for id in std::iter::once(job_id).chain(followers) {
         let rec = &mut g.jobs[id];
         g.unfinished -= usize::from(!rec.status.terminal());
         rec.wall_ms = jr.wall_ms;
@@ -1730,7 +1730,7 @@ fn finish_job(shared: &Shared, t: &Task, jr: &BatchJobReport) {
                 rec.degraded = c.degraded;
                 push_event(rec, event("done"));
                 obs::counter_add("serve.jobs_done", 1);
-                journal(shared, rec, || wal_done(id, t.result_key, c.degraded, jr.wall_ms));
+                journal(shared, rec, || wal_done(id, result_key, c.degraded, jr.wall_ms));
             }
             Err(e) => {
                 let cancelled = e.kind == FlowErrorKind::Cancelled;

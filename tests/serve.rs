@@ -29,18 +29,28 @@ fn start(config: ServeConfig) -> Server {
 /// Single-job manifest with an inline BLIF source, as a remote client
 /// with no shared filesystem would send it.
 fn manifest(name: &str, seed: u64, terms: usize, ks: &[f64]) -> String {
+    manifest_with(name, seed, terms, ks, vec![])
+}
+
+/// [`manifest`] with `extra` fields on the job.
+fn manifest_with(
+    name: &str,
+    seed: u64,
+    terms: usize,
+    ks: &[f64],
+    extra: Vec<(String, JsonValue)>,
+) -> String {
     let pla = random_pla(&PlaGenConfig { terms, seed, ..Default::default() });
     let blif = to_blif(&pla.to_network(), name);
-    JsonValue::object(vec![(
-        "jobs".into(),
-        JsonValue::Array(vec![JsonValue::object(vec![
-            ("name".into(), JsonValue::Str(name.into())),
-            ("source".into(), JsonValue::Str(blif)),
-            ("format".into(), JsonValue::Str("blif".into())),
-            ("ks".into(), JsonValue::Array(ks.iter().map(|&k| JsonValue::Number(k)).collect())),
-        ])]),
-    )])
-    .to_string_pretty()
+    let mut job = vec![
+        ("name".into(), JsonValue::Str(name.into())),
+        ("source".into(), JsonValue::Str(blif)),
+        ("format".into(), JsonValue::Str("blif".into())),
+        ("ks".into(), JsonValue::Array(ks.iter().map(|&k| JsonValue::Number(k)).collect())),
+    ];
+    job.extend(extra);
+    JsonValue::object(vec![("jobs".into(), JsonValue::Array(vec![JsonValue::object(job)]))])
+        .to_string_pretty()
 }
 
 /// Submits a manifest and returns the first job's (id, cache tag).
@@ -476,6 +486,111 @@ fn a_released_job_record_retains_at_most_a_quarter_kilobyte() {
     hits(40);
     let per_job = (obs::alloc::current_bytes() as f64 - before) / 2000.0;
     assert!(per_job <= 250.0, "{per_job:.0} B of live heap retained per finished job");
+    request_json(&addr, "POST", "/shutdown", None).unwrap();
+    server.wait().unwrap();
+}
+
+/// The job's status string, from `GET /jobs/<id>`.
+fn job_status(addr: &str, id: i64) -> String {
+    let (status, doc) = request_json(addr, "GET", &format!("/jobs/{id}"), None).unwrap();
+    assert_eq!(status, 200, "{doc:?}");
+    str_field(&doc, "status").unwrap().to_string()
+}
+
+/// Polls until a worker has taken the job.
+fn wait_running(addr: &str, id: i64) {
+    let t = Instant::now();
+    while job_status(addr, id) == "queued" {
+        assert!(t.elapsed().as_secs() < 60, "job {id} never started");
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+    assert_eq!(job_status(addr, id), "running", "job {id} ended before the test could look");
+}
+
+/// A design slow enough, in debug builds too, that the small jobs below
+/// finish many times over while it runs.
+fn slow_manifest(name: &str) -> String {
+    manifest(name, 41, 400, &[0.0, 0.5, 1.0, 2.0])
+}
+
+/// No head-of-line blocking: with two workers, a small job submitted
+/// while a slow one runs is taken by the free worker at once, instead of
+/// waiting for a batch that contains the slow job to end.
+#[test]
+fn a_small_job_finishes_while_a_slow_one_runs() {
+    let _guard = lock();
+    let server = start(ServeConfig { workers: 2, ..Default::default() });
+    let addr = server.endpoint();
+    let (slow, _) = submit_one(&addr, &slow_manifest("slow"));
+    wait_running(&addr, slow);
+    let ex_a = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/designs/ex_a.pla");
+    let small = format!(r#"{{"jobs": [{{"design": "{ex_a}", "ks": [0.0]}}]}}"#);
+    let (id, _) = submit_one(&addr, &small);
+    assert_eq!(str_field(&result_wait(&addr, id), "status"), Some("done"));
+    assert_eq!(job_status(&addr, slow), "running", "the small job waited for the slow one");
+    assert_eq!(str_field(&result_wait(&addr, slow), "status"), Some("done"));
+    request_json(&addr, "POST", "/shutdown", None).unwrap();
+    server.wait().unwrap();
+}
+
+/// A service job's `deadline_ms` counts from its admission: a job that
+/// waited in the queue longer than its budget fails with the typed
+/// deadline error and never computes.
+#[test]
+fn a_deadline_counts_the_wait_in_the_queue() {
+    let _guard = lock();
+    let server = start(ServeConfig { workers: 1, ..Default::default() });
+    let addr = server.endpoint();
+    let before = obs::snapshot();
+    let (slow, _) = submit_one(&addr, &slow_manifest("hog"));
+    wait_running(&addr, slow);
+    let deadline = vec![("deadline_ms".to_string(), JsonValue::Number(1.0))];
+    let (id, cache) = submit_one(&addr, &manifest_with("late", 43, 8, &[0.0], deadline));
+    assert_eq!(cache, "miss");
+    let r = result_wait(&addr, id);
+    assert_eq!(str_field(&r, "status"), Some("failed"), "{r:?}");
+    let error = str_field(&r, "error").unwrap();
+    assert!(error.contains("/deadline]"), "{error}");
+    assert_eq!(str_field(&result_wait(&addr, slow), "status"), Some("done"));
+    let delta = obs::snapshot().delta_since(&before);
+    assert_eq!(counter(&delta, "serve.computes"), 1, "only the slow job computes");
+    request_json(&addr, "POST", "/shutdown", None).unwrap();
+    server.wait().unwrap();
+}
+
+/// Asserts that a job row's telemetry is the job's own: each stage has
+/// exactly `stage` and `wall_ms`, and no window on the process-global
+/// registry or allocator appears anywhere in the row.
+fn assert_per_job_row(row: &JsonValue) {
+    let text = row.to_string_compact();
+    for key in ["\"metrics\"", "\"alloc_bytes\"", "\"peak_bytes\"", "\"peak_alloc_bytes\""] {
+        assert!(!text.contains(key), "{key} in a job row: {text}");
+    }
+    let stages = row.get("telemetry").and_then(|t| t.get("stages")).and_then(|s| s.as_array());
+    let stages = stages.unwrap_or_else(|| panic!("no telemetry stages in {text}"));
+    assert!(!stages.is_empty());
+    for s in stages {
+        let JsonValue::Object(fields) = s else { panic!("stage is not an object: {text}") };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["stage", "wall_ms"], "{text}");
+    }
+}
+
+/// A served row carries only what belongs to its job, so the two rows
+/// of a small design stay within 2 KB of compact JSON.
+#[test]
+fn a_served_row_is_per_job() {
+    let _guard = lock();
+    let server = start(ServeConfig { workers: 2, ..Default::default() });
+    let addr = server.endpoint();
+    // a SMALL-class design: 16 inputs, 8 outputs, 24 terms
+    let (id, _) = submit_one(&addr, &manifest("small", 19, 24, &[0.0, 1.0]));
+    let r = result_wait(&addr, id);
+    let rows = r.get("rows").unwrap();
+    assert_eq!(rows.as_array().map(|a| a.len()), Some(2));
+    rows.as_array().unwrap().iter().for_each(assert_per_job_row);
+    let bytes = rows.to_string_compact().len();
+    assert!(bytes <= 2048, "two rows take {bytes} B");
     request_json(&addr, "POST", "/shutdown", None).unwrap();
     server.wait().unwrap();
 }
