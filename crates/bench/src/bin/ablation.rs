@@ -11,29 +11,25 @@
 //! Run: `cargo run --release -p casyn-bench --bin ablation`
 
 use casyn_bench::*;
-use casyn_core::{map, CostKind, MapOptions, PartitionScheme};
-use casyn_flow::congestion_flow_prepared;
-use casyn_place::instance::{assign_mapped_ports, from_mapped};
+use casyn_core::{CostKind, MapOptions, PartitionScheme};
+use casyn_flow::{full_flow, map_at, route_at, FlowResult};
+use casyn_place::instance::from_mapped;
 use casyn_place::{legalize_rows, place};
-use casyn_route::route_mapped;
 
 fn main() {
     let mut exp = spla_experiment();
-    let scale = calibrate_scale(&mut exp, 0.2, 2.5, 8.0);
+    let (_, scale) = supply_edge(&exp, 0.2, 2.5, 8.0, 8);
+    exp.opts.route.capacity_scale = scale;
     println!("SPLA ablations at capacity scale {scale:.3}\n");
+    let at = |scheme, k| MapOptions { scheme, cost: CostKind::AreaWire { k } };
+    let flow = |scheme, k| full_flow(&exp.prep, &at(scheme, k), &exp.opts).expect("flow failed");
+    // the placement-driven K = 0.2 flow is the row all three sections share
+    let window = flow(PartitionScheme::PlacementDriven, 0.2);
 
     println!("1. partitioning scheme at K = 0.2 (cost fixed to area+K*wire):");
-    for (name, scheme) in [
-        ("dagon", PartitionScheme::Dagon),
-        ("cone", PartitionScheme::Cone),
-        ("placement-driven", PartitionScheme::PlacementDriven),
-    ] {
-        let r = casyn_flow::full_flow(
-            &exp.prep,
-            &MapOptions { scheme, cost: CostKind::AreaWire { k: 0.2 } },
-            &exp.opts,
-        )
-        .expect("flow failed");
+    let dagon = flow(PartitionScheme::Dagon, 0.2);
+    let cone = flow(PartitionScheme::Cone, 0.2);
+    for (name, r) in [("dagon", &dagon), ("cone", &cone), ("placement-driven", &window)] {
         println!(
             "   {name:<18} cells {:>5}  area {:>7.0}  wl {:>8.0}  violations {:>5}",
             r.num_cells, r.cell_area, r.route.total_wirelength, r.route.violations
@@ -41,51 +37,38 @@ fn main() {
     }
 
     println!("\n2. seeded legalization vs from-scratch re-placement (K = 0.2):");
-    let seeded = congestion_flow_prepared(&exp.prep, 0.2, &exp.opts).expect("flow failed");
     println!(
         "   seeded (paper-style incremental) wl {:>8.0}  violations {:>5}",
-        seeded.route.total_wirelength, seeded.route.violations
+        window.route.total_wirelength, window.route.violations
     );
-    {
-        let r = map(
-            &exp.prep.graph,
-            &exp.prep.positions,
-            &exp.opts.lib,
-            &MapOptions {
-                scheme: PartitionScheme::PlacementDriven,
-                cost: CostKind::AreaWire { k: 0.2 },
-            },
-        );
-        let mut nl = r.netlist;
-        assign_mapped_ports(&mut nl, &exp.prep.floorplan);
-        let inst = from_mapped(&nl);
-        let fresh = place(&inst, &exp.prep.floorplan, &exp.opts.placer);
-        let widths: Vec<f64> = nl.cells().iter().map(|c| c.width).collect();
-        let legal = legalize_rows(&fresh, &widths, &exp.prep.floorplan);
-        for (c, p) in nl.cells_mut().iter_mut().zip(&legal.pos) {
-            c.pos = *p;
-        }
-        let rr = route_mapped(&nl, &exp.prep.floorplan, &exp.opts.route).expect("route failed");
-        println!(
-            "   from-scratch re-placement        wl {:>8.0}  violations {:>5}",
-            rr.total_wirelength, rr.violations
-        );
+    let mut replaced = map_at(&exp.prep, &at(PartitionScheme::PlacementDriven, 0.2), &exp.opts)
+        .expect("map failed");
+    let nl = &mut replaced.netlist;
+    let fresh = place(&from_mapped(nl), &replaced.floorplan, &exp.opts.placer);
+    let widths: Vec<f64> = nl.cells().iter().map(|c| c.width).collect();
+    let legal = legalize_rows(&fresh, &widths, &replaced.floorplan);
+    for (c, p) in nl.cells_mut().iter_mut().zip(&legal.pos) {
+        c.pos = *p;
     }
+    let rr = route_at(replaced, &exp.opts).expect("route failed").route;
+    println!(
+        "   from-scratch re-placement        wl {:>8.0}  violations {:>5}",
+        rr.total_wirelength, rr.violations
+    );
 
     println!("\n3. duplication: K = 0 (forbidden) vs window K (priced, allowed):");
-    let k0 = congestion_flow_prepared(&exp.prep, 0.0, &exp.opts).expect("flow failed");
-    let kw = congestion_flow_prepared(&exp.prep, 0.2, &exp.opts).expect("flow failed");
-    println!(
-        "   K=0   cells {:>5}  area {:>7.0}  wl {:>8.0}  violations {:>5}",
-        k0.num_cells, k0.cell_area, k0.route.total_wirelength, k0.route.violations
-    );
-    println!(
-        "   K=0.2 cells {:>5}  area {:>7.0}  wl {:>8.0}  violations {:>5}",
-        kw.num_cells, kw.cell_area, kw.route.total_wirelength, kw.route.violations
-    );
+    let k0 = flow(PartitionScheme::PlacementDriven, 0.0);
+    let row = |name: &str, r: &FlowResult| {
+        println!(
+            "   {name:<5} cells {:>5}  area {:>7.0}  wl {:>8.0}  violations {:>5}",
+            r.num_cells, r.cell_area, r.route.total_wirelength, r.route.violations
+        )
+    };
+    row("K=0", &k0);
+    row("K=0.2", &window);
     println!(
         "   K=0.2 vs K=0: area {:+.1}% (the price of wire-driven duplication), wl {:+.1}%",
-        100.0 * (kw.cell_area / k0.cell_area - 1.0),
-        100.0 * (kw.route.total_wirelength / k0.route.total_wirelength - 1.0)
+        100.0 * (window.cell_area / k0.cell_area - 1.0),
+        100.0 * (window.route.total_wirelength / k0.route.total_wirelength - 1.0)
     );
 }

@@ -16,7 +16,8 @@ use casyn_timing::{analyze_wireload, wireload_error, WireloadModel};
 
 fn main() {
     let mut exp = spla_experiment();
-    let scale = calibrate_scale(&mut exp, 0.1, 2.5, 8.0);
+    let (_, scale) = supply_edge(&exp, 0.1, 2.5, 8.0, 8);
+    exp.opts.route.capacity_scale = scale;
     println!("SPLA mapped, placed and routed (capacity scale {scale:.3})\n");
     let flow = congestion_flow_prepared(&exp.prep, 0.1, &exp.opts).expect("flow failed");
     let placed_arrival = flow.sta.critical_arrival();

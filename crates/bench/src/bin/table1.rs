@@ -22,7 +22,8 @@ fn main() {
     );
     // fix the routing supply on the unroutable side of the DAGON edge,
     // mirroring the paper's die choice where DAGON sits at 84.37%
-    let scale = calibrate_scale_unroutable(&mut exp, 3.0, 14.0);
+    let (scale, _) = supply_edge(&exp, 0.0, 3.0, 14.0, 9);
+    exp.opts.route.capacity_scale = scale;
     println!("routing supply calibrated to the edge: capacity scale {scale:.3}\n");
     let dagon = dagon_flow(&exp.network, &exp.opts).expect("flow failed");
     // SIS effort bounded so its area advantage matches the paper's ~3%

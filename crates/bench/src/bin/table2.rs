@@ -17,7 +17,8 @@ fn main() {
         exp.prep.floorplan.die_area(),
         exp.prep.floorplan.num_rows
     );
-    let scale = calibrate_scale_unroutable(&mut exp, 2.5, 8.0);
+    let (scale, _) = supply_edge(&exp, 0.0, 2.5, 8.0, 9);
+    exp.opts.route.capacity_scale = scale;
     println!("routing supply calibrated to the edge: capacity scale {scale:.3}\n");
     print_k_sweep_table(&exp, "Table 2. SPLA congestion minimization vs place&route results");
 }

@@ -11,7 +11,8 @@ use casyn_bench::*;
 
 fn main() {
     let mut exp = spla_experiment();
-    let scale = calibrate_scale_unroutable(&mut exp, 2.5, 8.0);
+    let (scale, _) = supply_edge(&exp, 0.0, 2.5, 8.0, 9);
+    exp.opts.route.capacity_scale = scale;
     println!("SPLA STA at capacity scale {scale:.3}");
     print_sta_table(&exp, "Table 3. SPLA static timing analysis results");
 }

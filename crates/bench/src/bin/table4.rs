@@ -15,7 +15,8 @@ fn main() {
         exp.prep.floorplan.die_area(),
         exp.prep.floorplan.num_rows
     );
-    let scale = calibrate_scale(&mut exp, 1.0, 2.5, 8.0);
+    let (_, scale) = supply_edge(&exp, 1.0, 2.5, 8.0, 8);
+    exp.opts.route.capacity_scale = scale;
     println!("routing supply calibrated to the edge: capacity scale {scale:.3}\n");
     print_k_sweep_table(&exp, "Table 4. PDC congestion minimization vs place&route results");
 }

@@ -7,7 +7,8 @@ use casyn_bench::*;
 
 fn main() {
     let mut exp = pdc_experiment();
-    let scale = calibrate_scale(&mut exp, 1.0, 2.5, 8.0);
+    let (_, scale) = supply_edge(&exp, 1.0, 2.5, 8.0, 8);
+    exp.opts.route.capacity_scale = scale;
     println!("PDC STA at capacity scale {scale:.3}");
     print_sta_table(&exp, "Table 5. PDC static timing analysis results");
 }

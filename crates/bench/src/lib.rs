@@ -12,9 +12,10 @@
 //! * `motivation` — wireload-model misprediction (Section 2).
 //! * `ablation` — partitioning scheme, legalization seeding, duplication pricing.
 
+use casyn_core::{CostKind, MapOptions, PartitionScheme};
 use casyn_flow::{
-    congestion_flow_prepared, format_k_sweep_table, format_sta_table, k_sweep_prepared, sis_flow,
-    FlowOptions, FlowResult, Prepared,
+    congestion_flow_prepared, format_k_sweep_table, format_sta_table, k_sweep_prepared, map_at,
+    route_at, sis_flow, FlowOptions, FlowResult, Prepared,
 };
 use casyn_logic::OptimizeOptions;
 use casyn_netlist::network::Network;
@@ -70,49 +71,34 @@ pub fn too_large_experiment() -> Experiment {
     experiment("TOO_LARGE", casyn_netlist::bench::too_large(), TOO_LARGE_UTILIZATION)
 }
 
-/// Finds the smallest routing-capacity scale in `[lo, hi]` at which the
-/// congestion flow at `k_probe` routes without violations — the analogue
-/// of the paper fixing each die so the design sits at the routability
-/// edge. Returns the calibrated scale (bisection to ~1% resolution).
-pub fn calibrate_scale(exp: &mut Experiment, k_probe: f64, lo: f64, hi: f64) -> f64 {
-    let mut lo = lo;
-    let mut hi = hi;
-    for _ in 0..8 {
-        let mid = (lo + hi) / 2.0;
-        exp.opts.route.capacity_scale = mid;
-        let r = congestion_flow_prepared(&exp.prep, k_probe, &exp.opts)
-            .expect("bench: calibration flow failed");
-        if r.route.violations == 0 {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    exp.opts.route.capacity_scale = hi;
-    hi
-}
-
-/// Like [`calibrate_scale`] but lands on the *unroutable* side of the
-/// K = 0 edge: the largest probed scale at which the minimum-area netlist
-/// still violates. This pins the die exactly as the paper does — the
-/// minimum-area mapping must NOT route, so the window's few-percent
+/// Bisects, in `steps` halvings of `[lo, hi]`, the routing-capacity scale
+/// at which the congestion flow at `k` starts to route without
+/// violations — the analogue of the paper fixing each die so the design
+/// sits at the routability edge. The netlist is mapped once; only
+/// routing runs per step. Returns the final bracket `(unroutable,
+/// routable)`: the largest probed scale that still violates (or `lo`)
+/// and the smallest that routes (or `hi`). The tables pin the supply on
+/// the routable side of the edge at the K they probe, or on the
+/// unroutable side of the K = 0 edge, so that — as in the paper — the
+/// minimum-area mapping must NOT route and the window's few-percent
 /// wirelength advantage is what rescues routability.
-pub fn calibrate_scale_unroutable(exp: &mut Experiment, lo: f64, hi: f64) -> f64 {
-    let mut lo = lo;
-    let mut hi = hi;
-    for _ in 0..9 {
+pub fn supply_edge(exp: &Experiment, k: f64, lo: f64, hi: f64, steps: usize) -> (f64, f64) {
+    let map_opts =
+        MapOptions { scheme: PartitionScheme::PlacementDriven, cost: CostKind::AreaWire { k } };
+    let mapped = map_at(&exp.prep, &map_opts, &exp.opts).expect("bench: calibration map failed");
+    let mut opts = exp.opts.clone();
+    let (mut lo, mut hi) = (lo, hi);
+    for _ in 0..steps {
         let mid = (lo + hi) / 2.0;
-        exp.opts.route.capacity_scale = mid;
-        let r = congestion_flow_prepared(&exp.prep, 0.0, &exp.opts)
-            .expect("bench: calibration flow failed");
+        opts.route.capacity_scale = mid;
+        let r = route_at(mapped.clone(), &opts).expect("bench: calibration route failed");
         if r.route.violations == 0 {
             hi = mid;
         } else {
             lo = mid;
         }
     }
-    exp.opts.route.capacity_scale = lo;
-    lo
+    (lo, hi)
 }
 
 /// The K values our tables sweep. The paper's K spans three regions on

@@ -26,9 +26,9 @@ use casyn_flow::batch::{run_batch, run_batch_job, BatchJob, BatchJobReport, Batc
 use casyn_flow::telemetry::snapshot_json;
 use casyn_flow::{
     diff_records, file_stem, fnv1a64, format_diff, full_flow, k_row_json, k_sweep_prepared_pool,
-    load_design, parse_manifest, prepare_pool, run_methodology_prepared, sequential_flow,
-    DiffTolerance, FlowError, FlowOptions, JobParam, KSweepEntry, ManifestDefaults, ManifestJob,
-    RunParams, RunRecord, Stage,
+    load_design, parse_manifest, prepare_pool, run_methodology, sequential_flow, DiffTolerance,
+    FlowError, FlowOptions, JobParam, KSweepEntry, ManifestDefaults, ManifestJob, RunParams,
+    RunRecord, Stage,
 };
 use casyn_logic::OptimizeOptions;
 use casyn_netlist::blif::to_blif;
@@ -1218,8 +1218,7 @@ fn run_flow_command(args: &Args, pool: &Pool) -> Result<(), String> {
         }
         "loop" => {
             let schedule = [0.0, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0];
-            let out = run_methodology_prepared(&prep, &schedule, 1.0, &opts)
-                .map_err(|e| e.to_string())?;
+            let out = run_methodology(&prep, &schedule, 1.0, &opts).map_err(|e| e.to_string())?;
             for s in &out.steps {
                 println!(
                     "K = {:<8} peak {:>6.1}%  violations {:>6}  {}",

@@ -1,5 +1,7 @@
 //! The three synthesis flows compared by the paper, plus the shared
-//! front end.
+//! front end and the two back-end stages every flow is made of:
+//! [`prepare`] once per design, then [`map_at`] (map, legalize) and
+//! [`route_at`] (route, STA) per mapping.
 //!
 //! Every flow entry point returns `Result<_, FlowError>`: a stage that
 //! cannot proceed reports *where* and *why* instead of panicking, so the
@@ -75,7 +77,7 @@ impl Default for FlowOptions {
 /// corrupt-intermediate fault fired and the caller must corrupt its
 /// artifact; deadline faults become typed errors here; panic faults never
 /// return (they raise inside [`FaultPlan::fire`]).
-pub(crate) fn fire_fault(opts: &FlowOptions, stage: Stage) -> Result<bool, FlowError> {
+fn fire_fault(opts: &FlowOptions, stage: Stage) -> Result<bool, FlowError> {
     let Some(plan) = &opts.fault else { return Ok(false) };
     let fired = plan.fire(stage.name());
     if let Some(kind) = &fired {
@@ -103,12 +105,16 @@ pub(crate) fn fire_fault(opts: &FlowOptions, stage: Stage) -> Result<bool, FlowE
     }
 }
 
-/// The error for a corrupt fault scheduled at a stage with no corruptor.
-pub(crate) fn unsupported_corrupt(stage: Stage) -> FlowError {
-    FlowError::bad_input(
-        stage,
-        "corrupt fault is not supported at this stage (supported: place, map, route)",
-    )
+/// Fires the fault plan at a boundary whose artifact has no corruptor: a
+/// corrupt fault scheduled there is a bad-input error.
+pub(crate) fn stage_boundary(opts: &FlowOptions, stage: Stage) -> Result<(), FlowError> {
+    if fire_fault(opts, stage)? {
+        return Err(FlowError::bad_input(
+            stage,
+            "corrupt fault is not supported at this stage (supported: place, map, route)",
+        ));
+    }
+    Ok(())
 }
 
 /// The shared front end: optimized network, subject graph, initial
@@ -182,18 +188,14 @@ pub fn prepare_pool(
         let scope = StageScope::begin("optimize");
         optimize(&mut network, eff);
         scope.end(&mut telemetry);
-        if fire_fault(opts, Stage::Optimize)? {
-            return Err(unsupported_corrupt(Stage::Optimize));
-        }
+        stage_boundary(opts, Stage::Optimize)?;
     }
     let scope = StageScope::begin("decompose");
     let dec = decompose(&network);
     let (graph, _) = dec.graph.sweep();
     let base_gates = graph.num_gates();
     scope.end(&mut telemetry);
-    if fire_fault(opts, Stage::Decompose)? {
-        return Err(unsupported_corrupt(Stage::Decompose));
-    }
+    stage_boundary(opts, Stage::Decompose)?;
     if opts.validate {
         check::subject_dag(Stage::Decompose, &graph)?;
     }
@@ -207,9 +209,7 @@ pub fn prepare_pool(
             fp
         }
     };
-    if fire_fault(opts, Stage::Floorplan)? {
-        return Err(unsupported_corrupt(Stage::Floorplan));
-    }
+    stage_boundary(opts, Stage::Floorplan)?;
     let scope = StageScope::begin("place");
     let placed = place_subject_pool(&graph, &floorplan, &opts.placer, pool);
     scope.end(&mut telemetry);
@@ -233,7 +233,7 @@ fn derive_floorplan(graph: &SubjectGraph, opts: &FlowOptions) -> Floorplan {
 }
 
 /// Maps a prepared design with explicit mapper options and runs
-/// legalization, routing and STA.
+/// legalization, routing and STA: [`route_at`] of [`map_at`].
 pub fn full_flow(
     prep: &Prepared,
     map_opts: &MapOptions,
@@ -244,11 +244,35 @@ pub fn full_flow(
     if let CostKind::AreaWire { k } = map_opts.cost {
         root.attr_num("k", k);
     }
+    route_at(map_at(prep, map_opts, opts)?, opts)
+}
+
+/// A mapped and legalized design: the seam between [`map_at`] and
+/// [`route_at`]. A consumer that varies only what comes after mapping
+/// (the routing supply, a re-placement, inserted flip-flops) maps once
+/// and routes this as often as it needs.
+#[derive(Debug, Clone)]
+pub struct Mapped {
+    /// The mapped netlist with ports assigned and legalized positions.
+    pub netlist: MappedNetlist,
+    /// The floorplan the netlist is legalized in.
+    pub floorplan: Floorplan,
+    /// Mapper statistics.
+    pub map_stats: MapStats,
+    /// Telemetry so far: the front end's stages, then map and legalize.
+    pub telemetry: FlowTelemetry,
+}
+
+/// The first stage of [`full_flow`]: partition check, mapping, port
+/// assignment and row legalization of the mapper's centre-of-mass seeds.
+pub fn map_at(
+    prep: &Prepared,
+    map_opts: &MapOptions,
+    opts: &FlowOptions,
+) -> Result<Mapped, FlowError> {
     let mut telemetry = prep.telemetry.clone();
     telemetry.observe_live_nodes(prep.graph.num_vertices());
-    if fire_fault(opts, Stage::Partition)? {
-        return Err(unsupported_corrupt(Stage::Partition));
-    }
+    stage_boundary(opts, Stage::Partition)?;
     if opts.validate {
         // the mapper partitions internally; recompute the forest to check
         // the cover before trusting the covering it produces
@@ -270,26 +294,37 @@ pub fn full_flow(
         check::mapped_netlist(Stage::Map, &nl)?;
     }
     let scope = StageScope::begin("legalize");
-    assign_mapped_ports(&mut nl, &prep.floorplan);
-    // legalize the centre-of-mass seeds into rows
-    let desired: Vec<Point> = nl.cells().iter().map(|c| c.pos).collect();
-    let widths: Vec<f64> = nl.cells().iter().map(|c| c.width).collect();
-    let legal = legalize_rows(&desired, &widths, &prep.floorplan);
-    for (cell, p) in nl.cells_mut().iter_mut().zip(&legal.pos) {
-        cell.pos = *p;
-    }
+    legalize(&mut nl, &prep.floorplan);
     scope.end(&mut telemetry);
-    if fire_fault(opts, Stage::Legalize)? {
-        return Err(unsupported_corrupt(Stage::Legalize));
-    }
+    stage_boundary(opts, Stage::Legalize)?;
     if opts.validate {
         let cell_pos: Vec<Point> = nl.cells().iter().map(|c| c.pos).collect();
         check::placement_in_bounds(Stage::Legalize, &cell_pos, &prep.floorplan)?;
         check::mapped_netlist(Stage::Legalize, &nl)?;
     }
+    Ok(Mapped { netlist: nl, floorplan: prep.floorplan, map_stats: r.stats, telemetry })
+}
+
+/// Pins the ports to the die edge and legalizes every cell's current
+/// position into rows.
+pub(crate) fn legalize(nl: &mut MappedNetlist, floorplan: &Floorplan) {
+    assign_mapped_ports(nl, floorplan);
+    let desired: Vec<Point> = nl.cells().iter().map(|c| c.pos).collect();
+    let widths: Vec<f64> = nl.cells().iter().map(|c| c.width).collect();
+    let legal = legalize_rows(&desired, &widths, floorplan);
+    for (cell, p) in nl.cells_mut().iter_mut().zip(&legal.pos) {
+        cell.pos = *p;
+    }
+}
+
+/// The second stage of [`full_flow`]: global routing and STA of a
+/// [`Mapped`] design. It consumes `mapped`, whose netlist moves into the
+/// result; clone first to route one mapping more than once.
+pub fn route_at(mapped: Mapped, opts: &FlowOptions) -> Result<FlowResult, FlowError> {
+    let Mapped { netlist: nl, floorplan, map_stats, mut telemetry } = mapped;
     telemetry.observe_live_nodes(nl.num_cells());
     let scope = StageScope::begin("route");
-    let routed = route_mapped(&nl, &prep.floorplan, &opts.route);
+    let routed = route_mapped(&nl, &floorplan, &opts.route);
     scope.end(&mut telemetry);
     let mut route = routed?;
     if fire_fault(opts, Stage::Route)? {
@@ -304,17 +339,15 @@ pub fn full_flow(
     let scope = StageScope::begin("sta");
     let sta = analyze_routed(&nl, &opts.lib, &opts.timing, &route.net_wirelength);
     scope.end(&mut telemetry);
-    if fire_fault(opts, Stage::Sta)? {
-        return Err(unsupported_corrupt(Stage::Sta));
-    }
+    stage_boundary(opts, Stage::Sta)?;
     Ok(FlowResult {
         cell_area: nl.cell_area(),
         num_cells: nl.num_cells(),
-        utilization_pct: prep.floorplan.utilization_pct(nl.cell_area()),
+        utilization_pct: floorplan.utilization_pct(nl.cell_area()),
         route,
         sta,
-        map_stats: r.stats,
-        floorplan: prep.floorplan,
+        map_stats,
+        floorplan,
         netlist: nl,
         telemetry,
     })

@@ -7,8 +7,9 @@
 //! analysis.
 //!
 //! * [`flows`] — the three synthesis flows compared in the paper
-//!   (`sis_flow`, `dagon_flow`, `congestion_flow`) and the shared
-//!   [`flows::Prepared`] front end.
+//!   (`sis_flow`, `dagon_flow`, `congestion_flow`), the shared
+//!   [`flows::Prepared`] front end, and the two stages every flow runs
+//!   after it: [`flows::map_at`] and [`flows::route_at`].
 //! * [`sweep`] — the K sweep behind Tables 2 and 4, serial or fanned
 //!   out across a `casyn-exec` pool with bit-identical results.
 //! * [`batch`] — concurrent multi-design batch runner with per-job
@@ -60,8 +61,8 @@ pub use durable::{
 };
 pub use error::{FlowError, FlowErrorKind, Stage};
 pub use flows::{
-    congestion_flow, congestion_flow_prepared, dagon_flow, full_flow, prepare, prepare_pool,
-    sis_flow, FlowOptions, FlowResult, Prepared,
+    congestion_flow, congestion_flow_prepared, dagon_flow, full_flow, map_at, prepare,
+    prepare_pool, route_at, sis_flow, FlowOptions, FlowResult, Mapped, Prepared,
 };
 pub use ledger::{
     diff_records, format_diff, DiffTolerance, LedgerError, RunDiff, RunParams, RunRecord, RunRow,
@@ -71,9 +72,7 @@ pub use manifest::{
     file_stem, load_design, parse_design, parse_fault_plan, parse_manifest, parse_manifest_value,
     DesignFormat, JobParam, ManifestDefaults, ManifestJob,
 };
-pub use methodology::{
-    run_methodology, run_methodology_prepared, MethodologyResult, MethodologyStep,
-};
+pub use methodology::{run_methodology, MethodologyResult, MethodologyStep};
 pub use report::{
     format_audit_table, format_congestion_heatmap, format_convergence_sparkline,
     format_k_sweep_table, format_routing_table, format_sparkline, format_sta_table,

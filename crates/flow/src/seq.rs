@@ -6,29 +6,26 @@
 //!
 //! 1. exposes each latch's next-state node as a temporary primary output
 //!    and its current state as a pseudo primary input;
-//! 2. maps/places/routes the core with the congestion-aware flow;
+//! 2. maps and legalizes the core with the congestion-aware flow
+//!    ([`map_at`]);
 //! 3. replaces each pseudo boundary with a DFF master from the library
 //!    (placed at its data driver, then re-legalized);
-//! 4. reruns routing and clocked STA — flip-flops launch at clock-to-Q
-//!    and terminate incoming paths at their setup, so
+//! 4. routes once and runs clocked STA ([`route_at`]) — flip-flops launch
+//!    at clock-to-Q and terminate incoming paths at their setup, so
 //!    [`casyn_timing::StaResult::min_clock_period`] reports the design's
 //!    fastest clock.
 
 use crate::error::{FlowError, FlowErrorKind, Stage};
-use crate::flows::{fire_fault, full_flow, unsupported_corrupt, FlowOptions, FlowResult};
+use crate::flows::{legalize, map_at, route_at, stage_boundary, FlowOptions, FlowResult};
 use casyn_core::{CostKind, MapOptions, PartitionScheme};
 use casyn_netlist::mapped::{MappedCell, MappedNetlist, SignalRef};
 use casyn_netlist::seq::SeqNetwork;
-use casyn_place::instance::assign_mapped_ports;
-use casyn_place::legalize_rows;
-use casyn_route::route_mapped;
-use casyn_timing::analyze_routed;
 
 /// The outcome of a sequential flow.
 #[derive(Debug, Clone)]
 pub struct SeqFlowResult {
-    /// The combinational-core flow result, with flip-flops already
-    /// inserted into `netlist` and routing/STA updated.
+    /// The flow result of the core with its flip-flops inserted: the
+    /// netlist, its one routing and its clocked STA.
     pub flow: FlowResult,
     /// Flip-flops inserted.
     pub num_dffs: usize,
@@ -70,14 +67,14 @@ pub fn sequential_flow(
     for (i, latch) in seq.latches.iter().enumerate() {
         core.add_output(format!("__latch_d_{i}"), latch.d);
     }
-    // 2. combinational flow
+    // 2. map and legalize the combinational core
     let prep = crate::flows::prepare(&core, opts)?;
     let map_opts = MapOptions {
         scheme: PartitionScheme::PlacementDriven,
         cost: if k == 0.0 { CostKind::Area } else { CostKind::AreaWire { k } },
     };
-    let mut r = full_flow(&prep, &map_opts, opts)?;
-    let nl = &mut r.netlist;
+    let mut mapped = map_at(&prep, &map_opts, opts)?;
+    let nl = &mut mapped.netlist;
     // 3. insert flip-flops
     let num_latches = seq.latches.len();
     if num_latches > 0 {
@@ -102,30 +99,18 @@ pub fn sequential_flow(
         nl.remove_trailing_outputs(num_latches);
         nl.remove_trailing_inputs(num_latches);
     }
-    if fire_fault(opts, Stage::Seq)? {
-        return Err(unsupported_corrupt(Stage::Seq));
-    }
+    stage_boundary(opts, Stage::Seq)?;
     if opts.validate {
         let nl_ref = &*nl;
         crate::check::mapped_netlist_cut(Stage::Seq, nl_ref, |c| {
             opts.lib.cell(nl_ref.cells()[c].lib_cell).sequential
         })?;
     }
-    // 4. re-place (legalize with the DFFs), re-route, clocked STA
-    assign_mapped_ports(nl, &prep.floorplan);
-    let desired: Vec<casyn_netlist::Point> = nl.cells().iter().map(|c| c.pos).collect();
-    let widths: Vec<f64> = nl.cells().iter().map(|c| c.width).collect();
-    let legal = legalize_rows(&desired, &widths, &prep.floorplan);
-    for (cell, p) in nl.cells_mut().iter_mut().zip(&legal.pos) {
-        cell.pos = *p;
-    }
-    r.route = route_mapped(nl, &prep.floorplan, &opts.route)?;
-    r.sta = analyze_routed(nl, &opts.lib, &opts.timing, &r.route.net_wirelength);
-    r.cell_area = nl.cell_area();
-    r.num_cells = nl.num_cells();
-    r.utilization_pct = prep.floorplan.utilization_pct(r.cell_area);
-    let min_clock_period = r.sta.min_clock_period();
-    Ok(SeqFlowResult { flow: r, num_dffs: num_latches, min_clock_period })
+    // 4. legalize with the DFFs, route, clocked STA
+    legalize(nl, &mapped.floorplan);
+    let flow = route_at(mapped, opts)?;
+    let min_clock_period = flow.sta.min_clock_period();
+    Ok(SeqFlowResult { flow, num_dffs: num_latches, min_clock_period })
 }
 
 /// Cycle-accurate simulation of a mapped sequential netlist: flip-flops

@@ -1,10 +1,10 @@
 //! Per-stage flow telemetry: wall-clock timings and metric deltas
 //! attributed to each pipeline stage, exportable as JSON.
 //!
-//! [`FlowTelemetry`] is collected by [`crate::flows::prepare`] and
-//! [`crate::flows::full_flow`] using `StageScope`: a snapshot of the
-//! global [`casyn_obs`] registry is taken when a stage starts, and the
-//! delta when it finishes becomes that stage's metric attribution. Wall
+//! [`FlowTelemetry`] is collected by [`crate::flows::prepare`],
+//! [`crate::flows::map_at`] and [`crate::flows::route_at`] using
+//! `StageScope`: the delta of the global [`casyn_obs`] registry between a
+//! stage's start and end becomes that stage's metric attribution. Wall
 //! clock is always measured; metric deltas appear only when collection
 //! is enabled ([`casyn_obs::set_enabled`] or the CLI's `--metrics-out`).
 

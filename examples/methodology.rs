@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example methodology`
 
-use casyn::flow::{run_methodology, FlowOptions};
+use casyn::flow::{prepare, run_methodology, FlowOptions};
 use casyn::netlist::bench::{random_pla, PlaGenConfig};
 
 fn main() {
@@ -17,12 +17,13 @@ fn main() {
         mean_outputs_per_term: 1.4,
         seed: 71,
     });
-    let network = pla.to_network();
     let opts = FlowOptions::default();
+    // the technology-independent netlist and its placement, generated once
+    let prep = prepare(&pla.to_network(), &opts).expect("prepare failed");
     // the K schedule of the paper's tables, starting at 0
     let schedule = [0.0, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01];
     // acceptance: no gcell above 98% of its track capacity
-    let out = run_methodology(&network, &schedule, 0.98, &opts).expect("methodology failed");
+    let out = run_methodology(&prep, &schedule, 0.98, &opts).expect("methodology failed");
     println!("Fig. 3 design-flow loop:");
     for step in &out.steps {
         println!(

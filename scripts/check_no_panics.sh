@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Flow-stage code reachable from prepare / full_flow / k_sweep_prepared /
+# Flow-stage code reachable from prepare / map_at / route_at (full_flow is
+# the two in a row) / k_sweep_prepared / sequential_flow / run_methodology /
 # run_batch must report failures through the typed FlowError spine —
 # panic!, .unwrap() and .expect( are forbidden there (test modules
 # excluded). unreachable!() is allowed: it marks branches the type system

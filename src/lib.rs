@@ -61,8 +61,8 @@ pub use casyn_timing as timing;
 pub mod prelude {
     pub use casyn_core::{map, CostKind, MapOptions, MapResult, PartitionScheme};
     pub use casyn_flow::{
-        congestion_flow, dagon_flow, k_sweep_prepared, prepare, run_methodology, sis_flow,
-        FlowError, FlowErrorKind, FlowOptions, FlowResult, Prepared, Stage,
+        congestion_flow, dagon_flow, k_sweep_prepared, map_at, prepare, route_at, run_methodology,
+        sis_flow, FlowError, FlowErrorKind, FlowOptions, FlowResult, Mapped, Prepared, Stage,
     };
     pub use casyn_library::{corelib018, Library};
     pub use casyn_logic::{decompose, optimize, OptimizeOptions};

@@ -5,11 +5,12 @@
 
 use casyn::core::{map, CostKind, MapOptions, MapResult, PartitionScheme};
 use casyn::flow::{
-    congestion_flow, congestion_flow_prepared, fnv1a64, prepare, sis_flow, FlowOptions,
+    congestion_flow, congestion_flow_prepared, fnv1a64, prepare, sequential_flow, sis_flow,
+    FlowOptions,
 };
 use casyn::logic::{optimize, OptimizeOptions};
 use casyn::netlist::bench::{random_pla, spla, too_large, PlaGenConfig};
-use casyn::netlist::blif::to_blif;
+use casyn::netlist::blif::{to_blif, Blif};
 use casyn::netlist::mapped::SignalRef;
 use casyn::netlist::Pla;
 use casyn::place::PlacerBackend;
@@ -112,6 +113,77 @@ fn pinned_designs() -> (Pla, Pla) {
         seed: 7,
     });
     (ex_a, rand16)
+}
+
+/// The 4-bit ripple-enable counter of `examples/sequential.rs`.
+const COUNTER4: &str = "\
+.model counter4
+.inputs en
+.outputs q0 q1 q2 q3
+.latch d0 s0 0
+.latch d1 s1 0
+.latch d2 s2 0
+.latch d3 s3 0
+.names s0 en d0
+10 1
+01 1
+.names en s0 c1
+11 1
+.names s1 c1 d1
+10 1
+01 1
+.names c1 s1 c2
+11 1
+.names s2 c2 d2
+10 1
+01 1
+.names c2 s2 c3
+11 1
+.names s3 c3 d3
+10 1
+01 1
+.names s0 q0
+1 1
+.names s1 q1
+1 1
+.names s2 q2
+1 1
+.names s3 q3
+1 1
+.end
+";
+
+#[test]
+fn sequential_flow_is_bit_identical_to_the_recorded_one() {
+    // FNV-1a 64 over every cell of the returned netlist (master, inputs,
+    // legalised position bits), each net's routed length, the critical
+    // arrival and the minimum clock period, recorded at the commit before
+    // the sequential flow was rebuilt over `map_at` → `route_at`: it may
+    // stop routing twice, never change what it returns.
+    let seq = COUNTER4.parse::<Blif>().unwrap().into_seq();
+    for (k, golden) in [(0.0, 0x0a72_48f7_30cc_1b5b_u64), (0.2, 0x05d3_2db2_9392_3d75)] {
+        let mut opts = FlowOptions::default();
+        opts.placer.backend = PlacerBackend::KWay;
+        let r = sequential_flow(&seq, k, &opts).unwrap();
+        let mut words: Vec<u64> = Vec::new();
+        for c in r.flow.netlist.cells() {
+            words.push(c.lib_cell as u64);
+            words.extend(c.inputs.iter().map(|s| match s {
+                SignalRef::Pi(i) => *i as u64,
+                SignalRef::Cell(i) => 1 << 32 | *i as u64,
+            }));
+            words.extend([c.pos.x.to_bits(), c.pos.y.to_bits()]);
+        }
+        words.extend(r.flow.route.net_wirelength.iter().map(|w| w.to_bits()));
+        words.extend([r.flow.sta.critical_arrival().to_bits(), r.min_clock_period.to_bits()]);
+        assert_eq!(
+            fnv1a_of_words(&words),
+            golden,
+            "K = {k}: sequential flow moved ({} cells, period {})",
+            r.flow.num_cells,
+            r.min_clock_period
+        );
+    }
 }
 
 #[test]

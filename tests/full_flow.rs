@@ -142,7 +142,8 @@ fn sis_minimizes_area() {
 fn methodology_trace_is_consistent() {
     let net = test_pla_network(6);
     let opts = FlowOptions { target_utilization: 0.45, ..Default::default() };
-    let out = run_methodology(&net, &[0.0, 0.001, 0.01], 1.0, &opts).unwrap();
+    let out =
+        run_methodology(&prepare(&net, &opts).unwrap(), &[0.0, 0.001, 0.01], 1.0, &opts).unwrap();
     for w in out.steps.windows(2) {
         assert!(w[0].k < w[1].k);
         assert!(!w[0].accepted, "loop must stop at the first accepted step");

@@ -4,8 +4,11 @@
 //! result.
 
 use casyn::exec::Pool;
-use casyn::flow::{congestion_flow, k_sweep_prepared_pool, prepare, sis_flow, FlowOptions};
+use casyn::flow::{
+    congestion_flow, k_sweep_prepared_pool, prepare, sequential_flow, sis_flow, FlowOptions,
+};
 use casyn::netlist::bench::{random_pla, PlaGenConfig};
+use casyn::netlist::blif::Blif;
 use casyn::obs;
 use casyn::obs::json::JsonValue;
 use casyn::obs::trace::{EventKind, TraceEvent};
@@ -251,6 +254,47 @@ fn pool_sweep_spreads_spans_over_worker_tracks() {
         events.iter().filter(|e| e.kind == EventKind::Span && e.name == "exec.job").collect();
     assert_eq!(jobs.len(), ks.len());
     assert!(jobs.iter().all(|e| e.thread.starts_with('w')));
+}
+
+#[test]
+fn sequential_flow_routes_once() {
+    let _guard = lock();
+    // a 2-bit counter: two flip-flops, so the flow inserts DFFs and
+    // re-legalizes before it routes
+    let seq = "\
+.model ctr
+.inputs en
+.outputs b0 b1
+.latch n0 s0 0
+.latch n1 s1 0
+.names s0 en n0
+10 1
+01 1
+.names s1 s0 en n1
+011 1
+100 1
+101 1
+110 1
+.names s0 b0
+1 1
+.names s1 b1
+1 1
+.end
+"
+    .parse::<Blif>()
+    .unwrap()
+    .into_seq();
+    obs::trace::set_enabled(true);
+    obs::trace::clear();
+    let r = sequential_flow(&seq, 0.2, &FlowOptions::default()).unwrap();
+    obs::trace::set_enabled(false);
+    let events = obs::trace::take_events();
+    // every route_mapped call opens one route.iter span per negotiation
+    // iteration, so a second routing would show up as surplus spans
+    let iters = events.iter().filter(|e| e.kind == EventKind::Span && e.name == "route.iter");
+    assert_eq!(iters.count(), r.flow.route.iterations, "the flow routed more than once");
+    let stages = r.flow.telemetry.stage_names();
+    assert_eq!(stages.iter().filter(|&&s| s == "route").count(), 1, "stages {stages:?}");
 }
 
 #[test]
