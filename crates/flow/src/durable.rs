@@ -332,7 +332,7 @@ impl Wal {
         let header = JsonValue::object(vec![("schema".into(), JsonValue::Str(WAL_SCHEMA.into()))]);
         // the header is never faulted: a journal that cannot even
         // record its schema is unusable, surface that immediately
-        let line = seal_record(&header).expect("header is a plain object");
+        let line = Wal::seal(&header)?;
         self.write_synced(format!("{line}\n").as_bytes())
     }
 

@@ -108,8 +108,8 @@ impl DiskCache {
     /// trailer. Failures (real I/O or an injected `cache:disk_full` /
     /// `cache:torn_write`) leave any previous entry intact.
     pub fn put(&self, domain: &str, key: u64, doc: &JsonValue) -> io::Result<()> {
+        fs::create_dir_all(self.root.join(domain))?;
         let path = self.path_for(domain, key);
-        fs::create_dir_all(path.parent().expect("cache entry has a parent"))?;
         let fault = self.fault.as_ref().map(|p| (p, "cache"));
         durable::write_checksummed(&path, &doc.to_string_pretty(), fault)?;
         obs::counter_add("serve.cache.disk_writes", 1);

@@ -155,47 +155,29 @@ pub fn raw_once(addr: &str, raw: &str, timeout: Duration) -> Result<Response, Cl
     // write or reset the read mid-flight — surface those errors only when
     // no response arrived at all.
     let send_err = stream.write_all(raw.as_bytes()).err();
-    let mut bytes = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => bytes.extend_from_slice(&chunk[..n]),
-            Err(e) if bytes.is_empty() => {
-                return Err(match send_err {
-                    Some(se) => err(ClientErrorKind::SendFailed, format!("send failed: {se}")),
-                    None if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                    {
-                        err(ClientErrorKind::Timeout, format!("no response within {timeout:?}"))
-                    }
-                    None => err(ClientErrorKind::MidBodyEof, format!("read failed: {e}")),
-                });
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                return Err(err(
-                    ClientErrorKind::Timeout,
-                    format!("response stalled after {} bytes", bytes.len()),
-                ));
-            }
-            Err(_) => break,
-        }
-    }
+    let mut bytes = Vec::with_capacity(4096);
+    let read_err = stream.read_to_end(&mut bytes).err();
+    let timed_out = read_err.as_ref().is_some_and(|e| {
+        matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
+    });
     if bytes.is_empty() {
-        return Err(match send_err {
-            Some(se) => err(ClientErrorKind::SendFailed, format!("send failed: {se}")),
-            None => err(
+        return Err(match (send_err, read_err) {
+            (Some(se), _) => err(ClientErrorKind::SendFailed, format!("send failed: {se}")),
+            (None, Some(_)) if timed_out => {
+                err(ClientErrorKind::Timeout, format!("no response within {timeout:?}"))
+            }
+            (None, Some(e)) => err(ClientErrorKind::MidBodyEof, format!("read failed: {e}")),
+            (None, None) => err(
                 ClientErrorKind::MidBodyEof,
                 "connection closed before any response bytes".into(),
             ),
         });
+    }
+    // a read error after some bytes ends the response like EOF, unless
+    // the peer stalled
+    if timed_out {
+        let detail = format!("response stalled after {} bytes", bytes.len());
+        return Err(err(ClientErrorKind::Timeout, detail));
     }
     let text = String::from_utf8(bytes)
         .map_err(|e| err(ClientErrorKind::Malformed, format!("non-UTF-8 response: {e}")))?;

@@ -169,42 +169,31 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
         return Err(HttpError::too_large(max_body));
     }
     let mut body = buf[head_end + 4..].to_vec();
-    if body.len() > content_length {
-        body.truncate(content_length);
-    }
-    while body.len() < content_length {
-        let n = stream
-            .read(&mut tmp)
-            .map_err(|e| HttpError::bad_request(format!("body read failed: {e}")))?;
-        if n == 0 {
-            return Err(HttpError::bad_request("truncated body"));
-        }
-        let want = content_length - body.len();
-        body.extend_from_slice(&tmp[..n.min(want)]);
+    body.truncate(content_length);
+    let want = content_length - body.len();
+    body.reserve_exact(want);
+    stream
+        .take(want as u64)
+        .read_to_end(&mut body)
+        .map_err(|e| HttpError::bad_request(format!("body read failed: {e}")))?;
+    if body.len() < content_length {
+        return Err(HttpError::bad_request("truncated body"));
     }
     Ok(Request { body, ..req_head })
 }
 
-/// Writes a JSON response with `Content-Length` and `Connection: close`.
-/// Returns the body size in bytes (for the access log).
-pub fn respond_json(
+/// Writes one response with `Content-Length`, `Connection: close` and
+/// `extra_headers` (name, value). Returns the body size in bytes (for the
+/// access log).
+pub fn respond(
     stream: &mut TcpStream,
     status: u16,
-    doc: &JsonValue,
-) -> std::io::Result<usize> {
-    respond_json_with(stream, status, doc, &[])
-}
-
-/// [`respond_json`] with extra response headers (name, value) lines.
-pub fn respond_json_with(
-    stream: &mut TcpStream,
-    status: u16,
-    doc: &JsonValue,
+    content_type: &str,
+    body: &str,
     extra_headers: &[(String, String)],
 ) -> std::io::Result<usize> {
-    let body = doc.to_string_pretty();
     let mut head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\n\
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n\
          Content-Length: {}\r\nConnection: close\r\n",
         status_reason(status),
         body.len()
@@ -219,24 +208,14 @@ pub fn respond_json_with(
     Ok(body.len())
 }
 
-/// Writes a plain-text response (the Prometheus exposition surface).
-/// Returns the body size in bytes.
-pub fn respond_text(
+/// [`respond`] with a pretty-printed JSON document.
+pub fn respond_json(
     stream: &mut TcpStream,
     status: u16,
-    content_type: &str,
-    body: &str,
+    doc: &JsonValue,
+    extra_headers: &[(String, String)],
 ) -> std::io::Result<usize> {
-    let head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n",
-        status_reason(status),
-        body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()?;
-    Ok(body.len())
+    respond(stream, status, "application/json", &doc.to_string_pretty(), extra_headers)
 }
 
 /// Writes an [`HttpError`] as a JSON response (including its
@@ -251,7 +230,7 @@ pub fn respond_error(stream: &mut TcpStream, err: &HttpError) -> std::io::Result
         doc.push(("retry_after_s".into(), JsonValue::Number(secs as f64)));
         headers.push(("Retry-After".to_string(), secs.to_string()));
     }
-    respond_json_with(stream, err.status, &JsonValue::object(doc), &headers)
+    respond_json(stream, err.status, &JsonValue::object(doc), &headers)
 }
 
 /// Starts a close-delimited NDJSON stream (no `Content-Length`; the

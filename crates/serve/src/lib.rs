@@ -59,6 +59,7 @@ pub mod cache;
 pub mod client;
 pub mod http;
 pub mod server;
+mod state;
 
 pub use cache::{DiskCache, Lru};
 pub use client::{

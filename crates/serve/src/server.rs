@@ -1,37 +1,26 @@
-//! The synthesis service: job table, bounded admission queue, compute
-//! workers, content-addressed artifact cache and graceful drain.
+//! The synthesis service: HTTP handlers, admission, compute workers,
+//! the durable journal and recovery. A job changes state only through
+//! `State::apply`, the transition function of the `state` module.
 //!
-//! ## Architecture
-//!
-//! One accept-loop thread spawns a handler thread per connection
-//! (requests are short; the only long-lived handlers are `result?wait=1`
-//! and `/jobs/<id>/events` streams, which block on a condvar, not a
-//! core). `workers` long-lived compute threads each take the oldest
-//! queued job as soon as they are free and run it through the batch
-//! runner's per-job loop, [`casyn_flow::batch::run_one`], so serve jobs
-//! inherit the panic isolation, retries and cancellation of `casyn
-//! batch`; a deadline counts from admission. Admission wakes one worker
-//! per queued job, a cache hit none.
-//!
-//! ## Caching and dedup
-//!
-//! Each cacheable job gets a content address from [`KeyBuilder`]
-//! (design text hash + library fingerprint + flow parameters, never
-//! timings), computed from the raw text without parsing the design.
-//! Submission classifies jobs in one pass under the state lock:
-//! result-cache hit (answered instantly), in-flight duplicate (attached
-//! as a follower of the running compute), or fresh (admitted to the
-//! queue, 429 when the whole request does not fit). Only a fresh job's
-//! design is parsed, outside the lock. The prepare cache additionally
-//! shares the expensive flow front end between jobs that differ only in
-//! their K schedule.
+//! One accept-loop thread spawns a handler thread per connection (the
+//! only long-lived handlers are `result?wait=1` and event streams, which
+//! block on a condvar). `workers` long-lived compute threads each take
+//! the oldest queued job as soon as they are free and run it through the
+//! batch runner's per-job loop, [`casyn_flow::batch::run_one`], so serve
+//! jobs inherit its panic isolation, retries and cancellation.
+//! Submission keys each job from its raw text ([`KeyBuilder`]) and
+//! classifies it under the state lock as a cache hit, a follower of an
+//! in-flight duplicate, or a fresh job for the queue (429 when the whole
+//! request does not fit); only a fresh job's design is parsed, outside
+//! the lock.
 
 use crate::cache::{DiskCache, Lru};
 use crate::http::{self, HttpError, Request};
-use casyn_exec::{CancelToken, FaultKind, FaultPlan, Pool};
-use casyn_flow::batch::{
-    run_batch_job, run_one, BatchJob, BatchJobReport, BatchOptions, JobSuccess,
+use crate::state::{
+    event, Admission, Cache, CachedResult, JobRecord, JobStatus, Manifest, State, Transition,
 };
+use casyn_exec::{CancelToken, FaultKind, FaultPlan, Pool};
+use casyn_flow::batch::{run_one, BatchJob, BatchJobReport, BatchOptions, JobSuccess};
 use casyn_flow::durable::Wal;
 use casyn_flow::telemetry::snapshot_json;
 use casyn_flow::{
@@ -43,9 +32,10 @@ use casyn_netlist::network::Network;
 use casyn_obs as obs;
 use casyn_obs::json::{JsonErrorKind, JsonLimits, JsonValue};
 use casyn_place::PlacerBackend;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashSet;
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
@@ -93,8 +83,7 @@ pub struct ServeConfig {
     /// 503 + `Retry-After` while the counting allocator reports more
     /// live bytes than this. 0 disables the watchdog.
     pub mem_limit_bytes: u64,
-    /// How long `GET /jobs/<id>/result?wait=1` blocks before answering
-    /// 409 (previously a hardcoded 600 s).
+    /// How long `GET /jobs/<id>/result?wait=1` blocks before answering 409.
     pub result_wait_secs: u64,
     /// Per-connection socket read *and* write timeout, so a slow-reader
     /// event stream cannot pin a handler thread forever.
@@ -125,167 +114,16 @@ impl Default for ServeConfig {
     }
 }
 
-/// Lifecycle of one submitted job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum JobStatus {
-    Queued,
-    Running,
-    Done,
-    Failed,
-    Cancelled,
-}
-
-impl JobStatus {
-    fn as_str(self) -> &'static str {
-        match self {
-            JobStatus::Queued => "queued",
-            JobStatus::Running => "running",
-            JobStatus::Done => "done",
-            JobStatus::Failed => "failed",
-            JobStatus::Cancelled => "cancelled",
-        }
-    }
-
-    fn terminal(self) -> bool {
-        matches!(self, JobStatus::Done | JobStatus::Failed | JobStatus::Cancelled)
-    }
-}
-
-/// How a job's result was (or will be) obtained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Cache {
-    Miss,
-    /// From the memory LRU.
-    Hit,
-    /// From the disk cache (a spilled artifact, possibly from before a
-    /// restart).
-    Disk,
-    /// A follower of the in-flight compute of the same content address.
-    Dedup,
-    /// A fault-plan job, which skips the cache.
-    Bypass,
-    /// A job that failed before it could be looked up.
-    Uncached,
-}
-
-impl Cache {
-    fn as_str(self) -> &'static str {
-        match self {
-            Cache::Miss => "miss",
-            Cache::Hit => "hit",
-            Cache::Disk => "disk",
-            Cache::Dedup => "dedup",
-            Cache::Bypass => "bypass",
-            Cache::Uncached => "none",
-        }
-    }
-}
-
-/// One row of the job table. The table keeps every record for the life
-/// of the process, so a record keeps little: its three strings share one
-/// allocation, and what only a live or recent job needs sits in a boxed
-/// [`Live`] part that [`JobRecord::release`] drops.
-struct JobRecord {
-    /// `name`, `design` and `request_id`, back to back. The request id is
-    /// that of the HTTP request that admitted the job; it is stamped into
-    /// every event line, journal record and span so one id correlates the
-    /// access log, NDJSON stream and trace.
-    ident: Box<str>,
-    name_len: usize,
-    design_len: usize,
-    /// The job's content address (`None` for fault-plan jobs): where a
-    /// released record's rows are looked up again.
-    result_key: Option<u64>,
-    error: Option<Box<str>>,
-    wall_ms: f64,
-    /// The sequence number of the job's last journal record (0: none); a
-    /// response that reports the job waits until that record is durable.
-    wal_seq: u64,
-    /// `None` once the record is released.
-    live: Option<Box<Live>>,
-    /// Event lines ever pushed, including those a release dropped.
-    event_count: u32,
-    status: JobStatus,
-    cache: Cache,
-    degraded: bool,
-}
-
-/// The part of a job record that only a live or recent job needs.
-struct Live {
-    rows: Option<Arc<JsonValue>>,
-    events: Vec<String>,
-    submitted: Instant,
-}
-
-impl JobRecord {
-    fn new(name: &str, design: &str, request_id: &str, result_key: Option<u64>) -> JobRecord {
-        JobRecord {
-            ident: [name, design, request_id].concat().into_boxed_str(),
-            name_len: name.len(),
-            design_len: design.len(),
-            result_key,
-            error: None,
-            wall_ms: 0.0,
-            wal_seq: 0,
-            live: Some(Box::new(Live {
-                rows: None,
-                events: Vec::new(),
-                submitted: Instant::now(),
-            })),
-            event_count: 0,
-            status: JobStatus::Queued,
-            cache: Cache::Miss,
-            degraded: false,
-        }
-    }
-
-    fn name(&self) -> &str {
-        &self.ident[..self.name_len]
-    }
-
-    fn design(&self) -> &str {
-        &self.ident[self.name_len..self.name_len + self.design_len]
-    }
-
-    fn request_id(&self) -> &str {
-        &self.ident[self.name_len + self.design_len..]
-    }
-
-    /// Sets the rows of a job that finished (or was found) done.
-    fn set_rows(&mut self, rows: Arc<JsonValue>) {
-        if let Some(live) = &mut self.live {
-            live.rows = Some(rows);
-        }
-    }
-
-    /// Gives up the bulk of a finished record — its result rows and its
-    /// event lines — and keeps the metadata `GET /jobs/<id>` reports.
-    /// The rows of a job with a content address stay reachable through
-    /// the result caches; a server that ran for a day must not hold every
-    /// result it ever produced.
-    fn release(&mut self) {
-        debug_assert!(self.status.terminal(), "only finished jobs are released");
-        self.live = None;
-    }
-}
-
-/// A finished result in the content-addressed cache.
-#[derive(Clone)]
-struct CachedResult {
-    rows: Arc<JsonValue>,
-    degraded: bool,
-}
-
 /// A prepare-cache slot: per-key mutex so concurrent jobs with the same
 /// front end compute it exactly once while distinct keys proceed in
 /// parallel.
-type PrepSlot = Arc<Mutex<Option<Arc<Prepared>>>>;
+pub(crate) type PrepSlot = Arc<Mutex<Option<Arc<Prepared>>>>;
 
 /// An admitted job waiting for a worker.
-struct Task {
-    job_id: usize,
+pub(crate) struct Task {
+    id: usize,
     request_id: String,
-    mjob: ManifestJob,
+    job: ManifestJob,
     network: Network,
     fault: Option<FaultPlan>,
     prep_key: u64,
@@ -297,25 +135,8 @@ struct Task {
     admitted: Instant,
 }
 
-struct Inner {
-    jobs: Vec<JobRecord>,
-    /// Jobs in `jobs` that are not terminal yet (the `serve.inflight`
-    /// gauge), kept by [`push_job`] and [`finish_job`].
-    unfinished: usize,
-    /// Records below this id have left the retention window: the finished
-    /// ones are released, the rest are released as they finish.
-    swept: usize,
-    queue: VecDeque<Task>,
-    /// Content address → follower job ids waiting on the in-flight
-    /// compute of the same artifact.
-    inflight: HashMap<u64, Vec<usize>>,
-    results: Lru<CachedResult>,
-    prepared: Lru<PrepSlot>,
-    draining: bool,
-}
-
 struct Shared {
-    inner: Mutex<Inner>,
+    inner: Mutex<State>,
     /// Wakes one worker per queued job, and every worker on drain.
     queue_cv: Condvar,
     /// Wakes result/event waiters (a job changed state).
@@ -328,14 +149,12 @@ struct Shared {
     config: ServeConfig,
     /// The WAL + disk cache pair behind `--state-dir`; `None` when the
     /// server runs memory-only.
-    durable: Option<Durable>,
+    durable: Option<Arc<Durable>>,
     /// The fingerprint of the cell library every job maps to, computed
-    /// once at start-up: a content key needs it, a resubmission should
-    /// not pay for it.
+    /// once: every content key needs it.
     lib_fp: u64,
-    /// Windowed per-second series, fed by the sampler thread (and
-    /// refreshed on demand by `/stats` and `/metrics?format=prom`).
-    /// Seconds are measured from `started`, a monotonic clock.
+    /// Windowed per-second series, fed by the sampler thread and on
+    /// demand by the read surfaces; seconds count from `started`.
     store: obs::SeriesStore,
     started: Instant,
     /// Source of generated request ids (`r000001`, ...).
@@ -359,13 +178,12 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-fn lock_inner(shared: &Shared) -> MutexGuard<'_, Inner> {
+fn lock_inner(shared: &Shared) -> MutexGuard<'_, State> {
     lock(&shared.inner)
 }
 
 /// A running synthesis service. Dropping the handle does not stop the
-/// server; use `POST /shutdown` (or [`Server::wait`] after one) to end
-/// it.
+/// server; `POST /shutdown` (and [`Server::wait`] after it) ends it.
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
@@ -373,9 +191,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds, spawns the accept loop and the workers, and returns.
-    /// Metrics collection is switched on (the service exposes
-    /// `/metrics`).
+    /// Binds, spawns the accept loop and the workers, and returns, with
+    /// metrics collection switched on (the service exposes `/metrics`).
     pub fn start(config: ServeConfig) -> Result<Server, String> {
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| format!("cannot bind {}: {e}", config.addr))?;
@@ -383,24 +200,15 @@ impl Server {
         obs::set_enabled(true);
         let workers = if config.workers == 0 { Pool::from_env().workers() } else { config.workers };
         let lib_fp = library_fingerprint(&FlowOptions::default().lib);
-        let mut inner = Inner {
-            jobs: Vec::new(),
-            unfinished: 0,
-            swept: 0,
-            queue: VecDeque::new(),
-            inflight: HashMap::new(),
-            results: Lru::new(config.result_cache_cap),
-            prepared: Lru::new(config.prepare_cache_cap),
-            draining: false,
-        };
+        let mut state = State::new(config.result_cache_cap, config.prepare_cache_cap);
         let durable = match &config.state_dir {
             None => None,
-            Some(dir) => Some(recover_into(dir, config.io_fault.clone(), lib_fp, &mut inner)?),
+            Some(dir) => Some(recover(dir, config.io_fault.clone(), lib_fp, &mut state)?),
         };
         // a long journal replays into a long table: keep only its tail whole
-        sweep_retention(&mut inner, config.result_cache_cap);
+        state.sweep(config.result_cache_cap);
         let shared = Arc::new(Shared {
-            inner: Mutex::new(inner),
+            inner: Mutex::new(state),
             queue_cv: Condvar::new(),
             state_cv: Condvar::new(),
             cancel: CancelToken::new(),
@@ -458,20 +266,13 @@ impl Server {
 }
 
 fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shared.stop_accept.load(Ordering::SeqCst) {
-                    return; // the self-connect that unblocked us
-                }
-                let shared = shared.clone();
-                thread::spawn(move || handle_conn(&shared, stream));
-            }
-            Err(_) => {
-                if shared.stop_accept.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
+    for stream in listener.incoming() {
+        if shared.stop_accept.load(Ordering::SeqCst) {
+            return; // possibly the self-connect that unblocked us
+        }
+        if let Ok(stream) = stream {
+            let shared = shared.clone();
+            thread::spawn(move || handle_conn(&shared, stream));
         }
     }
 }
@@ -489,10 +290,9 @@ fn request_id(shared: &Shared, req: &Request) -> String {
     }
 }
 
-/// One structured access-log line per HTTP request, rate-limited to
-/// [`ACCESS_LOG_MAX_PER_SEC`] so a burst cannot drown stderr; the
-/// counters always fire, and suppressed lines surface as a per-second
-/// summary plus the `serve.log_suppressed` counter.
+/// One access-log line per HTTP request, at most
+/// [`ACCESS_LOG_MAX_PER_SEC`]; the counters always fire, and suppressed
+/// lines surface as a per-second summary and `serve.log_suppressed`.
 fn access_log(
     shared: &Shared,
     rid: &str,
@@ -509,37 +309,27 @@ fn access_log(
         return;
     }
     let now_s = shared.started.elapsed().as_secs();
-    let suppressed = {
-        let mut w = shared.log_window.lock().unwrap_or_else(|p| p.into_inner());
-        if w.sec != now_s {
-            let prior = w.suppressed;
-            *w = LogWindow { sec: now_s, emitted: 0, suppressed: 0 };
-            if prior > 0 {
-                obs::log::info(&format!("access: {prior} lines suppressed under load"));
-            }
+    let mut w = lock(&shared.log_window);
+    if w.sec != now_s {
+        if w.suppressed > 0 {
+            obs::log::info(&format!("access: {} lines suppressed under load", w.suppressed));
         }
-        if w.emitted < ACCESS_LOG_MAX_PER_SEC {
-            w.emitted += 1;
-            false
-        } else {
-            w.suppressed += 1;
-            true
-        }
-    };
-    if suppressed {
-        obs::counter_add("serve.log_suppressed", 1);
-    } else {
-        obs::log::info(&format!(
-            "access {method} {path} {status} {bytes}B {ms:.1}ms request_id={rid}"
-        ));
+        *w = LogWindow { sec: now_s, emitted: 0, suppressed: 0 };
     }
+    if w.emitted == ACCESS_LOG_MAX_PER_SEC {
+        w.suppressed += 1;
+        obs::counter_add("serve.log_suppressed", 1);
+        return;
+    }
+    w.emitted += 1;
+    drop(w);
+    obs::log::info(&format!("access {method} {path} {status} {bytes}B {ms:.1}ms request_id={rid}"));
 }
 
 fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
     let t0 = Instant::now();
     // read *and* write timeouts: a stalled client can neither starve the
-    // parser nor pin a handler thread on an unread response or event
-    // stream forever
+    // parser nor pin a handler thread on an unread response or stream
     let io_t = Duration::from_secs(shared.config.io_timeout_secs.max(1));
     let _ = stream.set_read_timeout(Some(io_t));
     let _ = stream.set_write_timeout(Some(io_t));
@@ -552,75 +342,56 @@ fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
         }
     };
     let rid = request_id(shared, &req);
-    // chaos: drop the connection after the request is read but before
-    // any response bytes are written — the client sees a clean close and
-    // (for idempotent requests) retries
+    let log = |status, bytes| access_log(shared, &rid, &req.method, &req.path, status, bytes, t0);
+    // chaos: drop the connection before any response byte; the client
+    // sees a clean close and (for idempotent requests) retries
     if let Some(plan) = &shared.config.io_fault {
         if plan.fire("conn") == Some(FaultKind::ConnDrop) {
             obs::counter_add("serve.conn_dropped", 1);
             let _ = stream.shutdown(std::net::Shutdown::Both);
-            access_log(shared, &rid, &req.method, &req.path, 0, 0, t0);
-            return;
+            return log(0, 0);
         }
     }
-    let segs: Vec<String> =
-        req.path.split('/').filter(|s| !s.is_empty()).map(str::to_string).collect();
-    let seg_refs: Vec<&str> = segs.iter().map(String::as_str).collect();
-    // the events stream writes incrementally and owns the socket
-    if let ["jobs", id, "events"] = seg_refs.as_slice() {
-        if req.method == "GET" {
+    let segs: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
+    let result = match (req.method.as_str(), segs.as_slice()) {
+        // the events stream writes incrementally and owns the socket
+        ("GET", ["jobs", id, "events"]) => {
             handle_events(shared, &mut stream, id);
-            access_log(shared, &rid, &req.method, &req.path, 200, 0, t0);
-            return;
+            return log(200, 0);
         }
-    }
-    // shutdown also owns the socket: the acknowledgement must be on the
-    // wire before the drain starts, or process exit (wait() returning
-    // once the accept loop and workers join) races this detached
-    // handler thread's response write and the client sees a bare close
-    if seg_refs.as_slice() == ["shutdown"] && req.method == "POST" {
-        handle_shutdown(shared, &mut stream, &req);
-        access_log(shared, &rid, &req.method, &req.path, 200, 0, t0);
-        return;
-    }
-    // the Prometheus exposition is the one text/plain surface
-    if seg_refs.as_slice() == ["metrics"]
-        && req.method == "GET"
-        && req.query_param("format") == Some("prom")
-    {
-        let now_s = sample_now(shared);
-        let text = obs::prom::render(&obs::snapshot(), Some((&shared.store, now_s)));
-        let bytes =
-            http::respond_text(&mut stream, 200, "text/plain; version=0.0.4", &text).unwrap_or(0);
-        access_log(shared, &rid, &req.method, &req.path, 200, bytes, t0);
-        return;
-    }
-    let result: Result<(u16, JsonValue), HttpError> = match seg_refs.as_slice() {
-        ["jobs"] if req.method == "POST" => handle_submit(shared, &req, &rid),
-        ["jobs"] => Err(HttpError::method_not_allowed()),
-        ["jobs", id] if req.method == "GET" => handle_status(shared, id),
-        ["jobs", _] => Err(HttpError::method_not_allowed()),
-        ["jobs", id, "result"] if req.method == "GET" => {
-            handle_result(shared, id, req.query_flag("wait"))
+        // shutdown also owns the socket: its acknowledgement must be on
+        // the wire before the drain lets the process exit
+        ("POST", ["shutdown"]) => {
+            handle_shutdown(shared, &mut stream, &req);
+            return log(200, 0);
         }
-        ["jobs", _, "result"] | ["jobs", _, "events"] => Err(HttpError::method_not_allowed()),
-        ["metrics"] if req.method == "GET" => Ok((200, metrics_doc(shared))),
-        ["metrics"] => Err(HttpError::method_not_allowed()),
-        ["stats"] if req.method == "GET" => Ok((200, stats_doc(shared))),
-        ["stats"] => Err(HttpError::method_not_allowed()),
-        ["healthz"] if req.method == "GET" => Ok((200, healthz_doc(shared))),
-        ["healthz"] => Err(HttpError::method_not_allowed()),
-        ["shutdown"] => Err(HttpError::method_not_allowed()),
+        // the Prometheus exposition is the one text/plain surface
+        ("GET", ["metrics"]) if req.query_param("format") == Some("prom") => {
+            let now_s = sample_now(shared);
+            let text = obs::prom::render(&obs::snapshot(), Some((&shared.store, now_s)));
+            let ctype = "text/plain; version=0.0.4";
+            return log(200, http::respond(&mut stream, 200, ctype, &text, &[]).unwrap_or(0));
+        }
+        ("POST", ["jobs"]) => handle_submit(shared, &req, &rid),
+        ("GET", ["jobs", id]) => handle_status(shared, id),
+        ("GET", ["jobs", id, "result"]) => handle_result(shared, id, req.query_flag("wait")),
+        ("GET", ["metrics"]) => Ok((200, metrics_doc(shared))),
+        ("GET", ["stats"]) => Ok((200, stats_doc(shared))),
+        ("GET", ["healthz"]) => Ok((200, healthz_doc(shared))),
+        (_, [p]) if ["jobs", "metrics", "stats", "healthz", "shutdown"].contains(p) => {
+            Err(HttpError::method_not_allowed())
+        }
+        (_, ["jobs", _] | ["jobs", _, "result" | "events"]) => Err(HttpError::method_not_allowed()),
         _ => Err(HttpError::not_found(format!("no such endpoint: {}", req.path))),
     };
     let (status, bytes) = match result {
         Ok((status, doc)) => {
             let hdr = [("X-Request-Id".to_string(), rid.clone())];
-            (status, http::respond_json_with(&mut stream, status, &doc, &hdr).unwrap_or(0))
+            (status, http::respond_json(&mut stream, status, &doc, &hdr).unwrap_or(0))
         }
         Err(e) => (e.status, http::respond_error(&mut stream, &e).unwrap_or(0)),
     };
-    access_log(shared, &rid, &req.method, &req.path, status, bytes, t0);
+    log(status, bytes);
 }
 
 fn parse_job_id(shared: &Shared, id: &str) -> Result<usize, HttpError> {
@@ -641,11 +412,9 @@ struct Keyed {
     result_key: Option<u64>,
 }
 
-/// Derives the job's content address — design text hash, library
-/// fingerprint `lib_fp` and flow parameters — without parsing the
-/// design: the key hashes the raw text, so a parse would add nothing to
-/// it. Wall-clock never enters a key, so a resubmit hits regardless of
-/// how long the original run took.
+/// Derives the job's content addresses from the raw design text, the
+/// library fingerprint `lib_fp` and the flow parameters, without parsing
+/// the design. Wall-clock never enters a key.
 fn content_keys(m: &ManifestJob, lib_fp: u64) -> Result<Keyed, String> {
     let fault = m.fault()?;
     let (text, format) = m.design_text()?;
@@ -679,28 +448,19 @@ fn parse_keyed(m: &ManifestJob, k: &Keyed) -> Result<Network, String> {
     m.parse_network(&k.text, k.format)
 }
 
-// ---------------------------------------------------------------------------
-// Durability: the `casyn.wal.v1` job journal plus the checksummed disk
-// cache under `--state-dir`, and the startup replay that restores the
-// job table from them.
-//
-// Lifecycle records are *enqueued* while the state lock is held, so
-// journal order matches job-id order (replay depends on `admitted`
-// records arriving in id order), and *written* outside it by group
-// commit. Locking order is `Inner` → `queued` and `wal` → `queued`;
-// `queued` is held for nothing else.
-// ---------------------------------------------------------------------------
-
-/// The durable half of the server state.
-struct Durable {
+/// The durable half of the server state: the `casyn.wal.v1` journal and
+/// the disk cache under `--state-dir`. Records are *enqueued* under the
+/// state lock, so journal order is job-id order, and *written* outside it
+/// by group commit. Locking order is `State` → `queued` and `wal` →
+/// `queued`; `queued` is held for nothing else.
+pub(crate) struct Durable {
     /// Held by the thread committing a group, across its write and sync.
     wal: Mutex<Wal>,
     /// Sealed records not written yet, in enqueue order.
     queued: Mutex<Queued>,
     /// The sequence number of the last record whose write has completed,
-    /// landed or failed. The committing thread stores it with `Release`
-    /// after its write and sync return; a waiter's `Acquire` load that
-    /// reads its own number therefore happens after that write.
+    /// landed or failed; stored with `Release` after the write and sync,
+    /// so a waiter's `Acquire` load of its number follows that write.
     written: AtomicU64,
     cache: DiskCache,
     /// When the last journal write succeeded; `serve.wal.lag_s` is the
@@ -724,7 +484,7 @@ fn wal_error(e: &std::io::Error) {
 }
 
 impl Durable {
-    fn new(wal: Wal, cache: DiskCache) -> Durable {
+    pub(crate) fn new(wal: Wal, cache: DiskCache) -> Durable {
         Durable {
             wal: Mutex::new(wal),
             queued: Mutex::new(Queued::default()),
@@ -737,7 +497,7 @@ impl Durable {
     /// Enqueues one lifecycle record and returns its sequence number;
     /// [`Durable::sync`] writes it. Called under the state lock, which
     /// orders the records.
-    fn append(&self, rec: &JsonValue) -> u64 {
+    pub(crate) fn append(&self, rec: &JsonValue) -> u64 {
         let sealed = Wal::seal(rec);
         let mut q = lock(&self.queued);
         match sealed {
@@ -751,11 +511,9 @@ impl Durable {
     }
 
     /// Returns once every record up to `seq` has been written, landed or
-    /// failed. The first thread to get here writes everything queued with
-    /// one write and one `fdatasync` (a group commit); the threads whose
-    /// records it took along find them written with one atomic load. The
-    /// journal wedges itself after a torn write (the tail is in an
-    /// unknown state), so a single bad write cannot corrupt replay.
+    /// failed. The first thread here writes everything queued with one
+    /// write and one `fdatasync` (a group commit); the threads whose
+    /// records it took along find them written with one atomic load.
     fn sync(&self, seq: u64) {
         if self.written.load(Ordering::Acquire) >= seq {
             return;
@@ -778,7 +536,7 @@ impl Durable {
     }
 
     /// Writes everything enqueued so far.
-    fn sync_all(&self) {
+    pub(crate) fn sync_all(&self) {
         let last = lock(&self.queued).last;
         self.sync(last);
     }
@@ -790,55 +548,12 @@ impl Durable {
     }
 }
 
-/// Enqueues a journal record for the job `rec` (when the server is
-/// durable) and remembers its sequence number on the record.
-fn journal(shared: &Shared, rec: &mut JobRecord, doc: impl FnOnce() -> JsonValue) {
-    if let Some(d) = &shared.durable {
-        rec.wal_seq = d.append(&doc());
-    }
-}
-
 /// Waits until the journal records up to `seq` are written: a response
 /// that reports a job's state goes out only after its records.
 fn await_journal(shared: &Shared, seq: u64) {
     if let Some(d) = &shared.durable {
         d.sync(seq);
     }
-}
-
-fn wal_rec(t: &str, job: usize) -> Vec<(String, JsonValue)> {
-    vec![("t".into(), JsonValue::Str(t.into())), ("job".into(), JsonValue::Number(job as f64))]
-}
-
-/// The `admitted` record: everything replay needs to re-run the job —
-/// its display identity, content address, admitting request id and full
-/// manifest entry.
-fn wal_admitted(id: usize, m: &ManifestJob, result_key: Option<u64>, rid: &str) -> JsonValue {
-    let mut f = wal_rec("admitted", id);
-    f.push(("name".into(), JsonValue::Str(m.name.clone())));
-    f.push(("design".into(), JsonValue::Str(m.design.clone())));
-    f.push(("request_id".into(), JsonValue::Str(rid.to_string())));
-    if let Some(k) = result_key {
-        f.push(("result_key".into(), JsonValue::Str(format!("{k:016x}"))));
-    }
-    f.push(("manifest".into(), m.to_json()));
-    JsonValue::object(f)
-}
-
-fn wal_done(id: usize, result_key: Option<u64>, degraded: bool, wall_ms: f64) -> JsonValue {
-    let mut f = wal_rec("done", id);
-    if let Some(k) = result_key {
-        f.push(("result_key".into(), JsonValue::Str(format!("{k:016x}"))));
-    }
-    f.push(("degraded".into(), JsonValue::Bool(degraded)));
-    f.push(("wall_ms".into(), JsonValue::Number(wall_ms)));
-    JsonValue::object(f)
-}
-
-fn wal_failed(id: usize, error: &str) -> JsonValue {
-    let mut f = wal_rec("failed", id);
-    f.push(("error".into(), JsonValue::Str(error.into())));
-    JsonValue::object(f)
 }
 
 /// Reads a finished result out of the disk cache. Corruption was
@@ -851,290 +566,111 @@ fn disk_lookup(durable: &Durable, key: u64) -> Option<CachedResult> {
     Some(CachedResult { rows: Arc::new(rows), degraded })
 }
 
-/// One job's state as folded from the replayed journal.
-struct Replayed {
-    name: String,
-    design: String,
-    request_id: String,
-    status: JobStatus,
-    error: Option<String>,
-    degraded: bool,
-    wall_ms: f64,
-    result_key: Option<u64>,
-    manifest: Option<JsonValue>,
-}
-
-/// Re-parses the manifest entry embedded in an `admitted` record.
-fn replayed_manifest_job(mdoc: &JsonValue) -> Result<ManifestJob, String> {
-    let one = JsonValue::Array(vec![mdoc.clone()]);
-    let mut jobs = parse_manifest_value(&one, &ManifestDefaults::default())?;
-    Ok(jobs.remove(0))
-}
-
-/// Opens the durable state under `dir` and replays the journal into
-/// `inner`: jobs that reached `done` before the crash are served from
-/// the disk cache (re-enqueued if their artifact is missing or was
-/// quarantined), other terminal jobs keep their recorded outcome, and
-/// admitted-but-unfinished jobs are re-enqueued through the normal
-/// worker path. A journal damaged anywhere but its final line is a
-/// typed, line-numbered error and the server refuses to start.
-fn recover_into(
-    dir: &std::path::Path,
+/// Opens the durable state under `dir` and rebuilds the job table:
+/// [`State::replay`] folds the journal, then every job it left unfinished
+/// goes through [`classify`] like a fresh submission. A journal damaged
+/// anywhere but its final line is a typed, line-numbered error and the
+/// server refuses to start.
+fn recover(
+    dir: &Path,
     fault: Option<FaultPlan>,
     lib_fp: u64,
-    inner: &mut Inner,
-) -> Result<Durable, String> {
+    g: &mut State,
+) -> Result<Arc<Durable>, String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("state-dir {}: {e}", dir.display()))?;
     let cache = DiskCache::open(&dir.join("cache"), fault.clone())
         .map_err(|e| format!("state-dir cache: {e}"))?;
     let wal_path = dir.join("casyn.wal.v1");
-    let replay = Wal::replay(&wal_path).map_err(|e| {
-        format!(
-            "state-dir journal {}: {e}; refusing to start (move it aside to reset)",
-            wal_path.display()
-        )
-    })?;
+    let journal_err = |e| format!("state-dir journal {}: {e}", wal_path.display());
+    let replay = Wal::replay(&wal_path)
+        .map_err(|e| format!("{}; refusing to start (move it aside to reset)", journal_err(e)))?;
     obs::counter_add("serve.wal.replayed", replay.records.len() as u64);
     if replay.torn_tail {
         obs::log::warn("wal: tolerated a torn final record (crash artifact)");
     }
-
-    // fold lifecycle records into per-job state (last record wins)
-    let mut folded: Vec<Replayed> = Vec::new();
-    for r in &replay.records {
-        let t = r.get("t").and_then(JsonValue::as_str).unwrap_or("");
-        let Some(id) = r.get("job").and_then(JsonValue::as_f64).map(|f| f as usize) else {
-            continue; // forward-compat: jobless records are skipped
-        };
-        if t == "admitted" {
-            if id != folded.len() {
-                return Err(format!(
-                    "state-dir journal: admitted job {id} out of order (expected {})",
-                    folded.len()
-                ));
-            }
-            folded.push(Replayed {
-                name: r.get("name").and_then(JsonValue::as_str).unwrap_or("?").to_string(),
-                design: r.get("design").and_then(JsonValue::as_str).unwrap_or("?").to_string(),
-                request_id: r
-                    .get("request_id")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("")
-                    .to_string(),
-                status: JobStatus::Queued,
-                error: None,
-                degraded: false,
-                wall_ms: 0.0,
-                result_key: r
-                    .get("result_key")
-                    .and_then(JsonValue::as_str)
-                    .and_then(|s| u64::from_str_radix(s, 16).ok()),
-                manifest: r.get("manifest").cloned(),
-            });
+    let durable = Arc::new(Durable::new(Wal::open(&wal_path, fault).map_err(journal_err)?, cache));
+    // the memory LRU stays off while the table is rebuilt, so a result
+    // found on the way is a disk hit; it is filled in id order afterwards
+    let results = std::mem::replace(&mut g.results, Lru::new(0));
+    let manifests = g.replay(&replay.records, |k| disk_lookup(&durable, k))?;
+    for (id, manifest) in manifests.into_iter().enumerate() {
+        if g.jobs[id].status.terminal() {
             continue;
         }
-        let Some(f) = folded.get_mut(id) else { continue };
-        match t {
-            "started" => f.status = JobStatus::Running,
-            "done" => {
-                f.status = JobStatus::Done;
-                f.degraded = r.get("degraded").and_then(JsonValue::as_bool).unwrap_or(false);
-                f.wall_ms = r.get("wall_ms").and_then(JsonValue::as_f64).unwrap_or(0.0);
+        let job = manifest
+            .ok_or_else(|| "journal admitted record carries no manifest".to_string())
+            .and_then(|doc| {
+                let one = JsonValue::Array(vec![doc.clone()]);
+                parse_manifest_value(&one, &ManifestDefaults::default())
+            })
+            .and_then(|jobs| jobs.into_iter().next().ok_or_else(|| "empty manifest".to_string()));
+        let mut cands = match job.and_then(|m| content_keys(&m, lib_fp).map(|k| (m, k))) {
+            Ok((m, k)) => {
+                g.jobs[id].result_key = k.result_key;
+                vec![Candidate { m, keyed: Ok(k), network: None }]
             }
-            "failed" => {
-                f.status = JobStatus::Failed;
-                f.error = Some(
-                    r.get("error").and_then(JsonValue::as_str).unwrap_or("unknown").to_string(),
-                );
+            Err(e) => {
+                g.apply(id, Transition::Rejected(format!("recovery: {e}")));
+                continue;
             }
-            "cancelled" => f.status = JobStatus::Cancelled,
-            _ => {} // forward-compat: unknown record types are skipped
+        };
+        let admits = loop {
+            match classify(Some(&durable), g, &mut cands) {
+                Ok(admits) => break admits,
+                Err(unparsed) => parse_candidates(&mut cands, &unparsed),
+            }
+        };
+        for (c, admit) in cands.into_iter().zip(admits) {
+            let admit = match admit {
+                Admit::LoadError(e) => Admit::LoadError(format!("recovery: {e}")),
+                admit => admit,
+            };
+            settle(g, id, c.m, admit);
         }
     }
-
-    let durable = Durable::new(cache_wal_open(&wal_path, fault)?, cache);
-    for (id, f) in folded.iter().enumerate() {
-        let mut rec = JobRecord::new(&f.name, &f.design, &f.request_id, f.result_key);
-        push_event(&mut rec, event("recovered"));
-        match f.status {
-            JobStatus::Done => {
-                match f.result_key.and_then(|k| disk_lookup(&durable, k)) {
-                    Some(c) => {
-                        rec.status = JobStatus::Done;
-                        rec.cache = Cache::Disk;
-                        rec.set_rows(c.rows.clone());
-                        rec.degraded = c.degraded;
-                        rec.wall_ms = f.wall_ms;
-                        push_event(&mut rec, event("done"));
-                        if let Some(k) = f.result_key {
-                            inner.results.insert(k, c);
-                        }
-                    }
-                    // the artifact is gone (never spilled, or quarantined
-                    // as corrupt): recompute rather than serve nothing
-                    None => requeue_replayed(inner, &durable, lib_fp, id, &mut rec, f),
-                }
-            }
-            JobStatus::Failed | JobStatus::Cancelled => {
-                rec.status = f.status;
-                rec.cache = Cache::Uncached;
-                rec.error = f.error.as_deref().map(Box::from);
-                rec.wall_ms = f.wall_ms;
-                push_event(&mut rec, event(f.status.as_str()));
-            }
-            JobStatus::Queued | JobStatus::Running => {
-                requeue_replayed(inner, &durable, lib_fp, id, &mut rec, f)
-            }
+    g.results = results;
+    for rec in &g.jobs {
+        if let (Some(k), Some(rows)) =
+            (rec.result_key, rec.live.as_ref().and_then(|l| l.rows.clone()))
+        {
+            g.results.insert(k, CachedResult { rows, degraded: rec.degraded });
         }
-        push_job(inner, rec);
     }
+    g.replaying = false;
+    g.journal = Some(durable.clone());
     Ok(durable)
-}
-
-/// Opens the journal for appending (the replay above already validated
-/// it). Split out so `recover_into` reads linearly.
-fn cache_wal_open(path: &std::path::Path, fault: Option<FaultPlan>) -> Result<Wal, String> {
-    Wal::open(path, fault).map_err(|e| format!("state-dir journal {}: {e}", path.display()))
-}
-
-/// Puts one unfinished (or artifact-less) replayed job back through the
-/// admission classifier: disk hit, follower of an already re-enqueued
-/// duplicate, or a fresh queue entry — the only case that parses the
-/// design. The `admitted` record already exists, so only terminal
-/// records will follow.
-fn requeue_replayed(
-    inner: &mut Inner,
-    durable: &Durable,
-    lib_fp: u64,
-    id: usize,
-    rec: &mut JobRecord,
-    f: &Replayed,
-) {
-    let keyed = match &f.manifest {
-        None => Err("journal admitted record carries no manifest".to_string()),
-        Some(mdoc) => {
-            replayed_manifest_job(mdoc).and_then(|m| content_keys(&m, lib_fp).map(|k| (m, k)))
-        }
-    };
-    let (m, k) = match keyed {
-        Ok(mk) => mk,
-        Err(e) => return fail_replayed(rec, &e),
-    };
-    rec.result_key = k.result_key;
-    if let Some(key) = k.result_key {
-        if let Some(c) = disk_lookup(durable, key) {
-            rec.status = JobStatus::Done;
-            rec.cache = Cache::Disk;
-            rec.set_rows(c.rows.clone());
-            rec.degraded = c.degraded;
-            push_event(rec, event("done"));
-            inner.results.insert(key, c);
-            return;
-        }
-        if let Some(followers) = inner.inflight.get_mut(&key) {
-            rec.cache = Cache::Dedup;
-            push_event(rec, event("deduped"));
-            followers.push(id);
-            return;
-        }
-    }
-    let network = match parse_keyed(&m, &k) {
-        Ok(n) => n,
-        Err(e) => return fail_replayed(rec, &e),
-    };
-    match k.result_key {
-        Some(key) => {
-            inner.inflight.insert(key, Vec::new());
-        }
-        None => rec.cache = Cache::Bypass,
-    }
-    push_event(rec, event("queued"));
-    obs::counter_add("serve.recovered", 1);
-    inner.queue.push_back(Task {
-        job_id: id,
-        request_id: f.request_id.clone(),
-        mjob: m,
-        network,
-        fault: k.fault,
-        prep_key: k.prep_key,
-        result_key: k.result_key,
-        admitted: Instant::now(),
-    });
-}
-
-/// Marks a replayed job failed because it can no longer be run.
-fn fail_replayed(rec: &mut JobRecord, e: &str) {
-    let error = format!("recovery: {e}");
-    rec.status = JobStatus::Failed;
-    rec.cache = Cache::Uncached;
-    let mut ev = event("failed");
-    ev.push(("error".into(), JsonValue::Str(error.clone())));
-    push_event(rec, ev);
-    rec.error = Some(error.into());
-    obs::counter_add("serve.jobs_failed", 1);
-}
-
-/// Appends a record to the job table, counting it while it is
-/// unfinished; [`finish_job`] uncounts it.
-fn push_job(g: &mut Inner, rec: JobRecord) {
-    g.unfinished += usize::from(!rec.status.terminal());
-    g.jobs.push(rec);
-}
-
-fn push_event(rec: &mut JobRecord, mut fields: Vec<(String, JsonValue)>) {
-    rec.event_count += 1;
-    let request_id = &rec.ident[rec.name_len + rec.design_len..];
-    let Some(live) = &mut rec.live else { return };
-    let t_ms = live.submitted.elapsed().as_secs_f64() * 1e3;
-    fields.push(("t_ms".into(), JsonValue::Number(t_ms)));
-    if !request_id.is_empty() {
-        fields.push(("request_id".into(), JsonValue::Str(request_id.to_string())));
-    }
-    live.events.push(JsonValue::object(fields).to_string_compact());
-}
-
-/// Moves the retention window up to the newest `cap` admissions and
-/// releases every finished record that fell out of it. Unfinished ones
-/// are skipped here and released by [`finish_job`].
-fn sweep_retention(g: &mut Inner, cap: usize) {
-    if cap == 0 {
-        return; // no result cache to re-serve from: the table keeps everything
-    }
-    let horizon = g.jobs.len().saturating_sub(cap);
-    if horizon > g.swept {
-        for rec in &mut g.jobs[g.swept..horizon] {
-            if rec.status.terminal() {
-                rec.release();
-            }
-        }
-        g.swept = horizon;
-    }
 }
 
 /// A finished result by content address, the way a resubmission finds
 /// it: the memory LRU ([`Cache::Hit`]), then the disk cache
 /// ([`Cache::Disk`], promoted back into the LRU).
-fn cached_result(shared: &Shared, g: &mut Inner, key: u64) -> Option<(CachedResult, Cache)> {
-    if let Some(c) = g.results.get(key) {
+fn cached_result(
+    durable: Option<&Durable>,
+    results: &mut Lru<CachedResult>,
+    key: u64,
+) -> Option<(CachedResult, Cache)> {
+    if let Some(c) = results.get(key) {
         return Some((c.clone(), Cache::Hit));
     }
     // spilled by an earlier run (possibly before a restart)
-    let c = disk_lookup(shared.durable.as_ref()?, key)?;
-    g.results.insert(key, c.clone());
+    let c = disk_lookup(durable?, key)?;
+    results.insert(key, c.clone());
     Some((c, Cache::Disk))
 }
 
-fn event(name: &str) -> Vec<(String, JsonValue)> {
-    vec![("event".into(), JsonValue::Str(name.into()))]
-}
-
-/// How submission classified one manifest entry.
+/// How admission classified one manifest entry.
 enum Admit {
     LoadError(String),
     /// Served from cache, from where the tag says.
     Hit(CachedResult, Cache),
     Dedup(u64),
-    Enqueue,
+    /// Runs: its parsed design and what its task needs besides.
+    Enqueue {
+        network: Network,
+        fault: Option<FaultPlan>,
+        prep_key: u64,
+        result_key: Option<u64>,
+    },
 }
 
 /// One manifest entry on its way through admission.
@@ -1146,31 +682,88 @@ struct Candidate {
 }
 
 /// Decides every candidate's fate before anything is mutated, so a 429
-/// rejects the whole request without admitting a partial batch. A job
-/// that would run but has no parsed design yet classifies as `Enqueue`;
-/// the caller parses it and classifies again.
-fn classify(shared: &Shared, g: &mut Inner, cands: &[Candidate]) -> Vec<Admit> {
+/// rejects the whole request without admitting a partial batch. While a
+/// job that would run has no parsed design, the indices of such jobs come
+/// back instead, to be parsed and classified again.
+fn classify(
+    durable: Option<&Durable>,
+    g: &mut State,
+    cands: &mut [Candidate],
+) -> Result<Vec<Admit>, Vec<usize>> {
     let mut pending: HashSet<u64> = HashSet::new();
-    cands
-        .iter()
-        .map(|c| match (&c.keyed, &c.network) {
-            (Err(e), _) | (_, Some(Err(e))) => Admit::LoadError(e.clone()),
-            (Ok(k), _) => match k.result_key {
-                // a key being computed is in neither cache yet
-                Some(key) if g.inflight.contains_key(&key) || pending.contains(&key) => {
-                    Admit::Dedup(key)
-                }
-                Some(key) => match cached_result(shared, g, key) {
-                    Some((c, tag)) => Admit::Hit(c, tag),
-                    None => {
-                        pending.insert(key);
-                        Admit::Enqueue
-                    }
-                },
-                None => Admit::Enqueue,
-            },
-        })
-        .collect()
+    let mut admits = Vec::with_capacity(cands.len());
+    let mut unparsed = Vec::new();
+    for (i, c) in cands.iter_mut().enumerate() {
+        let k = match (&c.keyed, &c.network) {
+            (Err(e), _) | (_, Some(Err(e))) => {
+                admits.push(Some(Admit::LoadError(e.clone())));
+                continue;
+            }
+            (Ok(k), _) => k,
+        };
+        if let Some(key) = k.result_key {
+            // a key being computed is in neither cache yet
+            if g.inflight.contains_key(&key) || pending.contains(&key) {
+                admits.push(Some(Admit::Dedup(key)));
+                continue;
+            }
+            if let Some((hit, tag)) = cached_result(durable, &mut g.results, key) {
+                admits.push(Some(Admit::Hit(hit, tag)));
+                continue;
+            }
+            pending.insert(key);
+        }
+        admits.push(match c.network.take() {
+            Some(Ok(network)) => Some(Admit::Enqueue {
+                network,
+                fault: k.fault.clone(),
+                prep_key: k.prep_key,
+                result_key: k.result_key,
+            }),
+            _ => {
+                unparsed.push(i);
+                None
+            }
+        });
+    }
+    if unparsed.is_empty() {
+        return Ok(admits.into_iter().flatten().collect());
+    }
+    // hand the parsed designs back for the next round
+    for (c, admit) in cands.iter_mut().zip(admits) {
+        if let Some(Admit::Enqueue { network, .. }) = admit {
+            c.network = Some(Ok(network));
+        }
+    }
+    Err(unparsed)
+}
+
+/// Parses the designs of the candidates `classify` said will run.
+fn parse_candidates(cands: &mut [Candidate], unparsed: &[usize]) {
+    for &i in unparsed {
+        let c = &mut cands[i];
+        if let Ok(k) = &c.keyed {
+            c.network = Some(parse_keyed(&c.m, k));
+        }
+    }
+}
+
+/// Applies a classified job's outcome to job `id`; a job that runs joins
+/// the queue.
+fn settle(g: &mut State, id: usize, job: ManifestJob, admit: Admit) {
+    let t = match admit {
+        Admit::LoadError(e) => Transition::Rejected(e),
+        Admit::Hit(c, tag) => Transition::CacheHit(c, tag),
+        Admit::Dedup(key) => Transition::Deduped(key),
+        Admit::Enqueue { network, fault, prep_key, result_key } => {
+            g.apply(id, Transition::Queued);
+            let (request_id, admitted) = (g.jobs[id].request_id().to_string(), Instant::now());
+            let task = Task { id, request_id, job, network, fault, prep_key, result_key, admitted };
+            g.queue.push_back(task);
+            return;
+        }
+    };
+    g.apply(id, t);
 }
 
 fn handle_submit(
@@ -1213,22 +806,15 @@ fn handle_submit(
         if g.draining {
             return Err(HttpError::unavailable("server is draining"));
         }
-        let admits = classify(shared, &mut g, &cands);
-        let unparsed: Vec<usize> = (0..cands.len())
-            .filter(|&i| matches!(admits[i], Admit::Enqueue) && cands[i].network.is_none())
-            .collect();
-        if unparsed.is_empty() {
-            break (g, admits);
-        }
-        drop(g);
-        for i in unparsed {
-            let c = &mut cands[i];
-            if let Ok(k) = &c.keyed {
-                c.network = Some(parse_keyed(&c.m, k));
+        match classify(shared.durable.as_deref(), &mut g, &mut cands) {
+            Ok(admits) => break (g, admits),
+            Err(unparsed) => {
+                drop(g);
+                parse_candidates(&mut cands, &unparsed);
             }
         }
     };
-    let slots = admits.iter().filter(|a| matches!(a, Admit::Enqueue)).count();
+    let slots = admits.iter().filter(|a| matches!(a, Admit::Enqueue { .. })).count();
     if g.queue.len() + slots > shared.config.queue_capacity {
         obs::counter_add("serve.rejected", cands.len() as u64);
         return Err(HttpError::backpressure(format!(
@@ -1237,70 +823,23 @@ fn handle_submit(
             shared.config.queue_capacity
         )));
     }
-    // admission pass
     let mut out = Vec::with_capacity(cands.len());
     let mut wal_seq = 0;
-    for (Candidate { m, keyed, network }, admit) in cands.into_iter().zip(admits) {
+    for (c, admit) in cands.into_iter().zip(admits) {
         let id = g.jobs.len();
-        let result_key = keyed.as_ref().ok().and_then(|k| k.result_key);
-        let mut rec = JobRecord::new(&m.name, &m.design, rid, result_key);
-        push_event(&mut rec, event("submitted"));
-        obs::counter_add("serve.submitted", 1);
-        // journal the admission before the outcome records below; the
-        // `admitted` record carries the manifest so replay can re-run
-        journal(shared, &mut rec, || wal_admitted(id, &m, result_key, rid));
-        match admit {
-            Admit::LoadError(e) => {
-                rec.status = JobStatus::Failed;
-                rec.cache = Cache::Uncached;
-                let mut ev = event("failed");
-                ev.push(("error".into(), JsonValue::Str(e.clone())));
-                push_event(&mut rec, ev);
-                obs::counter_add("serve.jobs_failed", 1);
-                journal(shared, &mut rec, || wal_failed(id, &e));
-                rec.error = Some(e.into());
-            }
-            Admit::Hit(c, tag) => {
-                rec.status = JobStatus::Done;
-                rec.cache = tag;
-                rec.set_rows(c.rows);
-                rec.degraded = c.degraded;
-                push_event(&mut rec, event("cache_hit"));
-                push_event(&mut rec, event("done"));
-                obs::counter_add("serve.cache_hits", 1);
-                obs::counter_add("serve.jobs_done", 1);
-                journal(shared, &mut rec, || wal_done(id, result_key, c.degraded, 0.0));
-            }
-            Admit::Dedup(k) => {
-                rec.cache = Cache::Dedup;
-                push_event(&mut rec, event("deduped"));
-                g.inflight.entry(k).or_default().push(id);
-                obs::counter_add("serve.deduped", 1);
-            }
-            Admit::Enqueue => {
-                let (Ok(k), Some(Ok(network))) = (keyed, network) else {
-                    unreachable!("only a keyed, parsed job classifies as Enqueue")
-                };
-                match k.result_key {
-                    Some(key) => {
-                        g.inflight.insert(key, Vec::new());
-                    }
-                    None => rec.cache = Cache::Bypass,
-                }
-                push_event(&mut rec, event("queued"));
-                g.queue.push_back(Task {
-                    job_id: id,
-                    request_id: rid.to_string(),
-                    mjob: m,
-                    network,
-                    fault: k.fault,
-                    prep_key: k.prep_key,
-                    result_key: k.result_key,
-                    admitted: Instant::now(),
-                });
-                obs::counter_add("serve.queued", 1);
-            }
-        }
+        let result_key = c.keyed.as_ref().ok().and_then(|k| k.result_key);
+        // the `admitted` record precedes the outcome's and carries the
+        // manifest, so replay can re-run the job
+        let admission = Admission {
+            name: &c.m.name,
+            design: &c.m.design,
+            request_id: rid,
+            result_key,
+            manifest: Manifest::Job(&c.m),
+        };
+        g.apply(id, Transition::Admitted(admission));
+        settle(&mut g, id, c.m, admit);
+        let rec = &g.jobs[id];
         out.push(JsonValue::object(vec![
             ("id".into(), JsonValue::Number(id as f64)),
             ("name".into(), JsonValue::Str(rec.name().to_string())),
@@ -1308,9 +847,8 @@ fn handle_submit(
             ("cache".into(), JsonValue::Str(rec.cache.as_str().into())),
         ]));
         wal_seq = wal_seq.max(rec.wal_seq);
-        push_job(&mut g, rec);
     }
-    sweep_retention(&mut g, shared.config.result_cache_cap);
+    g.sweep(shared.config.result_cache_cap);
     drop(g);
     // one worker per queued job; hits and followers have nothing to run
     for _ in 0..slots {
@@ -1364,11 +902,7 @@ fn handle_result(shared: &Shared, id: &str, wait: bool) -> Result<(u16, JsonValu
             if Instant::now() > deadline {
                 return Err(HttpError::conflict(format!("job {id} still running")));
             }
-            let (ng, _) = shared
-                .state_cv
-                .wait_timeout(g, Duration::from_millis(500))
-                .unwrap_or_else(|p| p.into_inner());
-            g = ng;
+            g = wait_state(shared, g);
         }
     } else if !g.jobs[id].status.terminal() {
         return Err(HttpError::conflict(format!(
@@ -1383,14 +917,9 @@ fn handle_result(shared: &Shared, id: &str, wait: bool) -> Result<(u16, JsonValu
         // a released result is re-served from where a resubmission of
         // the same job would find it
         let key = rec.result_key;
-        match key.and_then(|k| cached_result(shared, &mut g, k)) {
-            Some((c, _)) => Some(c.rows),
-            None => {
-                return Err(HttpError::gone(format!(
-                    "the result of job {id} was released and is in no cache; resubmit it"
-                )))
-            }
-        }
+        let found = key.and_then(|k| cached_result(shared.durable.as_deref(), &mut g.results, k));
+        let gone = format!("the result of job {id} was released and is in no cache; resubmit it");
+        Some(found.ok_or_else(|| HttpError::gone(gone))?.0.rows)
     } else {
         None
     };
@@ -1401,6 +930,12 @@ fn handle_result(shared: &Shared, id: &str, wait: bool) -> Result<(u16, JsonValu
     let rows = rows.map_or_else(|| JsonValue::Array(Vec::new()), |r| (*r).clone());
     doc.push(("rows".into(), rows));
     Ok((200, JsonValue::Object(doc)))
+}
+
+/// Blocks until a job changes state, or for half a second at most.
+fn wait_state<'a>(shared: &'a Shared, g: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+    let waited = shared.state_cv.wait_timeout(g, Duration::from_millis(500));
+    waited.unwrap_or_else(|p| p.into_inner()).0
 }
 
 fn handle_events(shared: &Shared, stream: &mut TcpStream, id: &str) {
@@ -1423,42 +958,27 @@ fn handle_events(shared: &Shared, stream: &mut TcpStream, id: &str) {
                 let Some(live) = &rec.live else {
                     // the lines are gone — possibly between two polls of
                     // this very stream: say so once and end
-                    break (vec![r#"{"event":"expired"}"#.to_string()], true, 0);
+                    break ("{\"event\":\"expired\"}\n".to_string(), true, 0);
                 };
                 if live.events.len() > sent || rec.status.terminal() {
-                    let chunk: Vec<String> = live.events.get(sent..).unwrap_or_default().to_vec();
+                    let lines = live.events.get(sent..).unwrap_or_default();
+                    let chunk: String = lines.iter().flat_map(|l| [l.as_str(), "\n"]).collect();
                     sent = live.events.len();
                     break (chunk, rec.status.terminal(), rec.wal_seq);
                 }
-                let (ng, _) = shared
-                    .state_cv
-                    .wait_timeout(g, Duration::from_millis(500))
-                    .unwrap_or_else(|p| p.into_inner());
-                g = ng;
+                g = wait_state(shared, g);
             }
         };
         await_journal(shared, seq);
-        for line in &chunk {
-            use std::io::Write;
-            if stream.write_all(line.as_bytes()).is_err() || stream.write_all(b"\n").is_err() {
-                return; // client went away
-            }
-        }
-        {
-            use std::io::Write;
-            let _ = stream.flush();
-        }
-        if terminal {
-            return;
+        if stream.write_all(chunk.as_bytes()).and_then(|()| stream.flush()).is_err() || terminal {
+            return; // ended, or the client went away
         }
     }
 }
 
-/// Refreshes the server gauges (queue depth, inflight, live heap, WAL
-/// lag, uptime) and feeds the current registry snapshot into the
-/// windowed series at the current server second, which it returns.
-/// Called once per second by the sampler thread and on demand by every
-/// read surface, so a scrape never sees stale windows.
+/// Refreshes the server gauges and feeds the registry snapshot into the
+/// windowed series at the current server second, which it returns. The
+/// sampler thread calls it once a second, every read surface on demand.
 fn sample_now(shared: &Shared) -> u64 {
     let now_s = shared.started.elapsed().as_secs();
     {
@@ -1475,9 +995,8 @@ fn sample_now(shared: &Shared) -> u64 {
     now_s
 }
 
-/// Background sampler: one observation per second until shutdown. The
-/// read surfaces also sample on demand, so this thread only guarantees
-/// the windows stay populated while nobody is scraping.
+/// Background sampler: keeps the windows populated while nobody reads
+/// them, one observation per second until shutdown.
 fn sampler_loop(shared: &Arc<Shared>) {
     while !shared.stop_accept.load(Ordering::SeqCst) {
         sample_now(shared);
@@ -1540,18 +1059,13 @@ fn healthz_doc(shared: &Shared) -> JsonValue {
 
 fn handle_shutdown(shared: &Arc<Shared>, stream: &mut TcpStream, req: &Request) {
     let body = String::from_utf8_lossy(&req.body);
-    let cancel_mode = if body.trim().is_empty() {
-        false
-    } else {
-        match JsonValue::parse(&body) {
-            Ok(doc) => doc.get("mode").and_then(|v| v.as_str()) == Some("cancel"),
-            Err(e) => {
-                let _ = http::respond_error(
-                    stream,
-                    &HttpError::bad_request(format!("shutdown body: {e}")),
-                );
-                return;
-            }
+    let cancel_mode = match JsonValue::parse(&body) {
+        _ if body.trim().is_empty() => false,
+        Ok(doc) => doc.get("mode").and_then(|v| v.as_str()) == Some("cancel"),
+        Err(e) => {
+            let e = HttpError::bad_request(format!("shutdown body: {e}"));
+            let _ = http::respond_error(stream, &e);
+            return;
         }
     };
     // acknowledge first: once the flags below flip, wait() can return
@@ -1560,11 +1074,8 @@ fn handle_shutdown(shared: &Arc<Shared>, stream: &mut TcpStream, req: &Request) 
         ("status".into(), JsonValue::Str("draining".into())),
         ("mode".into(), JsonValue::Str(if cancel_mode { "cancel".into() } else { "drain".into() })),
     ]);
-    let _ = http::respond_json(stream, 200, &doc);
-    {
-        let mut g = lock_inner(shared);
-        g.draining = true;
-    }
+    let _ = http::respond_json(stream, 200, &doc, &[]);
+    lock_inner(shared).draining = true;
     if cancel_mode {
         // queued-but-unstarted jobs are skipped at claim time and
         // flushed as cancelled; running jobs always finish
@@ -1608,40 +1119,29 @@ fn worker_loop(shared: &Shared, wid: usize) {
     }
 }
 
-/// Marks a claimed job running. Its `started` record is enqueued but
-/// not waited for: replay requeues a running job exactly like a queued
-/// one, so nothing depends on that record being durable.
+/// Marks a claimed job running. Nobody waits for its `started` record:
+/// replay requeues a running job exactly like a queued one.
 fn mark_running(shared: &Shared, job_id: usize) {
-    let mut g = lock_inner(shared);
-    let rec = &mut g.jobs[job_id];
-    if rec.status == JobStatus::Queued {
-        rec.status = JobStatus::Running;
-        push_event(rec, event("started"));
-        journal(shared, rec, || JsonValue::object(wal_rec("started", job_id)));
-    }
-    drop(g);
+    lock_inner(shared).apply(job_id, Transition::Started);
     shared.state_cv.notify_all();
 }
 
-/// Returns the shared front-end artifact for `key`, computing it at
-/// most once per key even under concurrent requests (each key has its
-/// own mutex, so distinct designs still prepare in parallel).
+/// The shared front end for `key`, computed once per key; each key has
+/// its own mutex, so distinct designs still prepare in parallel.
 fn prepared_for(
     shared: &Shared,
     key: u64,
     network: &Network,
     opts: &FlowOptions,
 ) -> Result<Arc<Prepared>, FlowError> {
-    let slot: PrepSlot = {
+    let slot = {
         let mut g = lock_inner(shared);
-        match g.prepared.get(key) {
-            Some(s) => s.clone(),
-            None => {
-                let s: PrepSlot = Arc::new(Mutex::new(None));
-                g.prepared.insert(key, s.clone());
-                s
-            }
-        }
+        let found = g.prepared.get(key).cloned();
+        found.unwrap_or_else(|| {
+            let s = PrepSlot::default();
+            g.prepared.insert(key, s.clone());
+            s
+        })
     };
     let mut s = slot.lock().unwrap_or_else(|p| p.into_inner());
     if let Some(p) = s.as_ref() {
@@ -1656,42 +1156,39 @@ fn prepared_for(
 /// Runs one claimed job through the batch runner's per-job loop, with
 /// its deadline counted from admission, and records the outcome.
 fn run_task(shared: &Shared, bopts: &BatchOptions, t: Task) {
-    let Task { job_id, request_id, mjob, network, fault, prep_key, result_key, admitted } = t;
-    let mut opts = mjob.flow_options(false);
+    let Task { id, request_id, job: m, network, fault, prep_key, result_key, admitted } = t;
+    let mut opts = m.flow_options(false);
     opts.fault = fault;
-    let deadline = mjob.deadline();
-    let job = BatchJob { name: mjob.name, network, ks: mjob.ks, opts, deadline };
+    let deadline = m.deadline();
+    let job = BatchJob { name: m.name, network, ks: m.ks, opts, deadline };
     let runner = |j: &BatchJob| -> Result<JobSuccess, FlowError> {
         let mut sp = obs::trace::span("serve.job");
-        sp.attr_num("job", job_id as f64);
+        sp.attr_num("job", id as f64);
         if !request_id.is_empty() {
             sp.attr_str("request_id", &request_id);
         }
-        mark_running(shared, job_id);
+        mark_running(shared, id);
         obs::counter_add("serve.computes", 1);
-        if j.opts.fault.is_some() {
-            // fault-plan jobs take the stock batch path so injected
-            // failures hit the same stages they would under `casyn batch`
-            return run_batch_job(j, bopts);
-        }
-        let prep = prepared_for(shared, prep_key, &j.network, &j.opts)?;
+        // a fault-plan job prepares afresh, so injected failures hit the
+        // stages they would under `casyn batch` and no front end is shared
+        let prep = match j.opts.fault {
+            Some(_) => Arc::new(prepare(&j.network, &j.opts)?),
+            None => prepared_for(shared, prep_key, &j.network, &j.opts)?,
+        };
         let mut rows = Vec::with_capacity(j.ks.len());
         for &k in &j.ks {
             let result = congestion_flow_prepared(&prep, k, &j.opts)?;
-            {
-                let mut g = lock_inner(shared);
-                let mut ev = event("k_done");
-                ev.push(("k".into(), JsonValue::Number(k)));
-                ev.push(("violations".into(), JsonValue::Number(result.route.violations as f64)));
-                push_event(&mut g.jobs[job_id], ev);
-            }
+            let mut ev = event("k_done");
+            ev.push(("k".into(), JsonValue::Number(k)));
+            ev.push(("violations".into(), JsonValue::Number(result.route.violations as f64)));
+            lock_inner(shared).jobs[id].push_event(ev);
             shared.state_cv.notify_all();
             rows.push(KSweepEntry { k, result });
         }
         Ok(JobSuccess { rows, degraded: false })
     };
     let report = run_one(&job, admitted, bopts, runner);
-    finish_job(shared, job_id, result_key, &report);
+    finish_job(shared, id, result_key, &report);
 }
 
 fn finish_job(shared: &Shared, job_id: usize, result_key: Option<u64>, jr: &BatchJobReport) {
@@ -1699,9 +1196,8 @@ fn finish_job(shared: &Shared, job_id: usize, result_key: Option<u64>, jr: &Batc
         rows: Arc::new(JsonValue::Array(s.rows.iter().map(k_row_json).collect())),
         degraded: s.degraded,
     });
-    // spill to disk outside the lock, and *before* the terminal journal
-    // record, so a replayed `done` implies the artifact should exist
-    // (replay recomputes if the write below failed)
+    // spill outside the lock and before the terminal journal record, so a
+    // replayed `done` implies the artifact (replay recomputes without it)
     if let (Ok(c), Some(k), Some(d)) = (&outcome, result_key, &shared.durable) {
         let doc = JsonValue::object(vec![
             ("schema".into(), JsonValue::Str("casyn.serve.cache.v1".into())),
@@ -1712,53 +1208,25 @@ fn finish_job(shared: &Shared, job_id: usize, result_key: Option<u64>, jr: &Batc
             obs::log::warn(&format!("cache: spill of {k:016x} failed: {e}"));
         }
     }
-    let mut guard = lock_inner(shared);
-    let g = &mut *guard;
+    let mut g = lock_inner(shared);
     if let (Ok(c), Some(k)) = (&outcome, result_key) {
         g.results.insert(k, c.clone());
     }
     let followers = result_key.and_then(|k| g.inflight.remove(&k)).unwrap_or_default();
     let mut wal_seq = 0;
     for id in std::iter::once(job_id).chain(followers) {
-        let rec = &mut g.jobs[id];
-        g.unfinished -= usize::from(!rec.status.terminal());
-        rec.wall_ms = jr.wall_ms;
-        match &outcome {
-            Ok(c) => {
-                rec.status = JobStatus::Done;
-                rec.set_rows(c.rows.clone());
-                rec.degraded = c.degraded;
-                push_event(rec, event("done"));
-                obs::counter_add("serve.jobs_done", 1);
-                journal(shared, rec, || wal_done(id, result_key, c.degraded, jr.wall_ms));
+        let wall_ms = jr.wall_ms;
+        let t = match &outcome {
+            Ok(c) => Transition::Done { rows: Some(c.rows.clone()), degraded: c.degraded, wall_ms },
+            Err(e) if e.kind == FlowErrorKind::Cancelled => {
+                Transition::Cancelled { error: Some(e.to_string()), wall_ms }
             }
-            Err(e) => {
-                let cancelled = e.kind == FlowErrorKind::Cancelled;
-                rec.status = if cancelled { JobStatus::Cancelled } else { JobStatus::Failed };
-                let mut ev = event(rec.status.as_str());
-                ev.push(("error".into(), JsonValue::Str(e.to_string())));
-                push_event(rec, ev);
-                rec.error = Some(e.to_string().into());
-                obs::counter_add(
-                    if cancelled { "serve.jobs_cancelled" } else { "serve.jobs_failed" },
-                    1,
-                );
-                journal(shared, rec, || {
-                    if cancelled {
-                        JsonValue::object(wal_rec("cancelled", id))
-                    } else {
-                        wal_failed(id, &e.to_string())
-                    }
-                });
-            }
-        }
-        // a job that finishes outside the retention window is released at once
-        if id < g.swept {
-            rec.release();
-        }
-        wal_seq = rec.wal_seq;
+            Err(e) => Transition::Failed { error: e.to_string(), wall_ms },
+        };
+        g.apply(id, t);
+        wal_seq = g.jobs[id].wal_seq;
     }
-    drop(guard);
+    drop(g);
     shared.state_cv.notify_all();
     await_journal(shared, wal_seq);
 }

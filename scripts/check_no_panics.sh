@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Flow-stage code reachable from prepare / map_at / route_at (full_flow is
 # the two in a row) / k_sweep_prepared / sequential_flow / run_methodology /
-# run_batch must report failures through the typed FlowError spine —
-# panic!, .unwrap() and .expect( are forbidden there (test modules
-# excluded). unreachable!() is allowed: it marks branches the type system
-# cannot rule out but the invariants do.
+# run_batch must report failures through the typed FlowError spine, and the
+# service (`casyn serve`: handlers, job state machine, caches, durable I/O)
+# through typed HTTP and I/O errors — panic!, .unwrap() and .expect( are
+# forbidden there (test modules excluded). unreachable!() is allowed: it
+# marks branches the type system cannot rule out but the invariants do.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,6 +20,11 @@ files=(
   crates/route/src/router.rs
   crates/route/src/congestion.rs
   crates/place/src/lib.rs
+  crates/serve/src/server.rs
+  crates/serve/src/state.rs
+  crates/serve/src/http.rs
+  crates/serve/src/cache.rs
+  crates/flow/src/durable.rs
 )
 
 status=0
@@ -35,6 +41,6 @@ for f in "${files[@]}"; do
 done
 
 if [ "$status" -eq 0 ]; then
-  echo "no-panic check: ${#files[@]} flow-stage files clean"
+  echo "no-panic check: ${#files[@]} flow-stage and service files clean"
 fi
 exit $status
