@@ -6,23 +6,24 @@
 //! embarrassingly parallel. This crate provides the machinery to exploit
 //! that without giving up reproducibility:
 //!
-//! * [`Pool`] — a scoped work-stealing thread pool (std-only:
-//!   `std::thread::scope` workers with per-worker deques fed by a shared
-//!   injector). Jobs may borrow stack data; no `'static` bounds.
+//! * [`Pool`] — a scoped claim-counter thread pool (std-only:
+//!   `std::thread::scope` workers that each run one seeded job, then
+//!   claim the next job index from one shared atomic counter). Jobs may
+//!   borrow stack data; no `'static` bounds.
 //! * [`Pool::par_map`] — parallel map with **deterministic, input-ordered
-//!   results**: each job writes into its own slot, so the output is
-//!   bit-identical to the serial `items.iter().map(f)` regardless of
-//!   worker count or scheduling.
+//!   results**: each result carries its job's index back into input
+//!   order, so the output is bit-identical to the serial
+//!   `items.iter().map(f)` regardless of worker count or scheduling.
 //! * Job-level robustness — a panicking job is isolated with
 //!   `catch_unwind` and surfaced as [`JobError::Panicked`] instead of
 //!   tearing down the process ([`Pool::try_par_map`]), and a
 //!   [`CancelToken`] lets the batch runner stop not-yet-started jobs.
 //!
 //! The pool reports into [`casyn_obs`] when metric collection is enabled:
-//! `exec.steals`, `exec.queue_depth` (histogram of depth at each claim),
-//! `exec.jobs_completed` / `exec.jobs_panicked`, a per-job `exec.job_ms`
-//! histogram, the cross-worker `exec.worker_busy_ms` histogram, and
-//! per-worker `exec.worker.<i>.busy_ms` gauges.
+//! `exec.pool_workers`, `exec.jobs_completed` / `exec.jobs_panicked`, a
+//! per-job `exec.job_ms` histogram, the cross-worker
+//! `exec.worker_busy_ms` histogram, and per-worker
+//! `exec.worker.<i>.busy_ms` gauges.
 //!
 //! Worker count resolution: [`Pool::from_env`] honours the `CASYN_JOBS`
 //! environment variable and falls back to

@@ -1,27 +1,21 @@
-//! The scoped work-stealing thread pool.
+//! The scoped claim-counter thread pool.
 //!
-//! Scheduling: jobs are indexed `0..n` in input order. Each worker is
-//! seeded with one job, the remainder queue in a shared injector; a
-//! worker claims from its own deque first, then pulls a fair share of the
-//! injector into its deque, and only steals from a sibling's tail once
-//! the injector is dry. Because every job writes its result into its own
-//! input-indexed slot, the output order — and, for pure job functions,
-//! the output *values* — are identical to the serial path no matter how
-//! the jobs interleave.
+//! Scheduling: jobs are indexed `0..n` in input order. Worker `w` runs
+//! job `w` first, then claims the next unclaimed index from one shared
+//! atomic counter until the indices pass `n`. Each worker keeps its
+//! `(index, result)` pairs, and once every worker has joined the pairs
+//! are put back into input order, so the output order — and, for pure
+//! job functions, the output *values* — are identical to the serial path
+//! no matter how the jobs interleave.
 
 use crate::job::JobError;
 use casyn_obs as obs;
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 use std::time::Instant;
 
-/// How many injector jobs a worker may pull into its local deque per
-/// claim, beyond the one it runs immediately.
-const MAX_INJECTOR_BATCH: usize = 8;
-
-/// A work-stealing thread pool handle. Creating a pool is free — worker
+/// A claim-counter thread pool handle. Creating a pool is free — worker
 /// threads are scoped to each `par_map` call (jobs may borrow stack
 /// data), so an idle pool holds no OS resources.
 #[derive(Debug, Clone)]
@@ -84,75 +78,66 @@ impl Pool {
         F: Fn(&T) -> R + Sync,
     {
         let n = items.len();
-        if n == 0 {
-            return Vec::new();
-        }
         let w = self.workers.min(n);
+        let next = AtomicUsize::new(w);
 
-        // One job-execution body shared by the serial and parallel paths:
-        // panic-isolated execution with per-worker accounting.
-        let run_one = |idx: usize, st: &mut WorkerStats| -> Result<R, JobError> {
-            let t0 = Instant::now();
-            let mut job_span = obs::trace::span("exec.job");
-            job_span.attr_num("idx", idx as f64);
-            let out = catch_unwind(AssertUnwindSafe(|| f(&items[idx])));
-            drop(job_span);
-            let ms = t0.elapsed().as_secs_f64() * 1e3;
-            st.busy_ms += ms;
-            obs::hist_record("exec.job_ms", ms);
-            match out {
-                Ok(v) => {
-                    st.completed += 1;
-                    Ok(v)
-                }
-                Err(p) => {
+        // The one worker loop: job `wid` first, then claimed indices, each
+        // run panic-isolated with per-worker accounting.
+        let work = |wid: usize, mut done: Vec<(usize, Result<R, JobError>)>| {
+            let mut st = WorkerStats::default();
+            let mut idx = wid;
+            while idx < n {
+                let t0 = Instant::now();
+                let mut job_span = obs::trace::span("exec.job");
+                job_span.attr_num("idx", idx as f64);
+                let out = catch_unwind(AssertUnwindSafe(|| f(&items[idx])));
+                drop(job_span);
+                let ms = t0.elapsed().as_secs_f64() * 1e3;
+                st.busy_ms += ms;
+                obs::hist_record("exec.job_ms", ms);
+                let res = out.map_err(|p| {
                     st.panicked += 1;
-                    Err(JobError::Panicked(panic_message(p.as_ref())))
-                }
+                    JobError::Panicked(panic_message(p.as_ref()))
+                });
+                done.push((idx, res));
+                idx = next.fetch_add(1, Ordering::Relaxed);
             }
+            st.completed = (done.len() as u64) - st.panicked;
+            (done, st)
         };
 
-        if w <= 1 {
-            let mut st = WorkerStats::default();
-            let out = (0..n).map(|i| run_one(i, &mut st)).collect();
-            flush_stats(1, &[st]);
-            return out;
+        // The caller sizes each worker's result buffer for an even share of
+        // the jobs: after a large flow, allocating it on the worker thread
+        // measured up to 4x the per-job dispatch cost.
+        let buffer = || Vec::with_capacity(n / w.max(1) + 1);
+        let per_worker: Vec<_> = if w <= 1 {
+            vec![work(0, buffer())]
+        } else {
+            thread::scope(|s| {
+                let handles: Vec<_> = (0..w)
+                    .map(|wid| {
+                        let (work, done) = (&work, buffer());
+                        s.spawn(move || {
+                            // name the track before the first span so every
+                            // job this worker runs lands on the `w{wid}` timeline
+                            obs::trace::set_thread_label(&format!("w{wid}"));
+                            work(wid, done)
+                        })
+                    })
+                    .collect();
+                // a job's panic is caught above, so a worker panic is a bug
+                // in the loop itself: re-raise it on the caller
+                handles.into_iter().map(|h| h.join().unwrap_or_else(|p| resume_unwind(p))).collect()
+            })
+        };
+
+        let (done, stats): (Vec<_>, Vec<_>) = per_worker.into_iter().unzip();
+        if n > 0 {
+            flush_stats(w, &stats);
         }
-
-        let slots: Vec<Mutex<Option<Result<R, JobError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        // seed one job per worker; the rest flow through the injector
-        let deques: Vec<Mutex<VecDeque<usize>>> =
-            (0..w).map(|wid| Mutex::new(VecDeque::from([wid]))).collect();
-        let injector = Mutex::new((w..n).collect::<VecDeque<usize>>());
-        let stats: Vec<Mutex<WorkerStats>> =
-            (0..w).map(|_| Mutex::new(WorkerStats::default())).collect();
-
-        thread::scope(|s| {
-            for wid in 0..w {
-                let (slots, deques, injector, stats) = (&slots, &deques, &injector, &stats);
-                let run_one = &run_one;
-                s.spawn(move || {
-                    // name the track before the first span so every job
-                    // this worker runs lands on the `w{wid}` timeline
-                    obs::trace::set_thread_label(&format!("w{wid}"));
-                    let mut st = WorkerStats::default();
-                    while let Some(idx) = claim(wid, deques, injector, &mut st) {
-                        let res = run_one(idx, &mut st);
-                        *slots[idx].lock().unwrap() = Some(res);
-                    }
-                    *stats[wid].lock().unwrap() = st;
-                });
-            }
-        });
-
-        let final_stats: Vec<WorkerStats> =
-            stats.into_iter().map(|m| m.into_inner().unwrap()).collect();
-        flush_stats(w, &final_stats);
-        slots
-            .into_iter()
-            .map(|m| m.into_inner().unwrap().expect("every claimed job stores a result"))
-            .collect()
+        let mut results: Vec<_> = done.into_iter().flatten().collect();
+        results.sort_unstable_by_key(|&(idx, _)| idx);
+        results.into_iter().map(|(_, res)| res).collect()
     }
 }
 
@@ -163,52 +148,9 @@ impl Default for Pool {
     }
 }
 
-/// Claims the next job index for `wid`: own deque head, then an injector
-/// pull (taking a fair extra share into the local deque), then a steal
-/// from a sibling's tail. `None` means no claimable work remains — jobs
-/// never spawn jobs, so the worker can retire.
-fn claim(
-    wid: usize,
-    deques: &[Mutex<VecDeque<usize>>],
-    injector: &Mutex<VecDeque<usize>>,
-    st: &mut WorkerStats,
-) -> Option<usize> {
-    if let Some(i) = deques[wid].lock().unwrap().pop_front() {
-        return Some(i);
-    }
-    {
-        let mut inj = injector.lock().unwrap();
-        if obs::enabled() {
-            obs::hist_record("exec.queue_depth", inj.len() as f64);
-        }
-        if let Some(first) = inj.pop_front() {
-            let batch = (inj.len() / deques.len()).min(MAX_INJECTOR_BATCH);
-            if batch > 0 {
-                let mut dq = deques[wid].lock().unwrap();
-                for _ in 0..batch {
-                    match inj.pop_front() {
-                        Some(j) => dq.push_back(j),
-                        None => break,
-                    }
-                }
-            }
-            return Some(first);
-        }
-    }
-    for off in 1..deques.len() {
-        let victim = (wid + off) % deques.len();
-        if let Some(j) = deques[victim].lock().unwrap().pop_back() {
-            st.steals += 1;
-            return Some(j);
-        }
-    }
-    None
-}
-
 /// Per-worker accounting, flushed into `casyn-obs` once per `par_map`.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct WorkerStats {
-    steals: u64,
     completed: u64,
     panicked: u64,
     busy_ms: f64,
@@ -219,18 +161,15 @@ fn flush_stats(workers: usize, stats: &[WorkerStats]) {
         return;
     }
     obs::gauge_set("exec.pool_workers", workers as f64);
-    let mut steals = 0;
     let mut completed = 0;
     for (wid, st) in stats.iter().enumerate() {
         obs::gauge_set(&format!("exec.worker.{wid}.busy_ms"), st.busy_ms);
         obs::hist_record("exec.worker_busy_ms", st.busy_ms);
-        steals += st.steals;
         completed += st.completed;
         if st.panicked > 0 {
             obs::counter_add("exec.jobs_panicked", st.panicked);
         }
     }
-    obs::counter_add("exec.steals", steals);
     obs::counter_add("exec.jobs_completed", completed);
 }
 
@@ -259,6 +198,7 @@ fn resolve_jobs(env: Option<&str>, fallback: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
     use std::time::Duration;
 
     #[test]
@@ -309,21 +249,64 @@ mod tests {
     }
 
     #[test]
+    fn par_map_matches_serial_and_every_worker_runs_a_job() {
+        let _guard = pool_test_lock();
+        let caller = thread::current().id();
+        for workers in [1usize, 2, 3, 8] {
+            let pool = Pool::new(workers);
+            for n in [0, 1, workers - 1, workers, workers + 1, 64] {
+                // seeded per-job sleeps of 0–300 µs shuffle the claim order
+                let mut seed = 0x9e37_79b9_7f4a_7c15 ^ (workers * 1000 + n) as u64;
+                let items: Vec<(u64, u64)> = (0..n as u64)
+                    .map(|i| {
+                        seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                        (i, (seed >> 33) % 300)
+                    })
+                    .collect();
+                let threads = Mutex::new(std::collections::HashSet::new());
+                let job = |&(i, us): &(u64, u64)| {
+                    thread::sleep(Duration::from_micros(us));
+                    threads.lock().unwrap().insert(thread::current().id());
+                    i * 7 + us
+                };
+                let serial: Vec<u64> = items.iter().map(job).collect();
+                threads.lock().unwrap().clear();
+                assert_eq!(pool.par_map(&items, job), serial, "workers = {workers}, n = {n}");
+                let threads = threads.into_inner().unwrap();
+                if n >= workers {
+                    assert_eq!(threads.len(), workers, "workers = {workers}, n = {n}");
+                }
+                if workers.min(n) >= 2 {
+                    assert!(!threads.contains(&caller), "jobs must run on the worker threads");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn panicking_job_yields_typed_error_and_siblings_complete() {
         let _guard = pool_test_lock();
-        let pool = Pool::new(4);
-        let items: Vec<usize> = (0..16).collect();
-        let out = pool.try_par_map(&items, |&i| {
-            if i == 5 {
-                panic!("injected failure in job {i}");
-            }
-            i * 10
-        });
-        for (i, r) in out.iter().enumerate() {
-            if i == 5 {
-                assert_eq!(*r, Err(JobError::Panicked("injected failure in job 5".into())));
-            } else {
-                assert_eq!(*r, Ok(i * 10), "sibling job {i} must complete");
+        // (workers, jobs, panicking job, µs the seeded jobs sleep, µs the
+        // rest sleep): in the second case job 1 panics at once while jobs 0
+        // and 2, seeded on the other two workers, are still sleeping
+        for (workers, n, bad, seeded_us, rest_us) in [(4, 16, 5, 0, 0), (3, 64, 1, 5_000, 200)] {
+            let pool = Pool::new(workers);
+            let items: Vec<usize> = (0..n).collect();
+            let out = pool.try_par_map(&items, |&i| {
+                if i == bad {
+                    panic!("injected failure in job {i}");
+                }
+                let us = if i < workers { seeded_us } else { rest_us };
+                thread::sleep(Duration::from_micros(us));
+                i * 10
+            });
+            for (i, r) in out.iter().enumerate() {
+                if i == bad {
+                    let msg = format!("injected failure in job {bad}");
+                    assert_eq!(*r, Err(JobError::Panicked(msg)), "workers = {workers}");
+                } else {
+                    assert_eq!(*r, Ok(i * 10), "sibling job {i} must complete");
+                }
             }
         }
     }
@@ -363,8 +346,6 @@ mod tests {
         assert_eq!(snap.counter("exec.jobs_completed"), Some(31));
         assert_eq!(snap.counter("exec.jobs_panicked"), Some(1));
         assert_eq!(snap.gauge("exec.pool_workers"), Some(3.0));
-        assert!(snap.counter("exec.steals").is_some());
-        assert!(snap.histogram("exec.queue_depth").is_some());
         assert!(snap.histogram("exec.job_ms").is_some_and(|h| h.count == 32));
         assert!(snap.histogram("exec.worker_busy_ms").is_some_and(|h| h.count == 3));
         assert!(snap.gauge("exec.worker.0.busy_ms").is_some());

@@ -326,7 +326,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), JsonParseError> {
+    fn eat(&mut self, b: u8) -> Result<(), JsonParseError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -375,7 +375,7 @@ impl<'a> Parser<'a> {
     }
 
     fn object_body(&mut self) -> Result<JsonValue, JsonParseError> {
-        self.expect(b'{')?;
+        self.eat(b'{')?;
         let mut entries = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -386,7 +386,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             let key = self.string().map_err(|_| self.error("expected a string object key"))?;
             self.skip_ws();
-            self.expect(b':')?;
+            self.eat(b':')?;
             self.skip_ws();
             entries.push((key, self.value()?));
             self.skip_ws();
@@ -402,7 +402,7 @@ impl<'a> Parser<'a> {
     }
 
     fn array_body(&mut self) -> Result<JsonValue, JsonParseError> {
-        self.expect(b'[')?;
+        self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -425,7 +425,7 @@ impl<'a> Parser<'a> {
     }
 
     fn string(&mut self) -> Result<String, JsonParseError> {
-        self.expect(b'"')?;
+        self.eat(b'"')?;
         let mut out = String::new();
         loop {
             match self.peek() {
@@ -470,7 +470,9 @@ impl<'a> Parser<'a> {
                     while self.pos < self.bytes.len() && (self.bytes[self.pos] & 0xC0) == 0x80 {
                         self.pos += 1;
                     }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap());
+                    let scalar = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
+                    out.push_str(scalar);
                 }
             }
         }
@@ -484,7 +486,8 @@ impl<'a> Parser<'a> {
         while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+            .map_err(|_| self.error("invalid UTF-8 in number"))?;
         match text.parse::<f64>() {
             Ok(v) if v.is_finite() => Ok(JsonValue::Number(v)),
             _ => Err(self.error(&format!("invalid number '{text}'"))),

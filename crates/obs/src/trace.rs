@@ -6,7 +6,7 @@
 //! label of the thread it ran on, a start offset and duration relative
 //! to a process-wide epoch, and free-form key=value attributes. Pool
 //! workers label their threads (`w0`, `w1`, …) so each job lands on its
-//! worker's track and steals and idle gaps are visible.
+//! worker's track and each worker's idle gaps are visible.
 //!
 //! Collection is designed around the pipeline's determinism contract:
 //! spans observe the run, they never feed back into it. No span value is

@@ -232,23 +232,17 @@ pub fn request_with(
 ) -> Result<Response, ClientError> {
     let text = format_request(addr, method, path, body);
     let attempts = if method == "GET" { policy.attempts.max(1) } else { 1 };
-    let mut last: Option<ClientError> = None;
-    for i in 0..attempts {
-        if i > 0 {
-            std::thread::sleep(policy.delay(i - 1));
-        }
+    let mut attempt = 1;
+    loop {
         match raw_once(addr, &text, policy.attempt_timeout) {
             Ok(r) => return Ok(r),
-            Err(e) => {
-                let transient = e.kind.transient();
-                last = Some(ClientError { attempts: i + 1, ..e });
-                if !transient {
-                    break;
-                }
+            Err(e) if attempt < attempts && e.kind.transient() => {
+                std::thread::sleep(policy.delay(attempt - 1));
+                attempt += 1;
             }
+            Err(e) => return Err(ClientError { attempts: attempt, ..e }),
         }
     }
-    Err(last.expect("at least one attempt ran"))
 }
 
 /// Performs one request (`GET /jobs/3`, `POST /jobs` + manifest, ...)

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Flow-stage code reachable from prepare / map_at / route_at (full_flow is
 # the two in a row) / k_sweep_prepared / sequential_flow / run_methodology /
-# run_batch must report failures through the typed FlowError spine, and the
+# run_batch must report failures through the typed FlowError spine, the
 # service (`casyn serve`: handlers, job state machine, caches, durable I/O)
-# through typed HTTP and I/O errors — panic!, .unwrap() and .expect( are
+# and its HTTP client through typed HTTP, client and I/O errors, and the
+# JSON parser behind every manifest and request body through its typed
+# JsonParseError — panic!, .unwrap() and .expect( are
 # forbidden there (test modules excluded). unreachable!() is allowed: it
 # marks branches the type system cannot rule out but the invariants do.
 set -euo pipefail
@@ -25,6 +27,8 @@ files=(
   crates/serve/src/http.rs
   crates/serve/src/cache.rs
   crates/flow/src/durable.rs
+  crates/serve/src/client.rs
+  crates/obs/src/json.rs
 )
 
 status=0
@@ -41,6 +45,6 @@ for f in "${files[@]}"; do
 done
 
 if [ "$status" -eq 0 ]; then
-  echo "no-panic check: ${#files[@]} flow-stage and service files clean"
+  echo "no-panic check: ${#files[@]} flow-stage, service and JSON parser files clean"
 fi
 exit $status

@@ -20,7 +20,7 @@
 //! | [`timing`] | `casyn-timing` | static timing analysis |
 //! | [`core`] | `casyn-core` | DAG partitioning, matching, congestion-aware covering |
 //! | [`flow`] | `casyn-flow` | end-to-end flows, K sweeps, batch runner, the Fig. 3 methodology |
-//! | [`exec`] | `casyn-exec` | deterministic work-stealing pool, cancellation, deadlines |
+//! | [`exec`] | `casyn-exec` | deterministic claim-counter pool, cancellation, deadlines |
 //! | [`obs`] | `casyn-obs` | metrics registry, stage tracing, telemetry JSON |
 //! | [`serve`] | `casyn-serve` | HTTP job service with a content-addressed artifact cache |
 //!

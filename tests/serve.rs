@@ -84,10 +84,8 @@ fn identical_resubmit_hits_cache_without_rerouting() {
     let m = manifest("accept", 7, 40, &[0.0, 0.5, 1.0]);
 
     let first = obs::snapshot();
-    let t0 = Instant::now();
     let (id0, cache0) = submit_one(&addr, &m);
     let r0 = result_wait(&addr, id0);
-    let cold = t0.elapsed();
     assert_eq!(cache0, "miss");
     let delta = obs::snapshot().delta_since(&first);
     assert_eq!(counter(&delta, "serve.design_parses"), 1, "a job that runs is parsed once");
@@ -96,12 +94,10 @@ fn identical_resubmit_hits_cache_without_rerouting() {
     assert_eq!(rows0.len(), 3, "one row per K value");
 
     // the resubmit must not touch the router: zero route.iterations delta,
-    // zero new computes, and at least 10x lower submit-to-result latency
+    // zero new computes and no design parse
     let before = obs::snapshot();
-    let t1 = Instant::now();
     let (id1, cache1) = submit_one(&addr, &m);
     let r1 = result_wait(&addr, id1);
-    let warm = t1.elapsed();
     let delta = obs::snapshot().delta_since(&before);
 
     assert_ne!(id1, id0, "resubmit is a new job record");
@@ -111,7 +107,6 @@ fn identical_resubmit_hits_cache_without_rerouting() {
     assert_eq!(counter(&delta, "serve.computes"), 0, "cache hit re-ran the flow");
     assert_eq!(counter(&delta, "serve.design_parses"), 0, "cache hit parsed the design");
     assert_eq!(counter(&delta, "serve.cache_hits"), 1);
-    assert!(cold >= warm * 10, "expected >=10x speedup, got cold {cold:?} vs warm {warm:?}");
 
     // both jobs report identical K-sweep rows
     let rows1 = r1.get("rows").and_then(|v| v.as_array()).unwrap().to_vec();
