@@ -219,7 +219,9 @@ fn spread_leaf(
     nets_of_cell: &[Vec<usize>],
     pos: &mut [Point],
 ) {
-    spread_in_rect(region.rect(), &region.cells, inst, nets_of_cell, pos);
+    let pins_of =
+        |c: usize| nets_of_cell[c].iter().flat_map(|&ni| inst.nets[ni].pins.iter().copied());
+    spread_in_rect(region.rect(), &region.cells, pins_of, pos);
 }
 
 #[cfg(test)]

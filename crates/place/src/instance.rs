@@ -59,6 +59,105 @@ impl PlaceInstance {
     }
 }
 
+/// Every cell's nets with their pins in flat arrays: the adjacency that
+/// the k-way placer's sweeps walk, built once per instance. Cell `c`'s
+/// incidences are its nets in [`PlaceInstance::nets_of_cells`] order (a
+/// net once per pin of `c` on it), and each net's pins are stored once,
+/// in net order, `c`'s own included. A walk over [`CellPins::of_cell`]
+/// therefore visits pins in exactly the order of the nested
+/// `nets_of_cells` / `PlaceNet::pins` loops it replaces, so every sum over
+/// it rounds the same way.
+#[derive(Debug, Clone)]
+pub(crate) struct CellPins {
+    cells: usize,
+    /// Cell `c`'s incidences are `cell_start[c]..cell_start[c + 1]`.
+    cell_start: Vec<u32>,
+    /// Each incidence's net.
+    net: Vec<u32>,
+    /// Net `n`'s pins are `pins[net_start[n]..net_start[n + 1]]`.
+    net_start: Vec<u32>,
+    /// A pin `p < cells` is movable cell `p`, any other the fixed
+    /// terminal `fixed[p - cells]`.
+    pins: Vec<u32>,
+    fixed: Vec<Point>,
+}
+
+fn to_u32(i: usize) -> u32 {
+    u32::try_from(i).expect("placement instances stay below 2^32 pins")
+}
+
+/// Per cell, the range of its incidences, and per incidence its net, in
+/// [`PlaceInstance::nets_of_cells`] order.
+pub(crate) fn incidence_lists(inst: &PlaceInstance) -> (Vec<u32>, Vec<u32>) {
+    let mut cell_start = vec![0u32; inst.num_cells() + 1];
+    for net in &inst.nets {
+        for pin in &net.pins {
+            if let PinRef::Cell(c) = pin {
+                cell_start[c + 1] += 1;
+            }
+        }
+    }
+    for c in 0..inst.num_cells() {
+        cell_start[c + 1] += cell_start[c];
+    }
+    let mut fill: Vec<u32> = cell_start[..inst.num_cells()].to_vec();
+    let mut net = vec![0u32; cell_start[inst.num_cells()] as usize];
+    for (ni, n) in inst.nets.iter().enumerate() {
+        for pin in &n.pins {
+            if let PinRef::Cell(c) = pin {
+                net[fill[*c] as usize] = to_u32(ni);
+                fill[*c] += 1;
+            }
+        }
+    }
+    (cell_start, net)
+}
+
+impl CellPins {
+    pub(crate) fn new(inst: &PlaceInstance) -> Self {
+        let cells = inst.num_cells();
+        let mut fixed = Vec::new();
+        let mut net_start = Vec::with_capacity(inst.nets.len() + 1);
+        let mut pins = Vec::new();
+        for net in &inst.nets {
+            net_start.push(to_u32(pins.len()));
+            for pin in &net.pins {
+                pins.push(match pin {
+                    PinRef::Cell(c) => to_u32(*c),
+                    PinRef::Fixed(p) => {
+                        fixed.push(*p);
+                        to_u32(cells + fixed.len() - 1)
+                    }
+                });
+            }
+        }
+        net_start.push(to_u32(pins.len()));
+        let (cell_start, net) = incidence_lists(inst);
+        CellPins { cells, cell_start, net, net_start, pins, fixed }
+    }
+
+    /// Cell `c`'s incidences.
+    pub(crate) fn incidences(&self, c: usize) -> std::ops::Range<usize> {
+        self.cell_start[c] as usize..self.cell_start[c + 1] as usize
+    }
+
+    /// The pins of incidence `i`'s net, in net order.
+    pub(crate) fn of_incidence(&self, i: usize) -> impl Iterator<Item = PinRef> + '_ {
+        let n = self.net[i] as usize;
+        self.pins[self.net_start[n] as usize..self.net_start[n + 1] as usize].iter().map(|&p| {
+            match (p as usize).checked_sub(self.cells) {
+                None => PinRef::Cell(p as usize),
+                Some(f) => PinRef::Fixed(self.fixed[f]),
+            }
+        })
+    }
+
+    /// The pins of all of cell `c`'s nets, net after net.
+    pub(crate) fn of_cell(&self, c: usize) -> impl Iterator<Item = PinRef> + '_ {
+        self.incidences(c).flat_map(|i| self.of_incidence(i))
+    }
+}
+
 /// A placement instance built from a subject graph, with the bookkeeping
 /// to translate cell positions back to graph vertices.
 #[derive(Debug, Clone)]
@@ -234,5 +333,30 @@ mod tests {
         assert_eq!(adj[0].len(), 3);
         // the INV touches nand->inv and inv->PO
         assert_eq!(adj[1].len(), 2);
+    }
+
+    #[test]
+    fn cell_pins_walk_the_nested_adjacency_in_order() {
+        // a cell twice on one net, a fixed-only net, a single-pin net
+        let f = |x: f64| PinRef::Fixed(Point::new(x, 1.0));
+        let inst = PlaceInstance {
+            cell_width: vec![1.92; 3],
+            nets: vec![
+                PlaceNet { pins: vec![PinRef::Cell(0), f(2.0), PinRef::Cell(2), PinRef::Cell(0)] },
+                PlaceNet { pins: vec![f(3.0), f(4.0)] },
+                PlaceNet { pins: vec![PinRef::Cell(1)] },
+                PlaceNet { pins: vec![PinRef::Cell(2), PinRef::Cell(1), f(5.0)] },
+            ],
+        };
+        let pins = CellPins::new(&inst);
+        for (c, nets) in inst.nets_of_cells().iter().enumerate() {
+            assert_eq!(pins.incidences(c).len(), nets.len(), "cell {c}: nets");
+            for (i, &ni) in pins.incidences(c).zip(nets) {
+                assert_eq!(pins.of_incidence(i).collect::<Vec<_>>(), inst.nets[ni].pins);
+            }
+            let nested: Vec<PinRef> =
+                nets.iter().flat_map(|&ni| inst.nets[ni].pins.iter().copied()).collect();
+            assert_eq!(pins.of_cell(c).collect::<Vec<_>>(), nested, "cell {c}: pins");
+        }
     }
 }

@@ -25,9 +25,9 @@
 
 use crate::coarsen::coarsen;
 use crate::image::Floorplan;
-use crate::instance::{PinRef, PlaceInstance};
+use crate::instance::{CellPins, PinRef, PlaceInstance};
 use crate::netbox::{self, NetBoxes};
-use crate::refine::{median_improve, RefineOptions};
+use crate::refine::{median_improve_with, RefineOptions};
 use crate::spread::{spread_in_rect, Rect};
 use crate::PlacerOptions;
 use casyn_exec::Pool;
@@ -150,11 +150,14 @@ pub(crate) fn place_kway(
         coarsen(inst, 2 * k)
     };
     let coarsest: &PlaceInstance = levels.last().map_or(inst, |l| &l.inst);
+    // the pin list of the level being refined; the finest level's (that
+    // of `inst`) once the levels are done
+    let mut pins = CellPins::new(coarsest);
 
     // initial k-way assignment of the coarsest clusters
     let mut assign = {
         let mut span = obs::trace::span("place.kway.seed");
-        let anchors = anchor_positions(coarsest, fp);
+        let anchors = anchor_positions(coarsest, &pins, fp);
         let (assign, home_misses) = initial_assign(coarsest, &grid, &anchors, cap);
         span.attr_num("home_misses", home_misses as f64);
         assign
@@ -162,25 +165,26 @@ pub(crate) fn place_kway(
 
     // refine at the coarsest level, then uncoarsen + refine per level
     let mut level_no = 0usize;
-    let mut rounds = refine_level(coarsest, &grid, &mut assign, cap, opts, pool, level_no);
+    let mut rounds = refine_level(coarsest, &pins, &grid, &mut assign, cap, opts, pool, level_no);
     for li in (0..levels.len()).rev() {
         level_no += 1;
         let finer: &PlaceInstance = if li == 0 { inst } else { &levels[li - 1].inst };
+        pins = CellPins::new(finer);
         assign = levels[li].cluster_of.iter().map(|&cl| assign[cl]).collect();
-        rounds += refine_level(finer, &grid, &mut assign, cap, opts, pool, level_no);
+        rounds += refine_level(finer, &pins, &grid, &mut assign, cap, opts, pool, level_no);
     }
     obs::counter_add("place.kway.levels", (level_no + 1) as u64);
     obs::counter_add("place.kway.rounds", rounds as u64);
 
     // finest level: spread each region's cells inside its rectangle,
     // then polish toward per-cell medians (serial, deterministic)
-    let nets_of_cell = inst.nets_of_cells();
     let mut pos: Vec<Point> = assign.iter().map(|&r| grid.center(r)).collect();
     {
         let _span = obs::trace::span("place.kway.spread");
-        let (cells_of, _) = cells_of_regions(&assign, k);
-        for (r, cells) in cells_of.iter().enumerate() {
-            spread_in_rect(grid.rect(r), cells, inst, &nets_of_cell, &mut pos);
+        let mut regions = RegionCells::default();
+        regions.rebuild(&assign, k);
+        for r in 0..k {
+            spread_in_rect(grid.rect(r), regions.of(r), |c| pins.of_cell(c), &mut pos);
         }
     }
     // multi-resolution polish: coarse bins first so cells can cross the
@@ -197,33 +201,45 @@ pub(crate) fn place_kway(
         let ropts = RefineOptions { iterations: 4, bin_size, max_density };
         {
             let _span = obs::trace::span("place.kway.median");
-            polish_moves += median_improve(inst, fp, &mut pos, &ropts);
+            polish_moves += median_improve_with(inst, &pins, fp, &mut pos, &ropts);
         }
-        unstack_bins(inst, fp, &nets_of_cell, &mut pos, 1.6);
+        unstack_bins(inst, &pins, fp, &mut pos, 1.6);
     }
 
     // bound the gcell-level density the router will feel: push excess
     // cells out of over-full fine bins into the cheapest neighbouring
     // bin with slack, then separate any still-coincident cells
-    relax_density(inst, fp, &nets_of_cell, &mut pos, 12.8, 1.8);
-    unstack_bins(inst, fp, &nets_of_cell, &mut pos, 1.6);
+    relax_density(inst, fp, &mut pos, 12.8, 1.8);
+    unstack_bins(inst, &pins, fp, &mut pos, 1.6);
+    drop(pins);
     // last mile: greedy position swaps between nearby cells — a swap
     // permutes occupied locations, so the density profile (and therefore
     // routability) is untouched while HPWL strictly decreases
-    polish_moves += swap_polish(inst, fp, &nets_of_cell, &mut pos, 12.8, 4);
+    polish_moves += swap_polish(inst, fp, &mut pos, 12.8, 4);
     obs::counter_add("place.kway.polish_moves", polish_moves as u64);
     pos
 }
 
 /// Greedy tail polish that swaps the positions of two cells whenever the
-/// swap lowers the summed HPWL of their nets. Candidate pairs come from
-/// the same or right/upper neighbouring `bin_size` bin, visited in index
-/// order over `passes` sweeps; a swap relocates no occupied site, so cell
-/// density is invariant. Returns the number of swaps applied.
+/// swap lowers the summed HPWL of their nets. A swap relocates no
+/// occupied site, so cell density is invariant. Returns the number of
+/// swaps applied.
+///
+/// Each of `passes` sweeps bins the cells by their position at the
+/// sweep's start and visits the bins in index order, and in each bin its
+/// cells `a` in index order. A candidate `c` of `a` comes from `a`'s bin,
+/// then the right neighbour bin, then the upper one, and is tried only
+/// when `c > a`. So a pair inside one bin is tried once per sweep, but a
+/// pair across adjacent bins is tried only when the cell in the right or
+/// upper bin has the larger index, and otherwise never.
+///
+/// A try first bounds the gain from the two cells' cached net boxes
+/// ([`NetBoxes::swap_bound`]) and scores the swap in full only when the
+/// bound is not below `−δ` ([`NetBoxes::swap_bound_margin`]): such a pair
+/// has a gain below 0, so skipping it changes no decision.
 fn swap_polish(
     inst: &PlaceInstance,
     fp: &Floorplan,
-    nets_of_cell: &[Vec<usize>],
     pos: &mut [Point],
     bin_size: f64,
     passes: usize,
@@ -231,32 +247,41 @@ fn swap_polish(
     let mut span = obs::trace::span("place.kway.swap");
     let nx = ((fp.die_width / bin_size).ceil() as usize).max(1);
     let ny = ((fp.die_height / bin_size).ceil() as usize).max(1);
-    let mut boxes = NetBoxes::new(inst, nets_of_cell, pos);
-    let (mut tries, mut swaps) = (0u64, 0usize);
+    let mut boxes = NetBoxes::new(inst, pos);
+    let margin = boxes.swap_bound_margin();
+    let (mut tries, mut scored, mut swaps) = (0u64, 0u64, 0usize);
+    let (mut bins, mut bin_of, mut a_boxes) = (RegionCells::default(), Vec::new(), Vec::new());
     for _ in 0..passes {
-        let mut bin_cells: Vec<Vec<usize>> = vec![Vec::new(); nx * ny];
-        for (c, p) in boxes.pos().iter().enumerate() {
+        bin_of.clear();
+        bin_of.extend(boxes.pos().iter().map(|p| {
             let bx = ((p.x / bin_size) as usize).min(nx - 1);
             let by = ((p.y / bin_size) as usize).min(ny - 1);
-            bin_cells[by * nx + bx].push(c);
-        }
+            by * nx + bx
+        }));
+        bins.rebuild(&bin_of, nx * ny);
         let mut moved = false;
         for b in 0..nx * ny {
             let (bx, by) = (b % nx, b / nx);
-            // candidates: own bin plus right and upper neighbours, so
-            // every adjacent bin pair is tried exactly once
-            let right: &[usize] = if bx + 1 < nx { &bin_cells[b + 1] } else { &[] };
-            let upper: &[usize] = if by + 1 < ny { &bin_cells[b + nx] } else { &[] };
-            for &a in &bin_cells[b] {
-                for &c in bin_cells[b].iter().chain(right).chain(upper) {
+            let right: &[usize] = if bx + 1 < nx { bins.of(b + 1) } else { &[] };
+            let upper: &[usize] = if by + 1 < ny { bins.of(b + nx) } else { &[] };
+            for &a in bins.of(b) {
+                let mut side = boxes.swap_side(a, &mut a_boxes);
+                // own bin plus right and upper neighbours, larger indices
+                // only: a neighbour with a smaller index is never tried
+                for &c in bins.of(b).iter().chain(right).chain(upper) {
                     if c <= a {
                         continue;
                     }
                     tries += 1;
+                    if boxes.swap_bound(&side, &a_boxes, c) < -margin {
+                        continue;
+                    }
+                    scored += 1;
                     if boxes.swap_gain(a, c) > MIN_GAIN {
                         boxes.commit_swap(a, c);
                         swaps += 1;
                         moved = true;
+                        side = boxes.swap_side(a, &mut a_boxes);
                     }
                 }
             }
@@ -266,6 +291,7 @@ fn swap_polish(
         }
     }
     span.attr_num("tries", tries as f64);
+    span.attr_num("scored", scored as f64);
     span.attr_num("swaps", swaps as f64);
     span.attr_num("rescans", boxes.rescans() as f64);
     swaps
@@ -279,7 +305,6 @@ fn swap_polish(
 fn relax_density(
     inst: &PlaceInstance,
     fp: &Floorplan,
-    nets_of_cell: &[Vec<usize>],
     pos: &mut [Point],
     bin_size: f64,
     max_density: f64,
@@ -309,7 +334,7 @@ fn relax_density(
         let lo_y = (by as f64 * bin_size + inset).min(hi_y);
         Point::new(p.x.clamp(lo_x, hi_x), p.y.clamp(lo_y, hi_y))
     };
-    let mut boxes = NetBoxes::new(inst, nets_of_cell, pos);
+    let mut boxes = NetBoxes::new(inst, pos);
     for _ in 0..ROUNDS {
         let mut fill = vec![0.0f64; nx * ny];
         let mut members: Vec<Vec<usize>> = vec![Vec::new(); nx * ny];
@@ -374,8 +399,8 @@ fn relax_density(
 /// cells moves at most ~`sqrt(m)` cell widths.
 fn unstack_bins(
     inst: &PlaceInstance,
+    pins: &CellPins,
     fp: &Floorplan,
-    nets_of_cell: &[Vec<usize>],
     pos: &mut [Point],
     bin_size: f64,
 ) {
@@ -404,7 +429,7 @@ fn unstack_bins(
             x1: (cx + half).clamp((2.0 * half).min(fp.die_width), fp.die_width),
             y1: (cy + half).clamp((2.0 * half).min(fp.die_height), fp.die_height),
         };
-        spread_in_rect(rect, cells, inst, nets_of_cell, pos);
+        spread_in_rect(rect, cells, |c| pins.of_cell(c), pos);
     }
 }
 
@@ -412,42 +437,37 @@ fn unstack_bins(
 /// assignment: clusters touching fixed pins start at their centroid,
 /// the rest at the die centre, and a few Jacobi sweeps pull every
 /// cluster toward the average of its connected pins.
-fn anchor_positions(inst: &PlaceInstance, fp: &Floorplan) -> Vec<Point> {
+fn anchor_positions(inst: &PlaceInstance, pins: &CellPins, fp: &Floorplan) -> Vec<Point> {
     const SWEEPS: usize = 40;
     let n = inst.num_cells();
-    let nets_of_cell = inst.nets_of_cells();
     let center = Point::new(fp.die_width / 2.0, fp.die_height / 2.0);
     let mut pos = vec![center; n];
-    for c in 0..n {
+    for (c, anchor) in pos.iter_mut().enumerate() {
         let (mut x, mut y, mut m) = (0.0, 0.0, 0.0);
-        for &ni in &nets_of_cell[c] {
-            for pin in &inst.nets[ni].pins {
-                if let PinRef::Fixed(p) = pin {
-                    x += p.x;
-                    y += p.y;
-                    m += 1.0;
-                }
+        for pin in pins.of_cell(c) {
+            if let PinRef::Fixed(p) = pin {
+                x += p.x;
+                y += p.y;
+                m += 1.0;
             }
         }
         if m > 0.0 {
-            pos[c] = Point::new(x / m, y / m);
+            *anchor = Point::new(x / m, y / m);
         }
     }
     let mut next = pos.clone();
     for _ in 0..SWEEPS {
         for c in 0..n {
             let (mut x, mut y, mut m) = (0.0, 0.0, 0.0);
-            for &ni in &nets_of_cell[c] {
-                for pin in &inst.nets[ni].pins {
-                    let p = match pin {
-                        PinRef::Cell(o) if *o == c => continue,
-                        PinRef::Cell(o) => pos[*o],
-                        PinRef::Fixed(p) => *p,
-                    };
-                    x += p.x;
-                    y += p.y;
-                    m += 1.0;
-                }
+            for pin in pins.of_cell(c) {
+                let p = match pin {
+                    PinRef::Cell(o) if o == c => continue,
+                    PinRef::Cell(o) => pos[o],
+                    PinRef::Fixed(p) => p,
+                };
+                x += p.x;
+                y += p.y;
+                m += 1.0;
             }
             next[c] = if m > 0.0 { Point::new(x / m, y / m) } else { pos[c] };
         }
@@ -457,9 +477,10 @@ fn anchor_positions(inst: &PlaceInstance, fp: &Floorplan) -> Vec<Point> {
 }
 
 /// Assigns clusters to regions: heaviest first (ties by index), each to
-/// the nearest region with remaining capacity, falling back to the
-/// least-filled region when none fits. Also returns how many clusters
-/// missed their home region (the one containing their anchor).
+/// the nearest region with remaining capacity (ties to the lowest
+/// region index), falling back to the least-filled region when none
+/// fits. Also returns how many clusters missed their home region (the
+/// one containing their anchor).
 fn initial_assign(
     inst: &PlaceInstance,
     grid: &RegionGrid,
@@ -470,7 +491,11 @@ fn initial_assign(
     let n = inst.num_cells();
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| inst.cell_width[b].total_cmp(&inst.cell_width[a]).then(a.cmp(&b)));
-    let centers: Vec<Point> = (0..k).map(|r| grid.center(r)).collect();
+    // region centres per column and per row: the centre of region
+    // `y * gx + x` is (`xs[x]`, `ys[y]`)
+    let xs: Vec<f64> = (0..grid.gx).map(|x| grid.center(x).x).collect();
+    let ys: Vec<f64> = (0..grid.gy).map(|y| grid.center(y * grid.gx).y).collect();
+    let (mut cols, mut rows) = (Vec::new(), Vec::new());
     let mut fill = vec![0.0f64; k];
     let mut assign = vec![0usize; n];
     let mut home_misses = 0;
@@ -484,38 +509,101 @@ fn initial_assign(
             continue;
         }
         home_misses += 1;
-        let mut best: Option<usize> = None;
-        let mut best_d = f64::INFINITY;
-        for (r, f) in fill.iter().enumerate() {
-            if f + w > cap {
-                continue;
+        // `anchor.manhattan(centre)` is `dx + dy`, and rounding is
+        // monotone, so walking rows by ascending `dy` and each row's
+        // columns by ascending `dx` meets every region in an order where
+        // the distance never drops below a bound that only grows: stop
+        // once it exceeds the best distance found (ties keep going, so
+        // the lowest index among equals still wins)
+        let a = anchors[c];
+        by_distance(a.x, &xs, &mut cols);
+        by_distance(a.y, &ys, &mut rows);
+        let dx_min = (a.x - xs[cols[0]]).abs();
+        let mut best: Option<(f64, usize)> = None;
+        for &y in &rows {
+            let dy = (a.y - ys[y]).abs();
+            if best.is_some_and(|(bd, _)| dx_min + dy > bd) {
+                break;
             }
-            let d = anchors[c].manhattan(centers[r]);
-            if d < best_d {
-                best_d = d;
-                best = Some(r);
+            for &x in &cols {
+                let d = (a.x - xs[x]).abs() + dy;
+                if best.is_some_and(|(bd, _)| d > bd) {
+                    break;
+                }
+                let r = y * grid.gx + x;
+                if fill[r] + w <= cap && best.is_none_or(|(bd, br)| d < bd || (d == bd && r < br)) {
+                    best = Some((d, r));
+                }
             }
         }
-        let r = best.unwrap_or_else(|| {
+        let r = match best {
+            Some((_, r)) => r,
             // every region is at capacity: spill into the least filled
-            (0..k).min_by(|&a, &b| fill[a].total_cmp(&fill[b]).then(a.cmp(&b))).expect("k >= 1")
-        });
+            None => {
+                (0..k).min_by(|&a, &b| fill[a].total_cmp(&fill[b]).then(a.cmp(&b))).expect("k >= 1")
+            }
+        };
         fill[r] += w;
         assign[c] = r;
     }
     (assign, home_misses)
 }
 
-/// Index-sorted cell lists per region, and each cell's slot in its
-/// region's list.
-fn cells_of_regions(assign: &[usize], k: usize) -> (Vec<Vec<usize>>, Vec<usize>) {
-    let mut cells_of = vec![Vec::new(); k];
-    let mut slot = Vec::with_capacity(assign.len());
-    for (c, &r) in assign.iter().enumerate() {
-        slot.push(cells_of[r].len());
-        cells_of[r].push(c);
+/// Indices of the ascending `centres` in ascending order of their
+/// distance to `v`, as `(v - centre).abs()` rounds it: outward from `v`,
+/// merging the two sides.
+fn by_distance(v: f64, centres: &[f64], out: &mut Vec<usize>) {
+    out.clear();
+    let mut right = centres.partition_point(|&c| c <= v);
+    let mut left = right;
+    while left > 0 || right < centres.len() {
+        let take_left = right == centres.len()
+            || (left > 0 && (v - centres[left - 1]).abs() <= (v - centres[right]).abs());
+        if take_left {
+            left -= 1;
+            out.push(left);
+        } else {
+            out.push(right);
+            right += 1;
+        }
     }
-    (cells_of, slot)
+}
+
+/// Cells grouped by region (or bin), each group in index order: region
+/// `r` holds `cells[start[r]..start[r + 1]]`. Rebuilt in place, so one
+/// value serves every round.
+#[derive(Debug, Default)]
+struct RegionCells {
+    start: Vec<usize>,
+    cells: Vec<usize>,
+}
+
+impl RegionCells {
+    /// Groups the cells `0..assign.len()` by their region `assign[c] < k`.
+    fn rebuild(&mut self, assign: &[usize], k: usize) {
+        self.start.clear();
+        self.start.resize(k + 1, 0);
+        for &r in assign {
+            self.start[r] += 1;
+        }
+        let mut end = 0;
+        for s in &mut self.start {
+            end += *s;
+            *s = end;
+        }
+        // `start[r]` is now region `r`'s end; filling each region from
+        // the back, in descending cell order, leaves it at the region's
+        // first slot with the cells ascending
+        self.cells.resize(assign.len(), 0);
+        for (c, &r) in assign.iter().enumerate().rev() {
+            self.start[r] -= 1;
+            self.cells[self.start[r]] = c;
+        }
+    }
+
+    fn of(&self, r: usize) -> &[usize] {
+        &self.cells[self.start[r]..self.start[r + 1]]
+    }
 }
 
 /// Refines one level's assignment: `kway_passes` sweeps over the four
@@ -523,8 +611,10 @@ fn cells_of_regions(assign: &[usize], k: usize) -> (Vec<Vec<usize>>, Vec<usize>)
 /// against the start-of-round snapshot. Returns the number of rounds
 /// fanned out: empty rounds are skipped and the sweeps stop after the
 /// first one without a move.
+#[allow(clippy::too_many_arguments)]
 fn refine_level(
     inst: &PlaceInstance,
+    pins: &CellPins,
     grid: &RegionGrid,
     assign: &mut [usize],
     cap: f64,
@@ -540,14 +630,14 @@ fn refine_level(
     span.attr_num("level", level_no as f64);
     span.attr_num("cells", inst.num_cells() as f64);
     span.attr_num("regions", k as f64);
-    let nets_of_cell = inst.nets_of_cells();
     let centers: Vec<Point> = (0..k).map(|r| grid.center(r)).collect();
     let rounds = grid.pair_rounds();
     let mut fill = vec![0.0f64; k];
     for (c, &r) in assign.iter().enumerate() {
         fill[r] += inst.cell_width[c];
     }
-    let mut level_moves = 0u64;
+    let (mut regions, mut live) = (RegionCells::default(), Vec::new());
+    let (mut level_moves, mut scored) = (0u64, 0usize);
     let mut rounds_run = 0usize;
     for _pass in 0..opts.kway_passes.max(1) {
         let mut pass_moves = 0u64;
@@ -556,21 +646,23 @@ fn refine_level(
                 continue;
             }
             rounds_run += 1;
-            let (cells_of, slot) = cells_of_regions(assign, k);
+            regions.rebuild(assign, k);
+            // a cell only ever moves to its pair's other region, so a pair
+            // in which no cell of either region fits the other can move
+            // nothing: only the others fan out
+            let fits = |from: usize, to: usize| {
+                regions.of(from).iter().any(|&c| fill[to] + inst.cell_width[c] <= cap)
+            };
+            live.clear();
+            live.extend(round.iter().copied().filter(|&(a, b)| fits(a, b) || fits(b, a)));
             // snapshot-round fan-out: each pair job is a pure function of
             // the frozen `assign`/`fill`, results come back in pair order
-            let round_state = RoundState {
-                inst,
-                nets_of_cell: &nets_of_cell,
-                centers: &centers,
-                snapshot: assign,
-                slot: &slot,
-                cap,
-            };
-            let moves_of_pair = pool.par_map(round, |&(a, b)| {
-                refine_pair(&round_state, (a, &cells_of[a], fill[a]), (b, &cells_of[b], fill[b]))
+            let round_state = RoundState { inst, pins, centers: &centers, snapshot: assign, cap };
+            let moves_of_pair = pool.par_map(&live, |&(a, b)| {
+                refine_pair(&round_state, (a, regions.of(a), fill[a]), (b, regions.of(b), fill[b]))
             });
-            for moves in &moves_of_pair {
+            for (moves, pair_scored) in &moves_of_pair {
+                scored += pair_scored;
                 for &(c, to) in moves {
                     fill[assign[c]] -= inst.cell_width[c];
                     fill[to] += inst.cell_width[c];
@@ -585,61 +677,64 @@ fn refine_level(
         }
     }
     span.attr_num("moves", level_moves as f64);
+    span.attr_num("scored", scored as f64);
     span.attr_num("rounds", rounds_run as f64);
     obs::counter_add("place.kway.moves", level_moves);
     rounds_run
 }
 
-/// What every pair job of one round reads: the instance, the region
-/// centres, and the frozen start-of-round assignment with each cell's
-/// slot in its region's cell list.
+/// What every pair job of one round reads: the instance and its pin
+/// list, the region centres, and the frozen start-of-round assignment.
 #[derive(Clone, Copy)]
 struct RoundState<'a> {
     inst: &'a PlaceInstance,
-    nets_of_cell: &'a [Vec<usize>],
+    pins: &'a CellPins,
     centers: &'a [Point],
     snapshot: &'a [usize],
-    slot: &'a [usize],
     cap: f64,
 }
 
 /// Improves one region pair against the round snapshot: cells of `a` and
-/// `b` are visited in index order and moved to the opposite region when
-/// that strictly reduces the summed HPWL of their nets (evaluated with
-/// pair cells at their *local* region centres and all external cells at
-/// their snapshot centres), subject to the capacity cap. Returns the
-/// surviving moves as `(cell, new_region)`.
+/// `b` (each list in index order) are visited in index order and moved
+/// to the opposite region when that strictly reduces the summed HPWL of
+/// their nets (evaluated with pair cells at their *local* region centres
+/// and all external cells at their snapshot centres), subject to the
+/// capacity cap. Returns the surviving moves as `(cell, new_region)` in
+/// cell order, and how many move deltas were computed.
 fn refine_pair(
     round: &RoundState,
     (a, cells_a, fill_a): (usize, &[usize], f64),
     (b, cells_b, fill_b): (usize, &[usize], f64),
-) -> Vec<(usize, usize)> {
-    let RoundState { inst, nets_of_cell, centers, snapshot, slot, cap } = *round;
-    let mut cells: Vec<usize> = Vec::with_capacity(cells_a.len() + cells_b.len());
-    cells.extend_from_slice(cells_a);
-    cells.extend_from_slice(cells_b);
-    cells.sort_unstable();
-    // the pair cells' current regions, `a`'s cells first, each at its
-    // slot in the region's list; every other cell stays on its snapshot
-    let mut local = vec![a; cells_a.len()];
-    local.resize(cells.len(), b);
-    let local_index = |o: usize| -> Option<usize> {
+) -> (Vec<(usize, usize)>, usize) {
+    let RoundState { inst, pins, centers, snapshot, cap } = *round;
+    let other_of = |r: usize| if r == a { b } else { a };
+    // the pair cells currently off their snapshot region; every other
+    // cell stays on its snapshot region
+    let mut flipped: Vec<usize> = Vec::new();
+    let region_of = |o: usize, flipped: &[usize]| -> usize {
         let r = snapshot[o];
-        if r == a {
-            Some(slot[o])
-        } else if r == b {
-            Some(cells_a.len() + slot[o])
+        if (r == a || r == b) && flipped.contains(&o) {
+            other_of(r)
         } else {
-            None
+            r
         }
     };
     let (mut fa, mut fb) = (fill_a, fill_b);
+    let mut scored = 0;
     for _ in 0..PAIR_PASSES {
         let mut changed = false;
-        for &c in &cells {
-            let ci = local_index(c).expect("pair cell");
-            let cur = local[ci];
-            let other = if cur == a { b } else { a };
+        let (mut ia, mut ib) = (0, 0);
+        while ia < cells_a.len() || ib < cells_b.len() {
+            // the two index-sorted lists, merged
+            let c = if ib == cells_b.len() || (ia < cells_a.len() && cells_a[ia] < cells_b[ib]) {
+                ia += 1;
+                cells_a[ia - 1]
+            } else {
+                ib += 1;
+                cells_b[ib - 1]
+            };
+            let cur = region_of(c, &flipped);
+            let other = other_of(cur);
             let w = inst.cell_width[c];
             let other_fill = if other == a { fa } else { fb };
             if other_fill + w > cap {
@@ -647,10 +742,11 @@ fn refine_pair(
             }
             // delta HPWL of moving c from cur to other, everything else
             // at its current (local or snapshot) region centre
+            scored += 1;
             let mut delta = 0.0;
-            for &ni in &nets_of_cell[c] {
-                let rest = netbox::scan(&inst.nets[ni], Some(c), |o| {
-                    centers[local_index(o).map_or(snapshot[o], |i| local[i])]
+            for i in pins.incidences(c) {
+                let rest = netbox::scan(pins.of_incidence(i), Some(c), |o| {
+                    centers[region_of(o, &flipped)]
                 });
                 delta += rest.with(centers[other]).hpwl() - rest.with(centers[cur]).hpwl();
             }
@@ -662,7 +758,12 @@ fn refine_pair(
                     fb -= w;
                     fa += w;
                 }
-                local[ci] = other;
+                match flipped.iter().position(|&f| f == c) {
+                    Some(at) => {
+                        flipped.swap_remove(at);
+                    }
+                    None => flipped.push(c),
+                }
                 changed = true;
             }
         }
@@ -670,14 +771,8 @@ fn refine_pair(
             break;
         }
     }
-    let mut moves = Vec::new();
-    for &c in &cells {
-        let r = local[local_index(c).expect("pair cell")];
-        if r != snapshot[c] {
-            moves.push((c, r));
-        }
-    }
-    moves
+    flipped.sort_unstable();
+    (flipped.into_iter().map(|c| (c, other_of(snapshot[c]))).collect(), scored)
 }
 
 #[cfg(test)]
@@ -685,7 +780,10 @@ mod tests {
     use super::*;
     use crate::instance::PlaceNet;
     use crate::metrics::total_hpwl_of_instance;
+    use crate::netbox::tests::{instance, lattice_point, pair_cost};
     use crate::PlacerBackend;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn kway_opts() -> PlacerOptions {
         PlacerOptions { backend: PlacerBackend::KWay, ..Default::default() }
@@ -731,7 +829,8 @@ mod tests {
         let cap = inst.total_width() / 4.0 * 1.3;
         let opts = kway_opts();
         assert!(opts.kway_passes > 1);
-        let rounds = refine_level(&inst, &grid, &mut assign, cap, &opts, &Pool::serial(), 0);
+        let pins = CellPins::new(&inst);
+        let rounds = refine_level(&inst, &pins, &grid, &mut assign, cap, &opts, &Pool::serial(), 0);
         assert_eq!(assign, before);
         assert_eq!(rounds, 2);
     }
@@ -843,13 +942,108 @@ mod tests {
         }
     }
 
+    /// [`swap_polish`] without the bound, as a reference: the same bins,
+    /// visiting order and `MIN_GAIN` rule, with every tried pair scored by
+    /// rescanning its nets in full (`pair_cost`). A [`NetBoxes`] over a
+    /// copy of the positions follows the same swaps, so the bound the
+    /// polish would compute is checked at every try: a pair it skips must
+    /// not gain. Returns the swaps made and the pairs the bound skips.
+    fn swap_polish_by_rescans(
+        inst: &PlaceInstance,
+        fp: &Floorplan,
+        pos: &mut [Point],
+        bin_size: f64,
+        passes: usize,
+    ) -> (usize, u64) {
+        let nets_of_cell = inst.nets_of_cells();
+        let nx = ((fp.die_width / bin_size).ceil() as usize).max(1);
+        let ny = ((fp.die_height / bin_size).ceil() as usize).max(1);
+        let mut shadow = pos.to_vec();
+        let mut boxes = NetBoxes::new(inst, &mut shadow);
+        let margin = boxes.swap_bound_margin();
+        let (mut swaps, mut skipped, mut a_boxes) = (0, 0, Vec::new());
+        for _ in 0..passes {
+            let mut bin_cells: Vec<Vec<usize>> = vec![Vec::new(); nx * ny];
+            for (c, p) in pos.iter().enumerate() {
+                let bx = ((p.x / bin_size) as usize).min(nx - 1);
+                let by = ((p.y / bin_size) as usize).min(ny - 1);
+                bin_cells[by * nx + bx].push(c);
+            }
+            let mut moved = false;
+            for b in 0..nx * ny {
+                let (bx, by) = (b % nx, b / nx);
+                let right: &[usize] = if bx + 1 < nx { &bin_cells[b + 1] } else { &[] };
+                let upper: &[usize] = if by + 1 < ny { &bin_cells[b + nx] } else { &[] };
+                for &a in &bin_cells[b] {
+                    for &c in bin_cells[b].iter().chain(right).chain(upper) {
+                        if c <= a {
+                            continue;
+                        }
+                        let before = pair_cost(inst, &nets_of_cell, a, c, pos);
+                        pos.swap(a, c);
+                        let gain = before - pair_cost(inst, &nets_of_cell, a, c, pos);
+                        pos.swap(a, c);
+                        let side = boxes.swap_side(a, &mut a_boxes);
+                        if boxes.swap_bound(&side, &a_boxes, c) < -margin {
+                            assert!(gain <= MIN_GAIN, "skipped ({a}, {c}) gains {gain}");
+                            skipped += 1;
+                        }
+                        if gain > MIN_GAIN {
+                            pos.swap(a, c);
+                            boxes.commit_swap(a, c);
+                            swaps += 1;
+                            moved = true;
+                        }
+                    }
+                }
+            }
+            if !moved {
+                break;
+            }
+        }
+        assert_eq!(boxes.pos(), &*pos, "the shadow followed every swap");
+        (swaps, skipped)
+    }
+
+    #[test]
+    fn bounded_swap_polish_matches_full_rescans() {
+        // a 10 x 5 die over the 5 x 5 lattice of `netbox`'s instances, so
+        // pins tie on box edges all the time; 2.5-wide bins
+        let fp = Floorplan { die_width: 10.0, die_height: 5.0, num_rows: 1 };
+        let (mut skipped, mut swaps) = (0, 0);
+        for seed in 0..12u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let cells = 24 + 4 * seed as usize;
+            // a cell twice on a net, single-pin and fixed-only nets, ...
+            let mut inst = instance(&mut rng, cells);
+            // ... and a cell on more nets than any fixed-size slot holds
+            for _ in 0..40 {
+                let other = PinRef::Cell(rng.gen_range(1..cells));
+                let fixed = PinRef::Fixed(lattice_point(&mut rng));
+                inst.nets.push(PlaceNet { pins: vec![PinRef::Cell(0), other, fixed] });
+            }
+            let start: Vec<Point> = (0..cells).map(|_| lattice_point(&mut rng)).collect();
+            let (mut bounded, mut reference) = (start.clone(), start);
+            let n = swap_polish(&inst, &fp, &mut bounded, 2.5, 4);
+            let (m, s) = swap_polish_by_rescans(&inst, &fp, &mut reference, 2.5, 4);
+            assert_eq!(n, m, "seed {seed}: swap count");
+            let bits = |pos: &[Point]| -> Vec<(u64, u64)> {
+                pos.iter().map(|p| (p.x.to_bits(), p.y.to_bits())).collect()
+            };
+            assert_eq!(bits(&bounded), bits(&reference), "seed {seed}: positions");
+            skipped += s;
+            swaps += n;
+        }
+        assert!(skipped > 0 && swaps > 0, "{skipped} pairs skipped, {swaps} swaps");
+    }
+
     #[test]
     fn region_capacity_is_respected_by_initial_assignment() {
         let inst = chain_instance(64);
         let fp = Floorplan::with_rows_and_area(8, 8.0 * 6.4 * 40.0);
         let grid = RegionGrid::new(&fp, 8);
         let cap = inst.total_width() / grid.k() as f64 * 1.3;
-        let anchors = anchor_positions(&inst, &fp);
+        let anchors = anchor_positions(&inst, &CellPins::new(&inst), &fp);
         let (assign, _) = initial_assign(&inst, &grid, &anchors, cap);
         let mut fill = vec![0.0f64; grid.k()];
         for (c, &r) in assign.iter().enumerate() {

@@ -18,7 +18,8 @@
 //!   under the HPWL objective, parallel over independent region pairs.
 //! * `netbox` — the k-way placer's net bounding boxes: the one pin scan,
 //!   and boxes cached per net and per (cell, net) incidence so a candidate
-//!   move is scored without walking pins, bit-identically to a rescan.
+//!   move is scored without walking pins, bit-identically to a rescan,
+//!   plus the bound that lets the swap polish skip pairs that cannot gain.
 //! * [`fm`] — Fiduccia–Mattheyses bipartition refinement.
 //! * [`bisect`] — the recursive min-cut placer with terminal propagation
 //!   (the legacy backend, kept for A/B comparison).

@@ -24,7 +24,7 @@ pub fn hpwl(points: &[Point]) -> f64 {
 
 /// HPWL of a placement net given cell positions.
 pub fn net_hpwl(net: &PlaceNet, pos: &[Point]) -> f64 {
-    scan(net, None, |c| pos[c]).hpwl()
+    scan(net.pins.iter().copied(), None, |c| pos[c]).hpwl()
 }
 
 /// Sum of HPWL over nets given per-net pin positions.

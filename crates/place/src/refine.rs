@@ -7,7 +7,7 @@
 //! resolves residual overlap.
 
 use crate::image::Floorplan;
-use crate::instance::{PinRef, PlaceInstance};
+use crate::instance::{CellPins, PinRef, PlaceInstance};
 use casyn_netlist::Point;
 
 /// Options for [`median_improve`].
@@ -35,11 +35,21 @@ pub fn median_improve(
     pos: &mut [Point],
     opts: &RefineOptions,
 ) -> usize {
+    median_improve_with(inst, &CellPins::new(inst), fp, pos, opts)
+}
+
+/// [`median_improve`] over the instance's pin list, built by the caller.
+pub(crate) fn median_improve_with(
+    inst: &PlaceInstance,
+    pins: &CellPins,
+    fp: &Floorplan,
+    pos: &mut [Point],
+    opts: &RefineOptions,
+) -> usize {
     let n = inst.num_cells();
     if n == 0 {
         return 0;
     }
-    let nets_of_cell = inst.nets_of_cells();
     let nx = ((fp.die_width / opts.bin_size).ceil() as usize).max(1);
     let ny = ((fp.die_height / opts.bin_size).ceil() as usize).max(1);
     let bin_of = |p: Point| -> usize {
@@ -56,22 +66,20 @@ pub fn median_improve(
     let (mut xs, mut ys): (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
     for _ in 0..opts.iterations {
         for c in 0..n {
-            if nets_of_cell[c].is_empty() {
+            if pins.incidences(c).is_empty() {
                 continue;
             }
             // gather connected pin coordinates (excluding this cell)
             xs.clear();
             ys.clear();
-            for &ni in &nets_of_cell[c] {
-                for pin in &inst.nets[ni].pins {
-                    let p = match pin {
-                        PinRef::Cell(o) if *o == c => continue,
-                        PinRef::Cell(o) => pos[*o],
-                        PinRef::Fixed(p) => *p,
-                    };
-                    xs.push(p.x);
-                    ys.push(p.y);
-                }
+            for pin in pins.of_cell(c) {
+                let p = match pin {
+                    PinRef::Cell(o) if o == c => continue,
+                    PinRef::Cell(o) => pos[o],
+                    PinRef::Fixed(p) => p,
+                };
+                xs.push(p.x);
+                ys.push(p.y);
             }
             if xs.is_empty() {
                 continue;

@@ -5,7 +5,7 @@
 //! ordered by the centroid of each cell's connections (y first for the
 //! row band, then x inside the band) so neighbours land on nearby slots.
 
-use crate::instance::{PinRef, PlaceInstance};
+use crate::instance::PinRef;
 use casyn_netlist::Point;
 
 /// An axis-aligned rectangle inside the die.
@@ -24,14 +24,14 @@ impl Rect {
 }
 
 /// Spreads `cells` on a uniform grid inside `rect`, ordered by the
-/// centroid of each cell's connections (read from the current `pos`
-/// estimates) so strongly connected cells land on nearby slots.
-/// Deterministic: ties resolve by cell index.
-pub(crate) fn spread_in_rect(
+/// centroid of each cell's connections — the pins `pins_of(c)` yields for
+/// its nets, its own included, read from the current `pos` estimates —
+/// so strongly connected cells land on nearby slots. Deterministic: ties
+/// resolve by cell index.
+pub(crate) fn spread_in_rect<I: Iterator<Item = PinRef>>(
     rect: Rect,
     cells: &[usize],
-    inst: &PlaceInstance,
-    nets_of_cell: &[Vec<usize>],
+    pins_of: impl Fn(usize) -> I,
     pos: &mut [Point],
 ) {
     let n = cells.len();
@@ -47,16 +47,14 @@ pub(crate) fn spread_in_rect(
         let mut x = 0.0;
         let mut y = 0.0;
         let mut k = 0.0;
-        for &ni in &nets_of_cell[c] {
-            for pin in &inst.nets[ni].pins {
-                let p = match pin {
-                    PinRef::Cell(o) => pos[*o],
-                    PinRef::Fixed(p) => *p,
-                };
-                x += p.x;
-                y += p.y;
-                k += 1.0;
-            }
+        for pin in pins_of(c) {
+            let p = match pin {
+                PinRef::Cell(o) => pos[o],
+                PinRef::Fixed(p) => p,
+            };
+            x += p.x;
+            y += p.y;
+            k += 1.0;
         }
         if k == 0.0 {
             rect.center()
@@ -101,16 +99,16 @@ pub(crate) fn spread_in_rect(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instance::PlaceInstance;
+    use crate::instance::{CellPins, PlaceInstance};
 
     #[test]
     fn spread_fills_rect_without_duplicates() {
         let inst = PlaceInstance { cell_width: vec![1.92; 7], nets: Vec::new() };
         let rect = Rect { x0: 10.0, y0: 5.0, x1: 30.0, y1: 25.0 };
         let cells: Vec<usize> = (0..7).collect();
-        let nets_of_cell = inst.nets_of_cells();
+        let pins = CellPins::new(&inst);
         let mut pos = vec![Point::default(); 7];
-        spread_in_rect(rect, &cells, &inst, &nets_of_cell, &mut pos);
+        spread_in_rect(rect, &cells, |c| pins.of_cell(c), &mut pos);
         for (i, p) in pos.iter().enumerate() {
             assert!(p.x > rect.x0 && p.x < rect.x1, "cell {i} x outside rect: {p:?}");
             assert!(p.y > rect.y0 && p.y < rect.y1, "cell {i} y outside rect: {p:?}");
@@ -124,9 +122,9 @@ mod tests {
     fn single_cell_sits_at_center() {
         let inst = PlaceInstance { cell_width: vec![1.92], nets: Vec::new() };
         let rect = Rect { x0: 0.0, y0: 0.0, x1: 8.0, y1: 4.0 };
-        let nets_of_cell = inst.nets_of_cells();
+        let pins = CellPins::new(&inst);
         let mut pos = vec![Point::default(); 1];
-        spread_in_rect(rect, &[0], &inst, &nets_of_cell, &mut pos);
+        spread_in_rect(rect, &[0], |c| pins.of_cell(c), &mut pos);
         assert_eq!(pos[0], Point::new(4.0, 2.0));
     }
 }

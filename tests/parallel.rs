@@ -208,3 +208,26 @@ fn kway_placement_is_bit_identical_to_the_recorded_one() {
         );
     }
 }
+
+#[test]
+#[ignore = "paper scale: ~22k base gates per design, run with --release -- --ignored"]
+fn kway_placement_at_paper_scale_is_bit_identical_to_the_recorded_one() {
+    // Hashes of the k-way placement of the SPLA- and PDC-class designs
+    // recorded before the swap polish learned to skip pairs by a gain
+    // bound: the bound's rounding margin matters most where nets and
+    // coordinates are largest, which the designs above do not reach.
+    for (name, pla, golden) in [
+        ("spla", casyn::netlist::bench::spla(), 0xdbd6_fa93_5ea4_00b9_u64),
+        ("pdc", casyn::netlist::bench::pdc(), 0x772e_a7ad_3116_7f07),
+    ] {
+        let mut opts = FlowOptions::default();
+        opts.placer.backend = PlacerBackend::KWay;
+        let prep = prepare_pool(&pla.to_network(), &opts, &Pool::new(2)).unwrap();
+        assert_eq!(
+            fnv1a_of_positions(&prep.positions),
+            golden,
+            "{name}: k-way placement moved ({} base gates)",
+            prep.base_gates
+        );
+    }
+}

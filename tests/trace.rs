@@ -161,8 +161,11 @@ fn front_end_spans_report_exact_work_counts() {
         ("logic.extract_cubes", "rewrites"),
         ("logic.extract_cubes", "pair_updates"),
     ];
-    if casyn::place::PlacerBackend::from_env() == casyn::place::PlacerBackend::KWay {
+    let kway = casyn::place::PlacerBackend::from_env() == casyn::place::PlacerBackend::KWay;
+    if kway {
         counted.push(("place.kway.seed", "home_misses"));
+        counted.push(("place.kway.swap", "tries"));
+        counted.push(("place.kway.swap", "scored"));
     }
     // the counted attributes of one traced SIS flow, which optimizes first
     let counts = || -> Vec<f64> {
@@ -191,6 +194,11 @@ fn front_end_spans_report_exact_work_counts() {
     }
     // counts of work, not timings: they repeat exactly
     assert_eq!(first, counts());
+    if kway {
+        // the swap polish scores in full only the pairs its bound keeps
+        let (tries, scored) = (first[counted.len() - 2], first[counted.len() - 1]);
+        assert!(scored <= tries, "place.kway.swap scored {scored} of {tries} tries");
+    }
 }
 
 #[test]
