@@ -19,4 +19,5 @@ fn main() {
     exp.opts.route.capacity_scale = scale;
     println!("routing supply calibrated to the edge: capacity scale {scale:.3}\n");
     print_k_sweep_table(&exp, "Table 4. PDC congestion minimization vs place&route results");
+    print_frontier(&exp, 2.5, 8.0, 9);
 }

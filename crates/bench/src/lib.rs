@@ -13,9 +13,10 @@
 //! * `ablation` — partitioning scheme, legalization seeding, duplication pricing.
 
 use casyn_core::{CostKind, MapOptions, PartitionScheme};
+use casyn_exec::Pool;
 use casyn_flow::{
     congestion_flow_prepared, format_k_sweep_table, format_sta_table, k_sweep_prepared, map_at,
-    route_at, sis_flow, FlowOptions, FlowResult, Prepared,
+    route_at, sis_flow, FlowOptions, FlowResult, Mapped, Prepared,
 };
 use casyn_logic::OptimizeOptions;
 use casyn_netlist::network::Network;
@@ -83,9 +84,18 @@ pub fn too_large_experiment() -> Experiment {
 /// minimum-area mapping must NOT route and the window's few-percent
 /// wirelength advantage is what rescues routability.
 pub fn supply_edge(exp: &Experiment, k: f64, lo: f64, hi: f64, steps: usize) -> (f64, f64) {
+    route_edge(exp, &map_k(exp, k), lo, hi, steps)
+}
+
+/// The congestion mapping at `k` of the experiment's prepared design.
+fn map_k(exp: &Experiment, k: f64) -> Mapped {
     let map_opts =
         MapOptions { scheme: PartitionScheme::PlacementDriven, cost: CostKind::AreaWire { k } };
-    let mapped = map_at(&exp.prep, &map_opts, &exp.opts).expect("bench: calibration map failed");
+    map_at(&exp.prep, &map_opts, &exp.opts).expect("bench: calibration map failed")
+}
+
+/// [`supply_edge`] of an already mapped netlist.
+fn route_edge(exp: &Experiment, mapped: &Mapped, lo: f64, hi: f64, steps: usize) -> (f64, f64) {
     let mut opts = exp.opts.clone();
     let (mut lo, mut hi) = (lo, hi);
     for _ in 0..steps {
@@ -99,6 +109,58 @@ pub fn supply_edge(exp: &Experiment, k: f64, lo: f64, hi: f64, steps: usize) -> 
         }
     }
     (lo, hi)
+}
+
+/// One point of the supply frontier: the K, the least routing supply
+/// `s*` at which the K-mapped netlist routes (the routable side of
+/// [`supply_edge`]), and that netlist's cell area in µm².
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FrontierPoint {
+    /// The mapper's wire weight.
+    pub k: f64,
+    /// Least routable capacity scale, to the supply search's resolution.
+    pub supply: f64,
+    /// Cell area of the K-mapped netlist.
+    pub area: f64,
+}
+
+/// The supply frontier `s*(K)` over `ks`: one [`supply_edge`] per K,
+/// run on `pool`. Results come back in `ks` order and are bit-identical
+/// to a serial run, since each K is a pure function of the experiment.
+pub fn frontier(
+    exp: &Experiment,
+    ks: &[f64],
+    lo: f64,
+    hi: f64,
+    steps: usize,
+    pool: &Pool,
+) -> Vec<FrontierPoint> {
+    pool.par_map(ks, |&k| {
+        let mapped = map_k(exp, k);
+        let area = mapped.netlist.cell_area();
+        FrontierPoint { k, supply: route_edge(exp, &mapped, lo, hi, steps).1, area }
+    })
+}
+
+/// Prints the supply frontier over [`TABLE_K_VALUES`] with its two
+/// summary numbers: the effect size `1 − min s*/s*(0)` (how much routing
+/// supply K buys) and the area price `area(argmin s*)/area(0) − 1` (what
+/// that supply costs). The K values run on [`Pool::from_env`].
+pub fn print_frontier(exp: &Experiment, lo: f64, hi: f64, steps: usize) {
+    let points = frontier(exp, &TABLE_K_VALUES, lo, hi, steps, &Pool::from_env());
+    println!("\nsupply frontier s*(K), the least capacity scale that routes ({steps} halvings of [{lo}, {hi}]):");
+    println!("{:>8} {:>8} {:>10}", "K", "s*", "area um2");
+    for p in &points {
+        println!("{:>8} {:>8.3} {:>10.0}", p.k, p.supply, p.area);
+    }
+    let k0 = &points[0];
+    let best = points.iter().fold(k0, |b, p| if p.supply < b.supply { p } else { b });
+    println!(
+        "effect size 1 - min s*/s*(0) = {:.1} % (min at K = {}); area price area(argmin s*)/area(0) - 1 = {:+.1} %",
+        100.0 * (1.0 - best.supply / k0.supply),
+        best.k,
+        100.0 * (best.area / k0.area - 1.0)
+    );
 }
 
 /// The K values our tables sweep. The paper's K spans three regions on

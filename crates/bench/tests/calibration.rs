@@ -1,12 +1,22 @@
-//! The routing-supply bisection the paper bins pin their die with.
+//! The routing-supply bisection the paper bins pin their die with, and
+//! the supply frontier built from it.
 
-use casyn_bench::{experiment, supply_edge, SPLA_K0_UTILIZATION};
+use casyn_bench::{experiment, frontier, supply_edge, SPLA_K0_UTILIZATION};
+use casyn_exec::Pool;
 use casyn_netlist::bench::{random_pla, PlaGenConfig};
 use casyn_obs::trace::{self, EventKind};
-use casyn_place::PlacerBackend;
+use std::sync::{Mutex, MutexGuard};
+
+/// The trace buffer is process-global: a test that counts spans must not
+/// see another test's.
+fn lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 #[test]
 fn supply_edge_maps_once_and_lands_where_the_recorded_calibrations_did() {
+    let _guard = lock();
     // a ≈ 2.1 k-gate PLA, set up exactly as the SPLA experiment is
     let network = random_pla(&PlaGenConfig {
         inputs: 16,
@@ -42,13 +52,43 @@ fn supply_edge_maps_once_and_lands_where_the_recorded_calibrations_did() {
     // The scales the two calibrations that mapped at every step returned
     // (the routable side at K = 0.5 in 8 steps, the unroutable side of the
     // K = 0 edge in 9), recorded before they became this one bisection.
-    let recorded = match exp.opts.placer.backend {
-        PlacerBackend::KWay => (0x3fff_2666_6666_6666_u64, 0x3fff_accc_cccc_cccc_u64),
-        PlacerBackend::Bisect => (0x3ff9_4ccc_cccc_cccd, 0x3ff9_8666_6666_6667),
-    };
+    let recorded = (0x3fff_2666_6666_6666_u64, 0x3fff_accc_cccc_cccc_u64);
     assert_eq!(
         (routable.to_bits(), unroutable.to_bits()),
         recorded,
         "calibrated scales moved: routable {routable}, unroutable {unroutable}"
     );
+}
+
+#[test]
+fn frontier_on_two_workers_is_bit_identical_to_serial() {
+    let _guard = lock();
+    let network = random_pla(&PlaGenConfig {
+        inputs: 10,
+        outputs: 6,
+        terms: 48,
+        min_literals: 3,
+        max_literals: 7,
+        mean_outputs_per_term: 1.4,
+        seed: 5,
+    })
+    .to_network();
+    let exp = experiment("rand10", network, SPLA_K0_UTILIZATION);
+    let ks = [0.0, 0.5, 5.0];
+    let (lo, hi) = (0.3, 4.0);
+    let serial = frontier(&exp, &ks, lo, hi, 5, &Pool::serial());
+    let pooled = frontier(&exp, &ks, lo, hi, 5, &Pool::new(2));
+    let bits = |f: &[casyn_bench::FrontierPoint]| -> Vec<[u64; 3]> {
+        f.iter().map(|p| [p.k.to_bits(), p.supply.to_bits(), p.area.to_bits()]).collect()
+    };
+    assert_eq!(bits(&pooled), bits(&serial));
+    for (p, k) in serial.iter().zip(ks) {
+        assert_eq!(p.k, k, "points come back in K order");
+        assert_eq!(
+            p.supply,
+            supply_edge(&exp, k, lo, hi, 5).1,
+            "s* is supply_edge's routable side"
+        );
+        assert!(lo < p.supply && p.supply <= hi && p.area > 0.0, "{p:?}");
+    }
 }

@@ -37,7 +37,6 @@ use casyn_netlist::network::Network;
 use casyn_netlist::verilog::to_verilog;
 use casyn_obs as obs;
 use casyn_obs::json::JsonValue;
-use casyn_place::PlacerBackend;
 use casyn_route::CongestionMap;
 use std::collections::HashMap;
 use std::fs;
@@ -71,7 +70,6 @@ struct Args {
     ledger: Option<String>,
     tolerance: Option<f64>,
     jobs: Option<usize>,
-    placer: Option<PlacerBackend>,
     out: Option<String>,
     validate: bool,
     retries: u32,
@@ -158,7 +156,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         ledger: None,
         tolerance: None,
         jobs: None,
-        placer: None,
         out: None,
         validate: false,
         retries: 0,
@@ -234,13 +231,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     return Err("--jobs must be at least 1".into());
                 }
                 args.jobs = Some(n);
-            }
-            "--placer" => {
-                let v = next("--placer")?;
-                args.placer = Some(
-                    PlacerBackend::parse(&v)
-                        .ok_or(format!("--placer: unknown backend {v:?} (kway | bisect)"))?,
-                );
             }
             "--out" => args.out = Some(next("--out")?),
             "--validate" => args.validate = true,
@@ -324,9 +314,6 @@ fn flow_options(args: &Args) -> FlowOptions {
     }
     if args.validate {
         opts.validate = true;
-    }
-    if let Some(b) = args.placer {
-        opts.placer.backend = b;
     }
     opts.fault = args.fault_plan.as_ref().map(|p| p.fresh());
     opts
@@ -436,7 +423,6 @@ fn append_ledger(args: &Args, ks: &[f64], rows: &[KSweepEntry]) -> Result<(), St
     };
     let params = RunParams {
         scheme: scheme.to_string(),
-        placer: flow_options(args).placer.backend.name().to_string(),
         layers: args.layers,
         target_utilization: args.util,
         ks: ks.to_vec(),
@@ -472,14 +458,13 @@ fn run_diff_command(args: &Args) -> Result<(), String> {
 }
 
 /// The manifest fallbacks this CLI invocation implies (`--ks`, `--util`,
-/// `--layers`, `--optimize`, `--placer` become the per-job defaults).
+/// `--layers`, `--optimize` become the per-job defaults).
 fn manifest_defaults(args: &Args) -> ManifestDefaults {
     ManifestDefaults {
         ks: args.ks.clone(),
         util: args.util,
         layers: args.layers,
         optimize: args.optimize,
-        placer: args.placer,
     }
 }
 
@@ -1661,19 +1646,9 @@ mod tests {
     }
 
     #[test]
-    fn parse_placer_flag() {
-        let a = parse_args(&sv(&["run", "x.pla", "--placer", "bisect"])).unwrap();
-        assert_eq!(a.placer, Some(PlacerBackend::Bisect));
-        assert_eq!(flow_options(&a).placer.backend, PlacerBackend::Bisect);
-        let b = parse_args(&sv(&["run", "x.pla", "--placer", "k-way"])).unwrap();
-        assert_eq!(b.placer, Some(PlacerBackend::KWay));
-        // unset leaves the FlowOptions default (kway unless CASYN_PLACER says
-        // otherwise) untouched
-        let c = parse_args(&sv(&["run", "x.pla"])).unwrap();
-        assert!(c.placer.is_none());
-        let e = parse_args(&sv(&["run", "x.pla", "--placer", "annealing"])).unwrap_err();
-        assert!(e.contains("annealing"), "got: {e}");
-        assert!(parse_args(&sv(&["run", "x.pla", "--placer"])).is_err());
+    fn placer_is_an_unknown_option() {
+        let e = parse_args(&sv(&["run", "x.pla", "--placer", "kway"])).unwrap_err();
+        assert_eq!(e, "unknown option: --placer");
     }
 
     #[test]
@@ -1690,8 +1665,6 @@ mod tests {
             "--layers",
             "4",
             "--optimize",
-            "--placer",
-            "bisect",
         ]))
         .unwrap();
         let d = manifest_defaults(&a);
@@ -1699,17 +1672,13 @@ mod tests {
         assert_eq!(d.util, 0.5);
         assert_eq!(d.layers, 4);
         assert!(d.optimize);
-        assert_eq!(d.placer, Some(PlacerBackend::Bisect));
         let jobs =
-            parse_manifest(r#"[{"design": "a.pla", "placer": "kway"}, {"design": "b.pla"}]"#, &d)
-                .unwrap();
-        assert_eq!(jobs[0].placer, Some(PlacerBackend::KWay));
-        assert_eq!(jobs[1].placer, Some(PlacerBackend::Bisect));
+            parse_manifest(r#"[{"design": "a.pla", "ks": [1]}, {"design": "b.pla"}]"#, &d).unwrap();
+        assert_eq!(jobs[0].ks, vec![1.0]);
         assert_eq!(jobs[1].ks, vec![0.0, 2.0]);
         let plain = manifest_defaults(&parse_args(&sv(&["batch", "m.json"])).unwrap());
         assert_eq!(plain.ks, ManifestDefaults::default().ks);
         assert_eq!(plain.util, ManifestDefaults::default().util);
-        assert!(plain.placer.is_none());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Drives the built `casyn` binary end to end: a faulted batch exits
 //! non-zero with typed errors and a crash bundle, and `--resume` finishes
 //! the remaining work into a report identical (modulo wall clock) to an
-//! uninterrupted run.
+//! uninterrupted run; a manifest naming a placer other than k-way fails
+//! before any job runs.
 
 use casyn_obs::json::JsonValue;
 use std::fs;
@@ -202,4 +203,24 @@ fn batch_rows_carry_only_per_job_telemetry() {
     // the registry itself is still there, once, in --metrics-out
     let registry = read_json(&metrics);
     assert!(registry.get("metrics").and_then(|m| m.get("route.iterations")).is_some());
+}
+
+#[test]
+fn batch_runs_the_kway_placer_field_and_rejects_any_other() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("batch_placer");
+    fs::create_dir_all(&dir).unwrap();
+    let a = design("ex_a.pla");
+    for (placer, ok) in [("kway", true), ("bisect", false)] {
+        let m = dir.join(format!("{placer}.json"));
+        let text = format!(r#"[{{"design": "{a}", "ks": [0.0], "placer": "{placer}"}}]"#);
+        fs::write(&m, text).unwrap();
+        let report = dir.join(format!("{placer}-report.json"));
+        let out = casyn(&["batch", m.to_str().unwrap(), "--out", report.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.success(), ok, "{placer}: {stderr}");
+        assert_eq!(report.exists(), ok, "{placer}: a report only when the manifest is valid");
+        if !ok {
+            assert!(stderr.contains(r#"job 0: "placer" "bisect""#), "{stderr}");
+        }
+    }
 }

@@ -173,8 +173,7 @@ pub fn prepare(network: &Network, opts: &FlowOptions) -> Result<Prepared, FlowEr
 /// [`prepare`] with the placement stage's parallel refinement running on
 /// `pool`. The result is bit-identical to [`prepare`] for any worker
 /// count — the k-way placer's region-pair jobs are pure functions of a
-/// per-round snapshot, applied in deterministic pair order (and the
-/// bisection backend ignores the pool entirely).
+/// per-round snapshot, applied in deterministic pair order.
 pub fn prepare_pool(
     network: &Network,
     opts: &FlowOptions,

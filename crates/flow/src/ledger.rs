@@ -43,8 +43,6 @@ pub use crate::content_key::fnv1a64;
 pub struct RunParams {
     /// Mapping scheme (`congestion`, `dagon`, `sis`).
     pub scheme: String,
-    /// Placement backend (`kway`, `bisect`).
-    pub placer: String,
     /// Metal layers available for routing.
     pub layers: usize,
     /// Target area utilization used to derive the floorplan.
@@ -222,7 +220,9 @@ impl RunRecord {
             .str(&self.design)
             .hash(self.design_hash)
             .str(&p.scheme)
-            .str(&p.placer)
+            // the placer's name, from when there were two: records keep
+            // the addresses they had
+            .str("kway")
             .int(p.layers as u64)
             .num(p.target_utilization)
             .bool(p.optimize)
@@ -253,7 +253,6 @@ impl RunRecord {
     pub fn to_json(&self) -> JsonValue {
         let params = JsonValue::object(vec![
             ("scheme".into(), JsonValue::Str(self.params.scheme.clone())),
-            ("placer".into(), JsonValue::Str(self.params.placer.clone())),
             ("layers".into(), JsonValue::Number(self.params.layers as f64)),
             ("target_utilization".into(), JsonValue::Number(self.params.target_utilization)),
             (
@@ -357,7 +356,6 @@ impl RunRecord {
             .collect::<Result<Vec<f64>, _>>()?;
         let params = RunParams {
             scheme: str_of(p, "scheme")?,
-            placer: str_of(p, "placer")?,
             layers: num_of(p, "layers")? as usize,
             target_utilization: num_of(p, "target_utilization")?,
             ks,
@@ -619,7 +617,6 @@ mod tests {
             fnv1a64(b"design-bytes"),
             RunParams {
                 scheme: "congestion".into(),
-                placer: "kway".into(),
                 layers: 3,
                 target_utilization: 0.611,
                 ks: vec![0.001],
@@ -627,6 +624,21 @@ mod tests {
             },
             &rows,
         )
+    }
+
+    #[test]
+    fn the_fixed_record_keeps_its_address() {
+        // recorded while records still named one of two placers: an
+        // existing ledger still resolves, and its records still parse
+        assert_eq!(record().content_hash(), 0x3331_accd_8e43_3207);
+        let old = record().to_json().to_string_pretty();
+        let old = old.replacen(
+            r#""scheme": "congestion""#,
+            r#""scheme": "congestion", "placer": "kway""#,
+            1,
+        );
+        assert!(old.contains("placer"));
+        assert_eq!(RunRecord::from_json(&old).unwrap().content_hash(), 0x3331_accd_8e43_3207);
     }
 
     #[test]
@@ -663,7 +675,7 @@ mod tests {
         changed.rows[0].overflow += 1.0;
         assert_ne!(changed.content_hash(), h, "a result change must move the address");
         let mut reparam = rec;
-        reparam.params.placer = "bisect".into();
+        reparam.params.layers += 1;
         assert_ne!(reparam.content_hash(), h);
     }
 

@@ -17,7 +17,9 @@
 //! (`source`, the design text itself, with `format` `"pla"` or
 //! `"blif"`; the serve API uses inline sources so clients need no
 //! shared filesystem). `inject_panic: true` is the legacy spelling of
-//! `"fault_plan": "decompose:panic:1"`.
+//! `"fault_plan": "decompose:panic:1"`. `placer` names the one global
+//! placer, `"kway"` (or `"k-way"`); any other value is rejected, so a
+//! manifest written for a retired backend never silently runs k-way.
 
 use crate::error::Stage;
 use crate::flows::FlowOptions;
@@ -28,7 +30,6 @@ use casyn_netlist::network::Network;
 use casyn_netlist::seq::SeqNetwork;
 use casyn_netlist::Pla;
 use casyn_obs::json::JsonValue;
-use casyn_place::PlacerBackend;
 use std::fs;
 use std::time::Duration;
 
@@ -44,8 +45,6 @@ pub struct ManifestDefaults {
     pub layers: usize,
     /// Run technology-independent optimization first.
     pub optimize: bool,
-    /// Global placement backend (None = the flow default).
-    pub placer: Option<PlacerBackend>,
 }
 
 impl Default for ManifestDefaults {
@@ -55,7 +54,6 @@ impl Default for ManifestDefaults {
             util: 0.611,
             layers: 3,
             optimize: false,
-            placer: None,
         }
     }
 }
@@ -153,8 +151,6 @@ pub struct ManifestJob {
     pub inject_panic: bool,
     /// Deterministic fault-injection spec (validated by [`ManifestJob::fault`]).
     pub fault_plan: Option<String>,
-    /// Placement backend override.
-    pub placer: Option<PlacerBackend>,
 }
 
 /// The file stem of a path (`a/count8.pla` → `count8`), used as the
@@ -291,9 +287,6 @@ impl ManifestJob {
         if let Some(p) = &self.fault_plan {
             doc.push(("fault_plan".into(), JsonValue::Str(p.clone())));
         }
-        if let Some(b) = self.placer {
-            doc.push(("placer".into(), JsonValue::Str(b.name().into())));
-        }
         JsonValue::object(doc)
     }
 
@@ -307,9 +300,6 @@ impl ManifestJob {
         }
         if validate {
             opts.validate = true;
-        }
-        if let Some(b) = self.placer {
-            opts.placer.backend = b;
         }
         opts
     }
@@ -388,16 +378,13 @@ pub fn parse_manifest_value(
                     .map(|k| number(k, "ks", JobParam::K, i))
                     .collect::<Result<_, _>>()?,
             };
-            let placer = match j.get("placer") {
-                None => defaults.placer,
-                Some(v) => {
-                    let s = v.as_str().ok_or(format!("job {i}: \"placer\" must be a string"))?;
-                    Some(
-                        PlacerBackend::parse(s)
-                            .ok_or(format!("job {i}: unknown placer {s:?} (kway | bisect)"))?,
-                    )
+            if let Some(p) = str_field(j, "placer", i)? {
+                if !matches!(p.trim().to_ascii_lowercase().as_str(), "kway" | "k-way") {
+                    return Err(format!(
+                        "job {i}: \"placer\" {p:?} is unknown (the one placer is kway)"
+                    ));
                 }
-            };
+            }
             Ok(ManifestJob {
                 name: name_field.unwrap_or_else(|| file_stem(&design)),
                 source,
@@ -418,7 +405,6 @@ pub fn parse_manifest_value(
                     .transpose()?,
                 inject_panic: bool_field(j, "inject_panic", i)?,
                 fault_plan: str_field(j, "fault_plan", i)?,
-                placer,
                 design,
             })
         })
@@ -585,16 +571,13 @@ mod tests {
         let jobs = parse_manifest(
             r#"[{"design": "x.pla", "ks": [0.0, 2.5], "util": 0.5, "layers": 4,
                  "optimize": true, "deadline_ms": 1500, "fault_plan": "map:panic:1",
-                 "placer": "bisect"},
+                 "placer": "kway"},
                 {"name": "tiny", "source": ".i 1\n.o 1\n.p 1\n1 1\n.e\n", "format": "pla"}]"#,
             &d(),
         )
         .unwrap();
         // parse back under *different* defaults: every field must survive
-        // (a placer of None means "flow default" and has no explicit
-        // spelling, so the replay side must keep the default placer None)
-        let hostile =
-            ManifestDefaults { ks: vec![9.9], util: 0.1, layers: 9, optimize: false, placer: None };
+        let hostile = ManifestDefaults { ks: vec![9.9], util: 0.1, layers: 9, optimize: false };
         for job in &jobs {
             let doc = JsonValue::Array(vec![job.to_json()]);
             let back = parse_manifest_value(&doc, &hostile).unwrap();
@@ -605,8 +588,7 @@ mod tests {
     #[test]
     fn flow_options_reflect_entry() {
         let jobs = parse_manifest(
-            r#"[{"design": "x.pla", "util": 0.5, "layers": 4, "optimize": true,
-                 "placer": "bisect"}]"#,
+            r#"[{"design": "x.pla", "util": 0.5, "layers": 4, "optimize": true}]"#,
             &d(),
         )
         .unwrap();
@@ -615,6 +597,19 @@ mod tests {
         assert_eq!(opts.route.layers, 4);
         assert!(opts.optimize.is_some());
         assert!(opts.validate);
-        assert_eq!(opts.placer.backend, PlacerBackend::Bisect);
+    }
+
+    #[test]
+    fn placer_names_the_one_placer_or_fails_naming_the_field() {
+        for ok in ["kway", "k-way", " K-WAY "] {
+            let text = format!(r#"[{{"design": "x.pla", "placer": {ok:?}}}]"#);
+            assert_eq!(parse_manifest(&text, &d()).unwrap().len(), 1, "{ok}");
+        }
+        for bad in [r#""bisect""#, r#""annealing""#, r#""""#, "3"] {
+            let text =
+                format!(r#"[{{"design": "x.pla"}}, {{"design": "y.pla", "placer": {bad}}}]"#);
+            let e = parse_manifest(&text, &d()).unwrap_err();
+            assert!(e.starts_with("job 1: \"placer\""), "{bad}: {e}");
+        }
     }
 }

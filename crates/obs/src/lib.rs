@@ -5,7 +5,7 @@
 //!
 //! - a thread-safe global [`Registry`] of counters, gauges, and log-scale
 //!   histograms keyed `stage.metric` (e.g. `route.iterations`,
-//!   `map.matches_tried`, `place.fm_passes`);
+//!   `map.matches_tried`, `place.kway.rounds`);
 //! - [`StageTimer`] / [`trace::span`] for wall-clock scoping;
 //! - [`trace`]: a hierarchical, thread-aware span tree with Chrome
 //!   trace-event and `casyn.trace.v1` sinks;

@@ -184,7 +184,7 @@ pub(crate) fn place_kway(
         let mut regions = RegionCells::default();
         regions.rebuild(&assign, k);
         for r in 0..k {
-            spread_in_rect(grid.rect(r), regions.of(r), |c| pins.of_cell(c), &mut pos);
+            spread_in_rect(grid.rect(r), regions.of(r), &pins, &mut pos);
         }
     }
     // multi-resolution polish: coarse bins first so cells can cross the
@@ -194,8 +194,7 @@ pub(crate) fn place_kway(
     // ends by unstacking near-coincident cells (medians pull all the
     // cells sharing a net onto one point; the density cap only gates
     // cross-bin moves) so the next stage re-optimizes from spread-out
-    // positions instead of compounding the pile-up — the k-way
-    // counterpart of the bisection placer's leaf spread.
+    // positions instead of compounding the pile-up.
     let mut polish_moves = 0usize;
     for (bin_size, max_density) in [(4.0 * 12.8, 1.2), (2.0 * 12.8, 1.4)] {
         let ropts = RefineOptions { iterations: 4, bin_size, max_density };
@@ -429,7 +428,7 @@ fn unstack_bins(
             x1: (cx + half).clamp((2.0 * half).min(fp.die_width), fp.die_width),
             y1: (cy + half).clamp((2.0 * half).min(fp.die_height), fp.die_height),
         };
-        spread_in_rect(rect, cells, |c| pins.of_cell(c), pos);
+        spread_in_rect(rect, cells, pins, pos);
     }
 }
 
@@ -781,13 +780,8 @@ mod tests {
     use crate::instance::PlaceNet;
     use crate::metrics::total_hpwl_of_instance;
     use crate::netbox::tests::{instance, lattice_point, pair_cost};
-    use crate::PlacerBackend;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    fn kway_opts() -> PlacerOptions {
-        PlacerOptions { backend: PlacerBackend::KWay, ..Default::default() }
-    }
 
     fn chain_instance(n: usize) -> PlaceInstance {
         let mut inst = PlaceInstance { cell_width: vec![1.92; n], nets: Vec::new() };
@@ -827,7 +821,7 @@ mod tests {
         let mut assign: Vec<usize> = (0..32).map(|c| c / 8).collect();
         let before = assign.clone();
         let cap = inst.total_width() / 4.0 * 1.3;
-        let opts = kway_opts();
+        let opts = PlacerOptions::default();
         assert!(opts.kway_passes > 1);
         let pins = CellPins::new(&inst);
         let rounds = refine_level(&inst, &pins, &grid, &mut assign, cap, &opts, &Pool::serial(), 0);
@@ -839,7 +833,7 @@ mod tests {
     fn all_cells_inside_die() {
         let inst = chain_instance(100);
         let fp = Floorplan::with_rows_and_area(10, 64.0 * 64.0 * 10.0);
-        let pos = place_kway(&inst, &fp, &kway_opts(), &Pool::serial());
+        let pos = place_kway(&inst, &fp, &PlacerOptions::default(), &Pool::serial());
         assert_eq!(pos.len(), 100);
         for p in &pos {
             assert!(p.x >= 0.0 && p.x <= fp.die_width, "x out of die: {p:?}");
@@ -851,7 +845,7 @@ mod tests {
     fn chain_places_better_than_pathological() {
         let inst = chain_instance(128);
         let fp = Floorplan::with_rows_and_area(8, 6.4 * 8.0 * 51.2);
-        let pos = place_kway(&inst, &fp, &kway_opts(), &Pool::serial());
+        let pos = place_kway(&inst, &fp, &PlacerOptions::default(), &Pool::serial());
         let placed = total_hpwl_of_instance(&inst, &pos);
         let bad: Vec<Point> = (0..128)
             .map(|i| {
@@ -882,7 +876,7 @@ mod tests {
                 PlaceNet { pins: vec![PinRef::Cell(0), PinRef::Cell(1)] },
             ],
         };
-        let opts = PlacerOptions { region_cells: 1, ..kway_opts() };
+        let opts = PlacerOptions { region_cells: 1, ..PlacerOptions::default() };
         let pos = place_kway(&inst, &fp, &opts, &Pool::serial());
         assert!(
             pos[0].x < pos[1].x,
@@ -897,9 +891,9 @@ mod tests {
         for n in [37usize, 128, 300] {
             let inst = chain_instance(n);
             let fp = Floorplan::with_rows_and_area(10, 10.0 * 6.4 * (n as f64));
-            let serial = place_kway(&inst, &fp, &kway_opts(), &Pool::serial());
+            let serial = place_kway(&inst, &fp, &PlacerOptions::default(), &Pool::serial());
             for workers in [2, 4, 8] {
-                let par = place_kway(&inst, &fp, &kway_opts(), &Pool::new(workers));
+                let par = place_kway(&inst, &fp, &PlacerOptions::default(), &Pool::new(workers));
                 assert_eq!(serial, par, "n={n} workers={workers} diverged from serial");
             }
         }
@@ -909,19 +903,23 @@ mod tests {
     fn deterministic_across_runs() {
         let inst = chain_instance(64);
         let fp = Floorplan::with_rows_and_area(8, 8.0 * 6.4 * 40.0);
-        let a = place_kway(&inst, &fp, &kway_opts(), &Pool::serial());
-        let b = place_kway(&inst, &fp, &kway_opts(), &Pool::serial());
+        let a = place_kway(&inst, &fp, &PlacerOptions::default(), &Pool::serial());
+        let b = place_kway(&inst, &fp, &PlacerOptions::default(), &Pool::serial());
         assert_eq!(a, b);
     }
 
     #[test]
     fn empty_and_single_cell_instances() {
         let fp = Floorplan::with_rows_and_area(2, 1000.0);
-        assert!(
-            place_kway(&PlaceInstance::default(), &fp, &kway_opts(), &Pool::serial()).is_empty()
-        );
+        assert!(place_kway(
+            &PlaceInstance::default(),
+            &fp,
+            &PlacerOptions::default(),
+            &Pool::serial()
+        )
+        .is_empty());
         let one = PlaceInstance { cell_width: vec![1.92], nets: Vec::new() };
-        let pos = place_kway(&one, &fp, &kway_opts(), &Pool::serial());
+        let pos = place_kway(&one, &fp, &PlacerOptions::default(), &Pool::serial());
         assert_eq!(pos.len(), 1);
         assert!(pos[0].x > 0.0 && pos[0].x < fp.die_width);
     }
@@ -930,7 +928,7 @@ mod tests {
     fn no_duplicate_positions_after_spread() {
         let inst = PlaceInstance { cell_width: vec![1.92; 7], nets: Vec::new() };
         let fp = Floorplan::with_rows_and_area(4, 4.0 * 6.4 * 30.0);
-        let pos = place_kway(&inst, &fp, &kway_opts(), &Pool::serial());
+        let pos = place_kway(&inst, &fp, &PlacerOptions::default(), &Pool::serial());
         for i in 0..pos.len() {
             for j in i + 1..pos.len() {
                 assert!(

@@ -1,11 +1,11 @@
-//! Uniform-grid spreading of a cell set inside a rectangle, shared by the
-//! bisection placer's leaf regions and the k-way placer's gcell regions.
+//! Uniform-grid spreading of a cell set inside a rectangle: the k-way
+//! placer's gcell regions and its polish's unstacked piles.
 //!
 //! Cells are laid out on a `cols × rows` grid inside the rectangle,
 //! ordered by the centroid of each cell's connections (y first for the
 //! row band, then x inside the band) so neighbours land on nearby slots.
 
-use crate::instance::PinRef;
+use crate::instance::{CellPins, PinRef};
 use casyn_netlist::Point;
 
 /// An axis-aligned rectangle inside the die.
@@ -24,16 +24,11 @@ impl Rect {
 }
 
 /// Spreads `cells` on a uniform grid inside `rect`, ordered by the
-/// centroid of each cell's connections — the pins `pins_of(c)` yields for
-/// its nets, its own included, read from the current `pos` estimates —
-/// so strongly connected cells land on nearby slots. Deterministic: ties
-/// resolve by cell index.
-pub(crate) fn spread_in_rect<I: Iterator<Item = PinRef>>(
-    rect: Rect,
-    cells: &[usize],
-    pins_of: impl Fn(usize) -> I,
-    pos: &mut [Point],
-) {
+/// centroid of each cell's connections — the pins of its nets, its own
+/// included, read from the current `pos` estimates — so strongly
+/// connected cells land on nearby slots. Deterministic: ties resolve by
+/// cell index.
+pub(crate) fn spread_in_rect(rect: Rect, cells: &[usize], pins: &CellPins, pos: &mut [Point]) {
     let n = cells.len();
     if n == 0 {
         return;
@@ -47,7 +42,7 @@ pub(crate) fn spread_in_rect<I: Iterator<Item = PinRef>>(
         let mut x = 0.0;
         let mut y = 0.0;
         let mut k = 0.0;
-        for pin in pins_of(c) {
+        for pin in pins.of_cell(c) {
             let p = match pin {
                 PinRef::Cell(o) => pos[o],
                 PinRef::Fixed(p) => p,
@@ -99,7 +94,7 @@ pub(crate) fn spread_in_rect<I: Iterator<Item = PinRef>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instance::{CellPins, PlaceInstance};
+    use crate::instance::PlaceInstance;
 
     #[test]
     fn spread_fills_rect_without_duplicates() {
@@ -108,7 +103,7 @@ mod tests {
         let cells: Vec<usize> = (0..7).collect();
         let pins = CellPins::new(&inst);
         let mut pos = vec![Point::default(); 7];
-        spread_in_rect(rect, &cells, |c| pins.of_cell(c), &mut pos);
+        spread_in_rect(rect, &cells, &pins, &mut pos);
         for (i, p) in pos.iter().enumerate() {
             assert!(p.x > rect.x0 && p.x < rect.x1, "cell {i} x outside rect: {p:?}");
             assert!(p.y > rect.y0 && p.y < rect.y1, "cell {i} y outside rect: {p:?}");
@@ -124,7 +119,7 @@ mod tests {
         let rect = Rect { x0: 0.0, y0: 0.0, x1: 8.0, y1: 4.0 };
         let pins = CellPins::new(&inst);
         let mut pos = vec![Point::default(); 1];
-        spread_in_rect(rect, &[0], |c| pins.of_cell(c), &mut pos);
+        spread_in_rect(rect, &[0], &pins, &mut pos);
         assert_eq!(pos[0], Point::new(4.0, 2.0));
     }
 }

@@ -31,7 +31,6 @@ use casyn_flow::{
 use casyn_netlist::network::Network;
 use casyn_obs as obs;
 use casyn_obs::json::{JsonErrorKind, JsonLimits, JsonValue};
-use casyn_place::PlacerBackend;
 use std::collections::HashSet;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -418,13 +417,9 @@ struct Keyed {
 fn content_keys(m: &ManifestJob, lib_fp: u64) -> Result<Keyed, String> {
     let fault = m.fault()?;
     let (text, format) = m.design_text()?;
-    let placer = m.placer.unwrap_or_else(PlacerBackend::from_env);
     debug_assert!(
-        {
-            let opts = m.flow_options(false);
-            library_fingerprint(&opts.lib) == lib_fp && opts.placer.backend == placer
-        },
-        "the key covers the library and placer the job runs with"
+        library_fingerprint(&m.flow_options(false).lib) == lib_fp,
+        "the key covers the library the job runs with"
     );
     let design_hash = fnv1a64(text.as_bytes());
     let key = |domain: &str| {
@@ -434,7 +429,9 @@ fn content_keys(m: &ManifestJob, lib_fp: u64) -> Result<Keyed, String> {
             .num(m.util)
             .int(m.layers as u64)
             .bool(m.optimize)
-            .str(placer.name())
+            // the placer's name, from when there were two: caches and
+            // journals keep the addresses they had
+            .str("kway")
     };
     let prep_key = key("casyn.serve.prep.v1").finish();
     let result_key = fault.is_none().then(|| key("casyn.serve.job.v1").nums(&m.ks).finish());
@@ -1240,7 +1237,7 @@ mod tests {
 
     /// The key the way it was derived before keys stopped parsing: from
     /// the text `load_network` returns after the parse, and from the
-    /// library and placer of the job's own flow options.
+    /// library of the job's own flow options.
     fn parsed_path_keys(m: &ManifestJob) -> (u64, Option<u64>) {
         let (_, raw) = m.load_network().unwrap();
         let opts = m.flow_options(false);
@@ -1251,7 +1248,7 @@ mod tests {
                 .num(m.util)
                 .int(m.layers as u64)
                 .bool(m.optimize)
-                .str(opts.placer.backend.name())
+                .str("kway")
         };
         let result_key =
             m.fault().unwrap().is_none().then(|| key("casyn.serve.job.v1").nums(&m.ks));
@@ -1278,7 +1275,7 @@ mod tests {
             vec![
                 ("util", JsonValue::Number(0.5)),
                 ("optimize", JsonValue::Bool(true)),
-                ("placer", JsonValue::Str("bisect".into())),
+                ("placer", JsonValue::Str("kway".into())),
             ],
             vec![("fault_plan", JsonValue::Str("map:panic:1".into()))],
         ] {
@@ -1298,6 +1295,20 @@ mod tests {
             assert_eq!((k.prep_key, k.result_key), parsed_path_keys(m), "{}", m.name);
         }
         assert!(content_keys(&jobs[jobs.len() - 1], lib_fp).unwrap().result_key.is_none());
+    }
+
+    #[test]
+    fn content_addresses_are_pinned() {
+        // recorded while a job could still name one of two placers: disk
+        // caches and journals written then still resolve
+        let lib_fp = library_fingerprint(&FlowOptions::default().lib);
+        for extra in [vec![], vec![("placer", JsonValue::Str("kway".into()))]] {
+            let doc = JsonValue::Array(vec![job("pinned", 5, 24, &extra)]);
+            let jobs = parse_manifest_value(&doc, &ManifestDefaults::default()).unwrap();
+            let k = content_keys(&jobs[0], lib_fp).unwrap();
+            assert_eq!(k.prep_key, 0xb7bf_f4a3_a112_08af, "casyn.serve.prep.v1");
+            assert_eq!(k.result_key, Some(0xd0d0_54fc_49cc_5492), "casyn.serve.job.v1");
+        }
     }
 
     /// One inline-BLIF job entry, plus `extra` fields.

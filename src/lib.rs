@@ -15,7 +15,7 @@
 //! | [`netlist`] | `casyn-netlist` | SOPs, Boolean networks, subject graphs, mapped netlists, PLA I/O, benchmark generators |
 //! | [`logic`] | `casyn-logic` | kernel/cube extraction, NAND2/INV decomposition |
 //! | [`library`] | `casyn-library` | cell + pattern model, the synthetic 0.18 µm library |
-//! | [`place`] | `casyn-place` | layout image, k-way (default) and min-cut bisection placement, legalization |
+//! | [`place`] | `casyn-place` | layout image, k-way multilevel placement, legalization |
 //! | [`route`] | `casyn-route` | capacitated global routing, congestion maps |
 //! | [`timing`] | `casyn-timing` | static timing analysis |
 //! | [`core`] | `casyn-core` | DAG partitioning, matching, congestion-aware covering |

@@ -13,7 +13,6 @@ use casyn::netlist::bench::{random_pla, spla, too_large, PlaGenConfig};
 use casyn::netlist::blif::{to_blif, Blif};
 use casyn::netlist::mapped::SignalRef;
 use casyn::netlist::Pla;
-use casyn::place::PlacerBackend;
 use casyn::route::RouteResult;
 
 fn net() -> casyn::netlist::network::Network {
@@ -162,8 +161,7 @@ fn sequential_flow_is_bit_identical_to_the_recorded_one() {
     // stop routing twice, never change what it returns.
     let seq = COUNTER4.parse::<Blif>().unwrap().into_seq();
     for (k, golden) in [(0.0, 0x0a72_48f7_30cc_1b5b_u64), (0.2, 0x05d3_2db2_9392_3d75)] {
-        let mut opts = FlowOptions::default();
-        opts.placer.backend = PlacerBackend::KWay;
+        let opts = FlowOptions::default();
         let r = sequential_flow(&seq, k, &opts).unwrap();
         let mut words: Vec<u64> = Vec::new();
         for c in r.flow.netlist.cells() {
@@ -201,7 +199,6 @@ fn routing_is_bit_identical_to_the_recorded_one() {
         ("rand16, short supply", &rand16, 1.5, 12, 0x6b62_a49b_b8ef_978a),
     ] {
         let mut opts = FlowOptions::default();
-        opts.placer.backend = PlacerBackend::KWay;
         opts.route.capacity_scale = scale;
         let prep = prepare(&pla.to_network(), &opts).unwrap();
         let r = congestion_flow_prepared(&prep, 0.5, &opts).unwrap().route;
@@ -303,8 +300,7 @@ fn mapping_is_bit_identical_to_the_recorded_one() {
         ),
     ];
     for (name, pla, hashes) in golden {
-        let mut opts = FlowOptions::default();
-        opts.placer.backend = PlacerBackend::KWay;
+        let opts = FlowOptions::default();
         let prep = prepare(&pla.to_network(), &opts).unwrap();
         for ((scheme, cost), want) in configs.into_iter().zip(hashes) {
             let r = map(&prep.graph, &prep.positions, &opts.lib, &MapOptions { scheme, cost });

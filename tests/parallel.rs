@@ -6,15 +6,11 @@
 
 use casyn::exec::Pool;
 use casyn::flow::{
-    k_sweep_prepared, k_sweep_prepared_pool, load_design, prepare, prepare_pool, run_batch,
-    run_batch_job, BatchJob, BatchOptions, FlowOptions, Prepared,
+    k_sweep_prepared, k_sweep_prepared_pool, prepare, prepare_pool, run_batch, run_batch_job,
+    BatchJob, BatchOptions, FlowOptions,
 };
 use casyn::netlist::bench::{random_pla, PlaGenConfig};
 use casyn::netlist::network::Network;
-use casyn::netlist::Point;
-use casyn::place::instance::from_subject;
-use casyn::place::metrics::total_hpwl_of_instance;
-use casyn::place::PlacerBackend;
 
 fn net(seed: u64) -> Network {
     random_pla(&PlaGenConfig {
@@ -46,53 +42,6 @@ fn assert_rows_identical(a: &casyn::flow::FlowResult, b: &casyn::flow::FlowResul
     }
 }
 
-/// Total HPWL of the subject-graph placement the mapper consumes.
-fn subject_hpwl(prep: &Prepared) -> f64 {
-    let si = from_subject(&prep.graph, &prep.floorplan);
-    let mut cell_pos = vec![Point::new(0.0, 0.0); si.instance.num_cells()];
-    for (v, c) in si.cell_of_vertex.iter().enumerate() {
-        if let Some(c) = c {
-            cell_pos[*c] = prep.positions[v];
-        }
-    }
-    total_hpwl_of_instance(&si.instance, &cell_pos)
-}
-
-#[test]
-fn same_seed_same_placement_for_both_backends() {
-    let designs = [
-        load_design("examples/designs/ex_a.pla").unwrap().core,
-        load_design("examples/designs/ex_b.pla").unwrap().core,
-        random_pla(&PlaGenConfig {
-            inputs: 14,
-            outputs: 10,
-            terms: 90,
-            min_literals: 3,
-            max_literals: 7,
-            mean_outputs_per_term: 1.6,
-            seed: 42,
-        })
-        .to_network(),
-    ];
-    let mut kway_hpwl_wins = 0;
-    for network in &designs {
-        // Each backend is a deterministic function of the netlist alone: two
-        // independent preparations of the same design must agree bit for bit.
-        let [bisect, kway] = [PlacerBackend::Bisect, PlacerBackend::KWay].map(|backend| {
-            let mut opts = FlowOptions::default();
-            opts.placer.backend = backend;
-            let a = prepare(network, &opts).unwrap();
-            let b = prepare(network, &opts).unwrap();
-            assert_eq!(a.positions, b.positions, "{backend} placement is not reproducible");
-            assert!(!a.positions.is_empty());
-            subject_hpwl(&a)
-        });
-        kway_hpwl_wins += usize::from(kway < bisect);
-    }
-    // the A/B that justifies k-way as the default backend
-    assert!(kway_hpwl_wins >= 2, "k-way beat bisection HPWL on {kway_hpwl_wins}/3 designs");
-}
-
 #[test]
 fn kway_placement_on_four_workers_matches_serial() {
     // The k-way placer fans region-pair refinement out over the pool;
@@ -100,8 +49,7 @@ fn kway_placement_on_four_workers_matches_serial() {
     // applied in pair order, so worker count must not leak into results.
     for seed in [2002_u64, 77] {
         let network = net(seed);
-        let mut opts = FlowOptions::default();
-        opts.placer.backend = PlacerBackend::KWay;
+        let opts = FlowOptions::default();
         let serial = prepare_pool(&network, &opts, &Pool::new(1)).unwrap();
         for workers in [2, 4] {
             let parallel = prepare_pool(&network, &opts, &Pool::new(workers)).unwrap();
@@ -197,8 +145,7 @@ fn kway_placement_is_bit_identical_to_the_recorded_one() {
         ("rand14", rand14, 0x183d_69e9_5f42_627b),
         ("rand16", rand16, 0x38b1_3ec8_a756_8c14),
     ] {
-        let mut opts = FlowOptions::default();
-        opts.placer.backend = PlacerBackend::KWay;
+        let opts = FlowOptions::default();
         let prep = prepare_pool(&pla.to_network(), &opts, &Pool::new(2)).unwrap();
         assert_eq!(
             fnv1a_of_positions(&prep.positions),
@@ -220,8 +167,7 @@ fn kway_placement_at_paper_scale_is_bit_identical_to_the_recorded_one() {
         ("spla", casyn::netlist::bench::spla(), 0xdbd6_fa93_5ea4_00b9_u64),
         ("pdc", casyn::netlist::bench::pdc(), 0x772e_a7ad_3116_7f07),
     ] {
-        let mut opts = FlowOptions::default();
-        opts.placer.backend = PlacerBackend::KWay;
+        let opts = FlowOptions::default();
         let prep = prepare_pool(&pla.to_network(), &opts, &Pool::new(2)).unwrap();
         assert_eq!(
             fnv1a_of_positions(&prep.positions),

@@ -1,8 +1,7 @@
 //! Property-based tests of the physical-design substrates: placement
-//! legality, legalization invariants, FM balance, router conservation.
+//! legality, legalization invariants, router conservation.
 
 use casyn::netlist::Point;
-use casyn::place::fm::{refine, FmNet, FmProblem};
 use casyn::place::instance::{PinRef, PlaceInstance, PlaceNet};
 use casyn::place::{legalize_rows, place, Floorplan, PlacerOptions};
 use casyn::route::{route_pin_sets, CongestionMap, RouteConfig};
@@ -72,34 +71,6 @@ proptest! {
                 prop_assert!(w[0].1 <= w[1].0 + 1e-6, "row overlap");
             }
         }
-    }
-
-    /// FM refinement never increases the cut and respects its balance
-    /// bound.
-    #[test]
-    fn fm_never_worsens_cut(n in 4usize..32, seed in 1u64..200) {
-        let mut state = seed.wrapping_mul(0x2545F4914F6CDD1D);
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let nets: Vec<FmNet> = (0..n * 2)
-            .filter_map(|_| {
-                let a = (next() % n as u64) as usize;
-                let b = (next() % n as u64) as usize;
-                (a != b).then(|| FmNet { cells: vec![a, b], anchor: [false, false] })
-            })
-            .collect();
-        let problem = FmProblem { weights: vec![1.0; n], nets, balance_tol: 0.15 };
-        let mut side: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
-        let before = problem.cut(&side);
-        let after = refine(&problem, &mut side, 3);
-        prop_assert!(after <= before, "cut worsened: {} -> {}", before, after);
-        let right = side.iter().filter(|&&s| s).count() as f64;
-        let max_side = (n as f64 * 0.65).max(n as f64 / 2.0 + 1.0);
-        prop_assert!(right <= max_side && (n as f64 - right) <= max_side);
     }
 
     /// Router conservation: per-net wirelengths sum to the total, and a

@@ -391,6 +391,26 @@ fn designs_that_cannot_run_fail_at_admission_with_their_parse_error() {
     server.wait().unwrap();
 }
 
+/// A job's `placer` may only name the one placer: `kway` runs, anything
+/// else is refused with the whole request, naming the field, so a client
+/// written for a retired backend never silently gets k-way.
+#[test]
+fn a_placer_other_than_kway_fails_at_admission_naming_the_field() {
+    let _guard = lock();
+    let server = start(ServeConfig { workers: 1, ..Default::default() });
+    let addr = server.endpoint();
+    let placer = |p: &str| vec![("placer".to_string(), JsonValue::Str(p.into()))];
+    let (id, _) = submit_one(&addr, &manifest_with("kway", 4, 10, &[0.0], placer("kway")));
+    assert_eq!(str_field(&result_wait(&addr, id), "status"), Some("done"));
+    let body = manifest_with("bisect", 4, 10, &[0.0], placer("bisect"));
+    let (status, doc) = request_json(&addr, "POST", "/jobs", Some(&body)).unwrap();
+    assert_eq!(status, 400, "{doc:?}");
+    let error = str_field(&doc, "error").unwrap();
+    assert!(error.contains(r#"job 0: "placer" "bisect""#), "{error}");
+    request_json(&addr, "POST", "/shutdown", None).unwrap();
+    server.wait().unwrap();
+}
+
 /// Concurrent hits on a durable server share journal writes (group
 /// commit), and the journal stays what replay requires: `admitted` ids
 /// dense and in order, and every job that was answered in it — so a

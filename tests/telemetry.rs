@@ -119,7 +119,7 @@ fn disabled_collection_still_times_stages() {
 
 #[test]
 fn kway_rounds_counter_counts_rounds_actually_run() {
-    use casyn::place::{place, Floorplan, PinRef, PlaceInstance, PlaceNet, PlacerBackend};
+    use casyn::place::{place, Floorplan, PinRef, PlaceInstance, PlaceNet};
     let _guard = lock();
     // a 64-cell chain over two side-by-side regions: of the four
     // brick-wall rounds only "horizontal even" holds a pair, and a sweep
@@ -132,11 +132,7 @@ fn kway_rounds_counter_counts_rounds_actually_run() {
             .collect(),
     };
     let fp = Floorplan::with_rows_and_area(8, 8.0 * 6.4 * 40.0);
-    let opts = casyn::place::PlacerOptions {
-        backend: PlacerBackend::KWay,
-        region_cells: n / 2,
-        ..Default::default()
-    };
+    let opts = casyn::place::PlacerOptions { region_cells: n / 2, ..Default::default() };
     obs::reset();
     obs::set_enabled(true);
     let pos = place(&inst, &fp, &opts);

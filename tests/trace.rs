@@ -98,9 +98,6 @@ fn full_flow_leaves_a_well_formed_span_tree() {
 
 #[test]
 fn kway_stage_spans_nest_under_the_placement_and_fit_inside_it() {
-    if casyn::place::PlacerBackend::from_env() != casyn::place::PlacerBackend::KWay {
-        return; // the bisection backend has no k-way stages
-    }
     let _guard = lock();
     let events = traced_flow_events();
     let spans: Vec<&TraceEvent> = events.iter().filter(|e| e.kind == EventKind::Span).collect();
@@ -156,17 +153,14 @@ fn route_iter_spans_report_an_exact_expansion_count() {
 #[test]
 fn front_end_spans_report_exact_work_counts() {
     let _guard = lock();
-    let mut counted = vec![
+    let counted = [
         ("logic.extract_cubes", "extractions"),
         ("logic.extract_cubes", "rewrites"),
         ("logic.extract_cubes", "pair_updates"),
+        ("place.kway.seed", "home_misses"),
+        ("place.kway.swap", "tries"),
+        ("place.kway.swap", "scored"),
     ];
-    let kway = casyn::place::PlacerBackend::from_env() == casyn::place::PlacerBackend::KWay;
-    if kway {
-        counted.push(("place.kway.seed", "home_misses"));
-        counted.push(("place.kway.swap", "tries"));
-        counted.push(("place.kway.swap", "scored"));
-    }
     // the counted attributes of one traced SIS flow, which optimizes first
     let counts = || -> Vec<f64> {
         obs::trace::set_enabled(true);
@@ -194,11 +188,9 @@ fn front_end_spans_report_exact_work_counts() {
     }
     // counts of work, not timings: they repeat exactly
     assert_eq!(first, counts());
-    if kway {
-        // the swap polish scores in full only the pairs its bound keeps
-        let (tries, scored) = (first[counted.len() - 2], first[counted.len() - 1]);
-        assert!(scored <= tries, "place.kway.swap scored {scored} of {tries} tries");
-    }
+    // the swap polish scores in full only the pairs its bound keeps
+    let (tries, scored) = (first[counted.len() - 2], first[counted.len() - 1]);
+    assert!(scored <= tries, "place.kway.swap scored {scored} of {tries} tries");
 }
 
 #[test]
