@@ -84,7 +84,7 @@ pub fn too_large_experiment() -> Experiment {
 /// minimum-area mapping must NOT route and the window's few-percent
 /// wirelength advantage is what rescues routability.
 pub fn supply_edge(exp: &Experiment, k: f64, lo: f64, hi: f64, steps: usize) -> (f64, f64) {
-    route_edge(exp, &map_k(exp, k), lo, hi, steps)
+    route_edge(exp, &map_k(exp, k), lo, hi, steps).bracket
 }
 
 /// The congestion mapping at `k` of the experiment's prepared design.
@@ -94,26 +94,38 @@ fn map_k(exp: &Experiment, k: f64) -> Mapped {
     map_at(&exp.prep, &map_opts, &exp.opts).expect("bench: calibration map failed")
 }
 
+/// One supply search: the final bracket and what the router ran for it,
+/// summed over the steps (one route each).
+struct EdgeSearch {
+    bracket: (f64, f64),
+    iterations: usize,
+    expanded: u64,
+}
+
 /// [`supply_edge`] of an already mapped netlist.
-fn route_edge(exp: &Experiment, mapped: &Mapped, lo: f64, hi: f64, steps: usize) -> (f64, f64) {
+fn route_edge(exp: &Experiment, mapped: &Mapped, lo: f64, hi: f64, steps: usize) -> EdgeSearch {
     let mut opts = exp.opts.clone();
     let (mut lo, mut hi) = (lo, hi);
+    let (mut iterations, mut expanded) = (0, 0);
     for _ in 0..steps {
         let mid = (lo + hi) / 2.0;
         opts.route.capacity_scale = mid;
         let r = route_at(mapped.clone(), &opts).expect("bench: calibration route failed");
+        iterations += r.route.iterations;
+        expanded += r.route.convergence.iters.iter().map(|i| i.expanded).sum::<u64>();
         if r.route.violations == 0 {
             hi = mid;
         } else {
             lo = mid;
         }
     }
-    (lo, hi)
+    EdgeSearch { bracket: (lo, hi), iterations, expanded }
 }
 
 /// One point of the supply frontier: the K, the least routing supply
 /// `s*` at which the K-mapped netlist routes (the routable side of
-/// [`supply_edge`]), and that netlist's cell area in µm².
+/// [`supply_edge`]), that netlist's cell area in µm², and what the
+/// search for `s*` cost the router, summed over its supply steps.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrontierPoint {
     /// The mapper's wire weight.
@@ -122,6 +134,12 @@ pub struct FrontierPoint {
     pub supply: f64,
     /// Cell area of the K-mapped netlist.
     pub area: f64,
+    /// Routing runs of the search (one per supply step).
+    pub routes: usize,
+    /// Negotiation iterations over those runs.
+    pub iterations: usize,
+    /// Gcells the A* searches of those runs expanded.
+    pub expanded: u64,
 }
 
 /// The supply frontier `s*(K)` over `ks`: one [`supply_edge`] per K,
@@ -138,14 +156,23 @@ pub fn frontier(
     pool.par_map(ks, |&k| {
         let mapped = map_k(exp, k);
         let area = mapped.netlist.cell_area();
-        FrontierPoint { k, supply: route_edge(exp, &mapped, lo, hi, steps).1, area }
+        let edge = route_edge(exp, &mapped, lo, hi, steps);
+        FrontierPoint {
+            k,
+            supply: edge.bracket.1,
+            area,
+            routes: steps,
+            iterations: edge.iterations,
+            expanded: edge.expanded,
+        }
     })
 }
 
 /// Prints the supply frontier over [`TABLE_K_VALUES`] with its two
 /// summary numbers: the effect size `1 − min s*/s*(0)` (how much routing
 /// supply K buys) and the area price `area(argmin s*)/area(0) − 1` (what
-/// that supply costs). The K values run on [`Pool::from_env`].
+/// that supply costs), then what each K's search cost the router. The
+/// K values run on [`Pool::from_env`].
 pub fn print_frontier(exp: &Experiment, lo: f64, hi: f64, steps: usize) {
     let points = frontier(exp, &TABLE_K_VALUES, lo, hi, steps, &Pool::from_env());
     println!("\nsupply frontier s*(K), the least capacity scale that routes ({steps} halvings of [{lo}, {hi}]):");
@@ -160,6 +187,19 @@ pub fn print_frontier(exp: &Experiment, lo: f64, hi: f64, steps: usize) {
         100.0 * (1.0 - best.supply / k0.supply),
         best.k,
         100.0 * (best.area / k0.area - 1.0)
+    );
+    println!("\nfrontier cost, summed over each K's supply steps:");
+    println!("{:>8} {:>8} {:>10} {:>14}", "K", "routes", "iterations", "expanded");
+    for p in &points {
+        println!("{:>8} {:>8} {:>10} {:>14}", p.k, p.routes, p.iterations, p.expanded);
+    }
+    let total = |f: fn(&FrontierPoint) -> u64| points.iter().map(f).sum::<u64>();
+    println!(
+        "{:>8} {:>8} {:>10} {:>14}",
+        "total",
+        total(|p| p.routes as u64),
+        total(|p| p.iterations as u64),
+        total(|p| p.expanded)
     );
 }
 

@@ -82,6 +82,10 @@ fn frontier_on_two_workers_is_bit_identical_to_serial() {
         f.iter().map(|p| [p.k.to_bits(), p.supply.to_bits(), p.area.to_bits()]).collect()
     };
     assert_eq!(bits(&pooled), bits(&serial));
+    let work = |f: &[casyn_bench::FrontierPoint]| -> Vec<(usize, usize, u64)> {
+        f.iter().map(|p| (p.routes, p.iterations, p.expanded)).collect()
+    };
+    assert_eq!(work(&pooled), work(&serial), "the search counts are exact");
     for (p, k) in serial.iter().zip(ks) {
         assert_eq!(p.k, k, "points come back in K order");
         assert_eq!(
@@ -90,5 +94,6 @@ fn frontier_on_two_workers_is_bit_identical_to_serial() {
             "s* is supply_edge's routable side"
         );
         assert!(lo < p.supply && p.supply <= hi && p.area > 0.0, "{p:?}");
+        assert!(p.iterations >= p.routes && p.expanded > 0, "{p:?}");
     }
 }

@@ -33,9 +33,6 @@ use casyn_obs as obs;
 pub enum CostKind {
     /// Minimum cell area — DAGON's objective (and the paper's `K = 0`).
     Area,
-    /// Minimum arrival time under a constant-load delay model
-    /// (Rudell-style delay mapping).
-    Delay,
     /// The paper's congestion-aware objective `AREA + K × WIRE`.
     AreaWire {
         /// The congestion minimization factor K (µm² per µm of wire).
@@ -54,8 +51,6 @@ pub struct NodeSolution {
     pub area: f64,
     /// Wire component (`wireCost(v)` of Eqs. 2–4).
     pub wire: f64,
-    /// Arrival estimate under the constant-load model.
-    pub arrival: f64,
     /// Centre of mass of the chosen match (`pos(match(v), v)`); for
     /// leaves, the placed position of the referenced subject vertex.
     pub pos: Point,
@@ -74,10 +69,6 @@ impl TreeCover {
         self.solutions.last().expect("tree has nodes")
     }
 }
-
-/// Load assumed per output in the constant-load delay model (two standard
-/// pin loads).
-const CONST_LOAD: f64 = 0.008;
 
 /// Covers `tree` bottom-up. `positions` holds the placed position of
 /// every subject vertex (the tech-independent placement); they anchor
@@ -106,7 +97,7 @@ pub fn cover_tree<'l>(
     // forbids duplication
     let policy = match cost {
         CostKind::Area | CostKind::AreaWire { k: 0.0 } => SharedPolicy::Forbid,
-        _ => SharedPolicy::Price,
+        CostKind::AreaWire { .. } => SharedPolicy::Price,
     };
     for (idx, node) in tree.nodes.iter().enumerate() {
         match node {
@@ -115,7 +106,6 @@ pub fn cover_tree<'l>(
                 cost: 0.0,
                 area: 0.0,
                 wire: 0.0,
-                arrival: 0.0,
                 pos: positions[signal.index()],
             }),
             _ => {
@@ -143,11 +133,12 @@ pub fn cover_tree<'l>(
         }
     }
     if obs::enabled() {
-        obs::counter_add("map.matches_tried", matches_tried);
-        if wants_wire {
-            obs::counter_add("map.wire_evals", matches_tried);
-        }
-        obs::hist_record("map.tree_nodes", tree.nodes.len() as f64);
+        let writes = [
+            obs::Write::Counter("map.matches_tried", matches_tried),
+            obs::Write::Record("map.tree_nodes", tree.nodes.len() as f64),
+            obs::Write::Counter("map.wire_evals", matches_tried),
+        ];
+        obs::write_batch(if wants_wire { &writes } else { &writes[..2] });
     }
     TreeCover { solutions }
 }
@@ -179,13 +170,11 @@ fn evaluate(
     let mut area = cell.area;
     let mut wire1 = 0.0;
     let mut wire2 = 0.0;
-    let mut worst_arrival = 0.0f64;
     for &leaf in m.leaves {
         let s = &solutions[leaf as usize];
         area += s.area;
         wire1 += com.manhattan(s.pos);
         wire2 += s.wire;
-        worst_arrival = worst_arrival.max(s.arrival);
     }
     // duplication charge: every shared node covered through will be
     // re-emitted as its own cover; its leaves that this match reuses are
@@ -207,13 +196,11 @@ fn evaluate(
     }
     let area = area + dup_area;
     let wire = wire1 + wire2 + dup_wire;
-    let arrival = worst_arrival + cell.intrinsic + cell.drive_res * CONST_LOAD;
     let combined = match cost {
         CostKind::Area => area,
-        CostKind::Delay => arrival,
         CostKind::AreaWire { k } => area + k * wire,
     };
-    NodeSolution { chosen: None, cost: combined, area, wire, arrival, pos: com }
+    NodeSolution { chosen: None, cost: combined, area, wire, pos: com }
 }
 
 #[cfg(test)]
@@ -313,25 +300,6 @@ mod tests {
         );
         // and (given the punishing geometry) a different structure
         assert!(wire_cover.root().area >= area_cover.root().area);
-    }
-
-    /// Delay covering prefers shallow structures on a long chain.
-    #[test]
-    fn delay_cover_is_no_deeper_than_area_cover() {
-        let mut g = SubjectGraph::new();
-        let mut x = g.add_input("x0");
-        let inputs: Vec<_> = (1..5).map(|i| g.add_input(format!("x{i}"))).collect();
-        for b in inputs {
-            let n = g.add_nand2(x, b);
-            x = g.add_inv(n);
-        }
-        g.add_output("o", x);
-        let lib = corelib018();
-        let positions = vec![Point::default(); g.num_vertices()];
-        let f = partition(&g, PartitionScheme::Dagon, &[]);
-        let area_cover = cover_first(&f, &lib, &positions, CostKind::Area);
-        let delay_cover = cover_first(&f, &lib, &positions, CostKind::Delay);
-        assert!(delay_cover.root().arrival <= area_cover.root().arrival + 1e-9);
     }
 
     /// Dynamic-programming consistency: the root area equals the cell

@@ -13,7 +13,7 @@
 //! 2. [`matcher`] — library pattern trees are structurally matched
 //!    against every tree node.
 //! 3. [`cover`] — optimal dynamic-programming covering under a pluggable
-//!    cost: minimum area (DAGON), constant-load delay, or the paper's
+//!    cost: minimum area (DAGON) or the paper's
 //!    `COST(m, v) = AREA(m, v) + K · WIRE(m, v)` with the local wire
 //!    terms of Eqs. 2–4.
 //! 4. [`mapper`] — demand-driven emission with logic duplication and

@@ -10,6 +10,7 @@
 
 use crate::job::JobError;
 use casyn_obs as obs;
+use casyn_obs::{Histogram, Write};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
@@ -84,7 +85,8 @@ impl Pool {
         // The one worker loop: job `wid` first, then claimed indices, each
         // run panic-isolated with per-worker accounting.
         let work = |wid: usize, mut done: Vec<(usize, Result<R, JobError>)>| {
-            let mut st = WorkerStats::default();
+            let mut st =
+                WorkerStats { job_ms: obs::enabled().then(Histogram::new), ..Default::default() };
             let mut idx = wid;
             while idx < n {
                 let t0 = Instant::now();
@@ -94,7 +96,9 @@ impl Pool {
                 drop(job_span);
                 let ms = t0.elapsed().as_secs_f64() * 1e3;
                 st.busy_ms += ms;
-                obs::hist_record("exec.job_ms", ms);
+                if let Some(h) = &mut st.job_ms {
+                    h.record(ms);
+                }
                 let res = out.map_err(|p| {
                     st.panicked += 1;
                     JobError::Panicked(panic_message(p.as_ref()))
@@ -133,7 +137,7 @@ impl Pool {
 
         let (done, stats): (Vec<_>, Vec<_>) = per_worker.into_iter().unzip();
         if n > 0 {
-            flush_stats(w, &stats);
+            flush_stats(w, stats);
         }
         let mut results: Vec<_> = done.into_iter().flatten().collect();
         results.sort_unstable_by_key(|&(idx, _)| idx);
@@ -154,23 +158,41 @@ struct WorkerStats {
     completed: u64,
     panicked: u64,
     busy_ms: f64,
+    /// Job wall times (only while collection is on): merged into
+    /// `exec.job_ms` with one registry write per `par_map`, not one per job.
+    job_ms: Option<Histogram>,
 }
 
-fn flush_stats(workers: usize, stats: &[WorkerStats]) {
+fn flush_stats(workers: usize, stats: Vec<WorkerStats>) {
     if !obs::enabled() {
         return;
     }
-    obs::gauge_set("exec.pool_workers", workers as f64);
-    let mut completed = 0;
-    for (wid, st) in stats.iter().enumerate() {
-        obs::gauge_set(&format!("exec.worker.{wid}.busy_ms"), st.busy_ms);
-        obs::hist_record("exec.worker_busy_ms", st.busy_ms);
+    let busy_keys: Vec<String> =
+        (0..stats.len()).map(|wid| format!("exec.worker.{wid}.busy_ms")).collect();
+    let (mut completed, mut panicked) = (0, 0);
+    let mut job_ms: Option<Histogram> = None;
+    let mut writes = vec![Write::Gauge("exec.pool_workers", workers as f64)];
+    for (st, key) in stats.iter().zip(&busy_keys) {
+        writes.push(Write::Gauge(key, st.busy_ms));
+        writes.push(Write::Record("exec.worker_busy_ms", st.busy_ms));
         completed += st.completed;
-        if st.panicked > 0 {
-            obs::counter_add("exec.jobs_panicked", st.panicked);
+        panicked += st.panicked;
+    }
+    for h in stats.into_iter().filter_map(|st| st.job_ms) {
+        match &mut job_ms {
+            Some(all) => all.merge(&h),
+            None => job_ms = Some(h),
         }
     }
-    obs::counter_add("exec.jobs_completed", completed);
+    if panicked > 0 {
+        writes.push(Write::Counter("exec.jobs_panicked", panicked));
+    }
+    writes.push(Write::Counter("exec.jobs_completed", completed));
+    if let Some(h) = job_ms.as_ref().filter(|h| h.count > 0) {
+        writes.push(Write::Merge("exec.job_ms", h));
+    }
+    // one registry write for the whole map
+    obs::write_batch(&writes);
 }
 
 /// Extracts a human-readable message from a panic payload (the `&str` or

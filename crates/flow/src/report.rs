@@ -241,12 +241,12 @@ pub fn format_congestion_heatmap(title: &str, map: &CongestionMap) -> String {
 
 /// Serializes one K-sweep row as the JSON shape shared by the CLI's
 /// `casyn.batch.v1` reports and the serve job API: quality metrics plus
-/// what of the row's telemetry belongs to the job alone — per stage its
-/// name and wall clock, and the total and the live-node peak. The
-/// metric deltas and allocator windows of [`FlowTelemetry`] are windows
-/// on the process-global registry: under concurrent jobs they count the
-/// siblings' work too, so a row leaves them out (`--metrics-out` still
-/// writes them, for one run).
+/// a summary of the row's telemetry — per stage its name and wall clock,
+/// and the total and the live-node peak. The per-stage metric deltas and
+/// allocator windows of [`FlowTelemetry`] are the row's own (each stage
+/// reads its own thread), but they are most of a row's bytes, copied on
+/// every cache hit, so a row leaves them out for size (`--metrics-out`
+/// writes them).
 pub fn k_row_json(e: &KSweepEntry) -> JsonValue {
     let t = &e.result.telemetry;
     let stages = t

@@ -3,10 +3,11 @@
 //!
 //! [`FlowTelemetry`] is collected by [`crate::flows::prepare`],
 //! [`crate::flows::map_at`] and [`crate::flows::route_at`] using
-//! `StageScope`: the delta of the global [`casyn_obs`] registry between a
-//! stage's start and end becomes that stage's metric attribution. Wall
-//! clock is always measured; metric deltas appear only when collection
-//! is enabled ([`casyn_obs::set_enabled`] or the CLI's `--metrics-out`).
+//! `StageScope`: the metric writes the stage's own thread makes between
+//! its start and end (a [`casyn_obs::begin_stage_record`] record) become
+//! that stage's metric attribution. Wall clock is always measured; metric
+//! deltas appear only when collection is enabled
+//! ([`casyn_obs::set_enabled`] or the CLI's `--metrics-out`).
 
 use casyn_obs as obs;
 use casyn_obs::json::JsonValue;
@@ -24,17 +25,17 @@ pub struct StageTelemetry {
     /// Metrics the stage moved, as representative numbers (counter
     /// deltas, final gauge values, histogram means — histograms also
     /// expand to `<key>.p50/.p95/.p99` estimates). Empty when metric
-    /// collection was disabled during the run. Process-global: the delta
-    /// is taken over the shared registry, so under `casyn sweep --jobs N
-    /// --metrics-out` it also counts what sibling rungs did meanwhile, and
-    /// job rows (`k_row_json`) leave it out.
+    /// collection was disabled during the run. Per thread: only the
+    /// writes the stage's own thread made count, so under `casyn sweep
+    /// --jobs N` each rung reports its own work and a histogram holds
+    /// the stage's own samples.
     pub metrics: BTreeMap<String, f64>,
-    /// Heap bytes allocated while the stage ran (0 when metric
-    /// collection was disabled or `alloc-track` is off). Process-global:
-    /// under `--jobs N` the window includes sibling jobs.
+    /// Heap bytes the stage's thread allocated while the stage ran (0
+    /// when metric collection was disabled or `alloc-track` is off).
     pub alloc_bytes: u64,
-    /// High-water mark of live heap bytes during the stage (same
-    /// caveats as `alloc_bytes`).
+    /// High-water mark of live heap bytes during the stage: the live
+    /// bytes of the process at its start plus the stage thread's own
+    /// net high-water since (see [`casyn_obs::alloc::peak_bytes`]).
     pub peak_bytes: u64,
 }
 
@@ -132,31 +133,33 @@ pub fn snapshot_json(snap: &obs::Snapshot) -> JsonValue {
     JsonValue::Object(snap.metrics.iter().map(|(k, v)| (k.clone(), metric_json(v))).collect())
 }
 
-/// Scoped per-stage collector: remembers the registry state at stage
-/// entry and, on [`StageScope::end`], appends a [`StageTelemetry`] with
-/// the wall clock, the metric delta, and the heap-allocation window.
-/// Also opens a trace span named after the stage, so every stage shows
-/// up on its thread's track when tracing is on.
+/// Scoped per-stage collector: opens the thread's stage record at entry
+/// and, on [`StageScope::end`], appends a [`StageTelemetry`] with the
+/// wall clock, the metrics the thread wrote, and the thread's heap
+/// allocation window. Also opens a trace span named after the stage, so
+/// every stage shows up on its thread's track when tracing is on.
 #[derive(Debug)]
 pub(crate) struct StageScope {
     timer: obs::StageTimer,
-    before: obs::Snapshot,
+    /// Whether collection was on at entry (the record is open).
+    recording: bool,
     alloc_before: u64,
     span: obs::trace::SpanGuard,
 }
 
 impl StageScope {
     pub(crate) fn begin(stage: &'static str) -> Self {
-        let before = if obs::enabled() { obs::snapshot() } else { obs::Snapshot::default() };
-        let alloc_before = if obs::enabled() {
+        let recording = obs::enabled();
+        let alloc_before = if recording {
+            obs::begin_stage_record();
             obs::alloc::reset_peak();
-            obs::alloc::allocated_bytes()
+            obs::alloc::thread_allocated_bytes()
         } else {
             0
         };
         StageScope {
             timer: obs::StageTimer::start(stage),
-            before,
+            recording,
             alloc_before,
             span: obs::trace::span(stage),
         }
@@ -164,29 +167,27 @@ impl StageScope {
 
     pub(crate) fn end(mut self, telemetry: &mut FlowTelemetry) {
         let stage = self.timer.stage().to_string();
-        let (alloc_bytes, peak_bytes) = if obs::enabled() {
+        let (alloc_bytes, peak_bytes) = if self.recording {
             (
-                obs::alloc::allocated_bytes().saturating_sub(self.alloc_before),
+                obs::alloc::thread_allocated_bytes().saturating_sub(self.alloc_before),
                 obs::alloc::peak_bytes(),
             )
         } else {
             (0, 0)
         };
+        // the timer's own `<stage>.wall_ms` writes land in the record too
         let wall_ms = self.timer.finish();
-        let metrics = if obs::enabled() {
-            let mut out: BTreeMap<String, f64> = BTreeMap::new();
-            for (k, v) in obs::delta(&self.before).metrics {
-                if let obs::MetricValue::Histogram(h) = &v {
-                    out.insert(format!("{k}.p50"), h.p50());
-                    out.insert(format!("{k}.p95"), h.p95());
-                    out.insert(format!("{k}.p99"), h.p99());
+        let mut metrics: BTreeMap<String, f64> = BTreeMap::new();
+        if self.recording {
+            obs::end_stage_record(|k, v| {
+                if let obs::MetricValue::Histogram(h) = v {
+                    metrics.insert(format!("{k}.p50"), h.p50());
+                    metrics.insert(format!("{k}.p95"), h.p95());
+                    metrics.insert(format!("{k}.p99"), h.p99());
                 }
-                out.insert(k, v.as_f64());
-            }
-            out
-        } else {
-            BTreeMap::new()
-        };
+                metrics.insert(k.to_string(), v.as_f64());
+            });
+        }
         if peak_bytes > 0 {
             self.span.attr_num("peak_bytes", peak_bytes as f64);
         }

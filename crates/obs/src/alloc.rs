@@ -1,56 +1,135 @@
-//! Per-process heap accounting via a counting global allocator.
+//! Heap accounting via a counting global allocator.
 //!
-//! [`CountingAlloc`] wraps [`std::alloc::System`] and keeps four relaxed
-//! atomics: bytes allocated, bytes freed, bytes currently live, and the
-//! high-water mark of live bytes. The `alloc-track` feature (on by
-//! default) registers it as the `#[global_allocator]` from this crate's
+//! [`CountingAlloc`] wraps [`std::alloc::System`] and counts bytes where
+//! the allocating thread alone writes them. A thread claims one of
+//! [`SLOTS`] cache-line-padded counter slots on its first allocation;
+//! past that many threads, slots are shared round-robin, which costs
+//! contention on the shared line, never a lost count. Beside its slot,
+//! each thread keeps its own allocation, net live bytes and high-water
+//! mark in thread-local cells. The `alloc-track` feature (on by default)
+//! registers the wrapper as the `#[global_allocator]` from this crate's
 //! root, so every crate in the workspace is measured. With the feature
 //! off the readers below all return 0 and the wrapper is never installed.
 //!
-//! The counters are process-global: under concurrent flows (`--jobs N`)
-//! a stage's delta includes allocations made by sibling jobs that ran in
-//! the same window, so per-stage attribution is exact only for serial
-//! runs. That is the same caveat the metrics registry already documents,
-//! and it is why the perf gate measures serially.
+//! Two views, read only when a reader asks:
 //!
-//! Cost when idle: three relaxed fetch-adds per alloc/free (plus a CAS
-//! loop on a new peak). There is no enable check — an atomic branch would
-//! cost as much as the add — but the counters never allocate, never lock,
-//! and never touch the registry, so the wrapper is safe to keep installed
-//! for the life of the process.
+//! - process-wide: [`allocated_bytes`], [`freed_bytes`] and
+//!   [`current_bytes`] sum the slots, and are exact;
+//! - the calling thread's: [`thread_allocated_bytes`], [`reset_peak`]
+//!   and [`peak_bytes`]. A stage or span reads its own thread's work, so
+//!   under concurrent jobs (`--jobs N`, the service's workers) it does
+//!   not count what sibling jobs allocated meanwhile.
+//!
+//! Cost per alloc/free: one relaxed fetch-add on a line the thread owns,
+//! plus a few thread-local additions and one compare for the high-water.
+//! There is no enable check — a branch on an atomic would cost as much —
+//! but the counters never allocate, never lock and never touch the
+//! registry, so the wrapper is safe to keep installed for the life of the
+//! process.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-static ALLOCATED: AtomicU64 = AtomicU64::new(0);
-static FREED: AtomicU64 = AtomicU64::new(0);
-static CURRENT: AtomicU64 = AtomicU64::new(0);
-static PEAK: AtomicU64 = AtomicU64::new(0);
+/// Number of counter slots. Threads past this many share slots.
+pub const SLOTS: usize = 32;
+
+/// One thread's process-wide counters, alone on its cache line(s).
+#[repr(align(128))]
+struct Slot {
+    allocated: AtomicU64,
+    freed: AtomicU64,
+}
+
+static SLOT_TABLE: [Slot; SLOTS] =
+    [const { Slot { allocated: AtomicU64::new(0), freed: AtomicU64::new(0) } }; SLOTS];
+static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
+
+/// The calling thread's counters. Every field is a `Cell` of a plain
+/// number, so the thread-local has no destructor and is readable from
+/// the allocator at any point of the thread's life, teardown included.
+struct ThreadCounts {
+    slot: Cell<Option<&'static Slot>>,
+    /// Bytes this thread allocated (monotone).
+    allocated: Cell<u64>,
+    /// Bytes this thread allocated minus bytes it freed (negative when it
+    /// frees what other threads allocated).
+    net: Cell<i64>,
+    /// High-water of `net` since the last [`reset_peak`].
+    high: Cell<i64>,
+    /// Process live bytes at the last [`reset_peak`].
+    base_live: Cell<u64>,
+    /// `net` at the last [`reset_peak`].
+    base_net: Cell<i64>,
+}
+
+thread_local! {
+    static THREAD: ThreadCounts = const {
+        ThreadCounts {
+            slot: Cell::new(None),
+            allocated: Cell::new(0),
+            net: Cell::new(0),
+            high: Cell::new(0),
+            base_live: Cell::new(0),
+            base_net: Cell::new(0),
+        }
+    };
+}
+
+impl ThreadCounts {
+    fn slot(&self) -> &'static Slot {
+        match self.slot.get() {
+            Some(s) => s,
+            None => {
+                let s = &SLOT_TABLE[NEXT_SLOT.fetch_add(1, Ordering::Relaxed) % SLOTS];
+                self.slot.set(Some(s));
+                s
+            }
+        }
+    }
+}
 
 /// A [`GlobalAlloc`] that counts bytes through to [`System`].
 #[derive(Debug, Default, Clone, Copy)]
 pub struct CountingAlloc;
 
-fn on_alloc(bytes: usize) {
-    let bytes = bytes as u64;
-    ALLOCATED.fetch_add(bytes, Ordering::Relaxed);
-    let live = CURRENT.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-fn on_free(bytes: usize) {
-    let bytes = bytes as u64;
-    FREED.fetch_add(bytes, Ordering::Relaxed);
-    CURRENT.fetch_sub(bytes, Ordering::Relaxed);
+/// Counts `alloc` bytes allocated, then `free` bytes freed, on the
+/// calling thread (a `realloc` is both).
+#[inline]
+fn count(alloc: usize, free: usize) {
+    let (alloc, free) = (alloc as u64, free as u64);
+    let counted = THREAD.try_with(|t| {
+        let slot = t.slot();
+        if alloc > 0 {
+            slot.allocated.fetch_add(alloc, Ordering::Relaxed);
+            t.allocated.set(t.allocated.get() + alloc);
+            let net = t.net.get() + alloc as i64;
+            t.net.set(net);
+            if net > t.high.get() {
+                t.high.set(net);
+            }
+        }
+        if free > 0 {
+            slot.freed.fetch_add(free, Ordering::Relaxed);
+            t.net.set(t.net.get() - free as i64);
+        }
+    });
+    // unreachable for a destructor-free thread-local; kept so a count is
+    // never lost
+    if counted.is_err() {
+        SLOT_TABLE[0].allocated.fetch_add(alloc, Ordering::Relaxed);
+        SLOT_TABLE[0].freed.fetch_add(free, Ordering::Relaxed);
+    }
 }
 
 // SAFETY: delegates every allocation verbatim to `System`; the counters
-// are plain atomics and never allocate or unwind.
+// are atomics and destructor-free thread-local cells, which never
+// allocate or unwind.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);
         if !p.is_null() {
-            on_alloc(layout.size());
+            count(layout.size(), 0);
         }
         p
     }
@@ -58,70 +137,96 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc_zeroed(layout);
         if !p.is_null() {
-            on_alloc(layout.size());
+            count(layout.size(), 0);
         }
         p
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
-        on_free(layout.size());
+        count(0, layout.size());
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let p = System.realloc(ptr, layout, new_size);
         if !p.is_null() {
-            on_alloc(new_size);
-            on_free(layout.size());
+            count(new_size, layout.size());
         }
         p
     }
 }
 
-/// Total bytes allocated since process start (monotone).
+/// Sums one counter over every slot.
+fn sum(field: fn(&Slot) -> &AtomicU64) -> u64 {
+    SLOT_TABLE.iter().map(|s| field(s).load(Ordering::Relaxed)).sum()
+}
+
+/// Total bytes allocated since process start (monotone), over all
+/// threads.
 pub fn allocated_bytes() -> u64 {
     if cfg!(feature = "alloc-track") {
-        ALLOCATED.load(Ordering::Relaxed)
+        sum(|s| &s.allocated)
     } else {
         0
     }
 }
 
-/// Total bytes freed since process start (monotone).
+/// Total bytes freed since process start (monotone), over all threads.
 pub fn freed_bytes() -> u64 {
     if cfg!(feature = "alloc-track") {
-        FREED.load(Ordering::Relaxed)
+        sum(|s| &s.freed)
     } else {
         0
     }
 }
 
-/// Bytes currently live on the heap.
+/// Bytes currently live on the heap, over all threads.
 pub fn current_bytes() -> u64 {
     if cfg!(feature = "alloc-track") {
-        CURRENT.load(Ordering::Relaxed)
+        // frees first: a free counted here was allocated before it, so
+        // the allocations summed after it include that allocation
+        let freed = sum(|s| &s.freed);
+        sum(|s| &s.allocated).saturating_sub(freed)
     } else {
         0
     }
 }
 
-/// High-water mark of live bytes since process start or the last
-/// [`reset_peak`].
+/// Bytes the calling thread has allocated since it started (monotone).
+pub fn thread_allocated_bytes() -> u64 {
+    if cfg!(feature = "alloc-track") {
+        THREAD.with(|t| t.allocated.get())
+    } else {
+        0
+    }
+}
+
+/// The calling thread's high-water mark of live bytes since its last
+/// [`reset_peak`] (or since it started): the process's live bytes at the
+/// reset plus the highest net amount this thread has allocated since.
+/// Sibling threads' allocations after the reset do not count, so in a
+/// single-threaded process this is the process's own high-water mark.
 pub fn peak_bytes() -> u64 {
     if cfg!(feature = "alloc-track") {
-        PEAK.load(Ordering::Relaxed)
+        THREAD.with(|t| {
+            let own = (t.high.get() - t.base_net.get()).max(0) as u64;
+            t.base_live.get() + own
+        })
     } else {
         0
     }
 }
 
-/// Rebases the high-water mark to the current live size, so the next
-/// read of [`peak_bytes`] reports the peak of the window that starts
-/// now. Racy under concurrent allocation (a peak hit between the load
-/// and the store is lost); callers treat windowed peaks as telemetry,
-/// not ground truth.
+/// Rebases the calling thread's high-water mark to the live size of the
+/// process now, so the next read of [`peak_bytes`] on this thread reports
+/// the peak of the window that starts here.
 pub fn reset_peak() {
-    PEAK.store(CURRENT.load(Ordering::Relaxed), Ordering::Relaxed);
+    let live = current_bytes();
+    THREAD.with(|t| {
+        t.base_live.set(live);
+        t.base_net.set(t.net.get());
+        t.high.set(t.net.get());
+    });
 }
 
 #[cfg(test)]

@@ -9,8 +9,9 @@
 //! - [`StageTimer`] / [`trace::span`] for wall-clock scoping;
 //! - [`trace`]: a hierarchical, thread-aware span tree with Chrome
 //!   trace-event and `casyn.trace.v1` sinks;
-//! - [`alloc`]: per-process heap accounting via a counting global
-//!   allocator (the default-on `alloc-track` feature);
+//! - [`alloc`]: heap accounting via a counting global allocator (the
+//!   default-on `alloc-track` feature): exact process totals, and the
+//!   calling thread's own allocation and high-water mark;
 //! - leveled stderr logging controlled by the `CASYN_LOG` env var or
 //!   [`log::set_level`] (the CLI's `--trace` flag);
 //! - a tiny [`json`] writer used by the telemetry exporters.
@@ -18,7 +19,8 @@
 //! Collection is off by default: every record call checks one relaxed
 //! atomic and returns immediately when disabled, so instrumented hot
 //! paths (match enumeration, maze expansion) pay only a branch. Stages
-//! additionally batch counts locally and flush once per unit of work.
+//! additionally batch counts locally and flush once per unit of work,
+//! several metrics under one lock with [`write_batch`].
 
 pub mod alloc;
 pub mod json;
@@ -29,8 +31,9 @@ pub mod timeseries;
 pub mod trace;
 
 pub use registry::{
-    counter_add, delta, enabled, gauge_set, global, hist_record, reset, set_enabled, snapshot,
-    Histogram, MetricValue, Registry, Snapshot, HIST_BUCKETS,
+    begin_stage_record, counter_add, enabled, end_stage_record, gauge_set, global, hist_record,
+    reset, set_enabled, snapshot, write_batch, Histogram, MetricValue, Registry, Snapshot, Write,
+    HIST_BUCKETS,
 };
 pub use timeseries::SeriesStore;
 
@@ -78,8 +81,9 @@ impl StageTimer {
         let ms = self.elapsed_ms();
         log::debug(&format!("stage {}: {:.3} ms", self.stage, ms));
         if enabled() {
-            gauge_set(&format!("{}.wall_ms", self.stage), ms);
-            hist_record(&format!("{}.wall_ms_hist", self.stage), ms);
+            let (gauge, hist) =
+                (format!("{}.wall_ms", self.stage), format!("{}.wall_ms_hist", self.stage));
+            write_batch(&[Write::Gauge(&gauge, ms), Write::Record(&hist, ms)]);
         }
         ms
     }

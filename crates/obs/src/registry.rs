@@ -7,9 +7,17 @@
 //! immediately, which keeps instrumented hot paths within noise when
 //! telemetry is off. [`Registry`] is also constructible directly so unit
 //! tests can exercise isolated instances.
+//!
+//! Besides the shared map, each thread can keep a *stage record*
+//! ([`begin_stage_record`] / [`end_stage_record`]): the writes that thread
+//! makes through the free functions while the record is open, kept in
+//! thread-local storage. A pipeline stage reads its own work from it
+//! without copying the shared map, and without counting what sibling
+//! threads did in the same window.
 
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Number of power-of-two histogram buckets (covers 1 .. 2^62).
@@ -60,6 +68,27 @@ impl Histogram {
         self.min = self.min.min(v);
         self.max = self.max.max(v);
         self.buckets[Self::bucket_of(v)] += 1;
+    }
+
+    /// Adds every value recorded into `other`, as if each had been
+    /// recorded here (up to the float rounding of `sum`).
+    pub fn merge(&mut self, other: &Histogram) {
+        self.count += other.count;
+        self.sum += other.sum;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
+            *b += o;
+        }
+    }
+
+    /// Empties the histogram in place, keeping its bucket storage.
+    fn clear(&mut self) {
+        self.count = 0;
+        self.sum = 0.0;
+        self.min = f64::INFINITY;
+        self.max = f64::NEG_INFINITY;
+        self.buckets.fill(0);
     }
 
     /// Mean of recorded values (0 when empty).
@@ -218,6 +247,61 @@ impl Snapshot {
     }
 }
 
+/// One metric write, alone or in a batch ([`write_batch`]).
+#[derive(Debug, Clone, Copy)]
+pub enum Write<'a> {
+    /// Adds to a counter ([`counter_add`]).
+    Counter(&'a str, u64),
+    /// Sets a gauge ([`gauge_set`]).
+    Gauge(&'a str, f64),
+    /// Records one value into a histogram ([`hist_record`]).
+    Record(&'a str, f64),
+    /// Merges a histogram's samples into one.
+    Merge(&'a str, &'a Histogram),
+}
+
+impl Write<'_> {
+    /// The key written.
+    fn key(&self) -> &str {
+        match self {
+            Write::Counter(k, _)
+            | Write::Gauge(k, _)
+            | Write::Record(k, _)
+            | Write::Merge(k, _) => k,
+        }
+    }
+
+    /// Applies the write to the metric `v`. Returns false when `v` held
+    /// another kind of metric, which the write's own then replaces.
+    fn apply(&self, v: &mut MetricValue) -> bool {
+        match (self, v) {
+            (Write::Counter(_, n), MetricValue::Counter(c)) => *c += n,
+            (Write::Gauge(_, g), MetricValue::Gauge(x)) => *x = *g,
+            (Write::Record(_, x), MetricValue::Histogram(h)) => h.record(*x),
+            (Write::Merge(_, o), MetricValue::Histogram(h)) => h.merge(o),
+            (w, v) => {
+                *v = w.create();
+                return false;
+            }
+        }
+        true
+    }
+
+    /// The metric a write to an absent key creates.
+    fn create(&self) -> MetricValue {
+        match self {
+            Write::Counter(_, n) => MetricValue::Counter(*n),
+            Write::Gauge(_, g) => MetricValue::Gauge(*g),
+            Write::Record(_, x) => {
+                let mut h = Histogram::new();
+                h.record(*x);
+                MetricValue::Histogram(h)
+            }
+            Write::Merge(_, o) => MetricValue::Histogram((*o).clone()),
+        }
+    }
+}
+
 /// A named-metric store. One global instance backs the free functions;
 /// tests may construct their own.
 #[derive(Debug, Default)]
@@ -233,29 +317,31 @@ impl Registry {
 
     /// Adds `n` to counter `key`, creating it at zero if absent.
     pub fn counter_add(&self, key: &str, n: u64) {
-        let mut m = self.metrics.lock().unwrap();
-        match m.get_mut(key) {
-            Some(MetricValue::Counter(c)) => *c += n,
-            _ => {
-                m.insert(key.to_string(), MetricValue::Counter(n));
-            }
-        }
+        self.write_batch(&[Write::Counter(key, n)]);
     }
 
     /// Sets gauge `key` to `v`.
     pub fn gauge_set(&self, key: &str, v: f64) {
-        self.metrics.lock().unwrap().insert(key.to_string(), MetricValue::Gauge(v));
+        self.write_batch(&[Write::Gauge(key, v)]);
     }
 
     /// Records `v` into histogram `key`, creating it if absent.
     pub fn hist_record(&self, key: &str, v: f64) {
-        let mut m = self.metrics.lock().unwrap();
-        match m.get_mut(key) {
-            Some(MetricValue::Histogram(h)) => h.record(v),
-            _ => {
-                let mut h = Histogram::new();
-                h.record(v);
-                m.insert(key.to_string(), MetricValue::Histogram(h));
+        self.write_batch(&[Write::Record(key, v)]);
+    }
+
+    /// Applies `writes` in order under one lock. A write to a key that
+    /// holds another kind of metric replaces it.
+    pub fn write_batch(&self, writes: &[Write<'_>]) {
+        let mut m = self.metrics.lock().expect("no metric write panics holding the registry lock");
+        for w in writes {
+            match m.get_mut(w.key()) {
+                Some(v) => {
+                    w.apply(v);
+                }
+                None => {
+                    m.insert(w.key().to_string(), w.create());
+                }
             }
         }
     }
@@ -269,6 +355,156 @@ impl Registry {
     pub fn reset(&self) {
         self.metrics.lock().unwrap().clear();
     }
+}
+
+/// How many times the global registry has been [`reset`]: a stage record
+/// treats a key it last wrote before the latest reset as new.
+static RESETS: AtomicU64 = AtomicU64::new(0);
+
+/// One key of a thread's stage record. Entries outlive the record that
+/// created them, so a thread allocates for a key only the first time it
+/// writes it.
+#[derive(Debug)]
+struct Entry {
+    key: String,
+    /// The open record's value: the counter's additions, the gauge's
+    /// last value, the histogram's own samples.
+    value: MetricValue,
+    /// The record that last wrote the key ([`StageRecord::record`]).
+    record: u64,
+    /// [`RESETS`] when the thread last wrote the key.
+    resets: u64,
+    /// The key is new to this thread since the last reset, or changed
+    /// kind: it is reported even when the record left it at zero.
+    fresh: bool,
+    /// The gauge's value before the record's first write to it.
+    gauge_then: Option<f64>,
+}
+
+impl Entry {
+    /// Whether the record changed the key as the registry saw it: the
+    /// same rule as [`Snapshot::delta_since`] for a run on one thread.
+    fn changed(&self) -> bool {
+        match &self.value {
+            MetricValue::Counter(n) => *n > 0 || self.fresh,
+            MetricValue::Gauge(g) => self.fresh || self.gauge_then != Some(*g),
+            MetricValue::Histogram(h) => h.count > 0,
+        }
+    }
+}
+
+/// The calling thread's writes since [`begin_stage_record`].
+#[derive(Debug, Default)]
+struct StageRecord {
+    /// Increments at every [`begin_stage_record`].
+    record: u64,
+    index: BTreeMap<String, usize>,
+    entries: Vec<Entry>,
+    /// Entries the open record wrote, in first-write order.
+    touched: Vec<usize>,
+}
+
+impl StageRecord {
+    /// The entry for `key`, rebased the first time the open record
+    /// writes it: counters and histograms restart empty, gauges remember
+    /// the value they had.
+    fn touch(&mut self, key: &str) -> &mut Entry {
+        let i = match self.index.get(key) {
+            Some(&i) => i,
+            None => {
+                self.index.insert(key.to_string(), self.entries.len());
+                self.entries.push(Entry {
+                    key: key.to_string(),
+                    value: MetricValue::Counter(0),
+                    record: 0,
+                    resets: u64::MAX,
+                    fresh: true,
+                    gauge_then: None,
+                });
+                self.entries.len() - 1
+            }
+        };
+        let e = &mut self.entries[i];
+        if e.record != self.record {
+            let resets = RESETS.load(Ordering::Relaxed);
+            e.record = self.record;
+            e.fresh = e.resets != resets;
+            e.resets = resets;
+            e.gauge_then = None;
+            match &mut e.value {
+                MetricValue::Counter(n) => *n = 0,
+                MetricValue::Gauge(g) if !e.fresh => e.gauge_then = Some(*g),
+                MetricValue::Gauge(_) => {}
+                MetricValue::Histogram(h) => h.clear(),
+            }
+            self.touched.push(i);
+        }
+        e
+    }
+
+    fn apply(&mut self, w: &Write<'_>) {
+        let e = self.touch(w.key());
+        if !w.apply(&mut e.value) {
+            e.fresh = true;
+        }
+    }
+}
+
+thread_local! {
+    /// Whether this thread's stage record is open: the one check a
+    /// metric write pays when it is not.
+    static RECORDING: Cell<bool> = const { Cell::new(false) };
+    static RECORD: RefCell<StageRecord> = RefCell::new(StageRecord::default());
+}
+
+/// Applies `f` to the calling thread's stage record when it is open.
+#[inline]
+fn record(f: impl FnOnce(&mut StageRecord)) {
+    if RECORDING.with(Cell::get) {
+        let _ = RECORD.try_with(|r| {
+            if let Ok(mut r) = r.try_borrow_mut() {
+                f(&mut r);
+            }
+        });
+    }
+}
+
+/// Opens the calling thread's stage record: from now until
+/// [`end_stage_record`], every metric write this thread makes through the
+/// free functions ([`counter_add`], [`gauge_set`], [`hist_record`],
+/// [`write_batch`]) is also kept for it. Writes by other threads are not.
+/// Opening a record that is already open restarts it; records do not
+/// nest.
+pub fn begin_stage_record() {
+    let _ = RECORD.try_with(|r| {
+        if let Ok(mut r) = r.try_borrow_mut() {
+            r.record += 1;
+            r.touched.clear();
+            RECORDING.with(|on| on.set(true));
+        }
+    });
+}
+
+/// Closes the calling thread's stage record and hands `visit` every key
+/// the record changed, in first-write order: counters with the record's
+/// additions, gauges with the last value set (when it differs from the
+/// thread's value before), histograms with the record's own samples. A
+/// key the thread writes for the first time since the last [`reset`] is
+/// reported even at zero. `visit` must not write metrics. The cost is one
+/// visit per key the record wrote; nothing allocates once the thread has
+/// seen its keys.
+pub fn end_stage_record(mut visit: impl FnMut(&str, &MetricValue)) {
+    RECORDING.with(|on| on.set(false));
+    let _ = RECORD.try_with(|r| {
+        if let Ok(r) = r.try_borrow() {
+            for &i in &r.touched {
+                let e = &r.entries[i];
+                if e.changed() {
+                    visit(&e.key, &e.value);
+                }
+            }
+        }
+    });
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -291,28 +527,33 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
+/// Applies `writes` to the global registry, under one lock, when
+/// collection is enabled: a call site with several metrics to flush pays
+/// for one write.
+#[inline]
+pub fn write_batch(writes: &[Write<'_>]) {
+    if enabled() {
+        global().write_batch(writes);
+        record(|r| writes.iter().for_each(|w| r.apply(w)));
+    }
+}
+
 /// Adds `n` to global counter `key` when collection is enabled.
 #[inline]
 pub fn counter_add(key: &str, n: u64) {
-    if enabled() {
-        global().counter_add(key, n);
-    }
+    write_batch(&[Write::Counter(key, n)]);
 }
 
 /// Sets global gauge `key` when collection is enabled.
 #[inline]
 pub fn gauge_set(key: &str, v: f64) {
-    if enabled() {
-        global().gauge_set(key, v);
-    }
+    write_batch(&[Write::Gauge(key, v)]);
 }
 
 /// Records into global histogram `key` when collection is enabled.
 #[inline]
 pub fn hist_record(key: &str, v: f64) {
-    if enabled() {
-        global().hist_record(key, v);
-    }
+    write_batch(&[Write::Record(key, v)]);
 }
 
 /// Snapshot of the global registry (works even while disabled).
@@ -322,12 +563,8 @@ pub fn snapshot() -> Snapshot {
 
 /// Clears the global registry.
 pub fn reset() {
+    RESETS.fetch_add(1, Ordering::Relaxed);
     global().reset()
-}
-
-/// Global metrics changed since `earlier` (see [`Snapshot::delta_since`]).
-pub fn delta(earlier: &Snapshot) -> Snapshot {
-    snapshot().delta_since(earlier)
 }
 
 #[cfg(test)]
@@ -525,6 +762,92 @@ mod tests {
         reg.counter_add("r.count", 2);
         let d = reg.snapshot().delta_since(&before);
         assert_eq!(d.counter("r.count"), Some(2));
+    }
+
+    #[test]
+    fn stage_record_keeps_only_its_own_threads_writes() {
+        let _guard = test_lock();
+        set_enabled(true);
+        // an earlier record of this thread left the gauge at 2
+        begin_stage_record();
+        gauge_set("rec.level", 2.0);
+        end_stage_record(|_, _| {});
+        begin_stage_record();
+        counter_add("rec.count", 3);
+        hist_record("rec.sizes", 5.0);
+        gauge_set("rec.level", 2.0);
+        // a sibling thread writes the same keys while the record is open
+        thread::spawn(|| {
+            counter_add("rec.count", 100);
+            hist_record("rec.sizes", 1000.0);
+        })
+        .join()
+        .unwrap();
+        let mut h = Histogram::new();
+        h.record(7.0);
+        write_batch(&[Write::Merge("rec.sizes", &h)]);
+        let mut seen = BTreeMap::new();
+        end_stage_record(|k, v| {
+            seen.insert(k.to_string(), v.clone());
+        });
+        set_enabled(false);
+        assert_eq!(seen.get("rec.count"), Some(&MetricValue::Counter(3)));
+        let own = match seen.get("rec.sizes") {
+            Some(MetricValue::Histogram(h)) => h.clone(),
+            other => panic!("no histogram: {other:?}"),
+        };
+        assert_eq!((own.count, own.min, own.max), (2, 5.0, 7.0));
+        // the gauge was set to the value the thread had left: no change
+        assert!(!seen.contains_key("rec.level"), "{seen:?}");
+        // the registry itself saw every thread
+        assert_eq!(snapshot().counter("rec.count"), Some(103));
+        assert_eq!(snapshot().histogram("rec.sizes").map(|h| h.count), Some(3));
+
+        // a new record starts empty; writes after it closed are not kept
+        begin_stage_record();
+        end_stage_record(|k, _| panic!("empty record reported {k}"));
+        set_enabled(true);
+        counter_add("rec.count", 1);
+        set_enabled(false);
+        begin_stage_record();
+        end_stage_record(|k, _| panic!("closed record kept {k}"));
+    }
+
+    #[test]
+    fn write_batch_applies_in_order() {
+        let reg = Registry::new();
+        let mut h = Histogram::new();
+        h.record(4.0);
+        reg.write_batch(&[
+            Write::Counter("b.count", 1),
+            Write::Counter("b.count", 2),
+            Write::Gauge("b.level", 1.0),
+            Write::Record("b.sizes", 3.0),
+            Write::Merge("b.sizes", &h),
+            // a write of another kind replaces the metric
+            Write::Counter("b.level", 5),
+        ]);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("b.count"), Some(3));
+        assert_eq!(snap.counter("b.level"), Some(5));
+        assert_eq!(snap.histogram("b.sizes").map(|h| (h.count, h.sum)), Some((2, 7.0)));
+    }
+
+    #[test]
+    fn histogram_merge_equals_recording_each_value() {
+        let (mut a, mut b, mut all) = (Histogram::new(), Histogram::new(), Histogram::new());
+        for v in [0.5, 3.0, 9.0] {
+            a.record(v);
+            all.record(v);
+        }
+        for v in [2.0, 1e6] {
+            b.record(v);
+            all.record(v);
+        }
+        a.merge(&b);
+        assert_eq!(a, all);
+        a.merge(&Histogram::new());
+        assert_eq!(a, all);
     }
 
     #[test]

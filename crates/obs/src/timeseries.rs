@@ -52,36 +52,15 @@ pub const RING_SECS: usize = 301;
 /// The rolling windows every summary reports: (seconds, label).
 pub const WINDOWS: [(u64, &str); 3] = [(10, "10s"), (60, "1m"), (300, "5m")];
 
-/// One second's worth of histogram activity (a delta of the cumulative
-/// log₂ histogram).
-#[derive(Debug, Clone, PartialEq)]
-struct HistDelta {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-    buckets: Vec<u64>,
-}
-
-impl HistDelta {
-    fn merge_into(&self, h: &mut Histogram) {
-        h.count += self.count;
-        h.sum += self.sum;
-        h.min = h.min.min(self.min);
-        h.max = h.max.max(self.max);
-        for (b, d) in h.buckets.iter_mut().zip(&self.buckets) {
-            *b += d;
-        }
-    }
-}
-
 /// Per-metric ring of per-second buckets. Slots are `(second, value)`
-/// stamped with the absolute second so wrapped slots read as empty.
+/// stamped with the absolute second so wrapped slots read as empty; a
+/// histogram slot holds one second's activity (a delta of the cumulative
+/// log₂ histogram).
 #[derive(Debug)]
 enum Series {
     Counter(Vec<Option<(u64, u64)>>),
     Gauge(Vec<Option<(u64, f64)>>),
-    Hist(Vec<Option<(u64, HistDelta)>>),
+    Hist(Vec<Option<(u64, Histogram)>>),
 }
 
 impl Series {
@@ -174,15 +153,7 @@ impl SeriesStore {
                     if let Some(d) = d {
                         let slot = &mut slots[slot_idx(now_s)];
                         match slot {
-                            Some((sec, old)) if *sec == now_s => {
-                                old.count += d.count;
-                                old.sum += d.sum;
-                                old.min = old.min.min(d.min);
-                                old.max = old.max.max(d.max);
-                                for (b, n) in old.buckets.iter_mut().zip(&d.buckets) {
-                                    *b += n;
-                                }
-                            }
+                            Some((sec, old)) if *sec == now_s => old.merge(&d),
                             _ => *slot = Some((now_s, d)),
                         }
                     }
@@ -234,7 +205,7 @@ impl SeriesStore {
         for s in window_range(now_s, secs) {
             if let Some((sec, d)) = &slots[slot_idx(s)] {
                 if *sec == s {
-                    d.merge_into(&mut merged);
+                    merged.merge(d);
                 }
             }
         }
@@ -325,7 +296,7 @@ impl SeriesStore {
                         for s in window_range(now_s, secs) {
                             if let Some((sec, d)) = &slots[slot_idx(s)] {
                                 if *sec == s {
-                                    d.merge_into(&mut merged);
+                                    merged.merge(d);
                                 }
                             }
                         }
@@ -391,14 +362,14 @@ fn window_range(now_s: u64, secs: u64) -> std::ops::RangeInclusive<u64> {
 /// count that went backwards means the registry was reset; the current
 /// histogram then *is* the delta (mirroring counter-reset semantics).
 /// `None` when nothing was recorded in the interval.
-fn hist_delta(now: &Histogram, then: &Histogram) -> Option<HistDelta> {
+fn hist_delta(now: &Histogram, then: &Histogram) -> Option<Histogram> {
     if now.count < then.count || now.buckets.iter().zip(&then.buckets).any(|(n, t)| n < t) {
         return hist_delta_all(now);
     }
     if now.count == then.count {
         return None;
     }
-    Some(HistDelta {
+    Some(Histogram {
         count: now.count - then.count,
         sum: now.sum - then.sum,
         // lifetime extremes stand in for the interval's (see module docs)
@@ -408,14 +379,8 @@ fn hist_delta(now: &Histogram, then: &Histogram) -> Option<HistDelta> {
     })
 }
 
-fn hist_delta_all(now: &Histogram) -> Option<HistDelta> {
-    (now.count > 0).then(|| HistDelta {
-        count: now.count,
-        sum: now.sum,
-        min: now.min,
-        max: now.max,
-        buckets: now.buckets.clone(),
-    })
+fn hist_delta_all(now: &Histogram) -> Option<Histogram> {
+    (now.count > 0).then(|| now.clone())
 }
 
 #[cfg(test)]

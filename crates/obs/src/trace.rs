@@ -209,7 +209,7 @@ pub fn span(name: &str) -> SpanGuard {
         parent,
         name: name.to_string(),
         start_us: elapsed_us(),
-        alloc_start: crate::alloc::allocated_bytes(),
+        alloc_start: crate::alloc::thread_allocated_bytes(),
         attrs: Vec::new(),
         active: true,
     }
@@ -243,7 +243,7 @@ impl Drop for SpanGuard {
             return;
         }
         let end_us = elapsed_us();
-        let alloc_delta = crate::alloc::allocated_bytes().saturating_sub(self.alloc_start);
+        let alloc_delta = crate::alloc::thread_allocated_bytes().saturating_sub(self.alloc_start);
         if alloc_delta > 0 {
             self.attrs.push(("alloc_bytes".to_string(), AttrValue::Num(alloc_delta as f64)));
         }

@@ -45,7 +45,6 @@ fn main() {
     ] {
         for (cname, cost) in [
             ("area", CostKind::Area),
-            ("delay", CostKind::Delay),
             ("area+0.01*wire", CostKind::AreaWire { k: 0.01 }),
             ("area+1.0*wire", CostKind::AreaWire { k: 1.0 }),
         ] {
