@@ -19,16 +19,26 @@
 //! `"fault_plan": "decompose:panic:1"`: the job panics on purpose to
 //! exercise the pool's panic isolation end to end. Either way the job
 //! fails with a typed error in the report and siblings complete.
+//!
+//! Every document that says what a job produced is built from one
+//! [`JobRecord`] per job (the manifest entry that ran, its design hash,
+//! its partition scheme, its outcome and one row per K): the
+//! `casyn.batch.v1` report `--out` names, the checkpoint the batch keeps
+//! there while it runs, the crash bundle `--crash-dir` gets for a failed
+//! job (itself a one-record batch document, so `casyn batch <bundle>`
+//! replays the failure), and the `casyn.run.v1` ledger record of `map`,
+//! `sweep` and `loop`. `--resume` reuses a finished record only when its
+//! job ran what the manifest entry asks for now.
 
 use casyn_core::{CostKind, MapOptions, PartitionScheme};
 use casyn_exec::{FaultPlan, Pool};
-use casyn_flow::batch::{run_batch, run_batch_job, BatchJob, BatchJobReport, BatchOptions};
+use casyn_flow::batch::{run_batch, run_batch_job, BatchJob, BatchOptions};
 use casyn_flow::telemetry::snapshot_json;
 use casyn_flow::{
-    diff_records, file_stem, fnv1a64, format_diff, full_flow, k_row_json, k_sweep_prepared_pool,
-    load_design, parse_manifest, prepare_pool, run_methodology, sequential_flow, DiffTolerance,
-    FlowError, FlowOptions, JobParam, KSweepEntry, ManifestDefaults, ManifestJob, RunParams,
-    RunRecord, Stage,
+    batch_json, diff_records, file_stem, fnv1a64, format_diff, full_flow, k_sweep_prepared_pool,
+    load_design, parse_manifest, prepare_pool, read_batch, run_methodology, safe_stem,
+    sequential_flow, DesignFormat, DiffTolerance, FlowError, FlowOptions, JobParam, JobRecord,
+    KSweepEntry, ManifestDefaults, ManifestJob, Row, Stage,
 };
 use casyn_logic::OptimizeOptions;
 use casyn_netlist::blif::to_blif;
@@ -41,7 +51,8 @@ use casyn_route::CongestionMap;
 use std::collections::HashMap;
 use std::fs;
 use std::process::ExitCode;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
+use std::time::Instant;
 
 #[derive(Debug, Clone)]
 struct Args {
@@ -189,6 +200,10 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .collect::<Result<_, _>>()?
             }
             "--scheme" => {
+                // the other flow commands run placement-driven partitioning
+                if args.command != "map" {
+                    return Err(format!("--scheme applies to map only, not {}", args.command));
+                }
                 args.scheme = match next("--scheme")?.as_str() {
                     "dagon" => PartitionScheme::Dagon,
                     "cone" => PartitionScheme::Cone,
@@ -404,11 +419,40 @@ fn write_observability(args: &Args, r: Option<&casyn_flow::FlowResult>) -> Resul
     Ok(())
 }
 
+/// The `--scheme` spelling of a partition scheme, as records name it.
+fn scheme_name(scheme: PartitionScheme) -> &'static str {
+    match scheme {
+        PartitionScheme::Dagon => "dagon",
+        PartitionScheme::Cone => "cone",
+        PartitionScheme::PlacementDriven => "pdp",
+    }
+}
+
+/// The manifest entry the flow flags imply for the input design at
+/// `ks`: what a `map`, `sweep` or `loop` ledger record says ran.
+fn flag_job(args: &Args, ks: &[f64]) -> ManifestJob {
+    let d = manifest_defaults(args);
+    ManifestJob {
+        name: file_stem(&args.input),
+        design: args.input.clone(),
+        source: None,
+        format: DesignFormat::from_path(&args.input),
+        ks: ks.to_vec(),
+        util: d.util,
+        layers: d.layers,
+        optimize: d.optimize,
+        deadline_ms: None,
+        inject_panic: false,
+        fault_plan: args.fault_plan.as_ref().map(FaultPlan::to_string),
+    }
+}
+
 /// Appends a content-addressed `casyn.run.v1` record for this run to the
-/// `--ledger` directory (a no-op when the flag is absent). The design
+/// `--ledger` directory (a no-op when the flag is absent): the job the
+/// flags imply at the rows' K values, run under `scheme`. The design
 /// hash is FNV-1a over the raw design file bytes, so the same netlist
 /// under a different name still diffs cleanly.
-fn append_ledger(args: &Args, ks: &[f64], rows: &[KSweepEntry]) -> Result<(), String> {
+fn append_ledger(args: &Args, scheme: PartitionScheme, rows: &[KSweepEntry]) -> Result<(), String> {
     let Some(dir) = &args.ledger else {
         return Ok(());
     };
@@ -416,19 +460,11 @@ fn append_ledger(args: &Args, ks: &[f64], rows: &[KSweepEntry]) -> Result<(), St
         return Ok(());
     }
     let bytes = fs::read(&args.input).map_err(|e| format!("cannot read {}: {e}", args.input))?;
-    let scheme = match args.scheme {
-        PartitionScheme::Dagon => "dagon",
-        PartitionScheme::Cone => "cone",
-        PartitionScheme::PlacementDriven => "pdp",
-    };
-    let params = RunParams {
-        scheme: scheme.to_string(),
-        layers: args.layers,
-        target_utilization: args.util,
-        ks: ks.to_vec(),
-        optimize: args.optimize,
-    };
-    let record = RunRecord::from_sweep(&file_stem(&args.input), fnv1a64(&bytes), params, rows);
+    let ks: Vec<f64> = rows.iter().map(|e| e.k).collect();
+    let mut record = JobRecord::new(flag_job(args, &ks), fnv1a64(&bytes), scheme_name(scheme));
+    record.attempts = 1;
+    record.rows = rows.iter().map(|e| Row::from_result(e.k, &e.result)).collect();
+    record.wall_ms = record.rows.iter().map(|r| r.total_ms).sum();
     let path = record
         .append(std::path::Path::new(dir))
         .map_err(|e| format!("cannot append to ledger {dir}: {e}"))?;
@@ -437,13 +473,14 @@ fn append_ledger(args: &Args, ks: &[f64], rows: &[KSweepEntry]) -> Result<(), St
 }
 
 /// `casyn diff <runA.json> <runB.json>`: loads two ledger records and
-/// compares them — stable quality metrics exactly, wall-clock and
-/// allocation inside a tolerance band. Exits non-zero on stable deltas,
-/// so CI can use it as a determinism gate.
+/// compares them — the stable projection (what ran, quality metrics,
+/// stage names) exactly, stage wall clocks inside a tolerance band.
+/// Exits non-zero on stable deltas, so CI can use it as a determinism
+/// gate.
 fn run_diff_command(args: &Args) -> Result<(), String> {
-    let a = RunRecord::load(std::path::Path::new(&args.input))
+    let a = JobRecord::load(std::path::Path::new(&args.input))
         .map_err(|e| format!("{}: {e}", args.input))?;
-    let b = RunRecord::load(std::path::Path::new(&args.input2))
+    let b = JobRecord::load(std::path::Path::new(&args.input2))
         .map_err(|e| format!("{}: {e}", args.input2))?;
     let tol = match args.tolerance {
         Some(ratio) => DiffTolerance { ratio, ..Default::default() },
@@ -468,95 +505,29 @@ fn manifest_defaults(args: &Args) -> ManifestDefaults {
     }
 }
 
-/// Reads a previous batch report or checkpoint and returns the job
-/// documents already completed ok, keyed by `(name, design)`.
-fn load_resume(path: &str) -> Result<HashMap<(String, String), JsonValue>, String> {
+/// Reads a previous batch report, checkpoint or crash bundle and returns
+/// its records that finished ok, by [`JobRecord::job_key`]: a manifest
+/// entry resumes only when it asks for what its record ran. An entry
+/// that does not read as a record (one written before records said what
+/// they ran) is left to run again.
+fn load_resume(path: &str) -> Result<HashMap<u64, JobRecord>, String> {
     let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc = JsonValue::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let schema = doc.get("schema").and_then(|v| v.as_str()).unwrap_or("");
-    if schema != "casyn.batch.v1" && schema != "casyn.checkpoint.v1" {
-        return Err(format!(
-            "{path}: schema {schema:?} is not resumable \
-             (expected casyn.batch.v1 or casyn.checkpoint.v1)"
-        ));
-    }
+    let entries = read_batch(&text).map_err(|e| format!("{path}: {e}"))?;
     let mut done = HashMap::new();
-    if let Some(jobs) = doc.get("jobs").and_then(|v| v.as_array()) {
-        for j in jobs {
-            if j.get("status").and_then(|v| v.as_str()) != Some("ok") {
-                continue;
+    let mut unread = 0usize;
+    for entry in entries {
+        match entry {
+            Ok(rec) if rec.error.is_none() => {
+                done.insert(rec.job_key(), rec);
             }
-            let name = j.get("name").and_then(|v| v.as_str());
-            let design = j.get("design").and_then(|v| v.as_str());
-            if let (Some(name), Some(design)) = (name, design) {
-                done.insert((name.to_string(), design.to_string()), j.clone());
-            }
+            Ok(_) => {}
+            Err(_) => unread += 1,
         }
     }
+    if unread > 0 {
+        println!("resume: {unread} entries of {path} do not say what they ran; their jobs re-run");
+    }
     Ok(done)
-}
-
-/// One per-job entry of a `casyn.batch.v1` / `casyn.checkpoint.v1` doc.
-#[allow(clippy::too_many_arguments)]
-fn job_doc(
-    name: &str,
-    design: &str,
-    status: &str,
-    degraded: bool,
-    attempts: u32,
-    wall_ms: f64,
-    error: Option<&FlowError>,
-    rows: Vec<JsonValue>,
-    trace_path: Option<&str>,
-) -> JsonValue {
-    let mut doc = vec![
-        ("name".into(), JsonValue::Str(name.into())),
-        ("design".into(), JsonValue::Str(design.into())),
-        ("status".into(), JsonValue::Str(status.into())),
-        ("degraded".into(), JsonValue::Bool(degraded)),
-        ("attempts".into(), JsonValue::Number(attempts as f64)),
-        ("wall_ms".into(), JsonValue::Number(wall_ms)),
-    ];
-    if let Some(e) = error {
-        doc.push(("error".into(), e.to_json()));
-    }
-    if let Some(p) = trace_path {
-        doc.push(("trace_path".into(), JsonValue::Str(p.into())));
-    }
-    doc.push(("rows".into(), JsonValue::Array(rows)));
-    JsonValue::object(doc)
-}
-
-fn finished_job_doc(m: &ManifestJob, jr: &BatchJobReport, trace_path: Option<&str>) -> JsonValue {
-    match &jr.outcome {
-        Ok(s) => job_doc(
-            &m.name,
-            &m.design,
-            "ok",
-            s.degraded,
-            jr.attempts,
-            jr.wall_ms,
-            None,
-            s.rows.iter().map(k_row_json).collect(),
-            trace_path,
-        ),
-        Err(e) => job_doc(
-            &m.name,
-            &m.design,
-            "error",
-            false,
-            jr.attempts,
-            jr.wall_ms,
-            Some(e),
-            Vec::new(),
-            trace_path,
-        ),
-    }
-}
-
-fn load_error_doc(m: &ManifestJob, e: &str) -> JsonValue {
-    let error = FlowError::bad_input(Stage::Batch, e.to_string());
-    job_doc(&m.name, &m.design, "error", false, 0, 0.0, Some(&error), Vec::new(), None)
 }
 
 /// Atomically replaces `path` with `doc` through
@@ -627,7 +598,7 @@ fn write_job_traces(
             continue;
         };
         let sub = job_trace_events(events, span);
-        let path = format!("{}/{job}.trace.json", dir.trim_end_matches('/'));
+        let path = format!("{}/{}.trace.json", dir.trim_end_matches('/'), safe_stem(&job));
         fs::write(&path, obs::trace::to_chrome_trace(&sub).to_string_pretty())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         paths.insert(job, path);
@@ -635,54 +606,12 @@ fn write_job_traces(
     Ok(paths)
 }
 
-/// Writes a `casyn.crash.v1` reproducer bundle for one failed batch job.
-fn write_crash_bundle(
-    dir: &str,
-    m: &ManifestJob,
-    jr: &BatchJobReport,
-    fault_plan: Option<String>,
-) -> Result<String, String> {
-    fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
-    let error = match &jr.outcome {
-        Err(e) => e.to_json(),
-        Ok(_) => JsonValue::Null,
-    };
-    let mut doc = vec![
-        ("schema".into(), JsonValue::Str("casyn.crash.v1".into())),
-        ("name".into(), JsonValue::Str(m.name.clone())),
-        ("design".into(), JsonValue::Str(m.design.clone())),
-        ("error".into(), error),
-        ("attempts".into(), JsonValue::Number(jr.attempts as f64)),
-        ("ks".into(), JsonValue::Array(m.ks.iter().map(|&k| JsonValue::Number(k)).collect())),
-        ("util".into(), JsonValue::Number(m.util)),
-        ("layers".into(), JsonValue::Number(m.layers as f64)),
-        ("optimize".into(), JsonValue::Bool(m.optimize)),
-    ];
-    if let Some(p) = fault_plan {
-        doc.push(("fault_plan".into(), JsonValue::Str(p)));
-    }
-    let path = format!("{dir}/{}.crash.json", m.name);
-    fs::write(&path, JsonValue::object(doc).to_string_pretty())
-        .map_err(|e| format!("cannot write {path}: {e}"))?;
-    Ok(path)
-}
-
-/// Where a manifest entry's result comes from.
-enum Slot {
-    /// Runs in this batch, at this index into the `BatchJob` list.
-    Run(usize),
-    /// Completed ok in a `--resume` report; its document is reused.
-    Resumed(JsonValue),
-    /// Failed before the flow could start (bad path, parse error, ...).
-    LoadError(String),
-}
-
 /// `casyn batch <manifest.json>`: loads every design, fans the jobs out
 /// over the pool, prints a per-job report (one job's failure never takes
-/// down the batch) and optionally writes it as `casyn.batch.v1` JSON.
-/// While the batch runs, `--out` holds a `casyn.checkpoint.v1` document
-/// updated after every finished job; `--resume` skips jobs a previous
-/// report already completed.
+/// down the batch) and optionally writes it as a `casyn.batch.v1`
+/// document of job records. While the batch runs, `--out` holds the same
+/// document over the records finished so far; `--resume` reuses the
+/// records of a previous report whose jobs ran what the manifest asks.
 fn run_batch_command(args: &Args, pool: &Pool) -> Result<(), String> {
     let text =
         fs::read_to_string(&args.input).map_err(|e| format!("cannot read {}: {e}", args.input))?;
@@ -691,26 +620,32 @@ fn run_batch_command(args: &Args, pool: &Pool) -> Result<(), String> {
         Some(path) => load_resume(path)?,
         None => HashMap::new(),
     };
-    // load designs up front; a bad path, parse error or bad fault plan
-    // fails its row, not the batch
+    // every entry's record starts as what it runs: the entry with its
+    // effective fault plan, its design bytes' hash and the scheme of the
+    // batch flow. A bad path, parse error or bad fault plan fails its
+    // record, not the batch
     let mut jobs: Vec<BatchJob> = Vec::new();
-    let mut job_manifest: Vec<usize> = Vec::new(); // job index → manifest index
-    let mut slots: Vec<Slot> = Vec::new(); // manifest order
+    let mut records: Vec<JobRecord> = Vec::new(); // manifest order
+    let mut job_of: Vec<Option<usize>> = Vec::new(); // manifest index → job index
     for m in &manifest {
-        if let Some(doc) = resumed.get(&(m.name.clone(), m.design.clone())) {
-            slots.push(Slot::Resumed(doc.clone()));
+        let fault = m.fault().map(|f| f.or_else(|| args.fault_plan.as_ref().map(FaultPlan::fresh)));
+        let design = m.design_text();
+        let mut ran = m.clone();
+        if let Ok(f) = &fault {
+            (ran.inject_panic, ran.fault_plan) = (false, f.as_ref().map(FaultPlan::to_string));
+        }
+        let hash = design.as_ref().map_or(0, |(text, _)| fnv1a64(text.as_bytes()));
+        let mut rec = JobRecord::new(ran, hash, scheme_name(PartitionScheme::PlacementDriven));
+        if let Some(done) = resumed.get(&rec.job_key()) {
+            records.push(done.clone());
+            job_of.push(None);
             continue;
         }
-        let loaded = m.load_network().and_then(|(network, _raw)| {
-            let fault = m.fault()?.or_else(|| args.fault_plan.as_ref().map(|p| p.fresh()));
-            Ok((network, fault))
-        });
-        match loaded {
+        match design.and_then(|(text, format)| Ok((m.parse_network(&text, format)?, fault?))) {
             Ok((network, fault)) => {
                 let mut opts = m.flow_options(args.validate);
                 opts.fault = fault;
-                job_manifest.push(slots.len());
-                slots.push(Slot::Run(jobs.len()));
+                job_of.push(Some(jobs.len()));
                 jobs.push(BatchJob {
                     name: m.name.clone(),
                     network,
@@ -719,10 +654,16 @@ fn run_batch_command(args: &Args, pool: &Pool) -> Result<(), String> {
                     deadline: m.deadline(),
                 });
             }
-            Err(e) => slots.push(Slot::LoadError(e)),
+            Err(e) => {
+                rec.error = Some(FlowError::bad_input(Stage::Batch, e));
+                job_of.push(None);
+            }
         }
+        records.push(rec);
     }
-    let num_resumed = slots.iter().filter(|s| matches!(s, Slot::Resumed(_))).count();
+    // an entry that does not run here and has no error was resumed
+    let num_resumed =
+        job_of.iter().zip(&records).filter(|(j, r)| j.is_none() && r.error.is_none()).count();
     println!(
         "batch: {} jobs ({} loadable, {} resumed) on {} workers",
         manifest.len(),
@@ -730,19 +671,13 @@ fn run_batch_command(args: &Args, pool: &Pool) -> Result<(), String> {
         num_resumed,
         pool.workers()
     );
-    // Incremental checkpoint: every finished job's document lands in
-    // `--out` (as casyn.checkpoint.v1) so a killed batch can --resume.
-    // Resumed and load-failed rows are part of the checkpoint up front.
-    let checkpoint: Mutex<Vec<Option<JsonValue>>> = Mutex::new(
-        manifest
-            .iter()
-            .zip(&slots)
-            .map(|(m, slot)| match slot {
-                Slot::Run(_) => None,
-                Slot::Resumed(doc) => Some(doc.clone()),
-                Slot::LoadError(e) => Some(load_error_doc(m, e)),
-            })
-            .collect(),
+    let entry_of: Vec<usize> = (0..job_of.len()).filter(|&mi| job_of[mi].is_some()).collect();
+    // Incremental checkpoint: every finished job's record lands in
+    // `--out`, a batch document of the records so far, so a killed batch
+    // can --resume. Resumed and load-failed records are in it up front.
+    let t0 = Instant::now();
+    let finished: Mutex<Vec<Option<JobRecord>>> = Mutex::new(
+        records.iter().zip(&job_of).map(|(rec, job)| job.is_none().then(|| rec.clone())).collect(),
     );
     let bopts = BatchOptions { retries: args.retries, ..Default::default() };
     let batch = run_batch(
@@ -751,27 +686,24 @@ fn run_batch_command(args: &Args, pool: &Pool) -> Result<(), String> {
         &bopts,
         |j| run_batch_job(j, &bopts),
         |ji, jr| {
-            let mut docs = match checkpoint.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            let mi = entry_of[ji];
+            let mut finished = finished.lock().unwrap_or_else(PoisonError::into_inner);
             // trace paths exist only after the batch drains the timeline;
             // the final report fills them in
-            docs[job_manifest[ji]] = Some(finished_job_doc(&manifest[job_manifest[ji]], jr, None));
+            finished[mi] = Some(records[mi].finished(jr));
             if let Some(out) = &args.out {
-                let done: Vec<JsonValue> = docs.iter().flatten().cloned().collect();
-                let doc = JsonValue::object(vec![
-                    ("schema".into(), JsonValue::Str("casyn.checkpoint.v1".into())),
-                    ("jobs".into(), JsonValue::Array(done)),
-                ]);
-                if let Err(e) = write_report_file(out, &doc) {
+                let so_far: Vec<JobRecord> = finished.iter().flatten().cloned().collect();
+                let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+                if let Err(e) =
+                    write_report_file(out, &batch_json(&so_far, pool.workers(), wall_ms))
+                {
                     obs::log::warn(&format!("checkpoint: {e}"));
                 }
             }
         },
     );
     // drain the span timeline once the pool is quiet; in directory mode
-    // every job gets its own Chrome trace file, referenced from its row
+    // every job gets its own Chrome trace file, referenced from its record
     let traced = if args.trace_out.is_some() || args.spans_out.is_some() {
         obs::trace::take_events()
     } else {
@@ -781,99 +713,66 @@ fn run_batch_command(args: &Args, pool: &Pool) -> Result<(), String> {
         Some(dir) => write_job_traces(dir, &traced)?,
         None => HashMap::new(),
     };
-    // final report, in manifest order; the in-memory BatchReport is
-    // authoritative for every job that ran (jobs that never started do
-    // not reach the checkpoint callback)
-    let mut failed = 0usize;
-    let mut degraded = 0usize;
-    let mut job_docs = Vec::new();
-    for (m, slot) in manifest.iter().zip(&slots) {
-        match slot {
-            Slot::LoadError(e) => {
-                failed += 1;
-                println!("[{}] LOAD ERROR: {e}", m.name);
-                job_docs.push(load_error_doc(m, e));
-            }
-            Slot::Resumed(doc) => {
-                println!("[{}] resumed: already ok in a previous run", m.name);
-                if doc.get("degraded").and_then(|v| v.as_bool()) == Some(true) {
-                    degraded += 1;
-                }
-                job_docs.push(doc.clone());
-            }
-            Slot::Run(ji) => {
-                let jr = &batch.jobs[*ji];
-                match &jr.outcome {
-                    Err(e) => {
-                        failed += 1;
-                        println!(
-                            "[{}] FAILED after {} attempt(s): {e}",
-                            m.name,
-                            jr.attempts.max(1)
-                        );
+    // the final report, in manifest order
+    let mut finished = finished.into_inner().unwrap_or_else(PoisonError::into_inner);
+    for (mi, job) in job_of.iter().enumerate() {
+        let name = records[mi].job.name.clone();
+        match (job, &records[mi].error) {
+            (None, Some(e)) => println!("[{name}] LOAD ERROR: {}", e.detail),
+            (None, None) => println!("[{name}] resumed: already ok in a previous run"),
+            (Some(ji), _) => {
+                let mut rec =
+                    finished[mi].take().unwrap_or_else(|| records[mi].finished(&batch.jobs[*ji]));
+                rec.trace_path = trace_paths.get(&name).cloned();
+                match &rec.error {
+                    Some(e) => {
+                        println!("[{name}] FAILED after {} attempt(s): {e}", rec.attempts.max(1));
                         if let Some(dir) = &args.crash_dir {
-                            let plan = jobs[*ji].opts.fault.as_ref().map(|p| p.to_string());
-                            match write_crash_bundle(dir, m, jr, plan) {
-                                Ok(path) => println!("  crash bundle: {path}"),
+                            // a one-record batch document: `casyn batch` replays it
+                            let path = format!("{dir}/{}.crash.json", safe_stem(&name));
+                            let written = fs::create_dir_all(dir)
+                                .map_err(|e| format!("cannot create {dir}: {e}"))
+                                .and_then(|()| write_report_file(&path, &rec.bundle_json()));
+                            match written {
+                                Ok(()) => println!("  crash bundle: {path}"),
                                 Err(e) => eprintln!("  crash bundle failed: {e}"),
                             }
                         }
                     }
-                    Ok(s) => {
-                        let tag = if s.degraded {
-                            degraded += 1;
-                            " DEGRADED (escalated K)"
-                        } else {
-                            ""
-                        };
+                    None => {
+                        let tag = if rec.degraded { " DEGRADED (escalated K)" } else { "" };
                         println!(
-                            "[{}] ok in {:.0} ms ({} K rows, {} attempt(s)){tag}",
-                            m.name,
-                            jr.wall_ms,
-                            s.rows.len(),
-                            jr.attempts
+                            "[{name}] ok in {:.0} ms ({} K rows, {} attempt(s)){tag}",
+                            rec.wall_ms,
+                            rec.rows.len(),
+                            rec.attempts
                         );
                         println!(
                             "  {:>10} {:>12} {:>8} {:>8} {:>8}",
                             "K", "area", "cells", "util%", "viol"
                         );
-                        for e in &s.rows {
+                        for r in &rec.rows {
                             println!(
                                 "  {:>10} {:>12.0} {:>8} {:>8.2} {:>8}",
-                                e.k,
-                                e.result.cell_area,
-                                e.result.num_cells,
-                                e.result.utilization_pct,
-                                e.result.route.violations
+                                r.k, r.cell_area, r.num_cells, r.utilization_pct, r.violations
                             );
                         }
                     }
                 }
-                job_docs.push(finished_job_doc(
-                    m,
-                    jr,
-                    trace_paths.get(&m.name).map(String::as_str),
-                ));
+                records[mi] = rec;
             }
         }
     }
-    let ok = manifest.len() - failed;
+    let failed = records.iter().filter(|r| r.error.is_some()).count();
+    let degraded = records.iter().filter(|r| r.degraded).count();
     println!(
-        "batch done: {ok} ok ({degraded} degraded), {failed} failed, wall {:.0} ms (jobs={})",
+        "batch done: {} ok ({degraded} degraded), {failed} failed, wall {:.0} ms (jobs={})",
+        manifest.len() - failed,
         batch.wall_ms,
         pool.workers()
     );
     if let Some(path) = &args.out {
-        let doc = JsonValue::object(vec![
-            ("schema".into(), JsonValue::Str("casyn.batch.v1".into())),
-            ("workers".into(), JsonValue::Number(pool.workers() as f64)),
-            ("wall_ms".into(), JsonValue::Number(batch.wall_ms)),
-            ("jobs_ok".into(), JsonValue::Number(ok as f64)),
-            ("jobs_failed".into(), JsonValue::Number(failed as f64)),
-            ("jobs_degraded".into(), JsonValue::Number(degraded as f64)),
-            ("jobs".into(), JsonValue::Array(job_docs)),
-        ]);
-        write_report_file(path, &doc)?;
+        write_report_file(path, &batch_json(&records, pool.workers(), batch.wall_ms))?;
         println!("wrote {path}");
     }
     write_observability(args, None)?;
@@ -1137,7 +1036,8 @@ fn run_flow_command(args: &Args, pool: &Pool) -> Result<(), String> {
         println!("minimum clock period: {:.3} ns", r.min_clock_period);
         write_artifacts(args, &design.core, &r.flow)?;
         write_observability(args, Some(&r.flow))?;
-        append_ledger(args, &[args.k], &[KSweepEntry { k: args.k, result: r.flow }])?;
+        let rows = [KSweepEntry { k: args.k, result: r.flow }];
+        append_ledger(args, PartitionScheme::PlacementDriven, &rows)?;
         return Ok(());
     }
     let network = design.core;
@@ -1158,7 +1058,7 @@ fn run_flow_command(args: &Args, pool: &Pool) -> Result<(), String> {
             report(&r, args.clock);
             write_artifacts(args, &network, &r)?;
             write_observability(args, Some(&r))?;
-            append_ledger(args, &[args.k], &[KSweepEntry { k: args.k, result: r }])?;
+            append_ledger(args, args.scheme, &[KSweepEntry { k: args.k, result: r }])?;
         }
         // `run` is the everyday spelling: sweep the default K ladder on
         // the pool
@@ -1199,7 +1099,7 @@ fn run_flow_command(args: &Args, pool: &Pool) -> Result<(), String> {
                 rows
             };
             write_observability(args, rows.last().map(|e| &e.result))?;
-            append_ledger(args, &args.ks, &rows)?;
+            append_ledger(args, PartitionScheme::PlacementDriven, &rows)?;
         }
         "loop" => {
             let schedule = [0.0, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0];
@@ -1219,7 +1119,8 @@ fn run_flow_command(args: &Args, pool: &Pool) -> Result<(), String> {
                 write_observability(args, Some(&out.result))?;
                 // ledger the accepted K only: that row is the flow's output
                 let k = out.steps.iter().find(|s| s.accepted).map_or(0.0, |s| s.k);
-                append_ledger(args, &[k], &[KSweepEntry { k, result: out.result }])?;
+                let rows = [KSweepEntry { k, result: out.result }];
+                append_ledger(args, PartitionScheme::PlacementDriven, &rows)?;
             } else {
                 println!("did not converge: relax the floorplan or resynthesize");
                 write_observability(args, None)?;
@@ -1286,8 +1187,6 @@ mod tests {
             "y.blif",
             "--ks",
             "0,0.5, 2",
-            "--scheme",
-            "cone",
             "--util",
             "0.5",
             "--layers",
@@ -1298,11 +1197,17 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(a.ks, vec![0.0, 0.5, 2.0]);
-        assert_eq!(a.scheme, PartitionScheme::Cone);
         assert_eq!(a.util, 0.5);
         assert_eq!(a.layers, 4);
         assert!(a.optimize);
         assert_eq!(a.clock, Some(10.5));
+        // --scheme is map's: the other flow commands run placement-driven
+        let m = parse_args(&sv(&["map", "y.blif", "--scheme", "cone"])).unwrap();
+        assert_eq!(m.scheme, PartitionScheme::Cone);
+        for c in ["sweep", "run", "loop", "batch"] {
+            let e = parse_args(&sv(&[c, "y.blif", "--scheme", "cone"])).unwrap_err();
+            assert!(e.starts_with("--scheme applies to map only"), "{c}: {e}");
+        }
         // the numeric flags pass the manifest fields' range check
         for [flag, bad] in [
             ["--util", "nan"],
@@ -1696,16 +1601,22 @@ mod tests {
         let dir = std::env::temp_dir().join("casyn-cli-resume-ok");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ckpt.json");
-        fs::write(
-            &path,
-            r#"{"schema": "casyn.checkpoint.v1", "jobs": [
-                {"name": "a", "design": "a.pla", "status": "ok", "rows": []},
-                {"name": "b", "design": "b.pla", "status": "error", "rows": []}
-            ]}"#,
-        )
-        .unwrap();
+        let entries =
+            parse_manifest(r#"[{"design": "a.pla"}, {"design": "b.pla"}]"#, &Default::default())
+                .unwrap();
+        let ok = JobRecord::new(entries[0].clone(), 1, "pdp");
+        let mut failed = JobRecord::new(entries[1].clone(), 2, "pdp");
+        failed.error = Some(FlowError::bad_input(Stage::Batch, "cannot read b.pla"));
+        let mut text = batch_json(&[ok.clone(), failed], 1, 0.0).to_string_pretty();
+        // an entry of an older report, which does not say what it ran
+        text = text.replacen(
+            r#""jobs": ["#,
+            r#""jobs": [{"name": "c", "design": "c.pla", "status": "ok", "rows": []},"#,
+            1,
+        );
+        fs::write(&path, text).unwrap();
         let done = load_resume(path.to_str().unwrap()).unwrap();
         assert_eq!(done.len(), 1);
-        assert!(done.contains_key(&("a".to_string(), "a.pla".to_string())));
+        assert_eq!(done.get(&ok.job_key()), Some(&ok));
     }
 }

@@ -106,7 +106,7 @@ fn faulted_batch_resumes_into_the_uninterrupted_report() {
     assert_eq!(err.get("kind").unwrap().as_str(), Some("panicked"));
     assert!(err.get("detail").unwrap().as_str().unwrap().contains("map"));
     let bundle = read_json(&crashes.join("c.crash.json"));
-    assert_eq!(bundle.get("schema").unwrap().as_str(), Some("casyn.crash.v1"));
+    assert_eq!(bundle.get("schema").unwrap().as_str(), Some("casyn.batch.v1"));
     assert_eq!(bundle.get("error").unwrap().get("kind").unwrap().as_str(), Some("panicked"));
     assert!(bundle.get("fault_plan").unwrap().as_str().unwrap().contains("map:panic:1"));
 
@@ -223,4 +223,132 @@ fn batch_runs_the_kway_placer_field_and_rejects_any_other() {
             assert!(stderr.contains(r#"job 0: "placer" "bisect""#), "{stderr}");
         }
     }
+}
+
+fn jobs_of(doc: &JsonValue) -> &[JsonValue] {
+    doc.get("jobs").and_then(JsonValue::as_array).unwrap()
+}
+
+fn job_named<'a>(doc: &'a JsonValue, name: &str) -> &'a JsonValue {
+    jobs_of(doc).iter().find(|j| j.get("name").and_then(JsonValue::as_str) == Some(name)).unwrap()
+}
+
+/// `--resume` reuses a finished record only when its job ran what the
+/// manifest entry asks for now: a changed K list and layer count, or new
+/// design bytes at the same path, re-run.
+#[test]
+fn resume_reruns_a_job_whose_entry_changed() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("batch_resume_changed");
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    let (a, b) = (design("ex_a.pla"), design("ex_b.pla"));
+    let copy = dir.join("b.pla");
+    fs::copy(&b, &copy).unwrap();
+    let copy = copy.to_str().unwrap();
+    let write = |file: &str, a_entry: &str| {
+        let text = format!(
+            r#"{{"jobs": [
+  {{"design": "{a}", "name": "a", {a_entry}}},
+  {{"design": "{copy}", "name": "b", "ks": [0.0, 0.1]}},
+  {{"design": "{a}", "name": "c", "ks": [0.0, 0.1]}},
+  {{"design": "{b}", "name": "d", "ks": [0.0, 0.1]}}
+]}}"#
+        );
+        let path = dir.join(file);
+        fs::write(&path, text).unwrap();
+        path
+    };
+    let first = write("first.json", r#""ks": [0.0]"#);
+    let report = dir.join("first-report.json");
+    let out = casyn(&["batch", first.to_str().unwrap(), "--out", report.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    // a asks for more K at another layer count; b's path now holds ex_a
+    let second = write("second.json", r#""ks": [0.0, 0.5, 1.0], "layers": 4"#);
+    fs::copy(&a, copy).unwrap();
+    let resumed = dir.join("second-report.json");
+    let out = casyn(&[
+        "batch",
+        second.to_str().unwrap(),
+        "--resume",
+        report.to_str().unwrap(),
+        "--out",
+        resumed.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for line in ["[a] ok", "[b] ok", "[c] resumed", "[d] resumed"] {
+        assert!(stdout.contains(line), "missing {line:?} in:\n{stdout}");
+    }
+    let (before, after) = (read_json(&report), read_json(&resumed));
+    let ks = |j: &JsonValue| -> Vec<f64> {
+        let rows = j.get("rows").and_then(JsonValue::as_array).unwrap();
+        rows.iter().map(|r| r.get("k").and_then(JsonValue::as_f64).unwrap()).collect()
+    };
+    assert_eq!(ks(job_named(&after, "a")), [0.0, 0.5, 1.0]);
+    assert_eq!(job_named(&after, "a").get("layers").and_then(JsonValue::as_f64), Some(4.0));
+    // b ran the new bytes: ex_a's rows, under b's name
+    let hash = |doc: &JsonValue, name: &str| job_named(doc, name).get("design_hash").cloned();
+    assert_ne!(hash(&after, "b"), hash(&before, "b"));
+    assert_eq!(hash(&after, "b"), hash(&after, "c"));
+    let quality = |name: &str| {
+        strip_wall_ms(&job_named(&after, name).get("rows").unwrap().to_string_pretty())
+    };
+    assert_eq!(quality("b"), quality("c"));
+    for name in ["c", "d"] {
+        assert_eq!(job_named(&after, name), job_named(&before, name), "{name} is the same record");
+    }
+}
+
+/// A job name is a file name only through the one sanitizer: a crash
+/// bundle and a per-job trace of a job named `../escaped` stay inside
+/// their directories. The bundle is a one-record batch document that
+/// replays the failure.
+#[test]
+fn per_job_files_stay_in_their_directories_and_a_bundle_replays() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("batch_file_names");
+    let _ = fs::remove_dir_all(&dir);
+    let (crashes, traces) = (dir.join("crashes"), dir.join("traces"));
+    fs::create_dir_all(&traces).unwrap();
+    let a = design("ex_a.pla");
+    let m = dir.join("m.json");
+    let text = format!(
+        r#"[{{"design": "{a}", "name": "../escaped", "ks": [0.0], "fault_plan": "map:panic:1"}}]"#
+    );
+    fs::write(&m, text).unwrap();
+    let report = dir.join("report.json");
+    let out = casyn(&[
+        "batch",
+        m.to_str().unwrap(),
+        "--out",
+        report.to_str().unwrap(),
+        "--crash-dir",
+        crashes.to_str().unwrap(),
+        "--trace-out",
+        &format!("{}/", traces.display()),
+    ]);
+    assert!(!out.status.success(), "the faulted job fails the batch");
+    assert!(!dir.join("escaped.crash.json").exists() && !dir.join("escaped.trace.json").exists());
+    let names = |d: &Path| -> Vec<String> {
+        fs::read_dir(d).unwrap().map(|e| e.unwrap().file_name().into_string().unwrap()).collect()
+    };
+    assert_eq!(names(&crashes), ["___escaped.crash.json"]);
+    assert_eq!(names(&traces), ["___escaped.trace.json"]);
+    let report = read_json(&report);
+    let job = &jobs_of(&report)[0];
+    let trace = traces.join("___escaped.trace.json");
+    assert_eq!(job.get("trace_path").and_then(JsonValue::as_str), trace.to_str());
+
+    let bundle_path = crashes.join("___escaped.crash.json");
+    let bundle = read_json(&bundle_path);
+    assert_eq!(bundle.get("schema").and_then(JsonValue::as_str), Some("casyn.batch.v1"));
+    assert_eq!(jobs_of(&bundle).len(), 1);
+    let replay = dir.join("replay.json");
+    let out = casyn(&["batch", bundle_path.to_str().unwrap(), "--out", replay.to_str().unwrap()]);
+    assert!(!out.status.success(), "the replay fails again");
+    let replay = read_json(&replay);
+    let replayed = &jobs_of(&replay)[0];
+    let kind = replayed.get("error").and_then(|e| e.get("kind")).and_then(JsonValue::as_str);
+    assert_eq!(kind, Some("panicked"));
+    assert_eq!(replayed.get("fault_plan").and_then(JsonValue::as_str), Some("map:panic:1"));
 }

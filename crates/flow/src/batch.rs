@@ -7,16 +7,16 @@
 //! of worker count. A job that fails — a typed [`FlowError`], a panic, a
 //! missed deadline — fails *alone*: its slot in the [`BatchReport`]
 //! carries the error while every sibling runs to completion. On top of
-//! that isolation sit two recovery mechanisms, both controlled by
-//! [`BatchOptions`]:
+//! that isolation sit two recovery mechanisms:
 //!
-//! * **retry** — a failed job is re-run up to `retries` more times in
-//!   place (transient faults, e.g. an injected `nth`-occurrence fault,
-//!   clear on a later attempt because the fault plan's occurrence
-//!   counters are shared across attempts);
-//! * **K escalation** — a job whose entire sweep ends unroutable gets
-//!   one extra rung at `2 × max(ks)` appended and is reported with
-//!   `degraded: true` instead of being declared a failure.
+//! * **retry** — a failed job is re-run up to [`BatchOptions::retries`]
+//!   more times in place (transient faults, e.g. an injected
+//!   `nth`-occurrence fault, clear on a later attempt because the fault
+//!   plan's occurrence counters are shared across attempts);
+//! * **K escalation** — under the default runner, [`run_batch_job`], a
+//!   job whose entire sweep ends unroutable gets one extra rung at
+//!   `2 × max(ks)` appended and is reported with `degraded: true`
+//!   instead of being declared a failure.
 
 use crate::error::{FlowError, FlowErrorKind, Stage};
 use crate::flows::{congestion_flow_prepared, prepare, FlowOptions};
@@ -47,26 +47,16 @@ pub struct BatchJob {
 }
 
 /// Recovery policy for a batch run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BatchOptions {
     /// How many times to re-run a failed job before recording the
     /// failure (0 = fail on first error).
     pub retries: u32,
-    /// When a job's whole sweep is unroutable, append one escalated rung
-    /// at `2 × max(ks)` (or 1.0 if all ks are 0) and mark the job
-    /// `degraded` instead of leaving only unroutable rows.
-    pub escalate_k: bool,
     /// Cancels the whole batch: jobs that have not started when the
     /// token fires are skipped with a cancellation error (running jobs
     /// always finish). `casyn serve` uses this for fast drain on
     /// shutdown.
     pub cancel: Option<CancelToken>,
-}
-
-impl Default for BatchOptions {
-    fn default() -> Self {
-        BatchOptions { retries: 0, escalate_k: true, cancel: None }
-    }
 }
 
 /// A completed job's payload.
@@ -122,13 +112,16 @@ impl BatchReport {
 
 /// The default per-job runner: prepare the design once, sweep its K list
 /// serially within the job (the batch parallelizes across jobs), and
-/// escalate K per `bopts` when the whole sweep is unroutable.
-pub fn run_batch_job(job: &BatchJob, bopts: &BatchOptions) -> Result<JobSuccess, FlowError> {
+/// when the whole sweep is unroutable append one escalated rung at
+/// `2 × max(ks)` (or 1.0 if all ks are 0) and mark the job `degraded`.
+/// The options are not read here: retries and cancellation belong to
+/// [`run_one`], which calls the runner.
+pub fn run_batch_job(job: &BatchJob, _bopts: &BatchOptions) -> Result<JobSuccess, FlowError> {
     let prep = prepare(&job.network, &job.opts)?;
     let mut rows = k_sweep_prepared(&prep, &job.ks, &job.opts)?;
     let mut degraded = false;
     let all_unroutable = !rows.is_empty() && rows.iter().all(|r| r.result.route.violations > 0);
-    if bopts.escalate_k && all_unroutable {
+    if all_unroutable {
         let k_max = job.ks.iter().cloned().fold(0.0_f64, f64::max);
         let k_esc = if k_max > 0.0 { 2.0 * k_max } else { 1.0 };
         obs::counter_add("retry.k_escalations", 1);
@@ -397,13 +390,8 @@ mod tests {
         assert!(direct.degraded, "whole sweep unroutable: must escalate");
         assert_eq!(direct.rows.len(), j.ks.len() + 1);
         assert_eq!(*direct.rows.last().map(|r| &r.k).unwrap(), 0.2);
-        let report = run(&[j.clone()], &Pool::serial(), &BatchOptions::default());
+        let report = run(&[j], &Pool::serial(), &BatchOptions::default());
         assert_eq!(report.num_degraded(), 1);
-        // escalation off: the job still succeeds, just without the rung
-        let plain =
-            run_batch_job(&j, &BatchOptions { escalate_k: false, ..Default::default() }).unwrap();
-        assert!(!plain.degraded);
-        assert_eq!(plain.rows.len(), j.ks.len());
     }
 
     #[test]

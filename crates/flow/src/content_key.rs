@@ -16,7 +16,7 @@
 //!
 //! [`KeyBuilder`] is the streaming canonicalizer; [`library_fingerprint`]
 //! hashes the electrical identity of a cell library; the ledger's
-//! `RunRecord::content_hash` and serve's cache keys are both built on
+//! `JobRecord::content_hash` and serve's cache keys are both built on
 //! top of it.
 
 use casyn_library::Library;

@@ -125,6 +125,19 @@ impl FlowErrorKind {
     }
 }
 
+impl FlowErrorKind {
+    /// Every kind, in declaration order.
+    const ALL: [FlowErrorKind; 7] = [
+        FlowErrorKind::BadInput,
+        FlowErrorKind::Invariant,
+        FlowErrorKind::MissingSeqMaster,
+        FlowErrorKind::RouteFailed,
+        FlowErrorKind::Panicked,
+        FlowErrorKind::Cancelled,
+        FlowErrorKind::Deadline,
+    ];
+}
+
 impl fmt::Display for FlowErrorKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
@@ -171,14 +184,25 @@ impl FlowError {
     }
 
     /// Serializes as `{"stage": ..., "kind": ..., "detail": ...}` — the
-    /// error object embedded in `casyn.batch.v1` reports and
-    /// `casyn.crash.v1` bundles.
+    /// `error` of a failed job's record.
     pub fn to_json(&self) -> JsonValue {
         JsonValue::object(vec![
             ("stage".into(), JsonValue::Str(self.stage.name().into())),
             ("kind".into(), JsonValue::Str(self.kind.name().into())),
             ("detail".into(), JsonValue::Str(self.detail.clone())),
         ])
+    }
+
+    /// Reads [`FlowError::to_json`]'s object back; `None` when a field is
+    /// missing or names no stage or kind.
+    pub fn from_json(v: &JsonValue) -> Option<FlowError> {
+        let text = |k: &str| v.get(k).and_then(JsonValue::as_str);
+        let kind = FlowErrorKind::ALL.into_iter().find(|k| Some(k.name()) == text("kind"))?;
+        Some(FlowError {
+            stage: Stage::parse(text("stage")?)?,
+            kind,
+            detail: text("detail")?.into(),
+        })
     }
 }
 
@@ -232,6 +256,12 @@ mod tests {
         assert!(s.contains("\"stage\": \"sweep\""));
         assert!(s.contains("\"kind\": \"bad_input\""));
         assert!(s.contains("\"detail\": \"empty schedule\""));
+        for kind in FlowErrorKind::ALL {
+            let e = FlowError::new(Stage::Route, kind, "d");
+            assert_eq!(FlowError::from_json(&e.to_json()), Some(e));
+        }
+        let no_stage = JsonValue::parse(r#"{"stage": "warp", "kind": "panicked", "detail": ""}"#);
+        assert_eq!(FlowError::from_json(&no_stage.unwrap()), None);
     }
 
     #[test]

@@ -1,30 +1,25 @@
-//! The run ledger: content-addressed `casyn.run.v1` records of flow
-//! invocations, and the cross-run diff behind `casyn diff`.
+//! The job record: what one job ran and what it produced, in the one
+//! layout every result document shares.
 //!
-//! Single-run artifacts (telemetry, traces, heat maps) answer "what did
-//! this run do"; the ledger answers "what changed between runs". Every
-//! flow or batch invocation can append one [`RunRecord`] — design
-//! identity, parameters, the per-K quality metrics of the paper's
-//! tables, and per-stage wall/allocation telemetry — to a ledger
-//! directory. Records are content-addressed: the file name embeds an
-//! FNV-1a hash of the *stable* fields (everything except wall-clock and
-//! allocator readings), so two runs of the same design with the same
-//! parameters and bit-identical results land on the same address, and
-//! any divergence is visible in the directory listing before any diff
-//! runs.
+//! A [`JobRecord`] is the manifest entry that ran (with its effective
+//! fault plan), the hash of its design bytes, the partition scheme that
+//! ran, and the outcome, with one [`Row`] per K. A `casyn.batch.v1`
+//! report or checkpoint ([`batch_json`]) is a summary over records, a
+//! crash bundle ([`JobRecord::bundle_json`]) a one-record batch document,
+//! a `casyn.run.v1` ledger record ([`JobRecord::append`]) one record plus
+//! its content hash, and a `casyn-serve` result a record's rows.
 //!
-//! [`diff_records`] compares two records field by field. Stable fields
-//! (areas, violations, overflow, iterations, wirelength, HPWL, timing
-//! arrival) must match exactly — the determinism contract says they are
-//! bit-identical for identical inputs — and every mismatch is a *delta*.
-//! Wall-clock and allocation figures are machine noise, so they are
-//! compared against a tolerance band and reported separately as
-//! informational *timing notes* that never fail a diff.
+//! The *stable projection* — what the job is (its identity and
+//! parameters), then per row the quality fields and stage names, never a
+//! wall clock — is the content hash that addresses ledger records, the
+//! exact half of [`diff_records`], and, its first half alone
+//! ([`JobRecord::job_key`]), the key `casyn batch --resume` matches on.
 
+use crate::batch::BatchJobReport;
 use crate::content_key::KeyBuilder;
+use crate::error::FlowError;
 use crate::flows::FlowResult;
-use crate::sweep::KSweepEntry;
-use crate::telemetry::FlowTelemetry;
+use crate::manifest::{parse_manifest_value, ManifestDefaults, ManifestJob};
 use casyn_netlist::mapped::MappedNetlist;
 use casyn_netlist::Point;
 use casyn_obs::json::JsonValue;
@@ -36,41 +31,12 @@ use std::path::{Path, PathBuf};
 
 pub use crate::content_key::fnv1a64;
 
-/// The parameters that identify a run configuration. Part of the
-/// content hash: two runs with different parameters never share an
-/// address.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunParams {
-    /// Mapping scheme (`congestion`, `dagon`, `sis`).
-    pub scheme: String,
-    /// Metal layers available for routing.
-    pub layers: usize,
-    /// Target area utilization used to derive the floorplan.
-    pub target_utilization: f64,
-    /// The K values run, in order.
-    pub ks: Vec<f64>,
-    /// Whether technology-independent optimization ran.
-    pub optimize: bool,
-}
+/// The schema of a batch report, a checkpoint and a crash bundle.
+const BATCH_SCHEMA: &str = "casyn.batch.v1";
 
-/// One stage's telemetry inside a [`RunRow`]. Wall and allocation
-/// figures are machine noise: excluded from the content hash, compared
-/// only against the tolerance band.
+/// The outcome of one K of a job.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StageRow {
-    /// Stage name (`place`, `map`, `route`, …).
-    pub stage: String,
-    /// Wall-clock milliseconds.
-    pub wall_ms: f64,
-    /// Bytes allocated during the stage.
-    pub alloc_bytes: u64,
-    /// Peak live bytes during the stage.
-    pub peak_bytes: u64,
-}
-
-/// The outcome of one flow run (one K value) inside a [`RunRecord`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunRow {
+pub struct Row {
     /// The congestion-cost weight K.
     pub k: f64,
     /// Total cell area in µm².
@@ -91,24 +57,42 @@ pub struct RunRow {
     pub hpwl_um: f64,
     /// Critical-path arrival in ns.
     pub critical_ns: f64,
-    /// Per-stage telemetry (timing-band fields only).
-    pub stages: Vec<StageRow>,
+    /// Wall clock of the whole flow, in milliseconds.
+    pub total_ms: f64,
+    /// Peak live netlist nodes.
+    pub peak_live_nodes: usize,
+    /// Per stage, its name and wall clock in milliseconds. The per-stage
+    /// metric deltas and allocator windows are most of a flow's telemetry
+    /// bytes, so a row leaves them to `--metrics-out`.
+    pub stages: Vec<(String, f64)>,
 }
 
-/// One ledger entry: a flow/batch invocation over one design.
+/// One job: the manifest entry that ran and what it produced.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RunRecord {
-    /// Design name (file stem or batch job name).
-    pub design: String,
-    /// FNV-1a hash of the design source bytes.
+pub struct JobRecord {
+    /// The manifest entry that ran; its `fault_plan` is the plan in
+    /// effect (the entry's own, or the batch-wide `--fault-plan`).
+    pub job: ManifestJob,
+    /// FNV-1a hash of the design bytes (0 when they could not be read).
     pub design_hash: u64,
-    /// Run configuration.
-    pub params: RunParams,
-    /// One row per K value run.
-    pub rows: Vec<RunRow>,
+    /// The partition scheme that ran: `pdp` (placement-driven), `cone`
+    /// or `dagon`.
+    pub scheme: String,
+    /// The typed failure of the last attempt; `None` means status ok.
+    pub error: Option<FlowError>,
+    /// Attempts made (0 = never started).
+    pub attempts: u32,
+    /// True when the job only completed through K escalation.
+    pub degraded: bool,
+    /// Wall clock of all attempts, in milliseconds.
+    pub wall_ms: f64,
+    /// The job's own Chrome trace file (`casyn batch --trace-out <dir>/`).
+    pub trace_path: Option<String>,
+    /// One row per K run, in order.
+    pub rows: Vec<Row>,
 }
 
-/// Why a ledger record could not be read back.
+/// Why a record could not be read back.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LedgerError {
     /// The document is not valid JSON.
@@ -144,6 +128,18 @@ impl fmt::Display for LedgerError {
 
 impl std::error::Error for LedgerError {}
 
+fn field_error(field: &str, reason: &str) -> LedgerError {
+    LedgerError::Field { field: field.to_string(), reason: reason.to_string() }
+}
+
+fn parse(text: &str) -> Result<JsonValue, LedgerError> {
+    JsonValue::parse(text).map_err(|e| LedgerError::Syntax {
+        line: e.line,
+        col: e.col,
+        reason: e.reason,
+    })
+}
+
 /// Half-perimeter wirelength of a mapped netlist's nets, from the same
 /// pin model the router uses (driver, cell sinks, primary-output pins).
 pub fn mapped_hpwl(nl: &MappedNetlist) -> f64 {
@@ -161,22 +157,58 @@ pub fn mapped_hpwl(nl: &MappedNetlist) -> f64 {
     total
 }
 
-fn stage_rows(t: &FlowTelemetry) -> Vec<StageRow> {
-    t.stages
-        .iter()
-        .map(|s| StageRow {
-            stage: s.stage.clone(),
-            wall_ms: s.wall_ms,
-            alloc_bytes: s.alloc_bytes,
-            peak_bytes: s.peak_bytes,
-        })
+/// The one rule for a file named after a job or design: anything but
+/// letters, digits, `-` and `_` becomes `_`, so a name such as
+/// `../x` can never leave the directory it is written to.
+pub fn safe_stem(name: &str) -> String {
+    name.chars()
+        .map(|c| if c.is_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
         .collect()
 }
 
-impl RunRow {
+/// One field of the stable projection, in the form the content hash
+/// canonicalizes it ([`KeyBuilder`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Stable<'a> {
+    Str(&'a str),
+    Hash(u64),
+    Int(u64),
+    Num(f64),
+    Bool(bool),
+    Nums(&'a [f64]),
+}
+
+impl Stable<'_> {
+    fn add_to(self, b: KeyBuilder) -> KeyBuilder {
+        match self {
+            Stable::Str(v) => b.str(v),
+            Stable::Hash(v) => b.hash(v),
+            Stable::Int(v) => b.int(v),
+            Stable::Num(v) => b.num(v),
+            Stable::Bool(v) => b.bool(v),
+            Stable::Nums(v) => b.nums(v),
+        }
+    }
+}
+
+impl fmt::Display for Stable<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Stable::Str(v) => f.write_str(v),
+            Stable::Hash(v) => write!(f, "{v:016x}"),
+            Stable::Int(v) => write!(f, "{v}"),
+            Stable::Num(v) => write!(f, "{v}"),
+            Stable::Bool(v) => write!(f, "{v}"),
+            Stable::Nums(v) => write!(f, "{v:?}"),
+        }
+    }
+}
+
+impl Row {
     /// Summarizes one flow result at weight `k`.
-    pub fn from_result(k: f64, r: &FlowResult) -> RunRow {
-        RunRow {
+    pub fn from_result(k: f64, r: &FlowResult) -> Row {
+        let t = &r.telemetry;
+        Row {
             k,
             cell_area: r.cell_area,
             num_cells: r.num_cells,
@@ -187,301 +219,400 @@ impl RunRow {
             wirelength_um: r.route.total_wirelength,
             hpwl_um: mapped_hpwl(&r.netlist),
             critical_ns: r.sta.critical_arrival(),
-            stages: stage_rows(&r.telemetry),
+            total_ms: t.total_ms,
+            peak_live_nodes: t.peak_live_nodes,
+            stages: t.stages.iter().map(|s| (s.stage.clone(), s.wall_ms)).collect(),
         }
+    }
+
+    /// The quality fields, in content-hash order (K first).
+    fn quality(&self) -> [(&'static str, Stable<'_>); 10] {
+        use Stable::{Int, Num};
+        [
+            ("k", Num(self.k)),
+            ("cell_area", Num(self.cell_area)),
+            ("num_cells", Int(self.num_cells as u64)),
+            ("utilization_pct", Num(self.utilization_pct)),
+            ("violations", Int(self.violations as u64)),
+            ("overflow", Num(self.overflow)),
+            ("route_iterations", Int(self.route_iterations as u64)),
+            ("wirelength_um", Num(self.wirelength_um)),
+            ("hpwl_um", Num(self.hpwl_um)),
+            ("critical_ns", Num(self.critical_ns)),
+        ]
+    }
+
+    /// The row as JSON: the quality fields, then `telemetry` with
+    /// `total_ms`, `peak_live_nodes` and per stage `stage` and `wall_ms`.
+    pub fn to_json(&self) -> JsonValue {
+        let mut doc: Vec<(String, JsonValue)> = self
+            .quality()
+            .into_iter()
+            .map(|(name, v)| {
+                let n = match v {
+                    Stable::Int(n) => n as f64,
+                    Stable::Num(n) => n,
+                    _ => unreachable!("a row's quality fields are numbers"),
+                };
+                (name.to_string(), JsonValue::Number(n))
+            })
+            .collect();
+        let stages = self
+            .stages
+            .iter()
+            .map(|(stage, wall_ms)| {
+                JsonValue::object(vec![
+                    ("stage".into(), JsonValue::Str(stage.clone())),
+                    ("wall_ms".into(), JsonValue::Number(*wall_ms)),
+                ])
+            })
+            .collect();
+        doc.push((
+            "telemetry".into(),
+            JsonValue::object(vec![
+                ("total_ms".into(), JsonValue::Number(self.total_ms)),
+                ("peak_live_nodes".into(), JsonValue::Number(self.peak_live_nodes as f64)),
+                ("stages".into(), JsonValue::Array(stages)),
+            ]),
+        ));
+        JsonValue::Object(doc)
+    }
+
+    /// Reads a row back; `at` names it in errors (`rows[1]`). A row of a
+    /// ledger record written before rows carried `telemetry` keeps its
+    /// `stages` at the top level, and reads with no total or peak.
+    fn from_json(v: &JsonValue, at: &str) -> Result<Row, LedgerError> {
+        let num = |obj: &JsonValue, name: &str| {
+            obj.get(name).and_then(JsonValue::as_f64).filter(|x| x.is_finite()).ok_or_else(|| {
+                field_error(&format!("{at}.{name}"), "missing or not a finite number")
+            })
+        };
+        let t = v.get("telemetry");
+        let stages = t
+            .unwrap_or(v)
+            .get("stages")
+            .and_then(JsonValue::as_array)
+            .ok_or_else(|| field_error(&format!("{at}.stages"), "missing or not an array"))?
+            .iter()
+            .map(|s| {
+                let stage = s.get("stage").and_then(JsonValue::as_str).ok_or_else(|| {
+                    field_error(&format!("{at}.stages.stage"), "missing or not a string")
+                })?;
+                Ok((stage.to_string(), num(s, "wall_ms")?))
+            })
+            .collect::<Result<_, LedgerError>>()?;
+        let opt = |name: &str| t.and_then(|t| t.get(name)).and_then(JsonValue::as_f64);
+        Ok(Row {
+            k: num(v, "k")?,
+            cell_area: num(v, "cell_area")?,
+            num_cells: num(v, "num_cells")? as usize,
+            utilization_pct: num(v, "utilization_pct")?,
+            violations: num(v, "violations")? as usize,
+            overflow: num(v, "overflow")?,
+            route_iterations: num(v, "route_iterations")? as usize,
+            wirelength_um: num(v, "wirelength_um")?,
+            hpwl_um: num(v, "hpwl_um")?,
+            critical_ns: num(v, "critical_ns")?,
+            total_ms: opt("total_ms").unwrap_or(0.0),
+            peak_live_nodes: opt("peak_live_nodes").unwrap_or(0.0) as usize,
+            stages,
+        })
     }
 }
 
-impl RunRecord {
-    /// Builds a record from K-sweep entries (a single flow run is a
-    /// one-entry sweep).
-    pub fn from_sweep(
-        design: &str,
-        design_hash: u64,
-        params: RunParams,
-        rows: &[KSweepEntry],
-    ) -> RunRecord {
-        RunRecord {
-            design: design.to_string(),
+impl JobRecord {
+    /// The record of `job` before it runs: its identity and parameters,
+    /// status ok, no attempts and no rows.
+    pub fn new(job: ManifestJob, design_hash: u64, scheme: &str) -> JobRecord {
+        JobRecord {
+            job,
             design_hash,
-            params,
-            rows: rows.iter().map(|e| RunRow::from_result(e.k, &e.result)).collect(),
+            scheme: scheme.to_string(),
+            error: None,
+            attempts: 0,
+            degraded: false,
+            wall_ms: 0.0,
+            trace_path: None,
+            rows: Vec::new(),
         }
     }
 
-    /// The content address: FNV-1a over the stable fields (design
-    /// identity, parameters, quality metrics), excluding wall-clock and
-    /// allocation telemetry. Identical-input runs of a deterministic
-    /// build hash identically. Derivation lives in
-    /// [`crate::content_key`], shared with the serve artifact cache.
-    pub fn content_hash(&self) -> u64 {
-        let p = &self.params;
-        let mut b = KeyBuilder::new("casyn.run.v1")
-            .str(&self.design)
-            .hash(self.design_hash)
-            .str(&p.scheme)
+    /// This record with the outcome of a batch run of its job.
+    pub fn finished(&self, jr: &BatchJobReport) -> JobRecord {
+        let mut rec = self.clone();
+        (rec.attempts, rec.wall_ms) = (jr.attempts, jr.wall_ms);
+        match &jr.outcome {
+            Ok(s) => {
+                rec.rows = s.rows.iter().map(|e| Row::from_result(e.k, &e.result)).collect();
+                rec.degraded = s.degraded;
+            }
+            Err(e) => rec.error = Some(e.clone()),
+        }
+        rec
+    }
+
+    /// What the job is: its identity and parameters, the first half of
+    /// the stable projection, in content-hash order.
+    fn identity(&self) -> [(&'static str, Stable<'_>); 8] {
+        use Stable::{Bool, Hash, Int, Num, Nums, Str};
+        let j = &self.job;
+        [
+            ("name", Str(&j.name)),
+            ("design_hash", Hash(self.design_hash)),
+            ("scheme", Str(&self.scheme)),
             // the placer's name, from when there were two: records keep
             // the addresses they had
-            .str("kway")
-            .int(p.layers as u64)
-            .num(p.target_utilization)
-            .bool(p.optimize)
-            .nums(&p.ks);
+            ("placer", Str("kway")),
+            ("layers", Int(j.layers as u64)),
+            ("util", Num(j.util)),
+            ("optimize", Bool(j.optimize)),
+            ("ks", Nums(&j.ks)),
+        ]
+    }
+
+    /// The key `casyn batch --resume` matches on: a hash of the job's
+    /// identity and parameters (name, design bytes, scheme, layers,
+    /// utilization, optimization, K list), so an entry that changed any
+    /// of them re-runs.
+    pub fn job_key(&self) -> u64 {
+        self.identity()
+            .into_iter()
+            .fold(KeyBuilder::new("casyn.run.v1"), |b, (_, v)| v.add_to(b))
+            .finish()
+    }
+
+    /// The content address: FNV-1a over the stable projection, the
+    /// identity and parameters and then per row its quality fields and
+    /// stage names, excluding every wall-clock reading. Identical-input
+    /// runs of a deterministic build hash identically. Derivation lives
+    /// in [`crate::content_key`], shared with the serve artifact cache.
+    pub fn content_hash(&self) -> u64 {
+        let mut b = KeyBuilder::new("casyn.run.v1");
+        for (_, v) in self.identity() {
+            b = v.add_to(b);
+        }
         for r in &self.rows {
-            b = b
-                .num(r.k)
-                .num(r.cell_area)
-                .int(r.num_cells as u64)
-                .num(r.utilization_pct)
-                .int(r.violations as u64)
-                .num(r.overflow)
-                .int(r.route_iterations as u64)
-                .num(r.wirelength_um)
-                .num(r.hpwl_um)
-                .num(r.critical_ns);
+            for (_, v) in r.quality() {
+                b = v.add_to(b);
+            }
             // stage names are stable (the pipeline shape), readings are not
             b = b.int(r.stages.len() as u64);
-            for s in &r.stages {
-                b = b.str(&s.stage);
+            for (stage, _) in &r.stages {
+                b = b.str(stage);
             }
         }
         b.finish()
     }
 
-    /// Serializes the record as a `casyn.run.v1` document. Hashes are
-    /// hex strings (JSON numbers lose u64 precision past 2⁵³).
-    pub fn to_json(&self) -> JsonValue {
-        let params = JsonValue::object(vec![
-            ("scheme".into(), JsonValue::Str(self.params.scheme.clone())),
-            ("layers".into(), JsonValue::Number(self.params.layers as f64)),
-            ("target_utilization".into(), JsonValue::Number(self.params.target_utilization)),
-            (
-                "ks".into(),
-                JsonValue::Array(self.params.ks.iter().map(|&k| JsonValue::Number(k)).collect()),
-            ),
-            ("optimize".into(), JsonValue::Bool(self.params.optimize)),
-        ]);
-        let rows = self
-            .rows
-            .iter()
-            .map(|r| {
-                JsonValue::object(vec![
-                    ("k".into(), JsonValue::Number(r.k)),
-                    ("cell_area".into(), JsonValue::Number(r.cell_area)),
-                    ("num_cells".into(), JsonValue::Number(r.num_cells as f64)),
-                    ("utilization_pct".into(), JsonValue::Number(r.utilization_pct)),
-                    ("violations".into(), JsonValue::Number(r.violations as f64)),
-                    ("overflow".into(), JsonValue::Number(r.overflow)),
-                    ("route_iterations".into(), JsonValue::Number(r.route_iterations as f64)),
-                    ("wirelength_um".into(), JsonValue::Number(r.wirelength_um)),
-                    ("hpwl_um".into(), JsonValue::Number(r.hpwl_um)),
-                    ("critical_ns".into(), JsonValue::Number(r.critical_ns)),
-                    (
-                        "stages".into(),
-                        JsonValue::Array(
-                            r.stages
-                                .iter()
-                                .map(|s| {
-                                    JsonValue::object(vec![
-                                        ("stage".into(), JsonValue::Str(s.stage.clone())),
-                                        ("wall_ms".into(), JsonValue::Number(s.wall_ms)),
-                                        (
-                                            "alloc_bytes".into(),
-                                            JsonValue::Number(s.alloc_bytes as f64),
-                                        ),
-                                        (
-                                            "peak_bytes".into(),
-                                            JsonValue::Number(s.peak_bytes as f64),
-                                        ),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect();
-        JsonValue::object(vec![
-            ("schema".into(), JsonValue::Str("casyn.run.v1".into())),
-            ("design".into(), JsonValue::Str(self.design.clone())),
-            ("design_hash".into(), JsonValue::Str(format!("{:016x}", self.design_hash))),
-            ("content_hash".into(), JsonValue::Str(format!("{:016x}", self.content_hash()))),
-            ("params".into(), params),
-            ("rows".into(), JsonValue::Array(rows)),
-        ])
+    /// The record's fields: the manifest entry's (as
+    /// [`ManifestJob::to_json`] writes them), then `design_hash` (hex:
+    /// JSON numbers lose u64 precision past 2⁵³), `scheme`, `status`,
+    /// `error`, `attempts`, `degraded`, `wall_ms`, `trace_path` and
+    /// `rows`.
+    fn fields(&self) -> Vec<(String, JsonValue)> {
+        let mut doc = match self.job.to_json() {
+            JsonValue::Object(fields) => fields,
+            _ => unreachable!("a manifest entry serializes as an object"),
+        };
+        let status = if self.error.is_some() { "error" } else { "ok" };
+        doc.push(("design_hash".into(), JsonValue::Str(format!("{:016x}", self.design_hash))));
+        doc.push(("scheme".into(), JsonValue::Str(self.scheme.clone())));
+        doc.push(("status".into(), JsonValue::Str(status.into())));
+        if let Some(e) = &self.error {
+            doc.push(("error".into(), e.to_json()));
+        }
+        doc.push(("attempts".into(), JsonValue::Number(self.attempts as f64)));
+        doc.push(("degraded".into(), JsonValue::Bool(self.degraded)));
+        doc.push(("wall_ms".into(), JsonValue::Number(self.wall_ms)));
+        if let Some(p) = &self.trace_path {
+            doc.push(("trace_path".into(), JsonValue::Str(p.clone())));
+        }
+        doc.push(("rows".into(), JsonValue::Array(self.rows.iter().map(Row::to_json).collect())));
+        doc
     }
 
-    /// Reads a `casyn.run.v1` document back — the inverse of
-    /// [`RunRecord::to_json`].
-    pub fn from_json(text: &str) -> Result<RunRecord, LedgerError> {
-        let doc = JsonValue::parse(text).map_err(|e| LedgerError::Syntax {
-            line: e.line,
-            col: e.col,
-            reason: e.reason,
-        })?;
-        let field = |name: &str, reason: &str| LedgerError::Field {
-            field: name.to_string(),
-            reason: reason.to_string(),
-        };
-        let str_of = |v: &JsonValue, name: &str| -> Result<String, LedgerError> {
-            v.get(name)
-                .and_then(|x| x.as_str())
-                .map(str::to_string)
-                .ok_or_else(|| field(name, "missing or not a string"))
-        };
-        let num_of = |v: &JsonValue, name: &str| -> Result<f64, LedgerError> {
-            v.get(name)
-                .and_then(|x| x.as_f64())
-                .filter(|x| x.is_finite())
-                .ok_or_else(|| field(name, "missing or not a finite number"))
-        };
-        let schema = str_of(&doc, "schema")?;
-        if schema != "casyn.run.v1" {
-            return Err(field("schema", &format!("expected \"casyn.run.v1\", got \"{schema}\"")));
+    /// The record as one `casyn.batch.v1` job entry.
+    pub fn to_json(&self) -> JsonValue {
+        JsonValue::Object(self.fields())
+    }
+
+    /// The crash bundle of a failed job: a one-record `casyn.batch.v1`
+    /// document whose top level is the record itself (its `error`, its
+    /// effective `fault_plan`, its parameters) and whose `jobs` holds the
+    /// record again, so the bundle is also a manifest: `casyn batch
+    /// <bundle>` replays the failure.
+    pub fn bundle_json(&self) -> JsonValue {
+        let mut doc = vec![("schema".into(), JsonValue::Str(BATCH_SCHEMA.into()))];
+        doc.extend(self.fields());
+        doc.push(("jobs".into(), JsonValue::Array(vec![self.to_json()])));
+        JsonValue::Object(doc)
+    }
+
+    /// Reads a record back: a `casyn.batch.v1` job entry, a
+    /// `casyn.run.v1` ledger record, or a ledger record written before
+    /// records held their manifest entry (design name, `params` and
+    /// rows; it reads as a job whose design path is its name).
+    pub fn from_json(text: &str) -> Result<JobRecord, LedgerError> {
+        let doc = parse(text)?;
+        match doc.get("schema").map(|s| s.as_str()) {
+            None | Some(Some("casyn.run.v1")) => JobRecord::read(&doc),
+            Some(s) => Err(field_error(
+                "schema",
+                &format!("expected \"casyn.run.v1\", got {}", s.unwrap_or("a non-string")),
+            )),
         }
-        let design = str_of(&doc, "design")?;
-        let hash_text = str_of(&doc, "design_hash")?;
-        let design_hash = u64::from_str_radix(&hash_text, 16)
-            .map_err(|_| field("design_hash", "not a hex integer"))?;
-        let p = doc.get("params").ok_or_else(|| field("params", "missing"))?;
-        let ks = p
-            .get("ks")
-            .and_then(|v| v.as_array())
-            .ok_or_else(|| field("params.ks", "missing or not an array"))?
+    }
+
+    fn read(doc: &JsonValue) -> Result<JobRecord, LedgerError> {
+        // a record written before records held their manifest entry keeps
+        // its parameters under `params` and names the design by its stem
+        let entry = match doc.get("params") {
+            Some(JsonValue::Object(params)) => {
+                let name = doc.get("design").cloned().unwrap_or(JsonValue::Null);
+                let util = |k: &str| if k == "target_utilization" { "util" } else { k }.to_string();
+                let fields = params.iter().map(|(k, v)| (util(k), v.clone()));
+                let ident = [("name".into(), name.clone()), ("design".into(), name)];
+                JsonValue::Object(fields.chain(ident).collect())
+            }
+            _ => doc.clone(),
+        };
+        let str_of = |name: &str| {
+            entry
+                .get(name)
+                .or_else(|| doc.get(name))
+                .and_then(JsonValue::as_str)
+                .ok_or_else(|| field_error(name, "missing or not a string"))
+        };
+        let design_hash = u64::from_str_radix(str_of("design_hash")?, 16)
+            .map_err(|_| field_error("design_hash", "not a hex integer"))?;
+        let scheme = str_of("scheme")?.to_string();
+        let error = doc.get("error").map(|e| {
+            FlowError::from_json(e)
+                .ok_or_else(|| field_error("error", "not a stage, kind and detail"))
+        });
+        let job =
+            parse_manifest_value(&JsonValue::Array(vec![entry]), &ManifestDefaults::default())
+                .map_err(|e| field_error("job", &e))?
+                .remove(0);
+        let rows = doc
+            .get("rows")
+            .and_then(JsonValue::as_array)
+            .ok_or_else(|| field_error("rows", "missing or not an array"))?
             .iter()
             .enumerate()
-            .map(|(i, v)| {
-                v.as_f64().ok_or_else(|| field(&format!("params.ks[{i}]"), "not a number"))
-            })
-            .collect::<Result<Vec<f64>, _>>()?;
-        let params = RunParams {
-            scheme: str_of(p, "scheme")?,
-            layers: num_of(p, "layers")? as usize,
-            target_utilization: num_of(p, "target_utilization")?,
-            ks,
-            optimize: p
-                .get("optimize")
-                .and_then(|v| v.as_bool())
-                .ok_or_else(|| field("params.optimize", "missing or not a bool"))?,
-        };
-        let rows_json = doc
-            .get("rows")
-            .and_then(|v| v.as_array())
-            .ok_or_else(|| field("rows", "missing or not an array"))?;
-        let mut rows = Vec::with_capacity(rows_json.len());
-        for (i, r) in rows_json.iter().enumerate() {
-            let at = |name: &str| format!("rows[{i}].{name}");
-            let stages_json = r
-                .get("stages")
-                .and_then(|v| v.as_array())
-                .ok_or_else(|| field(&at("stages"), "missing or not an array"))?;
-            let mut stages = Vec::with_capacity(stages_json.len());
-            for (j, s) in stages_json.iter().enumerate() {
-                let sat = |name: &str| format!("rows[{i}].stages[{j}].{name}");
-                stages.push(StageRow {
-                    stage: s
-                        .get("stage")
-                        .and_then(|v| v.as_str())
-                        .map(str::to_string)
-                        .ok_or_else(|| field(&sat("stage"), "missing or not a string"))?,
-                    wall_ms: s
-                        .get("wall_ms")
-                        .and_then(|v| v.as_f64())
-                        .ok_or_else(|| field(&sat("wall_ms"), "missing or not a number"))?,
-                    alloc_bytes: s.get("alloc_bytes").and_then(|v| v.as_f64()).unwrap_or(0.0)
-                        as u64,
-                    peak_bytes: s.get("peak_bytes").and_then(|v| v.as_f64()).unwrap_or(0.0) as u64,
-                });
-            }
-            rows.push(RunRow {
-                k: num_of(r, "k").map_err(|_| field(&at("k"), "missing or not a number"))?,
-                cell_area: num_of(r, "cell_area")
-                    .map_err(|_| field(&at("cell_area"), "missing or not a number"))?,
-                num_cells: num_of(r, "num_cells")
-                    .map_err(|_| field(&at("num_cells"), "missing or not a number"))?
-                    as usize,
-                utilization_pct: num_of(r, "utilization_pct")
-                    .map_err(|_| field(&at("utilization_pct"), "missing or not a number"))?,
-                violations: num_of(r, "violations")
-                    .map_err(|_| field(&at("violations"), "missing or not a number"))?
-                    as usize,
-                overflow: num_of(r, "overflow")
-                    .map_err(|_| field(&at("overflow"), "missing or not a number"))?,
-                route_iterations: num_of(r, "route_iterations")
-                    .map_err(|_| field(&at("route_iterations"), "missing or not a number"))?
-                    as usize,
-                wirelength_um: num_of(r, "wirelength_um")
-                    .map_err(|_| field(&at("wirelength_um"), "missing or not a number"))?,
-                hpwl_um: num_of(r, "hpwl_um")
-                    .map_err(|_| field(&at("hpwl_um"), "missing or not a number"))?,
-                critical_ns: num_of(r, "critical_ns")
-                    .map_err(|_| field(&at("critical_ns"), "missing or not a number"))?,
-                stages,
-            });
-        }
-        Ok(RunRecord { design, design_hash, params, rows })
+            .map(|(i, r)| Row::from_json(r, &format!("rows[{i}]")))
+            .collect::<Result<_, _>>()?;
+        // a ledger record of an older build ran once and kept no wall clock
+        let num = |name: &str, or: f64| doc.get(name).and_then(JsonValue::as_f64).unwrap_or(or);
+        Ok(JobRecord {
+            job,
+            design_hash,
+            scheme,
+            error: error.transpose()?,
+            attempts: num("attempts", 1.0) as u32,
+            degraded: doc.get("degraded").and_then(JsonValue::as_bool).unwrap_or(false),
+            wall_ms: num("wall_ms", 0.0),
+            trace_path: doc.get("trace_path").and_then(JsonValue::as_str).map(str::to_string),
+            rows,
+        })
     }
 
-    /// Appends the record to a ledger directory as
-    /// `<design>-<content-hash>.json`, creating the directory if needed.
-    /// The write goes through [`crate::durable::write_atomic`]
+    /// Appends the record to a ledger directory as a `casyn.run.v1`
+    /// document, `<name>-<content-hash>.json`, creating the directory if
+    /// needed. The write goes through [`crate::durable::write_atomic`]
     /// (write-then-fsync-then-rename); re-appending an identical run
-    /// rewrites the same address and is idempotent. Returns the
-    /// record's path.
+    /// rewrites the same address and is idempotent. Returns the record's
+    /// path.
     pub fn append(&self, dir: &Path) -> io::Result<PathBuf> {
         fs::create_dir_all(dir)?;
-        let name = format!("{}-{:016x}.json", sanitize(&self.design), self.content_hash());
-        let path = dir.join(&name);
-        let text = self.to_json().to_string_pretty() + "\n";
+        let hash = self.content_hash();
+        let path = dir.join(format!("{}-{hash:016x}.json", safe_stem(&self.job.name)));
+        let mut doc = vec![
+            ("schema".into(), JsonValue::Str("casyn.run.v1".into())),
+            ("content_hash".into(), JsonValue::Str(format!("{hash:016x}"))),
+        ];
+        doc.extend(self.fields());
+        let text = JsonValue::Object(doc).to_string_pretty() + "\n";
         crate::durable::write_atomic(&path, text.as_bytes())?;
         Ok(path)
     }
 
     /// Reads a record from a file previously written by
-    /// [`RunRecord::append`] (or any `casyn.run.v1` document).
-    pub fn load(path: &Path) -> Result<RunRecord, LedgerError> {
+    /// [`JobRecord::append`] (or any `casyn.run.v1` document).
+    pub fn load(path: &Path) -> Result<JobRecord, LedgerError> {
         let text = fs::read_to_string(path).map_err(|e| LedgerError::Field {
             field: path.display().to_string(),
             reason: format!("unreadable: {e}"),
         })?;
-        RunRecord::from_json(&text)
+        JobRecord::from_json(&text)
     }
 }
 
-fn sanitize(name: &str) -> String {
-    name.chars()
-        .map(|c| if c.is_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
-        .collect()
+/// A `casyn.batch.v1` document over `records`: the pool's worker count,
+/// the batch wall clock, the ok / failed / degraded counts, and the
+/// records as `jobs`. A running batch's checkpoint is the same document
+/// over the records finished so far.
+pub fn batch_json(records: &[JobRecord], workers: usize, wall_ms: f64) -> JsonValue {
+    let failed = records.iter().filter(|r| r.error.is_some()).count();
+    let degraded = records.iter().filter(|r| r.degraded).count();
+    let count = |n: usize| JsonValue::Number(n as f64);
+    JsonValue::object(vec![
+        ("schema".into(), JsonValue::Str(BATCH_SCHEMA.into())),
+        ("workers".into(), count(workers)),
+        ("wall_ms".into(), JsonValue::Number(wall_ms)),
+        ("jobs_ok".into(), count(records.len() - failed)),
+        ("jobs_failed".into(), count(failed)),
+        ("jobs_degraded".into(), count(degraded)),
+        ("jobs".into(), JsonValue::Array(records.iter().map(JobRecord::to_json).collect())),
+    ])
 }
 
-/// The tolerance band for the timing-noise fields of a diff. A reading
-/// is an outlier when it exceeds `other × (1 + ratio) + abs`.
+/// Reads the job entries of a `casyn.batch.v1` document (a report, a
+/// checkpoint or a crash bundle), or of the `casyn.checkpoint.v1` an
+/// older batch left behind. Each entry reads on its own: one that does
+/// not parse as a [`JobRecord`] (such as an older entry, which does not
+/// say what it ran) is an error in its slot, not for the document.
+pub fn read_batch(text: &str) -> Result<Vec<Result<JobRecord, LedgerError>>, LedgerError> {
+    let doc = parse(text)?;
+    let schema = doc.get("schema").and_then(JsonValue::as_str).unwrap_or("");
+    if schema != BATCH_SCHEMA && schema != "casyn.checkpoint.v1" {
+        return Err(field_error(
+            "schema",
+            &format!(
+                "{schema:?} is not resumable (expected {BATCH_SCHEMA} or casyn.checkpoint.v1)"
+            ),
+        ));
+    }
+    let jobs = doc.get("jobs").and_then(JsonValue::as_array).unwrap_or(&[]);
+    Ok(jobs.iter().map(JobRecord::read).collect())
+}
+
+/// The tolerance band for the wall-clock fields of a diff. A reading is
+/// an outlier when it exceeds `other × (1 + ratio) + abs_ms`.
 #[derive(Debug, Clone, Copy)]
 pub struct DiffTolerance {
-    /// Relative band on wall/alloc readings.
+    /// Relative band on wall readings.
     pub ratio: f64,
     /// Absolute slack in milliseconds (absorbs timer noise on fast
     /// stages).
     pub abs_ms: f64,
-    /// Absolute slack in bytes.
-    pub abs_bytes: f64,
 }
 
 impl Default for DiffTolerance {
     fn default() -> Self {
         // generous: cross-run wall noise is routinely 2x on small stages
-        DiffTolerance { ratio: 1.0, abs_ms: 5.0, abs_bytes: (4 << 20) as f64 }
+        DiffTolerance { ratio: 1.0, abs_ms: 5.0 }
     }
 }
 
-/// The outcome of comparing two [`RunRecord`]s.
+/// The outcome of comparing two [`JobRecord`]s.
 #[derive(Debug, Clone, Default)]
 pub struct RunDiff {
-    /// Stable-field mismatches — real differences between the runs.
+    /// Stable-projection mismatches — real differences between the runs.
     /// Non-empty means the runs diverged.
     pub deltas: Vec<String>,
-    /// Timing/allocation readings outside the tolerance band —
-    /// informational only, never a divergence by themselves.
+    /// Stage wall readings outside the tolerance band — informational
+    /// only, never a divergence by themselves.
     pub timing_notes: Vec<String>,
 }
 
@@ -492,80 +623,49 @@ impl RunDiff {
     }
 }
 
-/// Compares two records stage by stage. Stable quality metrics must be
-/// exactly equal (the determinism contract); wall/alloc readings are
-/// held only to `tol`.
-pub fn diff_records(a: &RunRecord, b: &RunRecord, tol: &DiffTolerance) -> RunDiff {
+/// Compares two records over their stable projection, field by field:
+/// it must match exactly (the determinism contract says it is
+/// bit-identical for identical inputs). Stage wall readings are held
+/// only to `tol`.
+pub fn diff_records(a: &JobRecord, b: &JobRecord, tol: &DiffTolerance) -> RunDiff {
     let mut d = RunDiff::default();
-    let mut delta = |name: &str, av: String, bv: String| {
+    let mut delta = |name: &str, av: &dyn fmt::Display, bv: &dyn fmt::Display| {
         d.deltas.push(format!("{name}: {av} != {bv}"));
     };
-    if a.design != b.design {
-        delta("design", a.design.clone(), b.design.clone());
-    }
-    if a.design_hash != b.design_hash {
-        delta("design_hash", format!("{:016x}", a.design_hash), format!("{:016x}", b.design_hash));
-    }
-    if a.params != b.params {
-        delta("params", format!("{:?}", a.params), format!("{:?}", b.params));
+    for ((name, av), (_, bv)) in a.identity().into_iter().zip(b.identity()) {
+        if av != bv {
+            delta(name, &av, &bv);
+        }
     }
     if a.rows.len() != b.rows.len() {
-        delta("rows", a.rows.len().to_string(), b.rows.len().to_string());
+        delta("rows", &a.rows.len(), &b.rows.len());
     }
     for (ra, rb) in a.rows.iter().zip(&b.rows) {
         let k = ra.k;
-        let at = |name: &str| format!("k={k} {name}");
         if ra.k != rb.k {
-            delta("row k", ra.k.to_string(), rb.k.to_string());
+            delta("row k", &ra.k, &rb.k);
             continue;
         }
-        let exact: [(&str, f64, f64); 8] = [
-            ("cell_area", ra.cell_area, rb.cell_area),
-            ("num_cells", ra.num_cells as f64, rb.num_cells as f64),
-            ("utilization_pct", ra.utilization_pct, rb.utilization_pct),
-            ("violations", ra.violations as f64, rb.violations as f64),
-            ("overflow", ra.overflow, rb.overflow),
-            ("route_iterations", ra.route_iterations as f64, rb.route_iterations as f64),
-            ("wirelength_um", ra.wirelength_um, rb.wirelength_um),
-            ("hpwl_um", ra.hpwl_um, rb.hpwl_um),
-        ];
-        for (name, av, bv) in exact {
+        for ((name, av), (_, bv)) in ra.quality().into_iter().zip(rb.quality()) {
             if av != bv {
-                delta(&at(name), av.to_string(), bv.to_string());
+                delta(&format!("k={k} {name}"), &av, &bv);
             }
         }
-        if ra.critical_ns != rb.critical_ns {
-            delta(&at("critical_ns"), ra.critical_ns.to_string(), rb.critical_ns.to_string());
-        }
-        // timing band: match stages by name; shape changes are deltas,
-        // readings are notes
-        let stage_names = |r: &RunRow| r.stages.iter().map(|s| s.stage.clone()).collect::<Vec<_>>();
-        if stage_names(ra) != stage_names(rb) {
-            delta(&at("stages"), stage_names(ra).join(","), stage_names(rb).join(","));
+        // stage names are the pipeline's shape: a change is a delta
+        let names =
+            |r: &Row| r.stages.iter().map(|(s, _)| s.as_str()).collect::<Vec<_>>().join(",");
+        if names(ra) != names(rb) {
+            delta(&format!("k={k} stages"), &names(ra), &names(rb));
             continue;
         }
-        for (sa, sb) in ra.stages.iter().zip(&rb.stages) {
-            let band = |x: f64, y: f64, abs: f64| -> bool {
-                let hi = y * (1.0 + tol.ratio) + abs;
-                let lo = (y / (1.0 + tol.ratio) - abs).max(0.0);
-                x > hi || x < lo
-            };
-            if band(sa.wall_ms, sb.wall_ms, tol.abs_ms) {
+        for ((stage, wa), (_, wb)) in ra.stages.iter().zip(&rb.stages) {
+            let hi = wb * (1.0 + tol.ratio) + tol.abs_ms;
+            let lo = (wb / (1.0 + tol.ratio) - tol.abs_ms).max(0.0);
+            if *wa > hi || *wa < lo {
                 d.timing_notes.push(format!(
-                    "k={k} {}: wall {:.3} ms vs {:.3} ms (band ±{:.0}% + {} ms)",
-                    sa.stage,
-                    sa.wall_ms,
-                    sb.wall_ms,
+                    "k={k} {stage}: wall {wa:.3} ms vs {wb:.3} ms (band ±{:.0}% + {} ms)",
                     100.0 * tol.ratio,
                     tol.abs_ms
-                ));
-            }
-            if band(sa.alloc_bytes as f64, sb.alloc_bytes as f64, tol.abs_bytes)
-                || band(sa.peak_bytes as f64, sb.peak_bytes as f64, tol.abs_bytes)
-            {
-                d.timing_notes.push(format!(
-                    "k={k} {}: alloc {}/{} B vs {}/{} B",
-                    sa.stage, sa.alloc_bytes, sa.peak_bytes, sb.alloc_bytes, sb.peak_bytes
                 ));
             }
         }
@@ -596,8 +696,18 @@ pub fn format_diff(a_name: &str, b_name: &str, d: &RunDiff) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    // the pinned-address test below predates the record's rename
+    use super::JobRecord as RunRecord;
     use crate::flows::{congestion_flow, FlowOptions};
     use casyn_netlist::bench::{random_pla, PlaGenConfig};
+
+    fn job(name: &str, ks: &[f64]) -> ManifestJob {
+        let doc = JsonValue::parse(&format!(
+            r#"[{{"name": "{name}", "design": "{name}", "ks": {ks:?}, "util": 0.611}}]"#
+        ))
+        .unwrap();
+        parse_manifest_value(&doc, &ManifestDefaults::default()).unwrap().remove(0)
+    }
 
     fn record() -> RunRecord {
         let net = random_pla(&PlaGenConfig {
@@ -611,19 +721,10 @@ mod tests {
         })
         .to_network();
         let r = congestion_flow(&net, 0.001, &FlowOptions::default()).unwrap();
-        let rows = vec![KSweepEntry { k: 0.001, result: r }];
-        RunRecord::from_sweep(
-            "t8",
-            fnv1a64(b"design-bytes"),
-            RunParams {
-                scheme: "congestion".into(),
-                layers: 3,
-                target_utilization: 0.611,
-                ks: vec![0.001],
-                optimize: false,
-            },
-            &rows,
-        )
+        let mut rec = JobRecord::new(job("t8", &[0.001]), fnv1a64(b"design-bytes"), "congestion");
+        rec.attempts = 1;
+        rec.rows = vec![Row::from_result(0.001, &r)];
+        rec
     }
 
     #[test]
@@ -651,32 +752,17 @@ mod tests {
 
     #[test]
     fn record_round_trips_through_json() {
-        let rec = record();
-        let text = rec.to_json().to_string_pretty();
-        assert!(text.contains("\"schema\": \"casyn.run.v1\""));
-        let back = RunRecord::from_json(&text).unwrap();
+        let mut rec = record();
+        rec.trace_path = Some("traces/t8.trace.json".into());
+        rec.job.fault_plan = Some("map:panic:1".into());
+        let back = JobRecord::from_json(&rec.to_json().to_string_pretty()).unwrap();
         assert_eq!(back, rec);
         assert_eq!(back.content_hash(), rec.content_hash());
-    }
-
-    #[test]
-    fn content_hash_ignores_timing_but_not_results() {
-        let rec = record();
-        let h = rec.content_hash();
-        let mut noisy = rec.clone();
-        for r in &mut noisy.rows {
-            for s in &mut r.stages {
-                s.wall_ms *= 7.0;
-                s.alloc_bytes += 12345;
-            }
-        }
-        assert_eq!(noisy.content_hash(), h, "timing noise must not move the address");
-        let mut changed = rec.clone();
-        changed.rows[0].overflow += 1.0;
-        assert_ne!(changed.content_hash(), h, "a result change must move the address");
-        let mut reparam = rec;
-        reparam.params.layers += 1;
-        assert_ne!(reparam.content_hash(), h);
+        rec.error = Some(FlowError::bad_input(crate::Stage::Map, "no"));
+        rec.rows.clear();
+        let text = rec.to_json().to_string_pretty();
+        assert!(text.contains(r#""status": "error""#), "{text}");
+        assert_eq!(JobRecord::from_json(&text).unwrap(), rec);
     }
 
     #[test]
@@ -688,10 +774,41 @@ mod tests {
         let p2 = rec.append(&dir).unwrap();
         assert_eq!(p1, p2);
         assert_eq!(fs::read_dir(&dir).unwrap().count(), 1);
-        let loaded = RunRecord::load(&p1).unwrap();
-        assert_eq!(loaded, rec);
-        assert!(p1.file_name().unwrap().to_string_lossy().contains("t8-"));
+        assert_eq!(JobRecord::load(&p1).unwrap(), rec);
+        assert!(p1.file_name().unwrap().to_string_lossy().starts_with("t8-3331accd8e433207"));
+        let text = fs::read_to_string(&p1).unwrap();
+        assert!(
+            text.starts_with("{\n  \"schema\": \"casyn.run.v1\",\n  \"content_hash\""),
+            "{text}"
+        );
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn content_hash_ignores_timing_but_not_results() {
+        let rec = record();
+        let h = rec.content_hash();
+        let mut noisy = rec.clone();
+        noisy.wall_ms += 99.0;
+        for r in &mut noisy.rows {
+            r.total_ms *= 3.0;
+            for s in &mut r.stages {
+                s.1 *= 7.0;
+            }
+        }
+        assert_eq!(noisy.content_hash(), h, "timing noise must not move the address");
+        assert_eq!(noisy.job_key(), rec.job_key());
+        let mut changed = rec.clone();
+        changed.rows[0].overflow += 1.0;
+        assert_ne!(changed.content_hash(), h, "a result change must move the address");
+        assert_eq!(changed.job_key(), rec.job_key(), "the job key is what ran, not its rows");
+        let mut reparam = rec.clone();
+        reparam.job.layers += 1;
+        assert_ne!(reparam.content_hash(), h);
+        assert_ne!(reparam.job_key(), rec.job_key());
+        let mut other_design = rec;
+        other_design.design_hash ^= 1;
+        assert_ne!(other_design.job_key(), reparam.job_key());
     }
 
     #[test]
@@ -709,7 +826,7 @@ mod tests {
         let rec = record();
         let mut other = rec.clone();
         other.rows[0].violations += 3;
-        other.rows[0].stages[0].wall_ms = rec.rows[0].stages[0].wall_ms * 100.0 + 1000.0;
+        other.rows[0].stages[0].1 = rec.rows[0].stages[0].1 * 100.0 + 1000.0;
         let d = diff_records(&rec, &other, &DiffTolerance::default());
         assert!(!d.is_clean());
         assert_eq!(d.deltas.len(), 1, "{:?}", d.deltas);
@@ -724,13 +841,18 @@ mod tests {
     fn shape_changes_are_deltas() {
         let rec = record();
         let mut other = rec.clone();
-        other.rows[0].stages[0].stage = "renamed".into();
+        other.rows[0].stages[0].0 = "renamed".into();
         let d = diff_records(&rec, &other, &DiffTolerance::default());
         assert!(!d.is_clean());
         let mut shorter = rec.clone();
         shorter.rows.clear();
         let d = diff_records(&rec, &shorter, &DiffTolerance::default());
         assert!(d.deltas.iter().any(|l| l.starts_with("rows:")), "{:?}", d.deltas);
+        let mut rescheme = rec.clone();
+        rescheme.scheme = "cone".into();
+        rescheme.job.ks = vec![0.5];
+        let d = diff_records(&rec, &rescheme, &DiffTolerance::default());
+        assert_eq!(d.deltas, ["scheme: congestion != cone", "ks: [0.001] != [0.5]"]);
     }
 
     #[test]
@@ -741,13 +863,49 @@ mod tests {
 
     #[test]
     fn ledger_error_diagnostics() {
-        let e = RunRecord::from_json("{oops").unwrap_err();
+        let e = JobRecord::from_json("{oops").unwrap_err();
         assert!(matches!(e, LedgerError::Syntax { .. }));
-        let e = RunRecord::from_json("{\"schema\": \"casyn.run.v2\"}").unwrap_err();
+        let e = JobRecord::from_json("{\"schema\": \"casyn.run.v2\"}").unwrap_err();
         assert!(matches!(&e, LedgerError::Field { field, .. } if field == "schema"), "{e}");
         let rec = record();
         let text = rec.to_json().to_string_pretty().replace("\"overflow\"", "\"oveflow\"");
-        let e = RunRecord::from_json(&text).unwrap_err();
+        let e = JobRecord::from_json(&text).unwrap_err();
         assert!(e.to_string().contains("overflow"), "{e}");
+    }
+
+    #[test]
+    fn a_batch_document_reads_back_entry_by_entry() {
+        let ok = record();
+        let mut failed = record();
+        failed.job.name = "bad".into();
+        failed.error = Some(FlowError::bad_input(crate::Stage::Batch, "cannot read"));
+        failed.rows.clear();
+        let doc = batch_json(&[ok.clone(), failed.clone()], 2, 10.0);
+        assert_eq!(doc.get("jobs_ok").and_then(JsonValue::as_f64), Some(1.0));
+        assert_eq!(doc.get("jobs_failed").and_then(JsonValue::as_f64), Some(1.0));
+        let mut text = doc.to_string_pretty();
+        let read = read_batch(&text).unwrap();
+        assert_eq!(read, vec![Ok(ok.clone()), Ok(failed.clone())]);
+        // an older checkpoint's entry does not say what it ran
+        text = text.replacen(BATCH_SCHEMA, "casyn.checkpoint.v1", 1).replacen(
+            r#""jobs": ["#,
+            r#""jobs": [{"name": "a", "design": "a.pla", "status": "ok", "rows": []},"#,
+            1,
+        );
+        let read = read_batch(&text).unwrap();
+        assert_eq!(read.len(), 3);
+        assert!(read[0].is_err() && read[1] == Ok(ok));
+        // a crash bundle is a batch document too
+        let bundle = failed.bundle_json().to_string_pretty();
+        assert_eq!(read_batch(&bundle).unwrap(), vec![Ok(failed)]);
+        let e = read_batch(r#"{"schema": "casyn.telemetry.v1", "jobs": []}"#).unwrap_err();
+        assert!(e.to_string().contains("not resumable"), "{e}");
+    }
+
+    #[test]
+    fn file_stems_stay_in_their_directory() {
+        assert_eq!(safe_stem("../escaped"), "___escaped");
+        assert_eq!(safe_stem("a/b\\c"), "a_b_c");
+        assert_eq!(safe_stem("ok-name_1"), "ok-name_1");
     }
 }

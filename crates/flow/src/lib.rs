@@ -29,8 +29,10 @@
 //! * [`durable`] — crash-safe file I/O: atomic write-then-fsync-then-
 //!   rename, FNV-1a-checksummed payloads and the append-only
 //!   `casyn.wal.v1` journal behind the serve state directory.
-//! * [`ledger`] — content-addressed `casyn.run.v1` run records and the
-//!   cross-run diff behind `casyn diff`.
+//! * [`ledger`] — the one job record ([`ledger::JobRecord`], one
+//!   [`ledger::Row`] per K) behind batch reports, checkpoints, crash
+//!   bundles, content-addressed `casyn.run.v1` ledger records and served
+//!   results, and the cross-run diff behind `casyn diff`.
 //! * [`manifest`] — batch-manifest parsing shared by `casyn batch` and
 //!   the serve job API (inline design sources included).
 //! * [`report`] — table formatting that mirrors the paper's layout.
@@ -65,8 +67,8 @@ pub use flows::{
     prepare_pool, route_at, sis_flow, FlowOptions, FlowResult, Mapped, Prepared,
 };
 pub use ledger::{
-    diff_records, format_diff, DiffTolerance, LedgerError, RunDiff, RunParams, RunRecord, RunRow,
-    StageRow,
+    batch_json, diff_records, format_diff, read_batch, safe_stem, DiffTolerance, JobRecord,
+    LedgerError, Row, RunDiff,
 };
 pub use manifest::{
     file_stem, load_design, parse_design, parse_fault_plan, parse_manifest, parse_manifest_value,
@@ -76,7 +78,7 @@ pub use methodology::{run_methodology, MethodologyResult, MethodologyStep};
 pub use report::{
     format_audit_table, format_congestion_heatmap, format_convergence_sparkline,
     format_k_sweep_table, format_routing_table, format_sparkline, format_sta_table,
-    format_telemetry_table, k_row_json,
+    format_telemetry_table,
 };
 pub use seq::{sequential_flow, simulate_mapped_seq, SeqFlowResult};
 pub use sweep::{k_sweep_prepared, k_sweep_prepared_pool, KSweepEntry, PAPER_K_VALUES};

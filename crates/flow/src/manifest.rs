@@ -126,7 +126,7 @@ impl DesignFormat {
 }
 
 /// One batch-manifest entry, with defaults already applied.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ManifestJob {
     /// Display name (defaults to the design file stem).
     pub name: String,

@@ -3,7 +3,6 @@
 use crate::flows::FlowResult;
 use crate::sweep::KSweepEntry;
 use crate::telemetry::FlowTelemetry;
-use casyn_obs::json::JsonValue;
 use casyn_route::{CongestionMap, OverflowAudit, RouteConvergence};
 
 /// Formats a K-sweep as the paper's Table 2/4 layout, extended with the
@@ -237,45 +236,6 @@ pub fn format_congestion_heatmap(title: &str, map: &CongestionMap) -> String {
     }
     s.push_str(&format!("+{}+\n", "-".repeat(width)));
     s
-}
-
-/// Serializes one K-sweep row as the JSON shape shared by the CLI's
-/// `casyn.batch.v1` reports and the serve job API: quality metrics plus
-/// a summary of the row's telemetry — per stage its name and wall clock,
-/// and the total and the live-node peak. The per-stage metric deltas and
-/// allocator windows of [`FlowTelemetry`] are the row's own (each stage
-/// reads its own thread), but they are most of a row's bytes, copied on
-/// every cache hit, so a row leaves them out for size (`--metrics-out`
-/// writes them).
-pub fn k_row_json(e: &KSweepEntry) -> JsonValue {
-    let t = &e.result.telemetry;
-    let stages = t
-        .stages
-        .iter()
-        .map(|s| {
-            JsonValue::object(vec![
-                ("stage".into(), JsonValue::Str(s.stage.clone())),
-                ("wall_ms".into(), JsonValue::Number(s.wall_ms)),
-            ])
-        })
-        .collect();
-    JsonValue::object(vec![
-        ("k".into(), JsonValue::Number(e.k)),
-        ("cell_area".into(), JsonValue::Number(e.result.cell_area)),
-        ("num_cells".into(), JsonValue::Number(e.result.num_cells as f64)),
-        ("utilization_pct".into(), JsonValue::Number(e.result.utilization_pct)),
-        ("violations".into(), JsonValue::Number(e.result.route.violations as f64)),
-        ("wirelength_um".into(), JsonValue::Number(e.result.route.total_wirelength)),
-        ("critical_ns".into(), JsonValue::Number(e.result.sta.critical_arrival())),
-        (
-            "telemetry".into(),
-            JsonValue::object(vec![
-                ("total_ms".into(), JsonValue::Number(t.total_ms)),
-                ("peak_live_nodes".into(), JsonValue::Number(t.peak_live_nodes as f64)),
-                ("stages".into(), JsonValue::Array(stages)),
-            ]),
-        ),
-    ])
 }
 
 fn trim_k(k: f64) -> String {

@@ -16,17 +16,15 @@
 
 use crate::cache::{DiskCache, Lru};
 use crate::http::{self, HttpError, Request};
-use crate::state::{
-    event, Admission, Cache, CachedResult, JobRecord, JobStatus, Manifest, State, Transition,
-};
+use crate::state::{event, Admission, Cache, JobRecord, JobStatus, Manifest, State, Transition};
 use casyn_exec::{CancelToken, FaultKind, FaultPlan, Pool};
 use casyn_flow::batch::{run_one, BatchJob, BatchJobReport, BatchOptions, JobSuccess};
 use casyn_flow::durable::Wal;
 use casyn_flow::telemetry::snapshot_json;
 use casyn_flow::{
-    congestion_flow_prepared, fnv1a64, k_row_json, library_fingerprint, parse_manifest_value,
-    prepare, DesignFormat, FlowError, FlowErrorKind, FlowOptions, KSweepEntry, KeyBuilder,
-    ManifestDefaults, ManifestJob, Prepared,
+    congestion_flow_prepared, fnv1a64, library_fingerprint, parse_manifest_value, prepare,
+    DesignFormat, FlowError, FlowErrorKind, FlowOptions, KSweepEntry, KeyBuilder, ManifestDefaults,
+    ManifestJob, Prepared, Row,
 };
 use casyn_netlist::network::Network;
 use casyn_obs as obs;
@@ -553,14 +551,17 @@ fn await_journal(shared: &Shared, seq: u64) {
     }
 }
 
-/// Reads a finished result out of the disk cache. Corruption was
-/// already quarantined (and counted) inside [`DiskCache::get`]; a doc
-/// that verified but lacks `rows` is schema drift and reads as a miss.
-fn disk_lookup(durable: &Durable, key: u64) -> Option<CachedResult> {
-    let doc = durable.cache.get("job", key)?;
-    let rows = doc.get("rows")?.clone();
-    let degraded = doc.get("degraded").and_then(JsonValue::as_bool).unwrap_or(false);
-    Some(CachedResult { rows: Arc::new(rows), degraded })
+/// Reads a finished result's rows out of the disk cache. Corruption was
+/// already quarantined (and counted) inside [`DiskCache::get`]. An entry
+/// is the rows array itself; one spilled by an older build holds it
+/// under `rows`. A doc that verified but holds neither is schema drift
+/// and reads as a miss.
+fn disk_lookup(durable: &Durable, key: u64) -> Option<Arc<JsonValue>> {
+    let rows = match durable.cache.get("job", key)? {
+        rows @ JsonValue::Array(_) => rows,
+        older => older.get("rows")?.clone(),
+    };
+    Some(Arc::new(rows))
 }
 
 /// Opens the durable state under `dir` and rebuilds the job table:
@@ -630,7 +631,7 @@ fn recover(
         if let (Some(k), Some(rows)) =
             (rec.result_key, rec.live.as_ref().and_then(|l| l.rows.clone()))
         {
-            g.results.insert(k, CachedResult { rows, degraded: rec.degraded });
+            g.results.insert(k, rows);
         }
     }
     g.replaying = false;
@@ -643,9 +644,9 @@ fn recover(
 /// ([`Cache::Disk`], promoted back into the LRU).
 fn cached_result(
     durable: Option<&Durable>,
-    results: &mut Lru<CachedResult>,
+    results: &mut Lru<Arc<JsonValue>>,
     key: u64,
-) -> Option<(CachedResult, Cache)> {
+) -> Option<(Arc<JsonValue>, Cache)> {
     if let Some(c) = results.get(key) {
         return Some((c.clone(), Cache::Hit));
     }
@@ -659,7 +660,7 @@ fn cached_result(
 enum Admit {
     LoadError(String),
     /// Served from cache, from where the tag says.
-    Hit(CachedResult, Cache),
+    Hit(Arc<JsonValue>, Cache),
     Dedup(u64),
     /// Runs: its parsed design and what its task needs besides.
     Enqueue {
@@ -870,7 +871,6 @@ fn status_fields(rec: &JobRecord, id: usize) -> Vec<(String, JsonValue)> {
         ("request_id".into(), JsonValue::Str(rec.request_id().to_string())),
         ("status".into(), JsonValue::Str(rec.status.as_str().into())),
         ("cache".into(), JsonValue::Str(rec.cache.as_str().into())),
-        ("degraded".into(), JsonValue::Bool(rec.degraded)),
         ("wall_ms".into(), JsonValue::Number(rec.wall_ms)),
         ("events".into(), JsonValue::Number(f64::from(rec.event_count))),
     ];
@@ -916,7 +916,7 @@ fn handle_result(shared: &Shared, id: &str, wait: bool) -> Result<(u16, JsonValu
         let key = rec.result_key;
         let found = key.and_then(|k| cached_result(shared.durable.as_deref(), &mut g.results, k));
         let gone = format!("the result of job {id} was released and is in no cache; resubmit it");
-        Some(found.ok_or_else(|| HttpError::gone(gone))?.0.rows)
+        Some(found.ok_or_else(|| HttpError::gone(gone))?.0)
     } else {
         None
     };
@@ -1089,11 +1089,8 @@ fn handle_shutdown(shared: &Arc<Shared>, stream: &mut TcpStream, req: &Request) 
 /// free, until a drain finds the queue empty.
 fn worker_loop(shared: &Shared, wid: usize) {
     obs::trace::set_thread_label(&format!("w{wid}"));
-    let bopts = BatchOptions {
-        retries: shared.config.retries,
-        escalate_k: false,
-        cancel: Some(shared.cancel.clone()),
-    };
+    let bopts =
+        BatchOptions { retries: shared.config.retries, cancel: Some(shared.cancel.clone()) };
     loop {
         let mut g = lock_inner(shared);
         let task = loop {
@@ -1189,32 +1186,28 @@ fn run_task(shared: &Shared, bopts: &BatchOptions, t: Task) {
 }
 
 fn finish_job(shared: &Shared, job_id: usize, result_key: Option<u64>, jr: &BatchJobReport) {
-    let outcome = jr.outcome.as_ref().map(|s| CachedResult {
-        rows: Arc::new(JsonValue::Array(s.rows.iter().map(k_row_json).collect())),
-        degraded: s.degraded,
+    // a job's result is its record's rows
+    let outcome = jr.outcome.as_ref().map(|s| {
+        let rows = s.rows.iter().map(|e| Row::from_result(e.k, &e.result).to_json());
+        Arc::new(JsonValue::Array(rows.collect()))
     });
     // spill outside the lock and before the terminal journal record, so a
     // replayed `done` implies the artifact (replay recomputes without it)
-    if let (Ok(c), Some(k), Some(d)) = (&outcome, result_key, &shared.durable) {
-        let doc = JsonValue::object(vec![
-            ("schema".into(), JsonValue::Str("casyn.serve.cache.v1".into())),
-            ("rows".into(), (*c.rows).clone()),
-            ("degraded".into(), JsonValue::Bool(c.degraded)),
-        ]);
-        if let Err(e) = d.cache.put("job", k, &doc) {
+    if let (Ok(rows), Some(k), Some(d)) = (&outcome, result_key, &shared.durable) {
+        if let Err(e) = d.cache.put("job", k, rows) {
             obs::log::warn(&format!("cache: spill of {k:016x} failed: {e}"));
         }
     }
     let mut g = lock_inner(shared);
-    if let (Ok(c), Some(k)) = (&outcome, result_key) {
-        g.results.insert(k, c.clone());
+    if let (Ok(rows), Some(k)) = (&outcome, result_key) {
+        g.results.insert(k, rows.clone());
     }
     let followers = result_key.and_then(|k| g.inflight.remove(&k)).unwrap_or_default();
     let mut wal_seq = 0;
     for id in std::iter::once(job_id).chain(followers) {
         let wall_ms = jr.wall_ms;
         let t = match &outcome {
-            Ok(c) => Transition::Done { rows: Some(c.rows.clone()), degraded: c.degraded, wall_ms },
+            Ok(rows) => Transition::Done { rows: Some(rows.clone()), wall_ms },
             Err(e) if e.kind == FlowErrorKind::Cancelled => {
                 Transition::Cancelled { error: Some(e.to_string()), wall_ms }
             }
@@ -1309,6 +1302,44 @@ mod tests {
             assert_eq!(k.prep_key, 0xb7bf_f4a3_a112_08af, "casyn.serve.prep.v1");
             assert_eq!(k.result_key, Some(0xd0d0_54fc_49cc_5492), "casyn.serve.job.v1");
         }
+    }
+
+    #[test]
+    fn a_disk_entry_spilled_by_an_older_build_is_a_hit() {
+        // the entry an older build spilled for this job: its rows wrapped
+        // with a schema and a degraded flag, checksum trailer included
+        let entry = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/fixtures/cache-entry-3515c6deafe3f7ee.json"
+        );
+        let pla = include_str!("../../../examples/designs/ex_a.pla");
+        let job = JsonValue::object(vec![
+            ("name".into(), JsonValue::Str("ex_a".into())),
+            ("source".into(), JsonValue::Str(pla.into())),
+            ("format".into(), JsonValue::Str("pla".into())),
+            ("ks".into(), JsonValue::Array(vec![JsonValue::Number(0.0), JsonValue::Number(0.5)])),
+        ]);
+        let dir = std::env::temp_dir().join(format!("casyn-older-entry-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("cache/job")).unwrap();
+        std::fs::copy(entry, dir.join("cache/job/3515c6deafe3f7ee.json")).unwrap();
+        let server = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            state_dir: Some(dir.clone()),
+            ..Default::default()
+        })
+        .unwrap();
+        let addr = server.endpoint();
+        let id = submit(&addr, vec![job])[0];
+        let (_, r) =
+            request_json(&addr, "GET", &format!("/jobs/{id}/result?wait=1"), None).unwrap();
+        assert_eq!(r.get("cache").and_then(JsonValue::as_str), Some("disk"), "{r:?}");
+        let older = JsonValue::parse(&casyn_flow::read_checksummed(Path::new(entry)).unwrap());
+        assert_eq!(r.get("rows"), older.unwrap().get("rows"));
+        request_json(&addr, "POST", "/shutdown", None).unwrap();
+        server.wait().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// One inline-BLIF job entry, plus `extra` fields.

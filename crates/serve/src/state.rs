@@ -99,7 +99,6 @@ pub(crate) struct JobRecord {
     pub(crate) event_count: u32,
     pub(crate) status: JobStatus,
     pub(crate) cache: Cache,
-    pub(crate) degraded: bool,
 }
 
 /// The part of a job record that only a live or recent job needs.
@@ -127,7 +126,6 @@ impl JobRecord {
             event_count: 0,
             status: JobStatus::Queued,
             cache: Cache::Miss,
-            degraded: false,
         }
     }
 
@@ -171,13 +169,6 @@ pub(crate) fn event(name: &str) -> Vec<(String, JsonValue)> {
     vec![("event".into(), JsonValue::Str(name.into()))]
 }
 
-/// A finished result in the content-addressed cache.
-#[derive(Debug, Clone)]
-pub(crate) struct CachedResult {
-    pub(crate) rows: Arc<JsonValue>,
-    pub(crate) degraded: bool,
-}
-
 /// What a job enters the table with.
 pub(crate) struct Admission<'a> {
     pub(crate) name: &'a str,
@@ -200,7 +191,8 @@ pub(crate) enum Transition<'a> {
     Admitted(Admission<'a>),
     /// Failed at admission: its entry or design did not load.
     Rejected(String),
-    CacheHit(CachedResult, Cache),
+    /// Served from the result cache: the rows, and where they came from.
+    CacheHit(Arc<JsonValue>, Cache),
     /// A follower of the in-flight compute of this content address.
     Deduped(u64),
     /// Handed to the workers (the caller queues its task).
@@ -209,7 +201,6 @@ pub(crate) enum Transition<'a> {
     /// `rows` is `None` only when decoded: the journal does not hold them.
     Done {
         rows: Option<Arc<JsonValue>>,
-        degraded: bool,
         wall_ms: f64,
     },
     Failed {
@@ -238,10 +229,8 @@ impl<'a> Transition<'a> {
     pub(crate) fn record(&self, id: usize, result_key: Option<u64>) -> Option<JsonValue> {
         use Transition as T;
         let key = || result_key.map(|k| field("result_key", JsonValue::Str(format!("{k:016x}"))));
-        let done = |degraded, wall_ms| {
-            let f = [field("degraded", JsonValue::Bool(degraded)), field("wall_ms", wall_ms)];
-            key().into_iter().chain(f).collect()
-        };
+        let done =
+            |wall_ms| key().into_iter().chain([field("wall_ms", JsonValue::Number(wall_ms))]);
         let (t, fields): (&str, Vec<_>) = match self {
             T::Admitted(a) => {
                 let manifest = match a.manifest {
@@ -256,10 +245,8 @@ impl<'a> Transition<'a> {
             T::Rejected(e) | T::Failed { error: e, .. } => {
                 ("failed", vec![field("error", text(e))])
             }
-            T::CacheHit(c, _) => ("done", done(c.degraded, JsonValue::Number(0.0))),
-            T::Done { degraded, wall_ms, .. } => {
-                ("done", done(*degraded, JsonValue::Number(*wall_ms)))
-            }
+            T::CacheHit(..) => ("done", done(0.0).collect()),
+            T::Done { wall_ms, .. } => ("done", done(*wall_ms).collect()),
             T::Started => ("started", Vec::new()),
             T::Cancelled { .. } => ("cancelled", Vec::new()),
             T::Deduped(_) | T::Queued => return None,
@@ -270,7 +257,9 @@ impl<'a> Transition<'a> {
     }
 
     /// The job id and transition a journal record stands for; `None` for
-    /// a record of no job or of an unknown type, which replay skips.
+    /// a record of no job or of an unknown type, which replay skips. A
+    /// field the transition no longer has (the `degraded` flag older
+    /// journals write into `done`) is ignored.
     pub(crate) fn decode(r: &'a JsonValue) -> Option<(usize, Transition<'a>)> {
         use Transition as T;
         let id = r.get("job").and_then(JsonValue::as_f64)? as usize;
@@ -286,7 +275,6 @@ impl<'a> Transition<'a> {
             "started" => T::Started,
             "done" => T::Done {
                 rows: None,
-                degraded: r.get("degraded").and_then(JsonValue::as_bool).unwrap_or(false),
                 wall_ms: r.get("wall_ms").and_then(JsonValue::as_f64).unwrap_or(0.0),
             },
             "failed" => {
@@ -310,7 +298,7 @@ pub(crate) struct State {
     /// Content address → the followers of its in-flight compute.
     pub(crate) inflight: HashMap<u64, Vec<usize>>,
     pub(crate) queue: VecDeque<Task>,
-    pub(crate) results: Lru<CachedResult>,
+    pub(crate) results: Lru<Arc<JsonValue>>,
     pub(crate) prepared: Lru<PrepSlot>,
     pub(crate) draining: bool,
     /// Where transitions are journaled (`None` in memory and in replay).
@@ -369,10 +357,10 @@ impl State {
                 rec.error = Some(e.into());
                 (Failed, "failed", "serve.jobs_failed")
             }
-            T::CacheHit(c, tag) => {
-                (rec.cache, rec.degraded) = (tag, c.degraded);
+            T::CacheHit(rows, tag) => {
+                rec.cache = tag;
                 if let Some(l) = &mut rec.live {
-                    l.rows = Some(c.rows);
+                    l.rows = Some(rows);
                 }
                 if live {
                     rec.push_event(event("cache_hit"));
@@ -393,8 +381,8 @@ impl State {
                 (Queued, "queued", if live { "serve.queued" } else { "serve.recovered" })
             }
             T::Started => (Running, if_live("started"), ""),
-            T::Done { rows, degraded, wall_ms } => {
-                (rec.degraded, rec.wall_ms) = (degraded, wall_ms);
+            T::Done { rows, wall_ms } => {
+                rec.wall_ms = wall_ms;
                 if let (Some(l), Some(rows)) = (&mut rec.live, rows) {
                     l.rows = Some(rows);
                 }
@@ -457,7 +445,7 @@ impl State {
     pub(crate) fn replay<'r>(
         &mut self,
         records: &'r [JsonValue],
-        mut artifact: impl FnMut(u64) -> Option<CachedResult>,
+        mut artifact: impl FnMut(u64) -> Option<Arc<JsonValue>>,
     ) -> Result<Vec<Option<&'r JsonValue>>, String> {
         self.replaying = true;
         let mut manifests = Vec::new();
@@ -472,11 +460,11 @@ impl State {
                     manifests.push(*doc);
                 }
                 _ if id >= len => continue,
-                Transition::Done { rows, degraded, .. } => {
-                    let Some(c) = self.jobs[id].result_key.and_then(&mut artifact) else {
+                Transition::Done { rows, .. } => {
+                    let Some(found) = self.jobs[id].result_key.and_then(&mut artifact) else {
                         continue;
                     };
-                    (*rows, *degraded) = (Some(c.rows), c.degraded);
+                    *rows = Some(found);
                 }
                 _ => {}
             }
@@ -526,41 +514,43 @@ mod tests {
     const KEY: u64 = 0x0123_4567_89ab_cdef;
 
     /// The line of every record kind, as the journal wrote it before the
-    /// job state machine existed: field order, key and number formatting
-    /// and checksum included.
+    /// job state machine existed (but for `done`, below): field order, key
+    /// and number formatting and checksum included.
     const LINES: [&str; 7] = [
         r#"{"t":"admitted","job":3,"name":"a","design":"examples/designs/ex_a.pla","request_id":"r000007","result_key":"0123456789abcdef","manifest":{"name":"a","design":"examples/designs/ex_a.pla","format":"pla","ks":[0,0.5],"util":0.611,"layers":3,"optimize":false},"sum":"8cfd609d69b1c33f"}"#,
         r#"{"t":"admitted","job":4,"name":"f","design":"inline","request_id":"req-x","manifest":{"name":"f","design":"inline","source":".i 1\n.o 1\n1 1\n.e\n","format":"pla","ks":[0,0.1,0.5,1,5],"util":0.611,"layers":3,"optimize":false,"fault_plan":"map:panic:1"},"sum":"0c7a5b5038c7734c"}"#,
         r#"{"t":"started","job":3,"sum":"faf3f025b1459038"}"#,
-        r#"{"t":"done","job":3,"result_key":"0123456789abcdef","degraded":false,"wall_ms":12.5,"sum":"af90509e1ede99cc"}"#,
-        r#"{"t":"done","job":4,"degraded":true,"wall_ms":0,"sum":"3aacb048121682f9"}"#,
+        r#"{"t":"done","job":3,"result_key":"0123456789abcdef","wall_ms":12.5,"sum":"aab6af085e880369"}"#,
+        r#"{"t":"done","job":4,"wall_ms":0,"sum":"9976f5f42d088e0d"}"#,
         r#"{"t":"failed","job":4,"error":"design: cannot read \"x\"","sum":"d775a2645df386a6"}"#,
         r#"{"t":"cancelled","job":5,"sum":"97023d8dd55067d8"}"#,
+    ];
+
+    /// `LINES[3]` and `LINES[4]` as journals wrote them while `done`
+    /// carried a `degraded` flag.
+    const FLAGGED_DONE: [&str; 2] = [
+        r#"{"t":"done","job":3,"result_key":"0123456789abcdef","degraded":false,"wall_ms":12.5,"sum":"af90509e1ede99cc"}"#,
+        r#"{"t":"done","job":4,"degraded":true,"wall_ms":0,"sum":"3aacb048121682f9"}"#,
     ];
 
     #[test]
     fn each_record_kind_encodes_to_the_journal_line_and_decodes_back() {
         let jobs = manifest_jobs();
         let rows = Arc::new(JsonValue::Array(Vec::new()));
-        let hit = CachedResult { rows: rows.clone(), degraded: true };
+        let hit = rows.clone();
         let error = "design: cannot read \"x\"".to_string();
         // (line, job, content address, the transitions that write it)
         let cases: Vec<(usize, usize, Option<u64>, Vec<Transition>)> = vec![
             (0, 3, Some(KEY), vec![admission(&jobs[0], "r000007", Some(KEY))]),
             (1, 4, None, vec![admission(&jobs[1], "req-x", None)]),
             (2, 3, Some(KEY), vec![Transition::Started]),
-            (
-                3,
-                3,
-                Some(KEY),
-                vec![Transition::Done { rows: Some(rows.clone()), degraded: false, wall_ms: 12.5 }],
-            ),
+            (3, 3, Some(KEY), vec![Transition::Done { rows: Some(rows.clone()), wall_ms: 12.5 }]),
             (
                 4,
                 4,
                 None,
                 vec![
-                    Transition::Done { rows: None, degraded: true, wall_ms: 0.0 },
+                    Transition::Done { rows: None, wall_ms: 0.0 },
                     Transition::CacheHit(hit, Cache::Hit),
                 ],
             ),
@@ -602,18 +592,22 @@ mod tests {
                     assert!(matches!(a.manifest, Manifest::Doc(Some(d)) if *d == m.to_json()));
                 }
                 (2, Transition::Started) => {}
-                (3, Transition::Done { rows: None, degraded: false, wall_ms }) => {
-                    assert_eq!(*wall_ms, 12.5)
-                }
-                (4, Transition::Done { rows: None, degraded: true, wall_ms }) => {
-                    assert_eq!(*wall_ms, 0.0)
-                }
+                (3, Transition::Done { rows: None, wall_ms }) => assert_eq!(*wall_ms, 12.5),
+                (4, Transition::Done { rows: None, wall_ms }) => assert_eq!(*wall_ms, 0.0),
                 (5, Transition::Failed { error: e, wall_ms }) => {
                     assert_eq!((e, *wall_ms), (&error, 0.0))
                 }
                 (6, Transition::Cancelled { error: None, wall_ms }) => assert_eq!(*wall_ms, 0.0),
                 _ => panic!("line {line} decoded to the wrong transition"),
             }
+        }
+        // an older journal's `done` replays as the same transition: its
+        // flag is ignored
+        for (old, (line, id, key)) in FLAGGED_DONE.iter().zip([(3, 3, Some(KEY)), (4, 4, None)]) {
+            let doc = unseal(old);
+            let (decoded_id, t) = Transition::decode(&doc).unwrap();
+            assert_eq!(decoded_id, id);
+            assert_eq!(Wal::seal(&t.record(id, key).unwrap()).unwrap(), LINES[line]);
         }
         // transitions the journal does not keep
         assert!(Transition::Queued.record(0, Some(KEY)).is_none());
@@ -640,11 +634,11 @@ mod tests {
         let (m, fault_job) = (&jobs[0], &jobs[1]);
         let (a, b, c, d, e) = (1, 2, 3, 4, 5);
         let rows = |n: f64| Arc::new(JsonValue::Array(vec![JsonValue::Number(n)]));
-        let done = |n: f64| Transition::Done { rows: Some(rows(n)), degraded: false, wall_ms: n };
+        let done = |n: f64| Transition::Done { rows: Some(rows(n)), wall_ms: n };
         // the artifacts a disk cache would hold: every key but `e`'s
         let mut artifacts = HashMap::new();
         for (key, n) in [(a, 1.0), (b, 2.0)] {
-            artifacts.insert(key, CachedResult { rows: rows(n), degraded: false });
+            artifacts.insert(key, rows(n));
         }
         // 0: a miss that runs; 1: a memory hit of it
         live.apply(0, admission(m, "r1", Some(a)));
@@ -690,7 +684,6 @@ mod tests {
         assert!(manifests.iter().all(Option::is_some), "every admitted record has its entry");
         for (id, (l, r)) in live.jobs.iter().zip(&rebuilt.jobs).enumerate() {
             assert_eq!(r.result_key, l.result_key, "job {id}");
-            assert_eq!(r.degraded, l.degraded, "job {id}");
             assert_eq!(
                 (r.name(), r.design(), r.request_id()),
                 (l.name(), l.design(), l.request_id())

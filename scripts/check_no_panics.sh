@@ -27,6 +27,7 @@ files=(
   crates/serve/src/http.rs
   crates/serve/src/cache.rs
   crates/flow/src/durable.rs
+  crates/flow/src/ledger.rs
   crates/serve/src/client.rs
   crates/obs/src/json.rs
 )
