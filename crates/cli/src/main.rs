@@ -37,13 +37,10 @@ use casyn_flow::telemetry::snapshot_json;
 use casyn_flow::{
     batch_json, diff_records, file_stem, fnv1a64, format_diff, full_flow, k_sweep_prepared_pool,
     load_design, parse_manifest, prepare_pool, read_batch, run_methodology, safe_stem,
-    sequential_flow, DesignFormat, DiffTolerance, FlowError, FlowOptions, JobParam, JobRecord,
-    KSweepEntry, ManifestDefaults, ManifestJob, Row, Stage,
+    sequential_flow, DesignFormat, FlowError, FlowOptions, JobParam, JobRecord, KSweepEntry,
+    ManifestDefaults, ManifestJob, Row, Stage,
 };
 use casyn_logic::OptimizeOptions;
-use casyn_netlist::blif::to_blif;
-use casyn_netlist::dot::mapped_to_dot;
-use casyn_netlist::network::Network;
 use casyn_netlist::verilog::to_verilog;
 use casyn_obs as obs;
 use casyn_obs::json::JsonValue;
@@ -53,6 +50,24 @@ use std::fs;
 use std::process::ExitCode;
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
+
+/// `print!` to a stdout that may be closed: a reader that goes away early
+/// (`casyn help | head -1`) must neither panic the command nor stop it
+/// before it writes its files.
+macro_rules! out {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = write!(std::io::stdout(), $($arg)*);
+    }};
+}
+
+/// [`out!`] with a trailing newline.
+macro_rules! outln {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stdout(), $($arg)*);
+    }};
+}
 
 #[derive(Debug, Clone)]
 struct Args {
@@ -66,20 +81,13 @@ struct Args {
     util: f64,
     layers: usize,
     verilog: Option<String>,
-    blif: Option<String>,
-    dot: Option<String>,
     optimize: bool,
-    clock: Option<f64>,
     metrics_out: Option<String>,
     heatmap: Option<String>,
-    trace: bool,
     trace_out: Option<String>,
-    spans_out: Option<String>,
     route_out: Option<String>,
     audit_out: Option<String>,
-    snapshot_stride: usize,
     ledger: Option<String>,
-    tolerance: Option<f64>,
     jobs: Option<usize>,
     out: Option<String>,
     validate: bool,
@@ -98,20 +106,69 @@ struct Args {
     frames: usize,
 }
 
-/// Every command `casyn` runs. `parse_args` rejects anything else before
-/// a file is read, and `usage` prints this same list.
-const COMMANDS: &[&str] = &[
-    "map", "run", "sweep", "loop", "batch", "heatmap", "diff", "serve", "submit", "shutdown", "top",
+/// Every command `casyn` runs and the number of positional arguments it
+/// takes. `parse_args` rejects anything else before a file is read, and
+/// `usage` prints this same list.
+const COMMANDS: &[(&str, usize)] = &[
+    ("map", 1),
+    ("sweep", 1),
+    ("loop", 1),
+    ("batch", 1),
+    ("heatmap", 1),
+    ("diff", 2),
+    ("serve", 0),
+    ("submit", 1),
+    ("shutdown", 0),
+    ("top", 1),
+];
+
+/// The commands that run the synthesis flow.
+const FLOW: &[&str] = &["map", "sweep", "loop", "batch"];
+
+/// Every option `casyn` reads and the commands that read it. `parse_args`
+/// rejects an option on any other command before a file is read;
+/// help.txt lists the same options under the same commands.
+const OPTIONS: &[(&str, &[&str])] = &[
+    ("--k", &["map"]),
+    ("--scheme", &["map"]),
+    ("--ks", &["sweep", "batch"]),
+    ("--util", FLOW),
+    ("--layers", FLOW),
+    ("--optimize", FLOW),
+    ("--validate", FLOW),
+    ("--fault-plan", FLOW),
+    ("--metrics-out", FLOW),
+    ("--trace-out", FLOW),
+    ("--verilog", &["map", "loop"]),
+    ("--heatmap", &["map", "sweep", "loop"]),
+    ("--route-out", &["map", "sweep", "loop"]),
+    ("--audit-out", &["map", "sweep", "loop"]),
+    ("--ledger", &["map", "sweep", "loop"]),
+    ("--jobs", &["map", "sweep", "loop", "batch", "serve"]),
+    ("--retries", &["batch", "serve"]),
+    ("--out", &["batch"]),
+    ("--resume", &["batch"]),
+    ("--crash-dir", &["batch"]),
+    ("--listen", &["serve"]),
+    ("--queue-cap", &["serve"]),
+    ("--state-dir", &["serve"]),
+    ("--mem-limit", &["serve"]),
+    ("--result-wait", &["serve"]),
+    ("--io-fault-plan", &["serve"]),
+    ("--server", &["submit", "shutdown"]),
+    ("--interval", &["top"]),
+    ("--frames", &["top"]),
 ];
 
 /// The option list `casyn help` prints — the same text as the module doc.
 const HELP: &str = include_str!("help.txt");
 
 fn usage() -> ExitCode {
+    let names: Vec<&str> = COMMANDS.iter().map(|(c, _)| *c).collect();
     eprintln!(
         "usage: casyn <{}> \
          [<design.pla|design.blif|manifest.json|heatmap.json|run.json|host:port>] [options]",
-        COMMANDS.join("|")
+        names.join("|")
     );
     eprintln!("run `casyn help` for the option list");
     ExitCode::FAILURE
@@ -142,8 +199,13 @@ fn number(flag: &str, value: &str, param: JobParam) -> Result<f64, String> {
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
+    let command = argv.first().ok_or("missing command")?;
+    let &(_, positionals) = COMMANDS
+        .iter()
+        .find(|(c, _)| c == command)
+        .ok_or_else(|| format!("unknown command: {command}"))?;
     let mut args = Args {
-        command: argv.first().cloned().ok_or("missing command")?,
+        command: command.clone(),
         input: String::new(),
         input2: String::new(),
         k: 0.5,
@@ -152,20 +214,13 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         util: 0.611,
         layers: 3,
         verilog: None,
-        blif: None,
-        dot: None,
         optimize: false,
-        clock: None,
         metrics_out: None,
         heatmap: None,
-        trace: false,
         trace_out: None,
-        spans_out: None,
         route_out: None,
         audit_out: None,
-        snapshot_stride: 0,
         ledger: None,
-        tolerance: None,
         jobs: None,
         out: None,
         validate: false,
@@ -183,90 +238,68 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         interval: 1.0,
         frames: 0,
     };
-    if !COMMANDS.contains(&args.command.as_str()) {
-        return Err(format!("unknown command: {}", args.command));
-    }
+    let mut inputs: Vec<&String> = Vec::new();
     let mut it = argv[1..].iter();
     while let Some(a) = it.next() {
-        let mut next = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or(format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--k" => args.k = number("--k", &next("--k")?, JobParam::K)?,
+        if !a.starts_with('-') {
+            inputs.push(a);
+            continue;
+        }
+        let (flag, scope) =
+            OPTIONS.iter().find(|(f, _)| f == a).ok_or_else(|| format!("unknown option: {a}"))?;
+        if !scope.contains(&command.as_str()) {
+            return Err(format!("{flag} does not apply to {command}"));
+        }
+        let mut next = || it.next().cloned().ok_or(format!("{flag} needs a value"));
+        match *flag {
+            "--k" => args.k = number(flag, &next()?, JobParam::K)?,
             "--ks" => {
-                args.ks = next("--ks")?
+                args.ks = next()?
                     .split(',')
-                    .map(|s| number("--ks", s.trim(), JobParam::K))
+                    .map(|s| number(flag, s.trim(), JobParam::K))
                     .collect::<Result<_, _>>()?
             }
             "--scheme" => {
-                // the other flow commands run placement-driven partitioning
-                if args.command != "map" {
-                    return Err(format!("--scheme applies to map only, not {}", args.command));
-                }
-                args.scheme = match next("--scheme")?.as_str() {
+                args.scheme = match next()?.as_str() {
                     "dagon" => PartitionScheme::Dagon,
                     "cone" => PartitionScheme::Cone,
                     "pdp" | "placement-driven" => PartitionScheme::PlacementDriven,
                     other => return Err(format!("unknown scheme: {other}")),
                 }
             }
-            "--util" => args.util = number("--util", &next("--util")?, JobParam::Util)?,
-            "--layers" => {
-                args.layers = number("--layers", &next("--layers")?, JobParam::Layers)? as usize
-            }
-            "--verilog" => args.verilog = Some(next("--verilog")?),
-            "--blif" => args.blif = Some(next("--blif")?),
-            "--dot" => args.dot = Some(next("--dot")?),
+            "--util" => args.util = number(flag, &next()?, JobParam::Util)?,
+            "--layers" => args.layers = number(flag, &next()?, JobParam::Layers)? as usize,
+            "--verilog" => args.verilog = Some(next()?),
             "--optimize" => args.optimize = true,
-            "--metrics-out" => args.metrics_out = Some(next("--metrics-out")?),
-            "--heatmap" => args.heatmap = Some(next("--heatmap")?),
-            "--trace" => args.trace = true,
-            "--trace-out" => args.trace_out = Some(next("--trace-out")?),
-            "--spans-out" => args.spans_out = Some(next("--spans-out")?),
-            "--route-out" => args.route_out = Some(next("--route-out")?),
-            "--audit-out" => args.audit_out = Some(next("--audit-out")?),
-            "--snapshot-stride" => {
-                args.snapshot_stride = next("--snapshot-stride")?
-                    .parse()
-                    .map_err(|e| format!("--snapshot-stride: {e}"))?
-            }
-            "--ledger" => args.ledger = Some(next("--ledger")?),
-            "--tolerance" => {
-                let t: f64 =
-                    next("--tolerance")?.parse().map_err(|e| format!("--tolerance: {e}"))?;
-                if t.is_nan() || t < 0.0 {
-                    return Err("--tolerance must be a non-negative number".into());
-                }
-                args.tolerance = Some(t);
-            }
+            "--metrics-out" => args.metrics_out = Some(next()?),
+            "--heatmap" => args.heatmap = Some(next()?),
+            "--trace-out" => args.trace_out = Some(next()?),
+            "--route-out" => args.route_out = Some(next()?),
+            "--audit-out" => args.audit_out = Some(next()?),
+            "--ledger" => args.ledger = Some(next()?),
             "--jobs" => {
-                let n: usize = next("--jobs")?.parse().map_err(|e| format!("--jobs: {e}"))?;
+                let n: usize = next()?.parse().map_err(|e| format!("--jobs: {e}"))?;
                 if n == 0 {
                     return Err("--jobs must be at least 1".into());
                 }
                 args.jobs = Some(n);
             }
-            "--out" => args.out = Some(next("--out")?),
+            "--out" => args.out = Some(next()?),
             "--validate" => args.validate = true,
-            "--retries" => {
-                args.retries = next("--retries")?.parse().map_err(|e| format!("--retries: {e}"))?
-            }
-            "--resume" => args.resume = Some(next("--resume")?),
-            "--listen" => args.listen = next("--listen")?,
-            "--server" => args.server = Some(next("--server")?),
+            "--retries" => args.retries = next()?.parse().map_err(|e| format!("--retries: {e}"))?,
+            "--resume" => args.resume = Some(next()?),
+            "--listen" => args.listen = next()?,
+            "--server" => args.server = Some(next()?),
             "--queue-cap" => {
-                args.queue_cap =
-                    next("--queue-cap")?.parse().map_err(|e| format!("--queue-cap: {e}"))?
+                args.queue_cap = next()?.parse().map_err(|e| format!("--queue-cap: {e}"))?
             }
-            "--state-dir" => args.state_dir = Some(next("--state-dir")?),
-            "--mem-limit" => args.mem_limit = parse_bytes(&next("--mem-limit")?)?,
+            "--state-dir" => args.state_dir = Some(next()?),
+            "--mem-limit" => args.mem_limit = parse_bytes(&next()?)?,
             "--result-wait" => {
-                args.result_wait =
-                    next("--result-wait")?.parse().map_err(|e| format!("--result-wait: {e}"))?
+                args.result_wait = next()?.parse().map_err(|e| format!("--result-wait: {e}"))?
             }
             "--io-fault-plan" => {
-                let plan = FaultPlan::parse(&next("--io-fault-plan")?)?;
+                let plan = FaultPlan::parse(&next()?)?;
                 for s in plan.specs() {
                     if !matches!(s.stage.as_str(), "wal" | "cache" | "conn") {
                         return Err(format!(
@@ -278,52 +311,35 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.io_fault_plan = Some(plan);
             }
             "--interval" => {
-                let v: f64 = next("--interval")?.parse().map_err(|e| format!("--interval: {e}"))?;
+                let v: f64 = next()?.parse().map_err(|e| format!("--interval: {e}"))?;
                 if !v.is_finite() || v <= 0.0 {
                     return Err("--interval must be a positive number of seconds".into());
                 }
                 args.interval = v;
             }
-            "--frames" => {
-                args.frames = next("--frames")?.parse().map_err(|e| format!("--frames: {e}"))?
-            }
-            "--fault-plan" => {
-                args.fault_plan = Some(casyn_flow::parse_fault_plan(&next("--fault-plan")?)?)
-            }
-            "--crash-dir" => args.crash_dir = Some(next("--crash-dir")?),
-            "--clock" => {
-                args.clock = Some(next("--clock")?.parse().map_err(|e| format!("--clock: {e}"))?)
-            }
-            other if args.input.is_empty() && !other.starts_with('-') => {
-                args.input = other.to_string()
-            }
-            // `diff` is the one command taking two positionals (run A, run B)
-            other
-                if args.command == "diff" && args.input2.is_empty() && !other.starts_with('-') =>
-            {
-                args.input2 = other.to_string()
-            }
+            "--frames" => args.frames = next()?.parse().map_err(|e| format!("--frames: {e}"))?,
+            "--fault-plan" => args.fault_plan = Some(casyn_flow::parse_fault_plan(&next()?)?),
+            "--crash-dir" => args.crash_dir = Some(next()?),
+            // a row of OPTIONS without an arm here; the option table test
+            // parses every row
             other => return Err(format!("unknown option: {other}")),
         }
     }
-    // service commands have no input positional (submit's is the manifest)
-    let no_input = matches!(args.command.as_str(), "serve" | "shutdown");
-    if args.command == "top" && args.input.is_empty() {
-        return Err("top needs a server address (host:port)".into());
+    if inputs.len() != positionals {
+        return Err(format!(
+            "{command} takes {positionals} positional argument(s), got {}",
+            inputs.len()
+        ));
     }
-    if !no_input && args.input.is_empty() {
-        return Err("missing input design".into());
-    }
-    if args.command == "diff" && args.input2.is_empty() {
-        return Err("diff needs two casyn.run.v1 record paths".into());
-    }
+    let mut inputs = inputs.into_iter().cloned();
+    args.input = inputs.next().unwrap_or_default();
+    args.input2 = inputs.next().unwrap_or_default();
     Ok(args)
 }
 
 fn flow_options(args: &Args) -> FlowOptions {
     let mut opts = FlowOptions { target_utilization: args.util, ..Default::default() };
     opts.route.layers = args.layers;
-    opts.route.snapshot_stride = args.snapshot_stride;
     if args.optimize {
         opts.optimize = Some(OptimizeOptions::default());
     }
@@ -334,54 +350,45 @@ fn flow_options(args: &Args) -> FlowOptions {
     opts
 }
 
-fn report(r: &casyn_flow::FlowResult, clock: Option<f64>) {
-    println!(
+fn report(r: &casyn_flow::FlowResult) {
+    outln!(
         "cells {:>7}   cell area {:>10.1} um^2   utilization {:>5.2}%",
-        r.num_cells, r.cell_area, r.utilization_pct
+        r.num_cells,
+        r.cell_area,
+        r.utilization_pct
     );
-    println!(
+    outln!(
         "die {:>10.0} um^2   rows {:>4}   routed wirelength {:>10.0} um",
         r.floorplan.die_area(),
         r.floorplan.num_rows,
         r.route.total_wirelength
     );
-    println!(
+    outln!(
         "routing violations {:>5}   peak congestion {:>5.1}%   iterations {}",
         r.route.violations,
         100.0 * r.route.congestion.max_util(),
         r.route.iterations
     );
-    print!("{}", casyn_flow::format_convergence_sparkline(&r.route.convergence));
+    out!("{}", casyn_flow::format_convergence_sparkline(&r.route.convergence));
     if r.route.violations > 0 {
-        print!("{}", casyn_flow::format_audit_table("overflow attribution", &r.route.audit, 8));
+        out!("{}", casyn_flow::format_audit_table("overflow attribution", &r.route.audit, 8));
     }
-    println!("critical path {} at {:.3} ns", r.sta.critical_endpoints(), r.sta.critical_arrival());
-    if let Some(t) = clock {
-        println!("clock {:.3} ns: WNS {:.3} ns, TNS {:.3} ns", t, r.sta.wns(t), r.sta.tns(t));
-    }
+    outln!("critical path {} at {:.3} ns", r.sta.critical_endpoints(), r.sta.critical_arrival());
 }
 
-fn write_artifacts(
-    args: &Args,
-    network: &Network,
-    r: &casyn_flow::FlowResult,
-) -> Result<(), String> {
-    if let Some(path) = &args.verilog {
-        fs::write(path, to_verilog(&r.netlist, "casyn_top"))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote {path}");
-    }
-    if let Some(path) = &args.blif {
-        fs::write(path, to_blif(network, "casyn_top"))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote {path}");
-    }
-    if let Some(path) = &args.dot {
-        fs::write(path, mapped_to_dot(&r.netlist, "casyn_top"))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote {path}");
-    }
+/// Writes `text` to `path` and says so.
+fn write_out(path: &str, text: &str) -> Result<(), String> {
+    fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
+    outln!("wrote {path}");
     Ok(())
+}
+
+/// Writes the mapped netlist behind `--verilog`.
+fn write_verilog(args: &Args, r: &casyn_flow::FlowResult) -> Result<(), String> {
+    match &args.verilog {
+        Some(path) => write_out(path, &to_verilog(&r.netlist, "casyn_top")),
+        None => Ok(()),
+    }
 }
 
 /// Writes the artifacts behind `--metrics-out` and `--heatmap` from the
@@ -395,26 +402,21 @@ fn write_observability(args: &Args, r: Option<&casyn_flow::FlowResult>) -> Resul
         if let JsonValue::Object(entries) = &mut doc {
             entries.push(("metrics".into(), snapshot_json(&obs::snapshot())));
         }
-        fs::write(path, doc.to_string_pretty()).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote {path}");
+        write_out(path, &doc.to_string_pretty())?;
     }
+    // the flow commands that read these flags end in a result, or in a
+    // loop that did not converge
+    let Some(r) = r else {
+        return Ok(());
+    };
     if let Some(path) = &args.heatmap {
-        let r = r.ok_or("--heatmap needs a completed flow")?;
-        fs::write(path, r.route.congestion.to_json().to_string_pretty())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote {path}");
+        write_out(path, &r.route.congestion.to_json().to_string_pretty())?;
     }
     if let Some(path) = &args.route_out {
-        let r = r.ok_or("--route-out needs a completed flow")?;
-        fs::write(path, r.route.to_json().to_string_pretty())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote {path}");
+        write_out(path, &r.route.to_json().to_string_pretty())?;
     }
     if let Some(path) = &args.audit_out {
-        let r = r.ok_or("--audit-out needs a completed flow")?;
-        fs::write(path, r.route.audit.to_json().to_string_pretty())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote {path}");
+        write_out(path, &r.route.audit.to_json().to_string_pretty())?;
     }
     Ok(())
 }
@@ -468,13 +470,13 @@ fn append_ledger(args: &Args, scheme: PartitionScheme, rows: &[KSweepEntry]) -> 
     let path = record
         .append(std::path::Path::new(dir))
         .map_err(|e| format!("cannot append to ledger {dir}: {e}"))?;
-    println!("ledger: {}", path.display());
+    outln!("ledger: {}", path.display());
     Ok(())
 }
 
 /// `casyn diff <runA.json> <runB.json>`: loads two ledger records and
 /// compares them — the stable projection (what ran, quality metrics,
-/// stage names) exactly, stage wall clocks inside a tolerance band.
+/// stage names) exactly, stage wall clocks inside a fixed tolerance band.
 /// Exits non-zero on stable deltas, so CI can use it as a determinism
 /// gate.
 fn run_diff_command(args: &Args) -> Result<(), String> {
@@ -482,12 +484,8 @@ fn run_diff_command(args: &Args) -> Result<(), String> {
         .map_err(|e| format!("{}: {e}", args.input))?;
     let b = JobRecord::load(std::path::Path::new(&args.input2))
         .map_err(|e| format!("{}: {e}", args.input2))?;
-    let tol = match args.tolerance {
-        Some(ratio) => DiffTolerance { ratio, ..Default::default() },
-        None => DiffTolerance::default(),
-    };
-    let d = diff_records(&a, &b, &tol);
-    print!("{}", format_diff(&file_stem(&args.input), &file_stem(&args.input2), &d));
+    let d = diff_records(&a, &b);
+    out!("{}", format_diff(&file_stem(&args.input), &file_stem(&args.input2), &d));
     if !d.is_clean() {
         return Err(format!("{} stable delta(s) between the two runs", d.deltas.len()));
     }
@@ -525,7 +523,7 @@ fn load_resume(path: &str) -> Result<HashMap<u64, JobRecord>, String> {
         }
     }
     if unread > 0 {
-        println!("resume: {unread} entries of {path} do not say what they ran; their jobs re-run");
+        outln!("resume: {unread} entries of {path} do not say what they ran; their jobs re-run");
     }
     Ok(done)
 }
@@ -545,24 +543,16 @@ fn trace_dir(args: &Args) -> Option<&str> {
     (args.command == "batch" && (p.ends_with('/') || std::path::Path::new(p).is_dir())).then_some(p)
 }
 
-/// Writes the drained span timeline behind `--trace-out` (Chrome
-/// trace-event format) and `--spans-out` (casyn.trace.v1). The Chrome
-/// file is skipped in batch directory mode — per-job files already hold
-/// those events.
+/// Writes the drained span timeline behind `--trace-out` in Chrome
+/// trace-event format. Skipped in batch directory mode — per-job files
+/// already hold those events.
 fn write_traces(args: &Args, events: &[obs::trace::TraceEvent]) -> Result<(), String> {
-    if let Some(path) = &args.spans_out {
-        fs::write(path, obs::trace::to_trace_json(events).to_string_pretty())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote {path}");
-    }
-    if let Some(path) = &args.trace_out {
-        if trace_dir(args).is_none() {
-            fs::write(path, obs::trace::to_chrome_trace(events).to_string_pretty())
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-            println!("wrote {path}");
+    match &args.trace_out {
+        Some(path) if trace_dir(args).is_none() => {
+            write_out(path, &obs::trace::to_chrome_trace(events).to_string_pretty())
         }
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 /// Slices one batch job's events out of the full timeline: everything on
@@ -664,7 +654,7 @@ fn run_batch_command(args: &Args, pool: &Pool) -> Result<(), String> {
     // an entry that does not run here and has no error was resumed
     let num_resumed =
         job_of.iter().zip(&records).filter(|(j, r)| j.is_none() && r.error.is_none()).count();
-    println!(
+    outln!(
         "batch: {} jobs ({} loadable, {} resumed) on {} workers",
         manifest.len(),
         jobs.len(),
@@ -680,35 +670,23 @@ fn run_batch_command(args: &Args, pool: &Pool) -> Result<(), String> {
         records.iter().zip(&job_of).map(|(rec, job)| job.is_none().then(|| rec.clone())).collect(),
     );
     let bopts = BatchOptions { retries: args.retries, ..Default::default() };
-    let batch = run_batch(
-        &jobs,
-        pool,
-        &bopts,
-        |j| run_batch_job(j, &bopts),
-        |ji, jr| {
-            let mi = entry_of[ji];
-            let mut finished = finished.lock().unwrap_or_else(PoisonError::into_inner);
-            // trace paths exist only after the batch drains the timeline;
-            // the final report fills them in
-            finished[mi] = Some(records[mi].finished(jr));
-            if let Some(out) = &args.out {
-                let so_far: Vec<JobRecord> = finished.iter().flatten().cloned().collect();
-                let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-                if let Err(e) =
-                    write_report_file(out, &batch_json(&so_far, pool.workers(), wall_ms))
-                {
-                    obs::log::warn(&format!("checkpoint: {e}"));
-                }
+    let batch = run_batch(&jobs, pool, &bopts, run_batch_job, |ji, jr| {
+        let mi = entry_of[ji];
+        let mut finished = finished.lock().unwrap_or_else(PoisonError::into_inner);
+        // trace paths exist only after the batch drains the timeline;
+        // the final report fills them in
+        finished[mi] = Some(records[mi].finished(jr));
+        if let Some(out) = &args.out {
+            let so_far: Vec<JobRecord> = finished.iter().flatten().cloned().collect();
+            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+            if let Err(e) = write_report_file(out, &batch_json(&so_far, pool.workers(), wall_ms)) {
+                obs::log::warn(&format!("checkpoint: {e}"));
             }
-        },
-    );
+        }
+    });
     // drain the span timeline once the pool is quiet; in directory mode
     // every job gets its own Chrome trace file, referenced from its record
-    let traced = if args.trace_out.is_some() || args.spans_out.is_some() {
-        obs::trace::take_events()
-    } else {
-        Vec::new()
-    };
+    let traced = if args.trace_out.is_some() { obs::trace::take_events() } else { Vec::new() };
     let trace_paths = match trace_dir(args) {
         Some(dir) => write_job_traces(dir, &traced)?,
         None => HashMap::new(),
@@ -718,15 +696,15 @@ fn run_batch_command(args: &Args, pool: &Pool) -> Result<(), String> {
     for (mi, job) in job_of.iter().enumerate() {
         let name = records[mi].job.name.clone();
         match (job, &records[mi].error) {
-            (None, Some(e)) => println!("[{name}] LOAD ERROR: {}", e.detail),
-            (None, None) => println!("[{name}] resumed: already ok in a previous run"),
+            (None, Some(e)) => outln!("[{name}] LOAD ERROR: {}", e.detail),
+            (None, None) => outln!("[{name}] resumed: already ok in a previous run"),
             (Some(ji), _) => {
                 let mut rec =
                     finished[mi].take().unwrap_or_else(|| records[mi].finished(&batch.jobs[*ji]));
                 rec.trace_path = trace_paths.get(&name).cloned();
                 match &rec.error {
                     Some(e) => {
-                        println!("[{name}] FAILED after {} attempt(s): {e}", rec.attempts.max(1));
+                        outln!("[{name}] FAILED after {} attempt(s): {e}", rec.attempts.max(1));
                         if let Some(dir) = &args.crash_dir {
                             // a one-record batch document: `casyn batch` replays it
                             let path = format!("{dir}/{}.crash.json", safe_stem(&name));
@@ -734,27 +712,35 @@ fn run_batch_command(args: &Args, pool: &Pool) -> Result<(), String> {
                                 .map_err(|e| format!("cannot create {dir}: {e}"))
                                 .and_then(|()| write_report_file(&path, &rec.bundle_json()));
                             match written {
-                                Ok(()) => println!("  crash bundle: {path}"),
+                                Ok(()) => outln!("  crash bundle: {path}"),
                                 Err(e) => eprintln!("  crash bundle failed: {e}"),
                             }
                         }
                     }
                     None => {
                         let tag = if rec.degraded { " DEGRADED (escalated K)" } else { "" };
-                        println!(
+                        outln!(
                             "[{name}] ok in {:.0} ms ({} K rows, {} attempt(s)){tag}",
                             rec.wall_ms,
                             rec.rows.len(),
                             rec.attempts
                         );
-                        println!(
+                        outln!(
                             "  {:>10} {:>12} {:>8} {:>8} {:>8}",
-                            "K", "area", "cells", "util%", "viol"
+                            "K",
+                            "area",
+                            "cells",
+                            "util%",
+                            "viol"
                         );
                         for r in &rec.rows {
-                            println!(
+                            outln!(
                                 "  {:>10} {:>12.0} {:>8} {:>8.2} {:>8}",
-                                r.k, r.cell_area, r.num_cells, r.utilization_pct, r.violations
+                                r.k,
+                                r.cell_area,
+                                r.num_cells,
+                                r.utilization_pct,
+                                r.violations
                             );
                         }
                     }
@@ -765,7 +751,7 @@ fn run_batch_command(args: &Args, pool: &Pool) -> Result<(), String> {
     }
     let failed = records.iter().filter(|r| r.error.is_some()).count();
     let degraded = records.iter().filter(|r| r.degraded).count();
-    println!(
+    outln!(
         "batch done: {} ok ({degraded} degraded), {failed} failed, wall {:.0} ms (jobs={})",
         manifest.len() - failed,
         batch.wall_ms,
@@ -773,7 +759,7 @@ fn run_batch_command(args: &Args, pool: &Pool) -> Result<(), String> {
     );
     if let Some(path) = &args.out {
         write_report_file(path, &batch_json(&records, pool.workers(), batch.wall_ms))?;
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     write_observability(args, None)?;
     write_traces(args, &traced)?;
@@ -797,7 +783,7 @@ fn run_serve_command(args: &Args) -> Result<(), String> {
         io_fault: args.io_fault_plan.as_ref().map(|p| p.fresh()),
         ..Default::default()
     })?;
-    println!("casyn-serve listening on {}", server.endpoint());
+    outln!("casyn-serve listening on {}", server.endpoint());
     server.wait()
 }
 
@@ -825,11 +811,11 @@ fn run_submit_command(args: &Args) -> Result<(), String> {
         let rows = r.get("rows").and_then(|v| v.as_array()).map_or(0, <[_]>::len);
         let wall = r.get("wall_ms").and_then(|v| v.as_f64()).unwrap_or(0.0);
         if state == "done" {
-            println!("[{name}] done (cache {cache}, {rows} K rows, {wall:.0} ms)");
+            outln!("[{name}] done (cache {cache}, {rows} K rows, {wall:.0} ms)");
         } else {
             failed += 1;
             let err = r.get("error").and_then(|v| v.as_str()).unwrap_or("unknown error");
-            println!("[{name}] {state}: {err}");
+            outln!("[{name}] {state}: {err}");
         }
     }
     if failed > 0 {
@@ -845,7 +831,7 @@ fn run_shutdown_command(args: &Args) -> Result<(), String> {
     if status != 200 {
         return Err(format!("shutdown rejected ({status})"));
     }
-    println!("server {addr} {}", doc.get("status").and_then(|v| v.as_str()).unwrap_or("draining"));
+    outln!("server {addr} {}", doc.get("status").and_then(|v| v.as_str()).unwrap_or("draining"));
     Ok(())
 }
 
@@ -862,12 +848,13 @@ fn run_top_command(args: &Args) -> Result<(), String> {
         let text = format_top(&doc, addr);
         // single-snapshot mode composes with pipes and CI logs, so it
         // skips the ANSI clear that the live dashboard wants
-        if args.frames != 1 {
-            print!("\x1b[2J\x1b[H");
-        }
-        print!("{text}");
+        let clear = if args.frames == 1 { "" } else { "\x1b[2J\x1b[H" };
+        // a closed stdout ends the dashboard: nobody is watching it
         use std::io::Write as _;
-        let _ = std::io::stdout().flush();
+        let mut stdout = std::io::stdout();
+        if write!(stdout, "{clear}{text}").and_then(|()| stdout.flush()).is_err() {
+            return Ok(());
+        }
         frame += 1;
         if args.frames != 0 && frame >= args.frames {
             return Ok(());
@@ -964,7 +951,7 @@ fn run_heatmap_command(args: &Args) -> Result<(), String> {
         fs::read_to_string(&args.input).map_err(|e| format!("cannot read {}: {e}", args.input))?;
     let map = CongestionMap::from_json(&text).map_err(|e| format!("{}: {e}", args.input))?;
     let (h_cap, v_cap) = map.capacities();
-    println!(
+    outln!(
         "{}: {} x {} gcells of {:.2} um, capacity h {:.1} / v {:.1} tracks",
         args.input,
         map.nx(),
@@ -973,51 +960,43 @@ fn run_heatmap_command(args: &Args) -> Result<(), String> {
         h_cap,
         v_cap
     );
-    println!("peak congestion {:.1}%", 100.0 * map.max_util());
-    print!("{}", casyn_flow::format_congestion_heatmap(&file_stem(&args.input), &map));
+    outln!("peak congestion {:.1}%", 100.0 * map.max_util());
+    out!("{}", casyn_flow::format_congestion_heatmap(&file_stem(&args.input), &map));
     Ok(())
 }
 
 fn run(args: &Args) -> Result<(), String> {
-    if args.trace {
-        obs::log::set_level(obs::log::Level::Debug);
-    }
     if args.metrics_out.is_some() {
         obs::set_enabled(true);
     }
-    if args.trace_out.is_some() || args.spans_out.is_some() {
+    if args.trace_out.is_some() {
         // span recording wants the metrics/alloc side enabled too, so the
         // spans carry peak_bytes attributes
         obs::set_enabled(true);
         obs::trace::set_enabled(true);
     }
-    if args.command == "heatmap" {
-        return run_heatmap_command(args);
-    }
-    if args.command == "diff" {
-        return run_diff_command(args);
-    }
-    match args.command.as_str() {
-        "serve" => return run_serve_command(args),
-        "submit" => return run_submit_command(args),
-        "shutdown" => return run_shutdown_command(args),
-        "top" => return run_top_command(args),
-        _ => {}
-    }
-    let pool = match args.jobs {
+    let pool = || match args.jobs {
         Some(n) => Pool::new(n),
         None => Pool::from_env(),
     };
-    if args.command == "batch" {
-        return run_batch_command(args, &pool);
+    match args.command.as_str() {
+        "heatmap" => run_heatmap_command(args),
+        "diff" => run_diff_command(args),
+        "serve" => run_serve_command(args),
+        "submit" => run_submit_command(args),
+        "shutdown" => run_shutdown_command(args),
+        "top" => run_top_command(args),
+        "batch" => run_batch_command(args, &pool()),
+        _ => {
+            let result = run_flow_command(args, &pool());
+            if args.trace_out.is_some() {
+                // written even when the flow failed: the partial timeline
+                // is most useful exactly then
+                write_traces(args, &obs::trace::take_events())?;
+            }
+            result
+        }
     }
-    let result = run_flow_command(args, &pool);
-    if args.trace_out.is_some() || args.spans_out.is_some() {
-        // written even when the flow failed: the partial timeline is most
-        // useful exactly then
-        write_traces(args, &obs::trace::take_events())?;
-    }
-    result
 }
 
 fn run_flow_command(args: &Args, pool: &Pool) -> Result<(), String> {
@@ -1031,18 +1010,17 @@ fn run_flow_command(args: &Args, pool: &Pool) -> Result<(), String> {
             ));
         }
         let r = sequential_flow(&design, args.k, &opts).map_err(|e| e.to_string())?;
-        println!("{}: sequential design, {} flip-flops", args.input, r.num_dffs);
-        report(&r.flow, args.clock);
-        println!("minimum clock period: {:.3} ns", r.min_clock_period);
-        write_artifacts(args, &design.core, &r.flow)?;
+        outln!("{}: sequential design, {} flip-flops", args.input, r.num_dffs);
+        report(&r.flow);
+        outln!("minimum clock period: {:.3} ns", r.min_clock_period);
+        write_verilog(args, &r.flow)?;
         write_observability(args, Some(&r.flow))?;
         let rows = [KSweepEntry { k: args.k, result: r.flow }];
         append_ledger(args, PartitionScheme::PlacementDriven, &rows)?;
         return Ok(());
     }
-    let network = design.core;
-    let prep = prepare_pool(&network, &opts, pool).map_err(|e| e.to_string())?;
-    println!(
+    let prep = prepare_pool(&design.core, &opts, pool).map_err(|e| e.to_string())?;
+    outln!(
         "{}: {} base gates, die {:.0} um^2 ({} rows)",
         args.input,
         prep.base_gates,
@@ -1055,49 +1033,29 @@ fn run_flow_command(args: &Args, pool: &Pool) -> Result<(), String> {
                 if args.k == 0.0 { CostKind::Area } else { CostKind::AreaWire { k: args.k } };
             let r = full_flow(&prep, &MapOptions { scheme: args.scheme, cost }, &opts)
                 .map_err(|e| e.to_string())?;
-            report(&r, args.clock);
-            write_artifacts(args, &network, &r)?;
+            report(&r);
+            write_verilog(args, &r)?;
             write_observability(args, Some(&r))?;
             append_ledger(args, args.scheme, &[KSweepEntry { k: args.k, result: r }])?;
         }
-        // `run` is the everyday spelling: sweep the default K ladder on
-        // the pool
-        "sweep" | "run" => {
-            println!("{:>10} {:>12} {:>8} {:>8} {:>8}", "K", "area", "cells", "util%", "viol");
-            let rows = if pool.workers() > 1 {
-                // Parallel rows: the metrics registry aggregates across all
-                // K rows (plus the pool's exec.* keys); per-row attribution
-                // needs --jobs 1. The rows themselves are bit-identical.
-                let rows = k_sweep_prepared_pool(&prep, &args.ks, &opts, pool)
-                    .map_err(|e| e.to_string())?;
-                for e in &rows {
-                    println!(
-                        "{:>10} {:>12.0} {:>8} {:>8.2} {:>8}",
-                        e.k,
-                        e.result.cell_area,
-                        e.result.num_cells,
-                        e.result.utilization_pct,
-                        e.result.route.violations
-                    );
-                }
-                rows
-            } else {
-                let mut rows = Vec::with_capacity(args.ks.len());
-                for &k in &args.ks {
-                    // Per-row reset keeps the final registry dump scoped to
-                    // the same (last) row as the stage telemetry in
-                    // --metrics-out, instead of accumulating across rows.
-                    obs::reset();
-                    let r = casyn_flow::congestion_flow_prepared(&prep, k, &opts)
-                        .map_err(|e| e.to_string())?;
-                    println!(
-                        "{:>10} {:>12.0} {:>8} {:>8.2} {:>8}",
-                        k, r.cell_area, r.num_cells, r.utilization_pct, r.route.violations
-                    );
-                    rows.push(KSweepEntry { k, result: r });
-                }
-                rows
-            };
+        "sweep" => {
+            // one pooled sweep at any --jobs (one worker runs inline): the
+            // rows are bit-identical, and the metrics registry covers the
+            // whole command
+            outln!("{:>10} {:>12} {:>8} {:>8} {:>8}", "K", "area", "cells", "util%", "viol");
+            let rows =
+                k_sweep_prepared_pool(&prep, &args.ks, &opts, pool).map_err(|e| e.to_string())?;
+            for e in &rows {
+                let r = &e.result;
+                outln!(
+                    "{:>10} {:>12.0} {:>8} {:>8.2} {:>8}",
+                    e.k,
+                    r.cell_area,
+                    r.num_cells,
+                    r.utilization_pct,
+                    r.route.violations
+                );
+            }
             write_observability(args, rows.last().map(|e| &e.result))?;
             append_ledger(args, PartitionScheme::PlacementDriven, &rows)?;
         }
@@ -1105,7 +1063,7 @@ fn run_flow_command(args: &Args, pool: &Pool) -> Result<(), String> {
             let schedule = [0.0, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0];
             let out = run_methodology(&prep, &schedule, 1.0, &opts).map_err(|e| e.to_string())?;
             for s in &out.steps {
-                println!(
+                outln!(
                     "K = {:<8} peak {:>6.1}%  violations {:>6}  {}",
                     s.k,
                     100.0 * s.max_util,
@@ -1114,15 +1072,15 @@ fn run_flow_command(args: &Args, pool: &Pool) -> Result<(), String> {
                 );
             }
             if out.converged {
-                report(&out.result, args.clock);
-                write_artifacts(args, &network, &out.result)?;
+                report(&out.result);
+                write_verilog(args, &out.result)?;
                 write_observability(args, Some(&out.result))?;
                 // ledger the accepted K only: that row is the flow's output
                 let k = out.steps.iter().find(|s| s.accepted).map_or(0.0, |s| s.k);
                 let rows = [KSweepEntry { k, result: out.result }];
                 append_ledger(args, PartitionScheme::PlacementDriven, &rows)?;
             } else {
-                println!("did not converge: relax the floorplan or resynthesize");
+                outln!("did not converge: relax the floorplan or resynthesize");
                 write_observability(args, None)?;
             }
         }
@@ -1141,7 +1099,7 @@ fn main() -> ExitCode {
 /// read; everything else runs.
 fn cli(argv: &[String]) -> ExitCode {
     if matches!(argv.first().map(String::as_str), Some("help" | "--help")) {
-        print!("{HELP}");
+        out!("{HELP}");
         return ExitCode::SUCCESS;
     }
     match parse_args(argv) {
@@ -1162,185 +1120,284 @@ fn cli(argv: &[String]) -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn sv(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
     }
 
-    #[test]
-    fn parse_map_defaults() {
-        let a = parse_args(&sv(&["map", "x.pla"])).unwrap();
-        assert_eq!(a.command, "map");
-        assert_eq!(a.input, "x.pla");
-        assert_eq!(a.k, 0.5);
-        assert_eq!(a.scheme, PartitionScheme::PlacementDriven);
-        assert!(!a.optimize);
-        assert!(!a.validate);
-        assert_eq!(a.retries, 0);
-        assert!(a.resume.is_none() && a.fault_plan.is_none() && a.crash_dir.is_none());
+    /// `cmd` with its positionals (paths that do not exist: nothing may
+    /// read them) followed by `rest`.
+    fn argv(cmd: &str, rest: &[&str]) -> Vec<String> {
+        let n = COMMANDS.iter().find(|(c, _)| *c == cmd).map_or(0, |(_, n)| *n);
+        let mut v = vec![cmd.to_string()];
+        v.extend((0..n).map(|i| format!("absent-{i}.pla")));
+        v.extend(rest.iter().map(|s| s.to_string()));
+        v
+    }
+
+    /// A value each option accepts (`None` for a switch).
+    fn sample(flag: &str) -> Option<&'static str> {
+        Some(match flag {
+            "--optimize" | "--validate" => return None,
+            "--k" | "--util" | "--interval" => "0.5",
+            "--ks" => "0,0.5",
+            "--scheme" => "cone",
+            "--layers" | "--jobs" | "--retries" | "--queue-cap" | "--result-wait" | "--frames" => {
+                "2"
+            }
+            "--mem-limit" => "1m",
+            "--fault-plan" => "map:panic:1",
+            "--io-fault-plan" => "wal:torn_write:2",
+            "--listen" | "--server" => "127.0.0.1:0",
+            _ => "out.json",
+        })
     }
 
     #[test]
-    fn parse_options() {
-        let a = parse_args(&sv(&[
-            "sweep",
+    fn every_option_parses_exactly_on_the_commands_of_its_row() {
+        for &(flag, scope) in OPTIONS {
+            for &(cmd, _) in COMMANDS {
+                let mut rest = vec![flag];
+                rest.extend(sample(flag));
+                let parsed = parse_args(&argv(cmd, &rest));
+                if scope.contains(&cmd) {
+                    assert!(parsed.is_ok(), "{flag} on {cmd}: {:?}", parsed.err());
+                } else {
+                    assert_eq!(parsed.unwrap_err(), format!("{flag} does not apply to {cmd}"));
+                }
+            }
+        }
+        // the regressions of a parser that let any option reach any
+        // command: each was ignored, or failed only after the work
+        for (cmd, rest) in [
+            ("sweep", ["--k", "3"]),              // silently ran the default ladder
+            ("serve", ["--trace-out", "t.json"]), // spans piled up, never written
+            ("batch", ["--heatmap", "h.json"]),   // failed after the whole batch
+            ("submit", ["--retries", "9"]),       // the server's retries apply
+        ] {
+            let e = parse_args(&argv(cmd, &rest)).unwrap_err();
+            assert_eq!(e, format!("{} does not apply to {cmd}", rest[0]));
+            assert_eq!(cli(&argv(cmd, &rest)), ExitCode::FAILURE);
+        }
+    }
+
+    #[test]
+    fn every_command_takes_exactly_its_positionals() {
+        for &(cmd, n) in COMMANDS {
+            assert!(parse_args(&argv(cmd, &[])).is_ok(), "{cmd}");
+            let extra = parse_args(&argv(cmd, &["stray"])).unwrap_err();
+            assert!(extra.starts_with(&format!("{cmd} takes {n} ")), "{extra}");
+            if n > 0 {
+                let v = argv(cmd, &[]);
+                let missing = parse_args(&v[..v.len() - 1]).unwrap_err();
+                assert!(missing.ends_with(&format!("got {}", n - 1)), "{missing}");
+            }
+        }
+        // `serve stray` used to parse, and nothing read the positional
+        assert_eq!(cli(&sv(&["serve", "stray"])), ExitCode::FAILURE);
+        let d = parse_args(&sv(&["diff", "runs/a.json", "runs/b.json"])).unwrap();
+        assert_eq!((d.input.as_str(), d.input2.as_str()), ("runs/a.json", "runs/b.json"));
+    }
+
+    #[test]
+    fn help_lists_each_option_under_the_commands_of_its_row() {
+        let table: BTreeMap<&str, Vec<&str>> =
+            OPTIONS.iter().map(|&(flag, scope)| (flag, scope.to_vec())).collect();
+        // every `--flag` the text mentions is a row of the table
+        let mentioned: std::collections::BTreeSet<&str> = HELP
+            .split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+            .filter(|w| w.starts_with("--"))
+            .collect();
+        assert_eq!(mentioned, table.keys().copied().collect());
+        // and each is listed under a `cmd, cmd:` heading naming its scope
+        let mut listed = BTreeMap::new();
+        let mut heading: Vec<&str> = Vec::new();
+        for line in HELP.lines() {
+            if let Some(h) = line.strip_suffix(':').filter(|_| !line.starts_with(' ')) {
+                heading = h.split(", ").collect();
+            } else if line.starts_with("  --") {
+                listed.insert(line.split_whitespace().next().unwrap_or_default(), heading.clone());
+            }
+        }
+        assert_eq!(listed, table);
+    }
+
+    #[test]
+    fn option_values_land_in_their_fields() {
+        let m = parse_args(&sv(&["map", "x.pla"])).unwrap();
+        assert_eq!(
+            (m.input.as_str(), m.k, m.scheme),
+            ("x.pla", 0.5, PartitionScheme::PlacementDriven)
+        );
+        assert!(!m.optimize && !m.validate && m.fault_plan.is_none() && m.jobs.is_none());
+        let m = parse_args(&sv(&[
+            "map",
             "y.blif",
-            "--ks",
-            "0,0.5, 2",
+            "--k",
+            "2",
+            "--scheme",
+            "cone",
             "--util",
             "0.5",
             "--layers",
             "4",
             "--optimize",
-            "--clock",
-            "10.5",
-        ]))
-        .unwrap();
-        assert_eq!(a.ks, vec![0.0, 0.5, 2.0]);
-        assert_eq!(a.util, 0.5);
-        assert_eq!(a.layers, 4);
-        assert!(a.optimize);
-        assert_eq!(a.clock, Some(10.5));
-        // --scheme is map's: the other flow commands run placement-driven
-        let m = parse_args(&sv(&["map", "y.blif", "--scheme", "cone"])).unwrap();
-        assert_eq!(m.scheme, PartitionScheme::Cone);
-        for c in ["sweep", "run", "loop", "batch"] {
-            let e = parse_args(&sv(&[c, "y.blif", "--scheme", "cone"])).unwrap_err();
-            assert!(e.starts_with("--scheme applies to map only"), "{c}: {e}");
-        }
-        // the numeric flags pass the manifest fields' range check
-        for [flag, bad] in [
-            ["--util", "nan"],
-            ["--util", "0"],
-            ["--util", "1.5"],
-            ["--layers", "0"],
-            ["--layers", "2.7"],
-            ["--k", "inf"],
-            ["--k", "-1"],
-            ["--ks", "0,-0.5"],
-            ["--ks", "nan"],
-        ] {
-            let e = parse_args(&sv(&["map", "x.pla", flag, bad])).unwrap_err();
-            assert!(e.starts_with(flag), "{flag} {bad}: {e}");
-        }
-    }
-
-    #[test]
-    fn parse_observability_flags() {
-        let a = parse_args(&sv(&[
-            "map",
-            "x.pla",
-            "--metrics-out",
-            "m.json",
-            "--heatmap",
-            "h.json",
-            "--trace",
-        ]))
-        .unwrap();
-        assert_eq!(a.metrics_out.as_deref(), Some("m.json"));
-        assert_eq!(a.heatmap.as_deref(), Some("h.json"));
-        assert!(a.trace);
-        let b = parse_args(&sv(&["map", "x.pla"])).unwrap();
-        assert!(b.metrics_out.is_none() && b.heatmap.is_none() && !b.trace);
-        assert!(parse_args(&sv(&["map", "x.pla", "--metrics-out"])).is_err());
-    }
-
-    #[test]
-    fn parse_trace_out_flags() {
-        let a = parse_args(&sv(&[
-            "run",
-            "x.pla",
-            "--trace-out",
-            "t.json",
-            "--spans-out",
-            "s.json",
-            "--jobs",
-            "2",
-        ]))
-        .unwrap();
-        assert_eq!(a.command, "run");
-        assert_eq!(a.trace_out.as_deref(), Some("t.json"));
-        assert_eq!(a.spans_out.as_deref(), Some("s.json"));
-        let b = parse_args(&sv(&["map", "x.pla"])).unwrap();
-        assert!(b.trace_out.is_none() && b.spans_out.is_none());
-        assert!(parse_args(&sv(&["map", "x.pla", "--trace-out"])).is_err());
-        // directory mode only applies to batch
-        let c = parse_args(&sv(&["batch", "m.json", "--trace-out", "traces/"])).unwrap();
-        assert_eq!(trace_dir(&c), Some("traces/"));
-        let d = parse_args(&sv(&["sweep", "x.pla", "--trace-out", "traces/"])).unwrap();
-        assert_eq!(trace_dir(&d), None);
-    }
-
-    #[test]
-    fn parse_fault_tolerance_flags() {
-        let a = parse_args(&sv(&[
-            "batch",
-            "m.json",
             "--validate",
-            "--retries",
-            "2",
-            "--resume",
-            "old.json",
             "--fault-plan",
             "map:panic:1,route:corrupt:2,seed=7",
-            "--crash-dir",
-            "crashes",
+            "--jobs",
+            "3",
+            "--trace-out",
+            "t.json",
         ]))
         .unwrap();
-        assert!(a.validate);
-        assert_eq!(a.retries, 2);
-        assert_eq!(a.resume.as_deref(), Some("old.json"));
-        let plan = a.fault_plan.unwrap();
-        assert_eq!(plan.specs().len(), 2);
-        assert_eq!(plan.seed(), 7);
-        assert_eq!(a.crash_dir.as_deref(), Some("crashes"));
+        assert_eq!((m.k, m.scheme, m.util, m.layers), (2.0, PartitionScheme::Cone, 0.5, 4));
+        assert!(m.optimize && m.validate && m.jobs == Some(3));
+        let plan = m.fault_plan.as_ref().unwrap();
+        assert_eq!((plan.specs().len(), plan.seed()), (2, 7));
+        assert_eq!(trace_dir(&m), None);
+        let b = parse_args(&sv(&[
+            "batch",
+            "m.json",
+            "--ks",
+            "0,0.5, 2",
+            "--retries",
+            "2",
+            "--out",
+            "r.json",
+            "--resume",
+            "old.json",
+            "--crash-dir",
+            "crashes",
+            "--trace-out",
+            "traces/",
+        ]))
+        .unwrap();
+        assert_eq!((&b.ks[..], b.retries), (&[0.0, 0.5, 2.0][..], 2));
+        assert_eq!((b.out.as_deref(), b.resume.as_deref()), (Some("r.json"), Some("old.json")));
+        assert_eq!(b.crash_dir.as_deref(), Some("crashes"));
+        // a directory --trace-out gives batch one trace file per job
+        assert_eq!(trace_dir(&b), Some("traces/"));
+        let s = parse_args(&sv(&["serve"])).unwrap();
+        assert_eq!(
+            (s.listen.as_str(), s.queue_cap, s.mem_limit, s.result_wait),
+            ("127.0.0.1:7878", 64, 0, 600)
+        );
+        let s = parse_args(&sv(&[
+            "serve",
+            "--listen",
+            "0.0.0.0:9000",
+            "--queue-cap",
+            "8",
+            "--state-dir",
+            "st",
+            "--mem-limit",
+            "512m",
+            "--result-wait",
+            "30",
+            "--io-fault-plan",
+            "wal:torn_write:2,cache:disk_full,conn:conn_drop:3",
+        ]))
+        .unwrap();
+        assert_eq!(
+            (s.listen.as_str(), s.queue_cap, s.state_dir.as_deref()),
+            ("0.0.0.0:9000", 8, Some("st"))
+        );
+        assert_eq!((s.mem_limit, s.result_wait), (512 << 20, 30));
+        assert_eq!(s.io_fault_plan.unwrap().specs().len(), 3);
+        let t = parse_args(&sv(&["top", "h:1"])).unwrap();
+        assert_eq!((t.input.as_str(), t.interval, t.frames), ("h:1", 1.0, 0));
+        let t = parse_args(&sv(&["top", "h:1", "--interval", "0.5", "--frames", "3"])).unwrap();
+        assert_eq!((t.interval, t.frames), (0.5, 3));
+        let sub = parse_args(&sv(&["submit", "m.json", "--server", "h:1"])).unwrap();
+        assert_eq!(sub.server.as_deref(), Some("h:1"));
+        assert_eq!(parse_bytes("4k").unwrap(), 4096);
+        assert_eq!(parse_bytes("1g").unwrap(), 1 << 30);
+        assert_eq!(parse_bytes("123").unwrap(), 123);
     }
 
     #[test]
-    fn parse_rejects_bad_fault_plans() {
-        // unknown stage names fail up front, not silently at run time
-        let e = parse_args(&sv(&["map", "x.pla", "--fault-plan", "warp:panic:1"])).unwrap_err();
+    fn bad_values_fail_naming_their_option() {
+        // the numeric flags pass the manifest fields' range check
+        for (cmd, flag, bad) in [
+            ("map", "--util", "nan"),
+            ("map", "--util", "0"),
+            ("map", "--util", "1.5"),
+            ("map", "--layers", "0"),
+            ("map", "--layers", "2.7"),
+            ("map", "--k", "inf"),
+            ("map", "--k", "-1"),
+            ("sweep", "--ks", "0,-0.5"),
+            ("sweep", "--ks", "nan"),
+            ("batch", "--jobs", "0"),
+            ("batch", "--jobs", "-1"),
+            ("batch", "--retries", "-1"),
+            ("serve", "--mem-limit", "lots"),
+            ("top", "--interval", "0"),
+            ("top", "--interval", "nope"),
+        ] {
+            let e = parse_args(&argv(cmd, &[flag, bad])).unwrap_err();
+            assert!(e.starts_with(flag), "{flag} {bad}: {e}");
+        }
+        for &(flag, scope) in OPTIONS.iter().filter(|(f, _)| sample(f).is_some()) {
+            let e = parse_args(&argv(scope[0], &[flag])).unwrap_err();
+            assert_eq!(e, format!("{flag} needs a value"));
+        }
+        let e = parse_args(&argv("map", &["--scheme", "bogus"])).unwrap_err();
+        assert_eq!(e, "unknown scheme: bogus");
+        // unknown fault stages fail up front, not silently at run time
+        let e = parse_args(&argv("map", &["--fault-plan", "warp:panic:1"])).unwrap_err();
         assert!(e.contains("unknown stage") && e.contains("warp"), "got: {e}");
-        assert!(parse_args(&sv(&["map", "x.pla", "--fault-plan", "map:explode"])).is_err());
-        assert!(parse_args(&sv(&["map", "x.pla", "--fault-plan"])).is_err());
-        assert!(parse_args(&sv(&["batch", "m.json", "--retries", "-1"])).is_err());
+        assert!(parse_args(&argv("map", &["--fault-plan", "map:explode"])).is_err());
+        // flow stages are not I/O stages, and the flow plan rejects I/O ones
+        let e = parse_args(&argv("serve", &["--io-fault-plan", "map:torn_write"])).unwrap_err();
+        assert!(e.contains("expected wal, cache or conn"), "got: {e}");
+        assert!(parse_args(&argv("map", &["--fault-plan", "wal:torn_write"])).is_err());
     }
 
     #[test]
-    fn parse_service_flags() {
-        // serve/shutdown take no input positional
-        let a =
-            parse_args(&sv(&["serve", "--listen", "0.0.0.0:9000", "--queue-cap", "8"])).unwrap();
-        assert_eq!(a.command, "serve");
-        assert_eq!(a.listen, "0.0.0.0:9000");
-        assert_eq!(a.queue_cap, 8);
-        let b = parse_args(&sv(&["shutdown", "--server", "127.0.0.1:7878"])).unwrap();
-        assert_eq!(b.server.as_deref(), Some("127.0.0.1:7878"));
-        // defaults
-        let d = parse_args(&sv(&["serve"])).unwrap();
-        assert_eq!(d.listen, "127.0.0.1:7878");
-        assert_eq!(d.queue_cap, 64);
-        assert!(d.server.is_none());
-        // submit still requires an input manifest
-        assert!(parse_args(&sv(&["submit", "--server", "h:1"])).is_err());
+    fn unknown_commands_and_options_are_rejected_before_any_file_is_read() {
+        assert_eq!(
+            parse_args(&sv(&["frobnicate", "x.pla"])).unwrap_err(),
+            "unknown command: frobnicate"
+        );
+        // retired commands and options are unknown
+        for cmd in ["run", "loadgen"] {
+            assert_eq!(
+                parse_args(&sv(&[cmd, "x.pla"])).unwrap_err(),
+                format!("unknown command: {cmd}")
+            );
+        }
+        for flag in [
+            "--placer",
+            "--clients",
+            "--designs",
+            "--dot",
+            "--blif",
+            "--clock",
+            "--trace",
+            "--spans-out",
+            "--snapshot-stride",
+            "--tolerance",
+            "--wat",
+            "-x",
+        ] {
+            let e = parse_args(&argv("map", &[flag, "1"])).unwrap_err();
+            assert_eq!(e, format!("unknown option: {flag}"));
+        }
     }
 
     #[test]
-    fn parse_top_flags() {
-        let a = parse_args(&sv(&["top", "127.0.0.1:7878", "--interval", "0.5", "--frames", "3"]))
-            .unwrap();
-        assert_eq!(a.command, "top");
-        assert_eq!(a.input, "127.0.0.1:7878");
-        assert_eq!(a.interval, 0.5);
-        assert_eq!(a.frames, 3);
-        // defaults: 1 s refresh, run until interrupted
-        let d = parse_args(&sv(&["top", "h:1"])).unwrap();
-        assert_eq!((d.interval, d.frames), (1.0, 0));
-        // the address positional is required, the interval must be positive
-        let e = parse_args(&sv(&["top"])).unwrap_err();
-        assert!(e.contains("server address"), "got: {e}");
-        assert!(parse_args(&sv(&["top", "h:1", "--interval", "0"])).is_err());
-        assert!(parse_args(&sv(&["top", "h:1", "--interval", "nope"])).is_err());
+    fn help_exits_zero_and_bad_invocations_exit_one() {
+        assert_eq!(cli(&sv(&["help"])), ExitCode::SUCCESS);
+        assert_eq!(cli(&sv(&["--help"])), ExitCode::SUCCESS);
+        assert_eq!(cli(&[]), ExitCode::FAILURE);
+        assert_eq!(cli(&sv(&["frobnicate", "x.pla"])), ExitCode::FAILURE);
+        // help.txt is the one copy of the option list: it names every command
+        for (c, _) in COMMANDS {
+            assert!(HELP.contains(&format!("casyn {c} ")), "help.txt lacks {c}");
+        }
     }
 
     #[test]
@@ -1424,136 +1481,6 @@ mod tests {
         // a degraded=false doc drops the banner
         let calm = win(vec![("degraded", JsonValue::Bool(false))]);
         assert!(!format_top(&calm, "h:1").contains("DEGRADED"));
-    }
-
-    #[test]
-    fn parse_durability_flags() {
-        let a = parse_args(&sv(&[
-            "serve",
-            "--state-dir",
-            "/tmp/casyn-state",
-            "--mem-limit",
-            "512m",
-            "--result-wait",
-            "30",
-            "--io-fault-plan",
-            "wal:torn_write:2,cache:disk_full,conn:conn_drop:3",
-        ]))
-        .unwrap();
-        assert_eq!(a.state_dir.as_deref(), Some("/tmp/casyn-state"));
-        assert_eq!(a.mem_limit, 512 << 20);
-        assert_eq!(a.result_wait, 30);
-        assert_eq!(a.io_fault_plan.as_ref().unwrap().specs().len(), 3);
-        // defaults: durability off, 600 s result wait
-        let d = parse_args(&sv(&["serve"])).unwrap();
-        assert!(d.state_dir.is_none() && d.io_fault_plan.is_none());
-        assert_eq!((d.mem_limit, d.result_wait), (0, 600));
-        // suffix parsing covers k/g and plain bytes
-        assert_eq!(parse_bytes("4k").unwrap(), 4096);
-        assert_eq!(parse_bytes("1g").unwrap(), 1 << 30);
-        assert_eq!(parse_bytes("123").unwrap(), 123);
-        assert!(parse_bytes("lots").is_err());
-        // flow stages are not I/O stages: the plan is rejected up front
-        let e = parse_args(&sv(&["serve", "--io-fault-plan", "map:torn_write"])).unwrap_err();
-        assert!(e.contains("expected wal, cache or conn"), "got: {e}");
-        // and the generic --fault-plan still rejects the I/O stages
-        assert!(parse_args(&sv(&["map", "x.pla", "--fault-plan", "wal:torn_write"])).is_err());
-    }
-
-    #[test]
-    fn unknown_commands_are_rejected_before_any_file_is_read() {
-        // x.pla does not exist: an unknown command must fail in parse_args,
-        // not after loading and placing the design
-        let e = parse_args(&sv(&["frobnicate", "x.pla"])).unwrap_err();
-        assert_eq!(e, "unknown command: frobnicate");
-        // the retired service bench and its options are gone
-        assert_eq!(parse_args(&sv(&["loadgen"])).unwrap_err(), "unknown command: loadgen");
-        assert!(parse_args(&sv(&["serve", "--clients", "4"])).is_err());
-        assert!(parse_args(&sv(&["serve", "--designs", "8"])).is_err());
-        // every advertised command parses
-        for &c in COMMANDS {
-            let argv = if c == "diff" { sv(&[c, "a", "b"]) } else { sv(&[c, "a"]) };
-            assert!(parse_args(&argv).is_ok(), "{c} rejected");
-        }
-    }
-
-    #[test]
-    fn help_exits_zero_and_bad_invocations_exit_one() {
-        assert_eq!(cli(&sv(&["help"])), ExitCode::SUCCESS);
-        assert_eq!(cli(&sv(&["--help"])), ExitCode::SUCCESS);
-        assert_eq!(cli(&[]), ExitCode::FAILURE);
-        assert_eq!(cli(&sv(&["frobnicate", "x.pla"])), ExitCode::FAILURE);
-        // help.txt is the one copy of the option list: it names every command
-        for c in COMMANDS {
-            assert!(HELP.contains(&format!("casyn {c} ")), "help.txt lacks {c}");
-        }
-    }
-
-    #[test]
-    fn parse_errors() {
-        assert!(parse_args(&sv(&["map"])).is_err());
-        assert!(parse_args(&sv(&["map", "x.pla", "--scheme", "bogus"])).is_err());
-        assert!(parse_args(&sv(&["map", "x.pla", "--k"])).is_err());
-        assert!(parse_args(&sv(&["map", "x.pla", "--wat"])).is_err());
-    }
-
-    #[test]
-    fn parse_jobs_and_out() {
-        let a =
-            parse_args(&sv(&["batch", "m.json", "--jobs", "4", "--out", "report.json"])).unwrap();
-        assert_eq!(a.jobs, Some(4));
-        assert_eq!(a.out.as_deref(), Some("report.json"));
-        let b = parse_args(&sv(&["sweep", "x.pla"])).unwrap();
-        assert!(b.jobs.is_none() && b.out.is_none());
-        assert!(parse_args(&sv(&["batch", "m.json", "--jobs", "0"])).is_err());
-        assert!(parse_args(&sv(&["batch", "m.json", "--jobs", "-1"])).is_err());
-        assert!(parse_args(&sv(&["batch", "m.json", "--jobs"])).is_err());
-    }
-
-    #[test]
-    fn parse_diff_positionals() {
-        let a = parse_args(&sv(&["diff", "runs/a.json", "runs/b.json"])).unwrap();
-        assert_eq!(a.command, "diff");
-        assert_eq!(a.input, "runs/a.json");
-        assert_eq!(a.input2, "runs/b.json");
-        let b = parse_args(&sv(&["diff", "a.json", "b.json", "--tolerance", "2.5"])).unwrap();
-        assert_eq!(b.tolerance, Some(2.5));
-        // diff needs exactly two records; other commands still take one
-        assert!(parse_args(&sv(&["diff", "a.json"])).is_err());
-        assert!(parse_args(&sv(&["map", "x.pla", "y.pla"])).is_err());
-        assert!(parse_args(&sv(&["diff", "a.json", "b.json", "--tolerance", "-1"])).is_err());
-    }
-
-    #[test]
-    fn parse_audit_and_ledger_flags() {
-        let a = parse_args(&sv(&[
-            "run",
-            "x.pla",
-            "--ledger",
-            "runs",
-            "--route-out",
-            "route.json",
-            "--audit-out",
-            "audit.json",
-            "--snapshot-stride",
-            "4",
-        ]))
-        .unwrap();
-        assert_eq!(a.ledger.as_deref(), Some("runs"));
-        assert_eq!(a.route_out.as_deref(), Some("route.json"));
-        assert_eq!(a.audit_out.as_deref(), Some("audit.json"));
-        assert_eq!(a.snapshot_stride, 4);
-        let b = parse_args(&sv(&["map", "x.pla"])).unwrap();
-        assert!(b.ledger.is_none() && b.route_out.is_none() && b.audit_out.is_none());
-        assert_eq!(b.snapshot_stride, 0);
-        assert!(parse_args(&sv(&["map", "x.pla", "--snapshot-stride"])).is_err());
-        assert!(parse_args(&sv(&["map", "x.pla", "--snapshot-stride", "x"])).is_err());
-    }
-
-    #[test]
-    fn placer_is_an_unknown_option() {
-        let e = parse_args(&sv(&["run", "x.pla", "--placer", "kway"])).unwrap_err();
-        assert_eq!(e, "unknown option: --placer");
     }
 
     #[test]

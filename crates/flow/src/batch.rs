@@ -114,9 +114,9 @@ impl BatchReport {
 /// serially within the job (the batch parallelizes across jobs), and
 /// when the whole sweep is unroutable append one escalated rung at
 /// `2 × max(ks)` (or 1.0 if all ks are 0) and mark the job `degraded`.
-/// The options are not read here: retries and cancellation belong to
-/// [`run_one`], which calls the runner.
-pub fn run_batch_job(job: &BatchJob, _bopts: &BatchOptions) -> Result<JobSuccess, FlowError> {
+/// Retries and cancellation belong to [`run_one`], which calls the
+/// runner.
+pub fn run_batch_job(job: &BatchJob) -> Result<JobSuccess, FlowError> {
     let prep = prepare(&job.network, &job.opts)?;
     let mut rows = k_sweep_prepared(&prep, &job.ks, &job.opts)?;
     let mut degraded = false;
@@ -201,7 +201,7 @@ where
 
 /// Runs every job on the pool through [`run_one`], with deadlines
 /// measured from the batch start: `runner` computes one job (the default
-/// is `|j| run_batch_job(j, bopts)`; fault-injection tests pass their
+/// is [`run_batch_job`]; fault-injection tests pass their
 /// own). `on_done(index, report)` runs on the worker thread as soon as
 /// job `index`'s outcome is known, for skipped jobs too, so it fires
 /// exactly once per job and a checkpoint written from it is complete
@@ -256,7 +256,7 @@ mod tests {
 
     /// The default runner, nothing observed.
     fn run(jobs: &[BatchJob], pool: &Pool, bopts: &BatchOptions) -> BatchReport {
-        run_batch(jobs, pool, bopts, |j| run_batch_job(j, bopts), |_, _| {})
+        run_batch(jobs, pool, bopts, run_batch_job, |_, _| {})
     }
 
     #[test]
@@ -265,9 +265,8 @@ mod tests {
         let report = run(&jobs, &Pool::new(2), &BatchOptions::default());
         assert_eq!(report.num_ok(), 2);
         assert_eq!(report.workers, 2);
-        let bopts = BatchOptions::default();
         for (j, r) in jobs.iter().zip(&report.jobs) {
-            let direct = run_batch_job(j, &bopts).unwrap();
+            let direct = run_batch_job(j).unwrap();
             let got = r.outcome.as_ref().unwrap();
             assert!(!got.degraded);
             assert_eq!(got.rows.len(), direct.rows.len());
@@ -293,7 +292,7 @@ mod tests {
                 if j.name == "poisoned" {
                     panic!("injected batch fault");
                 }
-                run_batch_job(j, &bopts)
+                run_batch_job(j)
             },
             |_, _| {},
         );
@@ -325,7 +324,7 @@ mod tests {
         let ran = AtomicUsize::new(0);
         let runner = |j: &BatchJob| {
             ran.fetch_add(1, Ordering::SeqCst);
-            run_batch_job(j, &bopts)
+            run_batch_job(j)
         };
         let Some(admitted) = Instant::now().checked_sub(Duration::from_millis(50)) else {
             return; // a clock that started less than 50 ms ago
@@ -386,7 +385,7 @@ mod tests {
         let mut j = job(3, "tight");
         // starve the router so every K in the sweep overflows
         j.opts.route.capacity_scale = 0.02;
-        let direct = run_batch_job(&j, &BatchOptions::default()).unwrap();
+        let direct = run_batch_job(&j).unwrap();
         assert!(direct.degraded, "whole sweep unroutable: must escalate");
         assert_eq!(direct.rows.len(), j.ks.len() + 1);
         assert_eq!(*direct.rows.last().map(|r| &r.k).unwrap(), 0.2);
@@ -414,7 +413,7 @@ mod tests {
                 if j.name == "a" {
                     token.cancel();
                 }
-                run_batch_job(j, &bopts)
+                run_batch_job(j)
             },
             |i, r| checkpoint.lock().unwrap()[i] = Some(r.outcome.is_ok()),
         );
@@ -454,16 +453,10 @@ mod tests {
         let jobs = [job(3, "a"), job(4, "b")];
         let bopts = BatchOptions::default();
         let seen: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        let report = run_batch(
-            &jobs,
-            &Pool::new(2),
-            &bopts,
-            |j| run_batch_job(j, &bopts),
-            |i, r| {
-                assert!(r.outcome.is_ok());
-                seen.lock().unwrap().push(i);
-            },
-        );
+        let report = run_batch(&jobs, &Pool::new(2), &bopts, run_batch_job, |i, r| {
+            assert!(r.outcome.is_ok());
+            seen.lock().unwrap().push(i);
+        });
         assert_eq!(report.num_ok(), 2);
         let mut order = seen.into_inner().unwrap();
         order.sort_unstable();

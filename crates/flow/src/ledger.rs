@@ -587,23 +587,13 @@ pub fn read_batch(text: &str) -> Result<Vec<Result<JobRecord, LedgerError>>, Led
     Ok(jobs.iter().map(JobRecord::read).collect())
 }
 
-/// The tolerance band for the wall-clock fields of a diff. A reading is
-/// an outlier when it exceeds `other × (1 + ratio) + abs_ms`.
-#[derive(Debug, Clone, Copy)]
-pub struct DiffTolerance {
-    /// Relative band on wall readings.
-    pub ratio: f64,
-    /// Absolute slack in milliseconds (absorbs timer noise on fast
-    /// stages).
-    pub abs_ms: f64,
-}
-
-impl Default for DiffTolerance {
-    fn default() -> Self {
-        // generous: cross-run wall noise is routinely 2x on small stages
-        DiffTolerance { ratio: 1.0, abs_ms: 5.0 }
-    }
-}
+/// The band a stage wall reading of a diff may stray from the other
+/// run's without a note: up to `other × (1 + DIFF_RATIO) + DIFF_ABS_MS`
+/// and down to `other / (1 + DIFF_RATIO) − DIFF_ABS_MS`. Generous:
+/// cross-run wall noise is routinely 2× on small stages, and the absolute
+/// slack absorbs timer noise on fast ones.
+const DIFF_RATIO: f64 = 1.0;
+const DIFF_ABS_MS: f64 = 5.0;
 
 /// The outcome of comparing two [`JobRecord`]s.
 #[derive(Debug, Clone, Default)]
@@ -626,8 +616,8 @@ impl RunDiff {
 /// Compares two records over their stable projection, field by field:
 /// it must match exactly (the determinism contract says it is
 /// bit-identical for identical inputs). Stage wall readings are held
-/// only to `tol`.
-pub fn diff_records(a: &JobRecord, b: &JobRecord, tol: &DiffTolerance) -> RunDiff {
+/// only to a tolerance band.
+pub fn diff_records(a: &JobRecord, b: &JobRecord) -> RunDiff {
     let mut d = RunDiff::default();
     let mut delta = |name: &str, av: &dyn fmt::Display, bv: &dyn fmt::Display| {
         d.deltas.push(format!("{name}: {av} != {bv}"));
@@ -659,13 +649,13 @@ pub fn diff_records(a: &JobRecord, b: &JobRecord, tol: &DiffTolerance) -> RunDif
             continue;
         }
         for ((stage, wa), (_, wb)) in ra.stages.iter().zip(&rb.stages) {
-            let hi = wb * (1.0 + tol.ratio) + tol.abs_ms;
-            let lo = (wb / (1.0 + tol.ratio) - tol.abs_ms).max(0.0);
+            let hi = wb * (1.0 + DIFF_RATIO) + DIFF_ABS_MS;
+            let lo = (wb / (1.0 + DIFF_RATIO) - DIFF_ABS_MS).max(0.0);
             if *wa > hi || *wa < lo {
                 d.timing_notes.push(format!(
                     "k={k} {stage}: wall {wa:.3} ms vs {wb:.3} ms (band ±{:.0}% + {} ms)",
-                    100.0 * tol.ratio,
-                    tol.abs_ms
+                    100.0 * DIFF_RATIO,
+                    DIFF_ABS_MS
                 ));
             }
         }
@@ -814,7 +804,7 @@ mod tests {
     #[test]
     fn identical_records_diff_clean() {
         let rec = record();
-        let d = diff_records(&rec, &rec.clone(), &DiffTolerance::default());
+        let d = diff_records(&rec, &rec.clone());
         assert!(d.is_clean());
         assert!(d.timing_notes.is_empty());
         let out = format_diff("a", "b", &d);
@@ -827,7 +817,7 @@ mod tests {
         let mut other = rec.clone();
         other.rows[0].violations += 3;
         other.rows[0].stages[0].1 = rec.rows[0].stages[0].1 * 100.0 + 1000.0;
-        let d = diff_records(&rec, &other, &DiffTolerance::default());
+        let d = diff_records(&rec, &other);
         assert!(!d.is_clean());
         assert_eq!(d.deltas.len(), 1, "{:?}", d.deltas);
         assert!(d.deltas[0].contains("violations"));
@@ -842,16 +832,16 @@ mod tests {
         let rec = record();
         let mut other = rec.clone();
         other.rows[0].stages[0].0 = "renamed".into();
-        let d = diff_records(&rec, &other, &DiffTolerance::default());
+        let d = diff_records(&rec, &other);
         assert!(!d.is_clean());
         let mut shorter = rec.clone();
         shorter.rows.clear();
-        let d = diff_records(&rec, &shorter, &DiffTolerance::default());
+        let d = diff_records(&rec, &shorter);
         assert!(d.deltas.iter().any(|l| l.starts_with("rows:")), "{:?}", d.deltas);
         let mut rescheme = rec.clone();
         rescheme.scheme = "cone".into();
         rescheme.job.ks = vec![0.5];
-        let d = diff_records(&rec, &rescheme, &DiffTolerance::default());
+        let d = diff_records(&rec, &rescheme);
         assert_eq!(d.deltas, ["scheme: congestion != cone", "ks: [0.001] != [0.5]"]);
     }
 

@@ -67,8 +67,8 @@ pub use flows::{
     prepare_pool, route_at, sis_flow, FlowOptions, FlowResult, Mapped, Prepared,
 };
 pub use ledger::{
-    batch_json, diff_records, format_diff, read_batch, safe_stem, DiffTolerance, JobRecord,
-    LedgerError, Row, RunDiff,
+    batch_json, diff_records, format_diff, read_batch, safe_stem, JobRecord, LedgerError, Row,
+    RunDiff,
 };
 pub use manifest::{
     file_stem, load_design, parse_design, parse_fault_plan, parse_manifest, parse_manifest_value,

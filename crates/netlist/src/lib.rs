@@ -32,7 +32,6 @@
 
 pub mod bench;
 pub mod blif;
-pub mod dot;
 pub mod mapped;
 pub mod network;
 pub mod pla;

@@ -7,13 +7,12 @@
 //!   histograms keyed `stage.metric` (e.g. `route.iterations`,
 //!   `map.matches_tried`, `place.kway.rounds`);
 //! - [`StageTimer`] / [`trace::span`] for wall-clock scoping;
-//! - [`trace`]: a hierarchical, thread-aware span tree with Chrome
-//!   trace-event and `casyn.trace.v1` sinks;
+//! - [`trace`]: a hierarchical, thread-aware span tree with a Chrome
+//!   trace-event sink;
 //! - [`alloc`]: heap accounting via a counting global allocator (the
 //!   default-on `alloc-track` feature): exact process totals, and the
 //!   calling thread's own allocation and high-water mark;
-//! - leveled stderr logging controlled by the `CASYN_LOG` env var or
-//!   [`log::set_level`] (the CLI's `--trace` flag);
+//! - leveled stderr logging controlled by the `CASYN_LOG` env var;
 //! - a tiny [`json`] writer used by the telemetry exporters.
 //!
 //! Collection is off by default: every record call checks one relaxed

@@ -1,13 +1,11 @@
 //! Leveled stderr logging for the pipeline.
 //!
 //! The level comes from the `CASYN_LOG` environment variable
-//! (`error|warn|info|debug|trace`, default `warn`) and can be raised at
-//! runtime with [`set_level`] — the CLI's `--trace` flag maps to
-//! [`Level::Debug`]. Emission is a single relaxed atomic compare on the
-//! fast path; formatting only happens for records that will print.
+//! (`error|warn|info|debug|trace`, default `warn`), read once on first
+//! use. Emission is a single relaxed atomic compare on the fast path;
+//! formatting only happens for records that will print.
 
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 /// Log severity, most severe first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -61,38 +59,16 @@ impl Level {
 
 // 0 = uninitialized (read CASYN_LOG on first use)
 static LEVEL: AtomicU8 = AtomicU8::new(0);
-static ENV_LEVEL: OnceLock<u8> = OnceLock::new();
-
-fn env_level() -> u8 {
-    *ENV_LEVEL.get_or_init(|| {
-        std::env::var("CASYN_LOG")
-            .ok()
-            .and_then(|v| Level::parse(&v))
-            .map(|l| l as u8)
-            .unwrap_or(Level::Warn as u8)
-    })
-}
 
 /// The current log level.
 pub fn level() -> Level {
-    let v = LEVEL.load(Ordering::Relaxed);
+    let mut v = LEVEL.load(Ordering::Relaxed);
     if v == 0 {
-        let from_env = env_level();
-        LEVEL.store(from_env, Ordering::Relaxed);
-        Level::from_u8(from_env)
-    } else {
-        Level::from_u8(v)
+        let env = std::env::var("CASYN_LOG").ok().and_then(|v| Level::parse(&v));
+        v = env.unwrap_or(Level::Warn) as u8;
+        LEVEL.store(v, Ordering::Relaxed);
     }
-}
-
-/// Overrides the log level (e.g. from the CLI's `--trace` flag). Only
-/// raises verbosity past what `CASYN_LOG` selected; it never silences an
-/// explicitly requested env level.
-pub fn set_level(l: Level) {
-    let current = level();
-    if l > current {
-        LEVEL.store(l as u8, Ordering::Relaxed);
-    }
+    Level::from_u8(v)
 }
 
 /// Whether a record at `l` would be emitted.
@@ -155,17 +131,6 @@ mod tests {
         assert_eq!(Level::parse(" TRACE "), Some(Level::Trace));
         assert_eq!(Level::parse("Warning"), Some(Level::Warn));
         assert_eq!(Level::parse("bogus"), None);
-    }
-
-    #[test]
-    fn set_level_only_raises() {
-        let base = level();
-        set_level(Level::Trace);
-        assert_eq!(level(), Level::Trace);
-        set_level(Level::Error);
-        assert_eq!(level(), Level::Trace, "set_level must not lower verbosity");
-        // restore for other tests as far as the monotonic API allows
-        assert!(base <= level());
     }
 
     #[test]

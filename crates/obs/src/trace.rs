@@ -22,9 +22,8 @@
 //! returns, so by the time a caller exports a trace every worker buffer
 //! has drained.
 //!
-//! Two sinks: [`to_trace_json`] (the `casyn.trace.v1` schema, readable
-//! back with [`JsonValue::parse`]) and [`to_chrome_trace`] (Chrome
-//! trace-event format, loadable in chrome://tracing or Perfetto).
+//! One sink: [`to_chrome_trace`] (Chrome trace-event format, loadable in
+//! chrome://tracing or Perfetto).
 
 use crate::json::JsonValue;
 use std::cell::RefCell;
@@ -335,47 +334,6 @@ fn attrs_json(attrs: &[(String, AttrValue)]) -> JsonValue {
     )
 }
 
-/// Serializes events as the `casyn.trace.v1` document: a `schema` tag
-/// plus an `events` array of `{type, id, parent, name, thread,
-/// start_us, dur_us, attrs}` objects. Round-trips through
-/// [`JsonValue::parse`].
-pub fn to_trace_json(events: &[TraceEvent]) -> JsonValue {
-    let items = events
-        .iter()
-        .map(|e| {
-            JsonValue::object(vec![
-                (
-                    "type".into(),
-                    JsonValue::Str(
-                        match e.kind {
-                            EventKind::Span => "span",
-                            EventKind::Instant => "instant",
-                        }
-                        .into(),
-                    ),
-                ),
-                ("id".into(), JsonValue::Number(e.id as f64)),
-                (
-                    "parent".into(),
-                    match e.parent {
-                        Some(p) => JsonValue::Number(p as f64),
-                        None => JsonValue::Null,
-                    },
-                ),
-                ("name".into(), JsonValue::Str(e.name.clone())),
-                ("thread".into(), JsonValue::Str(e.thread.clone())),
-                ("start_us".into(), JsonValue::Number(e.start_us)),
-                ("dur_us".into(), JsonValue::Number(e.dur_us)),
-                ("attrs".into(), attrs_json(&e.attrs)),
-            ])
-        })
-        .collect();
-    JsonValue::object(vec![
-        ("schema".into(), JsonValue::Str("casyn.trace.v1".into())),
-        ("events".into(), JsonValue::Array(items)),
-    ])
-}
-
 /// Serializes events in Chrome trace-event format: a bare JSON array of
 /// `ph:"M"` thread-name metadata, `ph:"X"` complete events (`ts`/`dur`
 /// in microseconds), and `ph:"i"` instants, loadable in chrome://tracing
@@ -514,27 +472,6 @@ mod tests {
             events.iter().filter(|e| e.name == "job").map(|e| e.thread.as_str()).collect();
         threads.sort_unstable();
         assert_eq!(threads, ["test_w0", "test_w1"]);
-    }
-
-    #[test]
-    fn trace_json_round_trips() {
-        let _guard = trace_test_lock();
-        set_enabled(true);
-        clear();
-        {
-            let mut s = span("stage");
-            s.attr_num("k", 0.5);
-        }
-        set_enabled(false);
-        let events = take_events();
-        let doc = to_trace_json(&events);
-        let parsed = JsonValue::parse(&doc.to_string_pretty()).unwrap();
-        assert_eq!(parsed.get("schema").unwrap().as_str(), Some("casyn.trace.v1"));
-        let arr = parsed.get("events").unwrap().as_array().unwrap();
-        assert_eq!(arr.len(), 1);
-        assert_eq!(arr[0].get("name").unwrap().as_str(), Some("stage"));
-        assert_eq!(arr[0].get("attrs").unwrap().get("k").unwrap().as_f64(), Some(0.5));
-        assert_eq!(arr[0].get("parent"), Some(&JsonValue::Null));
     }
 
     #[test]

@@ -45,13 +45,6 @@ pub struct RouteConfig {
     /// utilization netlists unroutable even when their global wirelength
     /// is moderate — the failure mode of the paper's large-K mappings.
     pub pin_blockage: f64,
-    /// Record a full [`CongestionMap`](crate::CongestionMap) snapshot on
-    /// every Nth negotiation iteration in the convergence series
-    /// (iterations 0, N, 2N, …). `0` disables snapshots; the scalar
-    /// per-iteration statistics are always recorded. Snapshots are
-    /// observational only — they never feed back into routing decisions,
-    /// so results are bit-identical at any stride.
-    pub snapshot_stride: usize,
 }
 
 impl Default for RouteConfig {
@@ -67,7 +60,6 @@ impl Default for RouteConfig {
             give_up_overflow_ratio: 0.08,
             capacity_scale: 1.0,
             pin_blockage: 0.35,
-            snapshot_stride: 0,
         }
     }
 }

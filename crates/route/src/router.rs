@@ -109,10 +109,6 @@ pub struct RouteIterStats {
     /// open set and relaxed the neighbours of). An exact count: it
     /// repeats run to run and moves only if the searches do.
     pub expanded: u64,
-    /// Full congestion snapshot, present on every
-    /// [`RouteConfig::snapshot_stride`]-th iteration when the stride is
-    /// non-zero.
-    pub snapshot: Option<CongestionMap>,
 }
 
 /// The per-iteration convergence series of one routing run. Its length
@@ -188,21 +184,18 @@ impl RouteResult {
     ///   "series": [
     ///     {"iter": 0, "overflow": 9.5, "overflowed_edges": 3,
     ///      "rerouted": 40, "max_util": 1.2, "history_cost": 1.9,
-    ///      "expanded": 5120, "snapshot": { ...casyn.heatmap.v1... }},
+    ///      "expanded": 5120},
     ///     ...
     ///   ]
     /// }
     /// ```
-    ///
-    /// `snapshot` entries appear only on iterations selected by
-    /// [`RouteConfig::snapshot_stride`].
     pub fn to_json(&self) -> JsonValue {
         let series = self
             .convergence
             .iters
             .iter()
             .map(|s| {
-                let mut fields = vec![
+                JsonValue::object(vec![
                     ("iter".into(), JsonValue::Number(s.iter as f64)),
                     ("overflow".into(), JsonValue::Number(s.overflow)),
                     ("overflowed_edges".into(), JsonValue::Number(s.overflowed_edges as f64)),
@@ -210,11 +203,7 @@ impl RouteResult {
                     ("max_util".into(), JsonValue::Number(s.max_util)),
                     ("history_cost".into(), JsonValue::Number(s.history_cost)),
                     ("expanded".into(), JsonValue::Number(s.expanded as f64)),
-                ];
-                if let Some(snap) = &s.snapshot {
-                    fields.push(("snapshot".into(), snap.to_json()));
-                }
-                JsonValue::object(fields)
+                ])
             })
             .collect();
         JsonValue::object(vec![
@@ -402,8 +391,6 @@ pub fn route_pin_sets_with_blockage(
             max_util,
             history_cost: history,
             expanded,
-            snapshot: (cfg.snapshot_stride > 0 && iter % cfg.snapshot_stride == 0)
-                .then(|| CongestionMap::from_grid(&grid)),
         });
         if telemetry {
             // per-iteration overflow trajectory and history-cost growth

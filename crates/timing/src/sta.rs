@@ -65,23 +65,6 @@ impl StaResult {
         nl.outputs().iter().position(|(n, _)| n == name).map(|i| self.po_arrival[i])
     }
 
-    /// Slack of every primary output against a required time (a clock
-    /// period for this combinational block).
-    pub fn slacks(&self, required: f64) -> Vec<f64> {
-        self.po_arrival.iter().map(|a| required - a).collect()
-    }
-
-    /// Worst negative slack: the most violated endpoint's slack, or 0
-    /// when timing is met everywhere.
-    pub fn wns(&self, required: f64) -> f64 {
-        self.slacks(required).into_iter().fold(0.0f64, f64::min)
-    }
-
-    /// Total negative slack: the sum of all endpoint violations (≤ 0).
-    pub fn tns(&self, required: f64) -> f64 {
-        self.slacks(required).into_iter().filter(|s| *s < 0.0).sum()
-    }
-
     /// The minimum clock period the design supports: the worst of every
     /// register setup path and every primary-output path. Flip-flop
     /// outputs launch at their clock-to-Q delay, so register-to-register
@@ -400,31 +383,6 @@ mod tests {
             sta.cell_arrival[0]
         };
         assert!(build(4) > build(1));
-    }
-
-    #[test]
-    fn slack_wns_tns() {
-        let lib = corelib018();
-        let cfg = TimingConfig::default();
-        let mut nl = MappedNetlist::new();
-        let a = nl.add_input("i");
-        nl.set_input_pos(0, Point::new(0.0, 0.0));
-        let near = nl.add_cell(cell(&lib, "IV", vec![a], Point::new(10.0, 0.0)));
-        let far0 = nl.add_cell(cell(&lib, "IV", vec![a], Point::new(900.0, 0.0)));
-        nl.add_output("near", near);
-        nl.set_output_pos(0, Point::new(12.0, 0.0));
-        nl.add_output("far", far0);
-        nl.set_output_pos(1, Point::new(910.0, 0.0));
-        let sta = analyze(&nl, &lib, &cfg);
-        let req = (sta.po_arrival[0] + sta.po_arrival[1]) / 2.0;
-        let slacks = sta.slacks(req);
-        assert!(slacks[0] > 0.0 && slacks[1] < 0.0);
-        assert!((sta.wns(req) - slacks[1]).abs() < 1e-12);
-        assert!((sta.tns(req) - slacks[1]).abs() < 1e-12);
-        // met everywhere: wns = 0, tns = 0
-        let loose = sta.po_arrival[1] + 1.0;
-        assert_eq!(sta.wns(loose), 0.0);
-        assert_eq!(sta.tns(loose), 0.0);
     }
 
     /// Routed lengths above the star estimate must slow the design;

@@ -98,7 +98,7 @@ fn batch_recovers_with_retry_and_escalation() {
     doomed.opts.fault = Some(FaultPlan::parse("map:panic:1,map:panic:2").unwrap());
     let jobs = [flaky, starved, doomed];
     let bopts = BatchOptions { retries: 1, ..Default::default() };
-    let report = run_batch(&jobs, &Pool::new(2), &bopts, |j| run_batch_job(j, &bopts), |_, _| {});
+    let report = run_batch(&jobs, &Pool::new(2), &bopts, run_batch_job, |_, _| {});
     // flaky: attempt 1 trips the nth=1 fault, attempt 2 runs clean
     let flaky = &report.jobs[0];
     assert!(flaky.outcome.is_ok(), "retry must clear the transient fault");
@@ -132,14 +132,9 @@ fn degraded_results_match_direct_runs() {
     };
     job.opts.route.capacity_scale = 0.02;
     let bopts = BatchOptions::default();
-    let direct = run_batch_job(&job, &bopts).unwrap();
-    let pooled = run_batch(
-        std::slice::from_ref(&job),
-        &Pool::new(2),
-        &bopts,
-        |j| run_batch_job(j, &bopts),
-        |_, _| {},
-    );
+    let direct = run_batch_job(&job).unwrap();
+    let pooled =
+        run_batch(std::slice::from_ref(&job), &Pool::new(2), &bopts, run_batch_job, |_, _| {});
     let pooled = pooled.jobs[0].outcome.as_ref().unwrap();
     assert_eq!(direct.degraded, pooled.degraded);
     assert_eq!(direct.rows.len(), pooled.rows.len());

@@ -1,12 +1,10 @@
 //! Integration tests for the interchange formats: PLA and BLIF in,
-//! Verilog/BLIF/DOT out, with functional equivalence end to end.
+//! Verilog/BLIF out, with functional equivalence end to end.
 
 use casyn::flow::{congestion_flow, FlowOptions};
 use casyn::library::corelib018;
-use casyn::logic::decompose;
 use casyn::netlist::bench::{random_pla, PlaGenConfig};
 use casyn::netlist::blif::{to_blif, Blif};
-use casyn::netlist::dot::{mapped_to_dot, subject_to_dot};
 use casyn::netlist::verilog::to_verilog;
 
 fn pla() -> casyn::netlist::Pla {
@@ -65,20 +63,6 @@ fn mapped_verilog_export_is_complete() {
     assert_eq!(v.lines().filter(|l| l.contains("assign")).count(), 5);
     // every instance references the Y pin exactly once
     assert_eq!(v.matches(".Y(").count(), r.netlist.num_cells());
-}
-
-/// DOT exports are syntactically sane (balanced braces, right counts).
-#[test]
-fn dot_exports() {
-    let net = pla().to_network();
-    let dec = decompose(&net);
-    let (graph, _) = dec.graph.sweep();
-    let d1 = subject_to_dot(&graph, "subject");
-    assert!(d1.starts_with("digraph"));
-    assert_eq!(d1.matches('{').count(), d1.matches('}').count());
-    let r = congestion_flow(&net, 0.1, &FlowOptions::default()).unwrap();
-    let d2 = mapped_to_dot(&r.netlist, "mapped");
-    assert_eq!(d2.matches("shape=component").count(), r.netlist.num_cells());
 }
 
 /// The mapped netlist still matches the PLA after the full flow, checked

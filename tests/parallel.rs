@@ -90,9 +90,7 @@ fn batch_on_four_workers_matches_one_worker() {
         })
         .collect();
     let bopts = BatchOptions::default();
-    let run = |workers| {
-        run_batch(&jobs, &Pool::new(workers), &bopts, |j| run_batch_job(j, &bopts), |_, _| {})
-    };
+    let run = |workers| run_batch(&jobs, &Pool::new(workers), &bopts, run_batch_job, |_, _| {});
     let (one, four) = (run(1), run(4));
     assert_eq!(one.jobs.len(), four.jobs.len());
     for (a, b) in one.jobs.iter().zip(&four.jobs) {
