@@ -27,7 +27,10 @@
 //!
 //! Worker count resolution: [`Pool::from_env`] honours the `CASYN_JOBS`
 //! environment variable and falls back to
-//! `std::thread::available_parallelism`.
+//! `std::thread::available_parallelism`. [`Pool::ambient`] is that budget
+//! on a free thread and one worker on a thread that already is a worker
+//! (of a pool, or of the service), for code that fans out without being
+//! handed a pool.
 
 pub mod fault;
 mod job;

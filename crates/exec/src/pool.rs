@@ -11,10 +11,18 @@
 use crate::job::JobError;
 use casyn_obs as obs;
 use casyn_obs::{Histogram, Write};
+use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 use std::time::Instant;
+
+thread_local! {
+    /// Whether the calling thread already is a worker: one a pool
+    /// spawned, the caller while it runs a one-worker pool's jobs inline,
+    /// or a thread marked by [`Pool::mark_worker`].
+    static WORKER: Cell<bool> = const { Cell::new(false) };
+}
 
 /// A claim-counter thread pool handle. Creating a pool is free — worker
 /// threads are scoped to each `par_map` call (jobs may borrow stack
@@ -42,6 +50,25 @@ impl Pool {
     pub fn from_env() -> Self {
         let fallback = thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         Pool::new(resolve_jobs(std::env::var("CASYN_JOBS").ok().as_deref(), fallback))
+    }
+
+    /// The budget of a computation that fans out from the calling thread:
+    /// [`Pool::serial`] on a thread that already is a worker, so nested
+    /// parallelism never multiplies threads, else [`Pool::from_env`].
+    pub fn ambient() -> Self {
+        if WORKER.get() {
+            Pool::serial()
+        } else {
+            Pool::from_env()
+        }
+    }
+
+    /// Marks the calling thread as a worker for the rest of its life: a
+    /// long-lived thread that runs one job after another (a service
+    /// worker) gets [`Pool::serial`] from [`Pool::ambient`], as a pool's
+    /// own workers do.
+    pub fn mark_worker() {
+        WORKER.set(true);
     }
 
     /// The configured worker count.
@@ -115,7 +142,11 @@ impl Pool {
         // measured up to 4x the per-job dispatch cost.
         let buffer = || Vec::with_capacity(n / w.max(1) + 1);
         let per_worker: Vec<_> = if w <= 1 {
-            vec![work(0, buffer())]
+            // the caller is the pool's one worker while it runs the jobs
+            let was = WORKER.replace(true);
+            let done = work(0, buffer());
+            WORKER.set(was);
+            vec![done]
         } else {
             thread::scope(|s| {
                 let handles: Vec<_> = (0..w)
@@ -125,6 +156,7 @@ impl Pool {
                             // name the track before the first span so every
                             // job this worker runs lands on the `w{wid}` timeline
                             obs::trace::set_thread_label(&format!("w{wid}"));
+                            Pool::mark_worker();
                             work(wid, done)
                         })
                     })
@@ -383,6 +415,23 @@ mod tests {
         assert_eq!(resolve_jobs(Some("lots"), 2), 2);
         assert_eq!(resolve_jobs(None, 5), 5);
         assert_eq!(resolve_jobs(None, 0), 1);
+    }
+
+    #[test]
+    fn ambient_budget_is_one_worker_inside_a_worker() {
+        let _guard = pool_test_lock();
+        assert_eq!(Pool::ambient().workers(), Pool::from_env().workers());
+        for workers in [1, 3] {
+            let inside = Pool::new(workers).par_map(&[0u8; 6], |_| Pool::ambient().workers());
+            assert_eq!(inside, [1; 6], "workers = {workers}");
+        }
+        // the caller of a one-worker pool is a worker only while it runs the jobs
+        assert_eq!(Pool::ambient().workers(), Pool::from_env().workers());
+        let marked = thread::spawn(|| {
+            Pool::mark_worker();
+            Pool::ambient().workers()
+        });
+        assert_eq!(marked.join().unwrap(), 1);
     }
 
     #[test]

@@ -190,6 +190,16 @@ impl RouteGrid {
         }
     }
 
+    /// The row-major ids (`y·nx + x`) of the two gcells edge `e` joins:
+    /// the left and the right one, or the lower and the upper one.
+    pub(crate) fn edge_gcells(&self, e: usize) -> (usize, usize) {
+        match e.checked_sub(self.nh) {
+            // e = y·(nx−1) + x, so y·nx + x = e + y
+            None => (e + e / (self.nx - 1), e + e / (self.nx - 1) + 1),
+            Some(v) => (v, v + self.nx),
+        }
+    }
+
     /// Number of horizontal edges; edge ids from here on are vertical.
     pub(crate) fn num_h_edges(&self) -> usize {
         self.nh
@@ -227,6 +237,19 @@ impl RouteGrid {
     /// Adds `delta` (negative for rip-up) to an edge's usage.
     pub(crate) fn add_edge(&mut self, e: usize, delta: f64) {
         self.usage[e] += delta;
+    }
+
+    /// Sets an edge's usage: how a copy of the grid catches up with
+    /// usage committed on the original.
+    pub(crate) fn set_usage(&mut self, e: usize, usage: f64) {
+        self.usage[e] = usage;
+    }
+
+    /// Makes this grid, a clone of `other`, carry `other`'s usage and
+    /// history again.
+    pub(crate) fn copy_usage_and_history(&mut self, other: &RouteGrid) {
+        self.usage.copy_from_slice(&other.usage);
+        self.history.copy_from_slice(&other.history);
     }
 
     /// Usage of the horizontal edge from `(x, y)` to `(x+1, y)`.

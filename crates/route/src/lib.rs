@@ -13,6 +13,8 @@
 //!
 //! * [`grid`] — the capacitated routing grid.
 //! * [`router`] — MST decomposition, A* search, the negotiation loop.
+//! * `speculate` — the negotiation's searches on every worker, committed
+//!   in connection order with bit-identical results.
 //! * [`congestion`] — congestion maps and acceptance tests.
 //! * [`audit`] — per-boundary overflow attribution by net.
 
@@ -21,10 +23,12 @@ pub mod congestion;
 pub mod grid;
 mod heap;
 pub mod router;
+mod speculate;
 
 pub use audit::{BoundaryAudit, NetOffender, NetShare, OverflowAudit};
 pub use congestion::{heatmap_json, CongestionMap, HeatmapError};
 pub use grid::{GcellCoord, RouteConfig, RouteGrid};
 pub use router::{
-    route_mapped, route_pin_sets, RouteConvergence, RouteError, RouteIterStats, RouteResult,
+    route_mapped, route_mapped_pool, route_pin_sets, RouteConvergence, RouteError, RouteIterStats,
+    RouteResult,
 };

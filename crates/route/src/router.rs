@@ -4,10 +4,13 @@ use crate::audit::{build_audit, OverflowAudit};
 use crate::congestion::CongestionMap;
 use crate::grid::{GcellCoord, RouteConfig, RouteGrid};
 use crate::heap::NodeHeap;
+use crate::speculate;
+use casyn_exec::Pool;
 use casyn_netlist::mapped::{MappedNetlist, SignalRef};
 use casyn_netlist::Point;
 use casyn_obs as obs;
 use casyn_obs::json::JsonValue;
+use casyn_obs::Write;
 use casyn_place::Floorplan;
 use std::fmt;
 
@@ -100,6 +103,9 @@ pub struct RouteIterStats {
     pub overflowed_edges: usize,
     /// Two-pin connections ripped up and rerouted this iteration.
     pub rerouted: usize,
+    /// Of the `rerouted`, those whose search returned the path they had:
+    /// an exact count, like `expanded`.
+    pub unchanged: usize,
     /// Maximum boundary utilization (load / capacity) after this
     /// iteration.
     pub max_util: f64,
@@ -183,8 +189,8 @@ impl RouteResult {
     ///   "overflowed_edges": 0, "total_wirelength": 123.4,
     ///   "series": [
     ///     {"iter": 0, "overflow": 9.5, "overflowed_edges": 3,
-    ///      "rerouted": 40, "max_util": 1.2, "history_cost": 1.9,
-    ///      "expanded": 5120},
+    ///      "rerouted": 40, "unchanged": 0, "max_util": 1.2,
+    ///      "history_cost": 1.9, "expanded": 5120},
     ///     ...
     ///   ]
     /// }
@@ -200,6 +206,7 @@ impl RouteResult {
                     ("overflow".into(), JsonValue::Number(s.overflow)),
                     ("overflowed_edges".into(), JsonValue::Number(s.overflowed_edges as f64)),
                     ("rerouted".into(), JsonValue::Number(s.rerouted as f64)),
+                    ("unchanged".into(), JsonValue::Number(s.unchanged as f64)),
                     ("max_util".into(), JsonValue::Number(s.max_util)),
                     ("history_cost".into(), JsonValue::Number(s.history_cost)),
                     ("expanded".into(), JsonValue::Number(s.expanded as f64)),
@@ -220,11 +227,25 @@ impl RouteResult {
 
 /// Routes a mapped netlist whose cells and ports already have positions.
 /// Every cell pin consumes `cfg.pin_blockage` tracks of static blockage
-/// in its gcell, modelling escape wiring and via congestion.
+/// in its gcell, modelling escape wiring and via congestion. The
+/// negotiation's searches run on [`Pool::ambient`]'s workers.
 pub fn route_mapped(
     nl: &MappedNetlist,
     fp: &Floorplan,
     cfg: &RouteConfig,
+) -> Result<RouteResult, RouteError> {
+    route_mapped_pool(nl, fp, cfg, &Pool::ambient())
+}
+
+/// [`route_mapped`] with the searches of every negotiation iteration
+/// after the first on `pool`'s workers: the calling thread and
+/// `pool.workers() - 1` helpers. The result is bit-identical at every
+/// worker count (`crate::speculate`).
+pub fn route_mapped_pool(
+    nl: &MappedNetlist,
+    fp: &Floorplan,
+    cfg: &RouteConfig,
+    pool: &Pool,
 ) -> Result<RouteResult, RouteError> {
     let mut pin_sets: Vec<Vec<Point>> = Vec::new();
     for net in nl.nets() {
@@ -242,7 +263,7 @@ pub fn route_mapped(
         .iter()
         .map(|c| (c.pos, (c.inputs.len() + 1) as f64 * cfg.pin_blockage))
         .collect();
-    let mut result = route_pin_sets_with_blockage(&pin_sets, &blockages, fp, cfg)?;
+    let mut result = route_pins(&pin_sets, &blockages, fp, cfg, pool)?;
     // attribute offender nets back to their driver and, when the mapper
     // recorded one, the subject-graph tree the driver cell was covered
     // from — the audit's link from a hot boundary to the mapping decision
@@ -283,16 +304,17 @@ pub fn route_pin_sets(
     fp: &Floorplan,
     cfg: &RouteConfig,
 ) -> Result<RouteResult, RouteError> {
-    route_pin_sets_with_blockage(nets, &[], fp, cfg)
+    route_pins(nets, &[], fp, cfg, &Pool::ambient())
 }
 
-/// [`route_pin_sets`] with additional static blockage at the given
-/// points (tracks spread over the adjacent gcell boundaries).
-pub fn route_pin_sets_with_blockage(
+/// Routes `nets` with static blockage at the given points (tracks spread
+/// over the adjacent gcell boundaries), searching on `pool`'s workers.
+fn route_pins(
     nets: &[Vec<Point>],
     blockages: &[(Point, f64)],
     fp: &Floorplan,
     cfg: &RouteConfig,
+    pool: &Pool,
 ) -> Result<RouteResult, RouteError> {
     let mut grid = RouteGrid::new(fp, cfg);
     for (i, (p, amount)) in blockages.iter().enumerate() {
@@ -340,6 +362,9 @@ pub fn route_pin_sets_with_blockage(
     let mut overflowed_edges = 0;
     // batched locally; one registry flush per routing run
     let mut reroutes = 0u64;
+    let (mut accepted, mut redone) = (0u64, 0u64);
+    // the helpers' copies of the grid, made on the first pass they run
+    let mut replicas = Vec::new();
     let mut convergence = RouteConvergence::default();
     let telemetry = obs::enabled();
     for iter in 0..cfg.max_iters.max(1) {
@@ -349,35 +374,35 @@ pub fn route_pin_sets_with_blockage(
         // history and the present factor moved since the last iteration
         router.rebuild_costs(&grid, present_factor);
         let margin = 4 + 4 * iter;
-        let mut rerouted = 0u64;
-        let mut expanded = 0u64;
-        for (ci, (a, b)) in connections.iter().enumerate() {
-            let path = &mut paths[ci];
-            if iter > 0 && !path_overflows(&grid, path) {
-                continue;
+        // the first pass has no old paths to search ahead from
+        let pass = if iter == 0 || pool.workers() < 2 {
+            reroute(&mut grid, &mut router, &connections, &mut paths, margin, iter == 0)
+        } else {
+            let (conns, replicas) = (&connections, &mut replicas);
+            speculate::reroute(&mut grid, &mut router, replicas, conns, &mut paths, margin, pool)
+        };
+        let pass = pass.map_err(|ci| {
+            // the search box always contains a rectilinear path, so an
+            // empty result between distinct gcells means the grid itself
+            // is inconsistent — surface it, don't under-report
+            let (a, b) = connections[ci];
+            RouteError::PathNotFound {
+                net: net_of_connection[ci],
+                from: (a.x as u32, a.y as u32),
+                to: (b.x as u32, b.y as u32),
             }
-            rerouted += 1;
-            router.apply(&mut grid, path, -1.0);
-            expanded += router.route(*a, *b, margin, path);
-            if path.is_empty() && a != b {
-                // the search box always contains a rectilinear path, so an
-                // empty result between distinct gcells means the grid
-                // itself is inconsistent — surface it, don't under-report
-                return Err(RouteError::PathNotFound {
-                    net: net_of_connection[ci],
-                    from: (a.x as u32, a.y as u32),
-                    to: (b.x as u32, b.y as u32),
-                });
-            }
-            router.apply(&mut grid, path, 1.0);
-        }
+        })?;
         debug_assert!((0..grid.num_edges()).all(|e| router.cost_is_current(&grid, e)));
+        let Pass { rerouted, unchanged, expanded, .. } = pass;
         reroutes += rerouted;
+        accepted += pass.accepted;
+        redone += pass.redone;
         overflowed_edges = grid.update_history(cfg.history_increment);
         overflow = grid.total_overflow();
         let max_util = grid.max_utilization();
         let history = grid.total_history();
         iter_span.attr_num("rerouted", rerouted as f64);
+        iter_span.attr_num("unchanged", unchanged as f64);
         iter_span.attr_num("expanded", expanded as f64);
         iter_span.attr_num("overflow", overflow);
         iter_span.attr_num("overflowed_edges", overflowed_edges as f64);
@@ -388,6 +413,7 @@ pub fn route_pin_sets_with_blockage(
             overflow,
             overflowed_edges,
             rerouted: rerouted as usize,
+            unchanged: unchanged as usize,
             max_util,
             history_cost: history,
             expanded,
@@ -431,6 +457,14 @@ pub fn route_pin_sets_with_blockage(
         obs::counter_add("route.reroutes", reroutes);
         obs::counter_add("route.connections", connections.len() as u64);
         obs::gauge_set("route.overflow", overflow);
+        if pool.workers() > 1 {
+            // how the searches were scheduled, which varies run to run:
+            // registry-only, out of the stage record of exact work
+            obs::global().write_batch(&[
+                Write::Counter("route.spec_accepted", accepted),
+                Write::Counter("route.spec_redone", redone),
+            ]);
+        }
     }
     let mut net_wirelength = vec![0.0f64; nets.len()];
     for (ci, path) in paths.iter().enumerate() {
@@ -509,8 +543,54 @@ fn mst_edges(cells: &[GcellCoord]) -> Result<Vec<(GcellCoord, GcellCoord)>, (usi
     Ok(edges)
 }
 
+/// What one rip-up-and-reroute pass did.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct Pass {
+    /// Connections ripped up and searched again.
+    pub(crate) rerouted: u64,
+    /// Of those, the ones whose search returned the path they had.
+    pub(crate) unchanged: u64,
+    /// Gcells the committed searches expanded.
+    pub(crate) expanded: u64,
+    /// Searches run ahead of their turn and committed as found.
+    pub(crate) accepted: u64,
+    /// Searches run ahead of their turn and redone in it.
+    pub(crate) redone: u64,
+}
+
+/// One rip-up-and-reroute pass in connection order on the calling
+/// thread: every connection on the `first` pass, afterwards each whose
+/// committed path overflows. A search that finds no path between two
+/// distinct gcells stops the pass with its connection's index.
+fn reroute(
+    grid: &mut RouteGrid,
+    maze: &mut Maze,
+    connections: &[(GcellCoord, GcellCoord)],
+    paths: &mut [Vec<u32>],
+    margin: usize,
+    first: bool,
+) -> Result<Pass, usize> {
+    let mut pass = Pass::default();
+    let mut fresh = Vec::new();
+    for (ci, (&(a, b), path)) in connections.iter().zip(paths).enumerate() {
+        if !first && !path_overflows(grid, path) {
+            continue;
+        }
+        pass.rerouted += 1;
+        maze.apply(grid, path, -1.0);
+        pass.expanded += maze.route(a, b, margin, &mut fresh);
+        if fresh.is_empty() && a != b {
+            return Err(ci);
+        }
+        pass.unchanged += u64::from(fresh == *path);
+        maze.apply(grid, &fresh, 1.0);
+        std::mem::swap(path, &mut fresh);
+    }
+    Ok(pass)
+}
+
 /// True if any edge of the committed path is over capacity.
-fn path_overflows(grid: &RouteGrid, path: &[u32]) -> bool {
+pub(crate) fn path_overflows(grid: &RouteGrid, path: &[u32]) -> bool {
     path.iter().any(|&e| grid.edge_load(e as usize) > grid.edge_cap(e as usize))
 }
 
@@ -521,7 +601,7 @@ fn path_overflows(grid: &RouteGrid, path: &[u32]) -> bool {
 /// searches because the only writers of usage ([`Maze::apply`]) and of
 /// history and the present factor (once an iteration, followed by
 /// [`Maze::rebuild_costs`]) refresh it.
-struct Maze {
+pub(crate) struct Maze {
     nx: usize,
     ny: usize,
     /// Number of horizontal edges: vertical edge ids start here.
@@ -533,10 +613,12 @@ struct Maze {
     open: NodeHeap,
     cost: Vec<f64>,
     present_factor: f64,
+    /// One bit per gcell: those the last [`Maze::route_tracked`] expanded.
+    pub(crate) expanded_gcells: Vec<u64>,
 }
 
 impl Maze {
-    fn new(grid: &RouteGrid) -> Self {
+    pub(crate) fn new(grid: &RouteGrid) -> Self {
         let n = grid.nx() * grid.ny();
         Maze {
             nx: grid.nx(),
@@ -549,6 +631,7 @@ impl Maze {
             open: NodeHeap::new(n),
             cost: vec![0.0; grid.num_edges()],
             present_factor: 0.0,
+            expanded_gcells: vec![0; n.div_ceil(64)],
         }
     }
 
@@ -562,7 +645,7 @@ impl Maze {
     }
 
     /// Recomputes every edge's cost under a new present factor.
-    fn rebuild_costs(&mut self, grid: &RouteGrid, present_factor: f64) {
+    pub(crate) fn rebuild_costs(&mut self, grid: &RouteGrid, present_factor: f64) {
         self.present_factor = present_factor;
         for e in 0..self.cost.len() {
             self.cost[e] = self.fresh_cost(grid, e);
@@ -571,12 +654,22 @@ impl Maze {
 
     /// Adds `delta` tracks of usage to every edge of `path` — `-1.0` rips
     /// it up, `1.0` commits it — and refreshes those edges' costs.
-    fn apply(&mut self, grid: &mut RouteGrid, path: &[u32], delta: f64) {
+    pub(crate) fn apply(&mut self, grid: &mut RouteGrid, path: &[u32], delta: f64) {
         for &e in path {
             grid.add_edge(e as usize, delta);
             self.cost[e as usize] = self.fresh_cost(grid, e as usize);
         }
         debug_assert!(path.first().is_none_or(|&e| self.cost_is_current(grid, e as usize)));
+    }
+
+    /// Refreshes edge `e`'s cost after its usage was set on `grid`.
+    pub(crate) fn refresh(&mut self, grid: &RouteGrid, e: usize) {
+        self.cost[e] = self.fresh_cost(grid, e);
+    }
+
+    /// The present factor of the current iteration.
+    pub(crate) fn present_factor(&self) -> f64 {
+        self.present_factor
     }
 
     /// A* from `a` to `b`, restricted to their bounding box inflated by
@@ -588,7 +681,37 @@ impl Maze {
     /// order; a relaxed gcell already in the open set is moved, any other
     /// — one never seen, or one expanded earlier that rounding re-opens —
     /// is queued.
-    fn route(&mut self, a: GcellCoord, b: GcellCoord, margin: usize, path: &mut Vec<u32>) -> u64 {
+    pub(crate) fn route(
+        &mut self,
+        a: GcellCoord,
+        b: GcellCoord,
+        margin: usize,
+        path: &mut Vec<u32>,
+    ) -> u64 {
+        self.search::<false>(a, b, margin, path)
+    }
+
+    /// [`Maze::route`] that also sets in `expanded_gcells` the bit of every
+    /// gcell the search expanded. The search read the cost of an edge only
+    /// if it expanded one of the edge's two gcells: relaxing the
+    /// neighbours of an expanded gcell is the only read.
+    pub(crate) fn route_tracked(
+        &mut self,
+        a: GcellCoord,
+        b: GcellCoord,
+        margin: usize,
+        path: &mut Vec<u32>,
+    ) -> u64 {
+        self.search::<true>(a, b, margin, path)
+    }
+
+    fn search<const TRACK: bool>(
+        &mut self,
+        a: GcellCoord,
+        b: GcellCoord,
+        margin: usize,
+        path: &mut Vec<u32>,
+    ) -> u64 {
         path.clear();
         self.cur_stamp += 1;
         let cur_stamp = self.cur_stamp;
@@ -601,7 +724,10 @@ impl Maze {
         let h = |x: usize, y: usize| (x.abs_diff(bx) + y.abs_diff(by)) as f64;
         let start = ay * nx + ax;
         let goal = by * nx + bx;
-        let Maze { dist, parent, stamp, open, cost, .. } = self;
+        let Maze { dist, parent, stamp, open, cost, expanded_gcells, .. } = self;
+        if TRACK {
+            expanded_gcells.fill(0);
+        }
         dist[start] = 0.0;
         parent[start] = u32::MAX;
         stamp[start] = cur_stamp;
@@ -614,6 +740,9 @@ impl Maze {
                 break;
             }
             expanded += 1;
+            if TRACK {
+                expanded_gcells[node / 64] |= 1 << (node % 64);
+            }
             let (x, y) = (node % nx, node / nx);
             let d = dist[node];
             let mut relax = |next: usize, edge: usize, next_x: usize, next_y: usize| {

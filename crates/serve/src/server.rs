@@ -1089,6 +1089,8 @@ fn handle_shutdown(shared: &Arc<Shared>, stream: &mut TcpStream, req: &Request) 
 /// free, until a drain finds the queue empty.
 fn worker_loop(shared: &Shared, wid: usize) {
     obs::trace::set_thread_label(&format!("w{wid}"));
+    // the workers already use the cores: a flow here fans out no further
+    Pool::mark_worker();
     let bopts =
         BatchOptions { retries: shared.config.retries, cancel: Some(shared.cancel.clone()) };
     loop {

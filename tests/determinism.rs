@@ -214,6 +214,37 @@ fn routing_is_bit_identical_to_the_recorded_one() {
 }
 
 #[test]
+fn reroutes_that_keep_their_path_are_counted_exactly() {
+    // the route of `routing_is_bit_identical_to_the_recorded_one`'s
+    // short-supply case: per iteration, the reroutes whose search returned
+    // the path they had. The first has no path to return; later ones keep
+    // most of theirs, which is what lets the searches run ahead of the
+    // commits
+    let (_, rand16) = pinned_designs();
+    let mut opts = FlowOptions::default();
+    opts.route.capacity_scale = 1.5;
+    let prep = prepare(&rand16.to_network(), &opts).unwrap();
+    let r = congestion_flow_prepared(&prep, 0.5, &opts).unwrap().route;
+    let got: Vec<(usize, usize)> =
+        r.convergence.iters.iter().map(|s| (s.rerouted, s.unchanged)).collect();
+    let want = [
+        (1786, 0),
+        (1138, 817),
+        (1051, 903),
+        (986, 910),
+        (934, 881),
+        (951, 921),
+        (933, 889),
+        (931, 894),
+        (943, 907),
+        (949, 924),
+        (956, 927),
+        (956, 929),
+    ];
+    assert_eq!(got, want);
+}
+
+#[test]
 fn optimized_network_is_bit_identical_to_the_recorded_one() {
     // FNV-1a of the BLIF text, literal count and `optimize`'s return value
     // recorded at the commit before `extract_cubes` became an incremental

@@ -4,13 +4,25 @@
 //! pure function of the shared immutable `Prepared`, and `par_map` writes
 //! into input-indexed slots.
 
+use casyn::core::{CostKind, MapOptions, PartitionScheme};
 use casyn::exec::Pool;
 use casyn::flow::{
-    k_sweep_prepared, k_sweep_prepared_pool, prepare, prepare_pool, run_batch, run_batch_job,
-    BatchJob, BatchOptions, FlowOptions,
+    k_sweep_prepared, k_sweep_prepared_pool, map_at, prepare, prepare_pool, run_batch,
+    run_batch_job, BatchJob, BatchOptions, FlowOptions,
 };
 use casyn::netlist::bench::{random_pla, PlaGenConfig};
 use casyn::netlist::network::Network;
+use casyn::obs;
+use casyn::route::{route_mapped_pool, RouteResult};
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes the tests that route on the calling thread, which routes
+/// on the ambient budget: the speculation test reads a process-global
+/// counter that their routes would add to.
+fn route_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 fn net(seed: u64) -> Network {
     random_pla(&PlaGenConfig {
@@ -60,6 +72,7 @@ fn kway_placement_on_four_workers_matches_serial() {
 
 #[test]
 fn parallel_k_sweep_is_bit_identical_to_serial_across_seeds() {
+    let _guard = route_lock();
     let ks = [0.0, 0.001, 0.01, 0.5, 2.0];
     for seed in [2002_u64, 77] {
         let network = net(seed);
@@ -75,6 +88,76 @@ fn parallel_k_sweep_is_bit_identical_to_serial_across_seeds() {
             }
         }
     }
+}
+
+/// Everything a routing run decides, as bits: each net's length, the
+/// demand on every boundary, and every iteration's summary.
+fn route_words(r: &RouteResult) -> Vec<u64> {
+    let mut words: Vec<u64> = r.net_wirelength.iter().map(|w| w.to_bits()).collect();
+    let map = &r.congestion;
+    for y in 0..map.ny() {
+        words.extend((0..map.nx() - 1).map(|x| map.h_demand(x, y).to_bits()));
+    }
+    for y in 0..map.ny() - 1 {
+        words.extend((0..map.nx()).map(|x| map.v_demand(x, y).to_bits()));
+    }
+    for s in &r.convergence.iters {
+        words.extend([
+            s.iter as u64,
+            s.rerouted as u64,
+            s.unchanged as u64,
+            s.expanded,
+            s.overflow.to_bits(),
+            s.overflowed_edges as u64,
+            s.max_util.to_bits(),
+            s.history_cost.to_bits(),
+        ]);
+    }
+    words.extend([r.violations as u64, r.iterations as u64, r.total_wirelength.to_bits()]);
+    words
+}
+
+#[test]
+fn speculative_rerouting_is_bit_identical_at_every_helper_count() {
+    let _guard = route_lock();
+    // ~2.1k base gates at a supply so short that all twelve iterations
+    // run: most reroutes of the later ones keep their path, some do not
+    let pla = random_pla(&PlaGenConfig {
+        inputs: 16,
+        outputs: 12,
+        terms: 190,
+        min_literals: 4,
+        max_literals: 9,
+        mean_outputs_per_term: 1.4,
+        seed: 7,
+    });
+    let mut opts = FlowOptions::default();
+    opts.route.capacity_scale = 1.5;
+    let prep = prepare(&pla.to_network(), &opts).unwrap();
+    let map_opts = MapOptions {
+        scheme: PartitionScheme::PlacementDriven,
+        cost: CostKind::AreaWire { k: 0.5 },
+    };
+    let mapped = map_at(&prep, &map_opts, &opts).unwrap();
+    let route = |helpers: usize| {
+        route_mapped_pool(&mapped.netlist, &mapped.floorplan, &opts.route, &Pool::new(helpers))
+            .unwrap()
+    };
+    let serial = route(1);
+    assert_eq!(serial.iterations, opts.route.max_iters);
+    let later = &serial.convergence.iters[1..];
+    assert!(later.iter().all(|s| s.unchanged > 0 && s.unchanged < s.rerouted), "{later:?}");
+    let accepted = || obs::snapshot().counter("route.spec_accepted").unwrap_or(0);
+    obs::set_enabled(true);
+    for helpers in [2, 4] {
+        let before = accepted();
+        let r = route(helpers);
+        // the searches ran ahead and were committed as found: not a
+        // serial fallback
+        assert!(accepted() > before, "{helpers} helpers committed no search run ahead");
+        assert!(route_words(&r) == route_words(&serial), "{helpers} helpers diverged");
+    }
+    obs::set_enabled(false);
 }
 
 #[test]
